@@ -372,23 +372,34 @@ mod tests {
         }
     }
 
+    // The override is process-global, so these tests read `thread_count()`
+    // only inside an outer `with_threads` scope: its lock keeps every
+    // concurrent test's scope out while `before`/after are compared.
+
     #[test]
     fn with_threads_pins_and_restores() {
-        let before = thread_count();
-        let inside = with_threads(3, thread_count);
-        assert_eq!(inside, 3);
-        assert_eq!(thread_count(), before);
-        // Nested scopes: innermost wins, outer restored afterwards.
-        let (outer, inner) = with_threads(2, || (thread_count(), with_threads(5, thread_count)));
-        assert_eq!((outer, inner), (2, 5));
+        with_threads(4, || {
+            let before = thread_count();
+            assert_eq!(before, 4);
+            let inside = with_threads(3, thread_count);
+            assert_eq!(inside, 3);
+            assert_eq!(thread_count(), before);
+            // Nested scopes: innermost wins, outer restored afterwards.
+            let (outer, inner) =
+                with_threads(2, || (thread_count(), with_threads(5, thread_count)));
+            assert_eq!((outer, inner), (2, 5));
+            assert_eq!(thread_count(), before);
+        });
     }
 
     #[test]
     fn with_threads_restores_on_panic() {
-        let before = thread_count();
-        let r = std::panic::catch_unwind(|| with_threads(7, || panic!("boom")));
-        assert!(r.is_err());
-        assert_eq!(thread_count(), before);
+        with_threads(4, || {
+            let before = thread_count();
+            let r = std::panic::catch_unwind(|| with_threads(7, || panic!("boom")));
+            assert!(r.is_err());
+            assert_eq!(thread_count(), before);
+        });
     }
 
     #[test]

@@ -313,6 +313,71 @@ struct Bucket {
     running: Vec<u32>,
 }
 
+/// The capacity pass's victim selection: fills `out` with the `k` smallest
+/// candidates in [`victim_order`] — every bucket's runners plus
+/// `starters` — as an id-sorted set: exactly the first `k` of a full
+/// `victim_order` sort.
+///
+/// Instead of sorting every candidate it walks the buckets upward,
+/// counting runners plus starters, until the running total reaches `k` at
+/// the cutoff bucket `B`; only the candidates in buckets `≤ B` are
+/// gathered and partitioned around position `k`. That is exact because
+/// `bucket_of` is monotone in price (equal prices share a bucket), so
+/// every candidate above `B` orders after all `k` of the gathered
+/// smallest. NaN prices, which bucket to 0 but order last, never run
+/// (`NaN >= pf` is false), so they are never candidates.
+///
+/// `counts` is per-bucket scratch: sized to `buckets` on first use and
+/// left all-zero on return.
+fn select_victims(
+    buckets: &[Bucket],
+    starters: &[u32],
+    price_of: &[f64],
+    bucket_of: &[u32],
+    k: usize,
+    counts: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+) {
+    debug_assert!(k > 0);
+    counts.resize(buckets.len(), 0);
+    for &i in starters {
+        counts[bucket_of[i as usize] as usize] += 1;
+    }
+    let mut total = 0usize;
+    let mut cutoff = buckets.len() - 1;
+    for (b, bucket) in buckets.iter().enumerate() {
+        total += bucket.running.len() + counts[b] as usize;
+        if total >= k {
+            cutoff = b;
+            break;
+        }
+    }
+    debug_assert!(total >= k, "fewer candidates than victims");
+    counts.fill(0);
+
+    out.clear();
+    for bucket in &buckets[..=cutoff] {
+        out.extend_from_slice(&bucket.running);
+    }
+    out.extend(
+        starters
+            .iter()
+            .filter(|&&i| bucket_of[i as usize] as usize <= cutoff),
+    );
+    if k < out.len() {
+        out.select_nth_unstable_by(k, |&a, &b| {
+            victim_order(
+                price_of[a as usize],
+                u64::from(a),
+                price_of[b as usize],
+                u64::from(b),
+            )
+        });
+        out.truncate(k);
+    }
+    out.sort_unstable();
+}
+
 /// A discrete-time spot market with endogenous prices, stored as a
 /// price-indexed bid-book.
 ///
@@ -380,8 +445,8 @@ pub struct SpotMarket {
     parked: Vec<u32>,
     /// Bids currently running — the summed length of the bucket running
     /// lists between steps. Lets the finite-supply capacity pass skip its
-    /// all-buckets candidate gather when the carried runners plus this
-    /// slot's winners already fit under the spot share.
+    /// victim selection when the carried runners plus this slot's winners
+    /// already fit under the spot share.
     running_count: u32,
     /// The next step is a capacity reclamation (set by
     /// [`reclaim_next_slot`](Self::reclaim_next_slot)).
@@ -402,7 +467,11 @@ pub struct SpotMarket {
 
     // ---- arenas ----
     sc_started: Vec<u32>,
-    sc_cand: Vec<u32>,
+    /// The capacity pass's victims (see [`select_victims`]).
+    sc_victims: Vec<u32>,
+    /// Per-bucket starter counts for [`select_victims`]: `BUCKETS` zeros
+    /// between uses, allocated by the first capacity pass that evicts.
+    sc_bucket_count: Vec<u32>,
     sc_rejected: Vec<u32>,
     sc_geo_in: Vec<u32>,
     sc_geo_next: Vec<u32>,
@@ -456,7 +525,8 @@ impl SpotMarket {
             od_reject_pending: 0,
             provider_log: Vec::new(),
             sc_started: Vec::new(),
-            sc_cand: Vec::new(),
+            sc_victims: Vec::new(),
+            sc_bucket_count: Vec::new(),
             sc_rejected: Vec::new(),
             sc_geo_in: Vec::new(),
             sc_geo_next: Vec::new(),
@@ -884,42 +954,38 @@ impl SpotMarket {
         // through the previous slot, persistent ones park for an
         // individual re-auction, one-time ones exit); would-be starters
         // are returned unlaunched (no start event — persistent park,
-        // one-time exit). The victim pass interleaves ids, so the event
-        // vectors it touched are re-sorted afterwards.
+        // one-time exit). `select_victims` hands the victims over in id
+        // order: which bids go is fixed by `victim_order`, and nothing the
+        // pass writes depends on the order it visits them in (bucket-list
+        // positions are internal, `parked` is sorted before use). So
+        // `evicted` comes out id-sorted, and `interrupted`/`terminated`
+        // only need their two sorted runs merged.
         if let Supply::Finite { capacity, policy } = self.supply {
             let spot_cap = policy.spot_capacity(capacity, self.od_active);
-            // The candidate gather walks every bucket; skip it when the
-            // carried runners plus this slot's winners already fit under
-            // the spot share (no eviction possible), keeping quiet
-            // finite-supply slots O(1) like their unbounded counterparts.
-            // An outage slot has no candidates at all: step 1 dumped every
-            // runner and step 2 settled them, so `running_count` is 0 and
-            // the auction never ran (`started` is empty).
+            // When the carried runners plus this slot's winners already
+            // fit under the spot share no eviction is possible and the
+            // victim selection is skipped, keeping quiet finite-supply
+            // slots O(1) like their unbounded counterparts. An outage slot
+            // has no candidates at all: step 1 dumped every runner and
+            // step 2 settled them, so `running_count` is 0 and the auction
+            // never ran (`started` is empty).
             let carried = self.running_count as usize + started.len();
             debug_assert!(!reclaiming || carried == 0);
-            let mut cand = std::mem::take(&mut self.sc_cand);
-            cand.clear();
-            if carried > spot_cap as usize {
-                for bucket in &self.buckets {
-                    cand.extend_from_slice(&bucket.running);
-                }
-                cand.extend_from_slice(&started);
-                debug_assert_eq!(cand.len(), carried);
-            }
             let spot_running = carried.min(spot_cap as usize) as u32;
             let mut reclaims = 0u32;
             let mut fresh_evictions = 0u32;
-            if cand.len() > spot_cap as usize {
-                let k = cand.len() - spot_cap as usize;
-                cand.sort_unstable_by(|&a, &b| {
-                    victim_order(
-                        self.price_of[a as usize],
-                        u64::from(a),
-                        self.price_of[b as usize],
-                        u64::from(b),
-                    )
-                });
-                for &i in &cand[..k] {
+            if carried > spot_cap as usize {
+                let mut victims = std::mem::take(&mut self.sc_victims);
+                select_victims(
+                    &self.buckets,
+                    &started,
+                    &self.price_of,
+                    &self.bucket_of,
+                    carried - spot_cap as usize,
+                    &mut self.sc_bucket_count,
+                    &mut victims,
+                );
+                for &i in &victims {
                     let iu = i as usize;
                     report.evicted.push(self.records[iu].id);
                     if self.flags[iu] & F_RUNNING != 0 {
@@ -972,10 +1038,9 @@ impl SpotMarket {
                 started.truncate(w);
                 report.interrupted.sort_unstable();
                 report.terminated.sort_unstable();
-                report.evicted.sort_unstable();
+                debug_assert!(report.evicted.windows(2).all(|w| w[0] < w[1]));
+                self.sc_victims = victims;
             }
-            cand.clear();
-            self.sc_cand = cand;
             let parked_restarts = self
                 .sc_parked_started
                 .iter()
@@ -1620,6 +1685,98 @@ mod tests {
         m.release_on_demand(2);
         let r3 = m.step(&mut rng);
         assert_eq!(r3.started, vec![b, c]);
+    }
+
+    /// One randomized `select_victims` case against the full
+    /// `victim_order` sort it replaces. Returns the bucket of the `k`-th
+    /// victim (the cutoff) and whether equal prices straddle position `k`.
+    fn check_selection(prices: &[f64], starter_share: f64, k: usize, rng: &mut Rng) -> (u32, bool) {
+        let m = market();
+        let bucket_of: Vec<u32> = prices.iter().map(|&p| m.bucket_index(p) as u32).collect();
+        let mut buckets = vec![Bucket::default(); BUCKETS];
+        let mut starters = Vec::new();
+        for i in 0..prices.len() as u32 {
+            if rng.chance(starter_share) {
+                starters.push(i);
+            } else {
+                // Running lists hold swap-remove order, not id order.
+                let list = &mut buckets[bucket_of[i as usize] as usize].running;
+                let at = rng.range_f64(0.0, list.len() as f64 + 1.0) as usize;
+                list.insert(at.min(list.len()), i);
+            }
+        }
+        let mut full: Vec<u32> = (0..prices.len() as u32).collect();
+        full.sort_unstable_by(|&a, &b| {
+            victim_order(
+                prices[a as usize],
+                u64::from(a),
+                prices[b as usize],
+                u64::from(b),
+            )
+        });
+
+        let mut counts = Vec::new();
+        let mut out = vec![7, 7, 7];
+        select_victims(
+            &buckets,
+            &starters,
+            prices,
+            &bucket_of,
+            k,
+            &mut counts,
+            &mut out,
+        );
+        let mut expect = full[..k].to_vec();
+        expect.sort_unstable();
+        assert_eq!(out, expect, "k = {k} of {}", prices.len());
+        assert!(counts.iter().all(|&c| c == 0), "scratch left dirty");
+        let last = full[k - 1] as usize;
+        let straddle = k < full.len() && prices[full[k] as usize] == prices[last];
+        (bucket_of[last], straddle)
+    }
+
+    #[test]
+    fn victim_selection_matches_a_full_sort() {
+        let (lo, hi) = (0.02, 0.35);
+        let w = (hi - lo) / BUCKETS as f64;
+        let mut rng = Rng::seed_from_u64(0x5E1E);
+        let (mut straddles, mut top_cutoffs, mut bottom_cutoffs) = (0, 0, 0);
+        for trial in 0..600u32 {
+            let n = 1 + (rng.range_f64(0.0, 300.0) as usize);
+            let prices: Vec<f64> = (0..n)
+                .map(|_| match trial % 6 {
+                    // Uniform over the book.
+                    0 => rng.range_f64(lo, hi),
+                    // A few distinct prices: deep ties across position k.
+                    1 => [0.05, 0.12, 0.2, 0.3][(rng.range_f64(0.0, 4.0) as usize).min(3)],
+                    // Everything in one interior bucket.
+                    2 => lo + (200.0 + rng.range_f64(0.0, 1.0)) * w,
+                    // The top bucket and above the cap: the cutoff is 511.
+                    3 => rng.range_f64(hi - w, 2.0 * hi),
+                    // Out of range on both sides, clamping into 0 and 511.
+                    4 => {
+                        if rng.chance(0.5) {
+                            rng.range_f64(0.0, lo)
+                        } else {
+                            rng.range_f64(hi, 2.0 * hi)
+                        }
+                    }
+                    // Exact bucket edges.
+                    _ => lo + (rng.range_f64(0.0, BUCKETS as f64 + 1.0).floor()) * w,
+                })
+                .collect();
+            let starter_share = [0.0, 1.0, 0.3][(trial / 6 % 3) as usize];
+            for k in [1, n, 1 + (rng.range_f64(0.0, n as f64) as usize).min(n - 1)] {
+                let (cutoff, straddle) = check_selection(&prices, starter_share, k, &mut rng);
+                straddles += usize::from(straddle);
+                top_cutoffs += usize::from(cutoff as usize == BUCKETS - 1);
+                bottom_cutoffs += usize::from(cutoff == 0);
+            }
+        }
+        // The hostile shapes really occurred.
+        assert!(straddles > 50, "ties across k: {straddles}");
+        assert!(top_cutoffs > 50, "cutoff in bucket 511: {top_cutoffs}");
+        assert!(bottom_cutoffs > 50, "cutoff in bucket 0: {bottom_cutoffs}");
     }
 
     #[test]

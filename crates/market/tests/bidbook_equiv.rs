@@ -357,6 +357,92 @@ fn equivalent_under_finite_supply_reclamation_storm() {
     }
 }
 
+/// Bid `i` of a golden-ratio ladder over `[π_min, π̄)` starting at `phase`.
+fn laddered(p: &MarketParams, phase: f64, i: usize) -> Price {
+    let frac = (phase + i as f64 * 0.618_033_988_749_895) % 1.0;
+    Price::new(p.pi_min.as_f64() + frac * p.spread().as_f64())
+}
+
+/// The standing-squeeze regime: `standing` laddered persistent bids that
+/// never finish, a box of about an eighth of the book, on-demand churn
+/// every slot and four one-time geometric churn bids per slot. The few
+/// victims sit just above the clearing price, so the capacity pass's
+/// cutoff bucket is among the first that hold candidates and it gathers
+/// only a sliver of them. Returns how many slots evicted something.
+fn run_standing_squeeze(seed: u64, standing: usize, slots: usize) -> usize {
+    let p = params();
+    let capacity = (standing / 8) as u32;
+    let (mut book, mut base) = pair_finite(p, finite(capacity, capacity / 2));
+    let mut sub_rng = Rng::seed_from_u64(seed);
+    let mut rng_book = Rng::seed_from_u64(seed ^ 0xFEED);
+    let mut rng_base = Rng::seed_from_u64(seed ^ 0xFEED);
+    let phase = sub_rng.range_f64(0.0, 1.0);
+    let mut next = 0usize;
+    let mut ladder = |kind, work| {
+        next += 1;
+        BidRequest {
+            price: laddered(&p, phase, next - 1),
+            kind,
+            work,
+        }
+    };
+    for _ in 0..standing {
+        let req = ladder(BidKind::Persistent, WorkModel::FixedSlots(u32::MAX));
+        assert_eq!(book.submit(req), base.submit(req));
+    }
+
+    let mut evicting = 0;
+    for s in 0..slots {
+        let depart = (0..book.od_active())
+            .filter(|_| sub_rng.chance(0.1))
+            .count() as u32;
+        book.release_on_demand(depart);
+        base.release_on_demand(depart);
+        let arrive = sub_rng.poisson(f64::from(capacity) / 40.0) as u32;
+        assert_eq!(
+            book.request_on_demand(arrive),
+            base.request_on_demand(arrive)
+        );
+        for _ in 0..4 {
+            let req = ladder(BidKind::OneTime, WorkModel::Geometric);
+            assert_eq!(book.submit(req), base.submit(req));
+        }
+
+        let rb = book.step(&mut rng_book);
+        let rn = base.step(&mut rng_base);
+        assert_eq!(rb, rn, "seed {seed} slot {s} diverged");
+        assert_sorted(&rb);
+        assert_eq!(
+            book.provider_slots().last(),
+            base.provider_slots().last(),
+            "seed {seed} slot {s} provider telemetry diverged"
+        );
+        evicting += usize::from(!rb.evicted.is_empty());
+        if s % 13 == 5 {
+            let probe = BidId(sub_rng.range_f64(0.0, base.records().len() as f64) as u64);
+            assert_eq!(book.record(probe), base.record(probe));
+        }
+    }
+    assert_eq!(book.records(), base.records(), "seed {seed} final records");
+    assert_eq!(book.provider_report(), base.provider_report());
+    evicting
+}
+
+#[test]
+fn equivalent_under_a_standing_squeeze() {
+    // Thousands of standing bids against a box an eighth their size: the
+    // workload shape where the capacity pass selects a few victims out of
+    // a deep book (cutoff bucket well below the top one).
+    for seed in [107u64, 109, 0x5E1E] {
+        let slots = 150;
+        let evicting = run_standing_squeeze(seed, 3000, slots);
+        assert!(
+            evicting * 10 >= slots * 8,
+            "seed {seed}: only {evicting} of {slots} slots evicted"
+        );
+    }
+}
+
 #[test]
 fn run_matches_stepwise_and_naive() {
     let p = params();

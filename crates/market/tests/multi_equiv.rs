@@ -248,6 +248,82 @@ fn singleton_set_equivalent_under_finite_supply() {
     }
 }
 
+/// Bid `i` of a golden-ratio ladder over `[π_min, π̄)` starting at `phase`.
+fn laddered(p: &MarketParams, phase: f64, i: usize) -> Price {
+    let frac = (phase + i as f64 * 0.618_033_988_749_895) % 1.0;
+    Price::new(p.pi_min.as_f64() + frac * p.spread().as_f64())
+}
+
+#[test]
+fn singleton_set_equivalent_under_a_standing_squeeze() {
+    // The `bidbook_equiv` standing-squeeze regime through the set: a deep
+    // laddered book against a box an eighth its size, on-demand churn and
+    // one-time geometric churn every slot, so most slots evict a few bids.
+    let p = params();
+    let (standing, slots) = (3000usize, 150usize);
+    let capacity = (standing / 8) as u32;
+    let supply = Supply::Finite {
+        capacity,
+        policy: ProviderPolicy::UtilizationTracking {
+            od_cap: capacity / 2,
+        },
+    };
+    for seed in [113u64, 127] {
+        let (mut set, mut lone) = pair_finite(p, supply);
+        let mut sub_rng = Rng::seed_from_u64(seed);
+        let mut rngs_set = vec![Rng::seed_from_u64(seed ^ 0xFEED)];
+        let mut rng_lone = Rng::seed_from_u64(seed ^ 0xFEED);
+        let phase = sub_rng.range_f64(0.0, 1.0);
+        for i in 0..standing {
+            let req = BidRequest {
+                price: laddered(&p, phase, i),
+                kind: BidKind::Persistent,
+                work: WorkModel::FixedSlots(u32::MAX),
+            };
+            assert_eq!(set.submit(0, req), lone.submit(req));
+        }
+        let mut next = standing;
+        let mut evicting = 0;
+        for s in 0..slots {
+            let depart = (0..lone.od_active())
+                .filter(|_| sub_rng.chance(0.1))
+                .count() as u32;
+            set.release_on_demand(0, depart);
+            lone.release_on_demand(depart);
+            let arrive = sub_rng.poisson(f64::from(capacity) / 40.0) as u32;
+            assert_eq!(
+                set.request_on_demand(0, arrive),
+                lone.request_on_demand(arrive)
+            );
+            for _ in 0..4 {
+                let req = BidRequest {
+                    price: laddered(&p, phase, next),
+                    kind: BidKind::OneTime,
+                    work: WorkModel::Geometric,
+                };
+                next += 1;
+                assert_eq!(set.submit(0, req), lone.submit(req));
+            }
+
+            let rs = set.step(&mut rngs_set);
+            let rl = lone.step(&mut rng_lone);
+            assert_eq!(rs[0], rl, "seed {seed} slot {s} diverged");
+            assert_eq!(
+                set.provider_slots(0).last(),
+                lone.provider_slots().last(),
+                "seed {seed} slot {s} provider telemetry diverged"
+            );
+            evicting += usize::from(!rl.evicted.is_empty());
+        }
+        assert!(
+            evicting * 10 >= slots * 8,
+            "seed {seed}: only {evicting} of {slots} slots evicted"
+        );
+        assert_eq!(set.records(0), lone.records(), "seed {seed} final records");
+        assert_eq!(set.provider_report(0), lone.provider_report());
+    }
+}
+
 #[test]
 fn singleton_set_arena_path_matches_lone_market() {
     // step_into with caller-owned reports (the engine's arena path)
