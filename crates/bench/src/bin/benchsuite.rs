@@ -625,7 +625,8 @@ fn engine_benches(h: &mut Harness) {
 }
 
 /// The closed loop at population scale: the wakeup fleet at 1k/10k/100k
-/// tenants over 80 market steps (20 warmup + 60 horizon), a quiet-slot-
+/// tenants over 80 market steps (20 warmup + 60 horizon), the 100k-tenant
+/// submission wave on its own (one horizon slot), a quiet-slot-
 /// dominated 10k session on both fleets (the skip-path ratio), and a
 /// million-tenant quiet session with the amortized per-quiet-slot cost
 /// derived from two horizons. The ISSUE-6 acceptance ratio (>= 50x on
@@ -648,6 +649,18 @@ fn engine_scale_benches(h: &mut Harness) {
                 run_closed_loop(black_box(&strategies), black_box(&cfg), 0x5CA1E).unwrap()
             });
     }
+
+    // The slot-0 submission wave in isolation: 100k tenants all decide
+    // against one observed history, then one slot clears. Past the 20
+    // tenant-free warm-up slots the session is the wave — every tenant's
+    // decision and bid submission — plus one market step and finalize.
+    let strategies = tenant_mix(100_000);
+    let wave_cfg = closed_loop_config(20, 1);
+    h.group("engine_scale")
+        .throughput_items(100_000)
+        .bench("closed_loop_wave/100k_tenants_1_slot", || {
+            run_closed_loop(black_box(&strategies), black_box(&wave_cfg), 0x5CA1E).unwrap()
+        });
 
     // The skip path in isolation: a quiet-slot-dominated session —
     // FixedBid($0.03) sits below the crowded-market price floor, so after

@@ -61,10 +61,10 @@ pub mod risk;
 pub mod strategy;
 
 pub use job::JobSpec;
-pub use portfolio::{PortfolioLeg, PortfolioPlan, PortfolioStrategy};
+pub use portfolio::{PortfolioLeg, PortfolioPlan, PortfolioStrategy, PortfolioView};
 pub use price_model::{AnalyticPrices, EmpiricalPrices, PriceModel};
 pub use recommendation::BidRecommendation;
-pub use strategy::{BidDecision, BiddingStrategy};
+pub use strategy::{BidDecision, BiddingStrategy, PriceView};
 
 use spotbid_market::units::Cost;
 use std::fmt;

@@ -17,15 +17,17 @@
 //!   completion-time risk.
 //!
 //! A resolved plan is a list of [`PortfolioLeg`]s — (market, work,
-//! decision) triples — produced by pure functions of the per-market price
-//! histories, so planning parallelizes with the same determinism contract
-//! as single-market `decide`.
+//! decision) triples — produced by pure functions of a [`PortfolioView`]
+//! of the per-market price histories, so planning parallelizes with the
+//! same determinism contract as single-market `decide`, and one view
+//! serves every plan of a slot.
 
 use crate::job::JobSpec;
-use crate::strategy::{BidDecision, BiddingStrategy};
+use crate::strategy::{BidDecision, BiddingStrategy, PriceView};
 use crate::CoreError;
 use spotbid_market::units::{Hours, Price};
 use spotbid_trace::SpotPriceHistory;
+use std::sync::OnceLock;
 
 /// A multi-market bidding strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,6 +97,39 @@ pub fn rank_markets(histories: &[SpotPriceHistory]) -> Vec<usize> {
     order
 }
 
+/// The portfolio counterpart of [`PriceView`]: one view per market and
+/// the markets' [`rank_markets`] order, each built on first use and shared
+/// by every plan made against it. A market whose model cannot be built
+/// fails only the plans whose legs consult it.
+#[derive(Debug)]
+pub struct PortfolioView<'h> {
+    histories: &'h [SpotPriceHistory],
+    markets: Vec<PriceView<'h>>,
+    on_demand: Price,
+    ranking: OnceLock<Vec<usize>>,
+}
+
+impl<'h> PortfolioView<'h> {
+    /// A view of one history per market, with `on_demand` as every
+    /// market's cap and the on-demand legs' price.
+    pub fn new(histories: &'h [SpotPriceHistory], on_demand: Price) -> Self {
+        PortfolioView {
+            histories,
+            markets: histories
+                .iter()
+                .map(|h| PriceView::new(h, on_demand))
+                .collect(),
+            on_demand,
+            ranking: OnceLock::new(),
+        }
+    }
+
+    /// Markets ranked cheapest first, as [`rank_markets`].
+    fn ranking(&self) -> &[usize] {
+        self.ranking.get_or_init(|| rank_markets(self.histories))
+    }
+}
+
 /// A sub-job covering `slots` whole slots of the parent job, keeping its
 /// recovery/overhead/slot structure.
 fn sub_job(job: &JobSpec, slots: u64) -> JobSpec {
@@ -106,31 +141,49 @@ fn sub_job(job: &JobSpec, slots: u64) -> JobSpec {
 
 impl PortfolioStrategy {
     /// Resolves the strategy into a [`PortfolioPlan`] against one price
-    /// history per market.
+    /// history per market: builds a [`PortfolioView`] and calls
+    /// [`decide_with`](Self::decide_with).
     ///
     /// # Errors
     ///
-    /// [`CoreError::NoFeasibleBid`] if `histories` is empty,
-    /// [`CoreError::InvalidProbability`] for a `Contract` share outside
-    /// `[0, 1]`, plus anything the base strategy's `decide` returns.
+    /// As [`decide_with`](Self::decide_with).
     pub fn decide(
         &self,
         histories: &[SpotPriceHistory],
         job: &JobSpec,
         on_demand: Price,
     ) -> Result<PortfolioPlan, CoreError> {
-        if histories.is_empty() {
+        self.decide_with(&PortfolioView::new(histories, on_demand), job)
+    }
+
+    /// Resolves the strategy into a [`PortfolioPlan`] against a shared
+    /// [`PortfolioView`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NoFeasibleBid`] if the view has no markets, then the
+    /// job's validation error, then [`CoreError::InvalidProbability`] for
+    /// a `Contract` share outside `[0, 1]`, plus anything the base
+    /// strategy's [`decide_with`](BiddingStrategy::decide_with) returns
+    /// for a market a leg consults.
+    pub fn decide_with(
+        &self,
+        view: &PortfolioView<'_>,
+        job: &JobSpec,
+    ) -> Result<PortfolioPlan, CoreError> {
+        let markets = &view.markets;
+        if markets.is_empty() {
             return Err(CoreError::NoFeasibleBid {
                 why: "portfolio needs at least one market".into(),
             });
         }
         job.validate()?;
-        let m = histories.len();
+        let m = markets.len();
         let total_slots = job.slots_needed();
         match *self {
             PortfolioStrategy::ZoneFallback { home, base } => {
                 let market = home % m;
-                let decision = base.decide(&histories[market], job, on_demand)?;
+                let decision = base.decide_with(&markets[market], job)?;
                 Ok(PortfolioPlan {
                     legs: vec![PortfolioLeg {
                         market,
@@ -151,8 +204,7 @@ impl PortfolioStrategy {
                     }
                     legs_n -= 1;
                 }
-                let order = rank_markets(histories);
-                let mut targets: Vec<usize> = order[..legs_n].to_vec();
+                let mut targets: Vec<usize> = view.ranking()[..legs_n].to_vec();
                 targets.sort_unstable();
                 let base_slots = total_slots / legs_n as u64;
                 let extra = (total_slots % legs_n as u64) as usize;
@@ -160,7 +212,7 @@ impl PortfolioStrategy {
                 for (i, &market) in targets.iter().enumerate() {
                     let slots = base_slots + u64::from(i < extra);
                     let sub = sub_job(job, slots);
-                    let decision = base.decide(&histories[market], &sub, on_demand)?;
+                    let decision = base.decide_with(&markets[market], &sub)?;
                     legs.push(PortfolioLeg {
                         market,
                         slots,
@@ -173,7 +225,7 @@ impl PortfolioStrategy {
                 if !(0.0..=1.0).contains(&spot_share) || !spot_share.is_finite() {
                     return Err(CoreError::InvalidProbability { value: spot_share });
                 }
-                let cheapest = rank_markets(histories)[0];
+                let cheapest = view.ranking()[0];
                 let mut spot_slots = (total_slots as f64 * spot_share).round() as u64;
                 spot_slots = spot_slots.min(total_slots);
                 // A spot sub-job below the recovery floor can't be priced;
@@ -185,7 +237,7 @@ impl PortfolioStrategy {
                 let mut legs = Vec::with_capacity(2);
                 if spot_slots > 0 {
                     let sub = sub_job(job, spot_slots);
-                    let decision = base.decide(&histories[cheapest], &sub, on_demand)?;
+                    let decision = base.decide_with(&markets[cheapest], &sub)?;
                     legs.push(PortfolioLeg {
                         market: cheapest,
                         slots: spot_slots,
@@ -196,7 +248,9 @@ impl PortfolioStrategy {
                     legs.push(PortfolioLeg {
                         market: cheapest,
                         slots: od_slots,
-                        decision: BidDecision::OnDemand { price: on_demand },
+                        decision: BidDecision::OnDemand {
+                            price: view.on_demand,
+                        },
                     });
                 }
                 Ok(PortfolioPlan { legs })

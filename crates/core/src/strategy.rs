@@ -6,6 +6,7 @@ use crate::price_model::EmpiricalPrices;
 use crate::{baselines, onetime, persistent, CoreError};
 use spotbid_market::units::Price;
 use spotbid_trace::SpotPriceHistory;
+use std::sync::OnceLock;
 
 /// How a single-instance job chooses its bid (or opts out of spot).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,27 +47,83 @@ pub enum BidDecision {
     },
 }
 
+/// What every decision against one observed history shares: the history
+/// and the on-demand cap, with the empirical price model built from them
+/// on first use and kept for every later decision.
+///
+/// Decisions are pure functions of the view, so a closed loop builds one
+/// view per slot and hands it read-only to all of that slot's tenants,
+/// across threads — the model is sorted and deduplicated once, not once
+/// per tenant. A history the model cannot be built from keeps its error,
+/// and every decision that consults the model returns a copy of it.
+#[derive(Debug)]
+pub struct PriceView<'h> {
+    history: &'h SpotPriceHistory,
+    on_demand: Price,
+    model: OnceLock<Result<EmpiricalPrices, CoreError>>,
+}
+
+impl<'h> PriceView<'h> {
+    /// A view of `history` with `on_demand` as the bid cap, the fallback
+    /// price and the model's cap.
+    pub fn new(history: &'h SpotPriceHistory, on_demand: Price) -> Self {
+        PriceView {
+            history,
+            on_demand,
+            model: OnceLock::new(),
+        }
+    }
+
+    /// The empirical model of the history, capped at the on-demand price;
+    /// built by the first caller, its error copied to every caller.
+    fn model(&self) -> Result<&EmpiricalPrices, CoreError> {
+        self.model
+            .get_or_init(|| EmpiricalPrices::from_history_with_cap(self.history, self.on_demand))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
 impl BiddingStrategy {
     /// Resolves the strategy into a concrete decision against a price
-    /// history (the client's "price monitor" state).
+    /// history (the client's "price monitor" state): builds a
+    /// [`PriceView`] and calls [`decide_with`](Self::decide_with).
     ///
     /// # Errors
     ///
-    /// Propagates model-construction and per-strategy errors; strategies
-    /// whose constraints fail (e.g. spot not worthwhile) resolve to
-    /// [`BidDecision::OnDemand`] rather than erroring, mirroring the
-    /// paper's fallback behaviour.
+    /// As [`decide_with`](Self::decide_with).
     pub fn decide(
         &self,
         history: &SpotPriceHistory,
         job: &JobSpec,
         on_demand: Price,
     ) -> Result<BidDecision, CoreError> {
+        self.decide_with(&PriceView::new(history, on_demand), job)
+    }
+
+    /// Resolves the strategy into a concrete decision against a shared
+    /// [`PriceView`], falling back to on demand at the view's price.
+    ///
+    /// # Errors
+    ///
+    /// The job's validation error first, then the view's model error —
+    /// for every strategy, including those that never read the model —
+    /// then per-strategy errors. Strategies whose constraints fail (e.g.
+    /// spot not worthwhile) resolve to [`BidDecision::OnDemand`] rather
+    /// than erroring, mirroring the paper's fallback behaviour.
+    pub fn decide_with(
+        &self,
+        view: &PriceView<'_>,
+        job: &JobSpec,
+    ) -> Result<BidDecision, CoreError> {
         job.validate()?;
-        let fallback = BidDecision::OnDemand { price: on_demand };
-        let model = EmpiricalPrices::from_history_with_cap(history, on_demand)?;
+        let fallback = BidDecision::OnDemand {
+            price: view.on_demand,
+        };
+        let model = view.model()?;
+        let history = view.history;
         let decision = match *self {
-            BiddingStrategy::OptimalOneTime => match onetime::optimal_bid(&model, job) {
+            BiddingStrategy::OptimalOneTime => match onetime::optimal_bid(model, job) {
                 Ok(rec) => BidDecision::Spot {
                     price: rec.price,
                     persistent: false,
@@ -76,7 +133,7 @@ impl BiddingStrategy {
                 }
                 Err(e) => return Err(e),
             },
-            BiddingStrategy::OptimalPersistent => match persistent::optimal_bid(&model, job) {
+            BiddingStrategy::OptimalPersistent => match persistent::optimal_bid(model, job) {
                 Ok(rec) => BidDecision::Spot {
                     price: rec.price,
                     persistent: true,
@@ -87,7 +144,7 @@ impl BiddingStrategy {
                 Err(e) => return Err(e),
             },
             BiddingStrategy::Percentile(q) => BidDecision::Spot {
-                price: baselines::percentile_bid(&model, q)?,
+                price: baselines::percentile_bid(model, q)?,
                 persistent: true,
             },
             BiddingStrategy::FixedBid(p) => BidDecision::Spot {

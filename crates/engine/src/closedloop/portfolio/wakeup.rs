@@ -34,7 +34,7 @@ use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver};
 use crate::observer::EventLog;
 use crate::EngineError;
-use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy};
+use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
 use spotbid_core::{BidDecision, CoreError, JobSpec};
 use spotbid_market::params::MarketParams;
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
@@ -710,25 +710,24 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
             self.needy = needy;
             return Ok(());
         }
-        // One per-market history snapshot for the whole slot, identical
-        // sharded fan-out to the dense fleet: same shard cuts, same
-        // reserved RNG substreams, same order-stable merge.
+        // One per-market history snapshot and one portfolio view for the
+        // whole slot, shared read-only by every shard (a plan is a pure
+        // function of the view, so this equals the dense fleet's
+        // per-tenant `decide`); identical sharded fan-out to the dense
+        // fleet: same shard cuts, same reserved RNG substreams, same
+        // order-stable merge.
         let histories = source.observed()?;
-        let inputs: Vec<PortfolioStrategy> = needy
-            .iter()
-            .map(|&i| self.tenants[i as usize].strategy)
-            .collect();
-        let shards = inputs.len().div_ceil(SHARD_SIZE);
-        let shard_rngs = &self.shard_rngs;
-        let (job, on_demand) = (self.job, self.on_demand);
+        let view = PortfolioView::new(&histories, self.on_demand);
+        let shards = needy.len().div_ceil(SHARD_SIZE);
+        let (shard_rngs, tenants, job) = (&self.shard_rngs, &self.tenants, self.job);
         let plans: Vec<Vec<Result<PortfolioPlan, CoreError>>> =
             spotbid_exec::par_map(shards, |s| {
                 let mut _rng = shard_rngs[s].clone(); // reserved, see dense
                 let lo = s * SHARD_SIZE;
-                let hi = (lo + SHARD_SIZE).min(inputs.len());
-                inputs[lo..hi]
+                let hi = (lo + SHARD_SIZE).min(needy.len());
+                needy[lo..hi]
                     .iter()
-                    .map(|strat| strat.decide(&histories, &job, on_demand))
+                    .map(|&i| tenants[i as usize].strategy.decide_with(&view, &job))
                     .collect()
             });
         // Serial, ordered apply: per-market bid ids and events come out

@@ -41,7 +41,7 @@ use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver, Kernel};
 use crate::observer::{BillingObserver, EventLog, Observer};
 use crate::EngineError;
-use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec};
+use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec, PriceView};
 use spotbid_market::params::MarketParams;
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
 use spotbid_market::units::{Hours, Price};
@@ -571,24 +571,24 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
             self.needy = needy;
             return Ok(());
         }
-        // One history snapshot for the whole slot, identical sharded
-        // fan-out to the dense fleet: same shard cuts, same reserved RNG
-        // substreams, same order-stable merge.
+        // One history snapshot and one price view for the whole slot,
+        // shared read-only by every shard (a decision is a pure function
+        // of the view, so this equals the dense fleet's per-tenant
+        // `decide`); identical sharded fan-out to the dense fleet: same
+        // shard cuts, same reserved RNG substreams, same order-stable
+        // merge.
         let history = source.observed()?;
-        let inputs: Vec<(BiddingStrategy, JobSpec, Price)> = needy
-            .iter()
-            .map(|&t| (self.strategy[t as usize], self.job, self.on_demand))
-            .collect();
-        let shards = inputs.len().div_ceil(SHARD_SIZE);
-        let shard_rngs = &self.shard_rngs;
+        let view = PriceView::new(&history, self.on_demand);
+        let shards = needy.len().div_ceil(SHARD_SIZE);
+        let (shard_rngs, strategy, job) = (&self.shard_rngs, &self.strategy, &self.job);
         let decisions: Vec<Vec<Result<BidDecision, CoreError>>> =
             spotbid_exec::par_map(shards, |s| {
                 let mut _rng = shard_rngs[s].clone(); // reserved, see dense
                 let lo = s * SHARD_SIZE;
-                let hi = (lo + SHARD_SIZE).min(inputs.len());
-                inputs[lo..hi]
+                let hi = (lo + SHARD_SIZE).min(needy.len());
+                needy[lo..hi]
                     .iter()
-                    .map(|(strat, job, od)| strat.decide(&history, job, *od))
+                    .map(|&t| strategy[t as usize].decide_with(&view, job))
                     .collect()
             });
         // Serial, ordered apply: bid ids and events come out exactly as if

@@ -112,6 +112,9 @@ fn portfolio_strategies(n: usize, gen: PriceGen, seed: u64) -> Vec<PortfolioStra
         .map(|i| {
             let base = match i % 13 {
                 3 => BiddingStrategy::OptimalPersistent,
+                5 => BiddingStrategy::BestOffline {
+                    lookback_hours: 10.0,
+                },
                 7 => BiddingStrategy::Percentile(0.90),
                 9 => BiddingStrategy::OptimalOneTime,
                 11 => BiddingStrategy::OnDemand,
@@ -247,6 +250,44 @@ fn equivalent_with_mixed_finite_supply_members() {
         reclaims > 0,
         "capacity never bound: the wall proved nothing"
     );
+}
+
+#[test]
+fn cap_below_a_posted_price_fails_alike() {
+    // An on-demand price below π̄ over finite boxes: once a box binds and
+    // its market posts a price above the cap, the next plan whose legs
+    // consult that market finds the cap below the observed maximum. The
+    // slot's shared portfolio view must fail with exactly the dense
+    // fleet's per-tenant error — after a first planning round that both
+    // fleets survive.
+    for (gen, seed) in [
+        (uniform_price as PriceGen, 421u64),
+        (clustered_price as PriceGen, 0xCA9),
+    ] {
+        let mut cfg = config(160);
+        cfg.on_demand = Price::new(0.25);
+        for market in &mut cfg.markets {
+            market.supply = Supply::Finite {
+                capacity: 12,
+                policy: ProviderPolicy::StaticSplit { reserved: 4 },
+            };
+        }
+        let strats = portfolio_strategies(60, gen, seed);
+        let first_round = PortfolioLoopConfig {
+            horizon_slots: 1,
+            ..cfg.clone()
+        };
+        assert_equivalent(&strats, &first_round, seed, None);
+        let w = run_portfolio_loop_logged(&strats, &cfg, seed, None)
+            .expect_err("a posted price tops the cap");
+        let d = dense::run_portfolio_loop_logged(&strats, &cfg, seed, None)
+            .expect_err("the oracle fails too");
+        assert_eq!(w.to_string(), d.to_string(), "seed {seed}");
+        assert!(
+            w.to_string().contains("below observed maximum"),
+            "seed {seed}: {w}"
+        );
+    }
 }
 
 #[test]

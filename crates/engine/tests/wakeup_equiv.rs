@@ -101,6 +101,9 @@ fn strategies(n: usize, gen: PriceGen, seed: u64) -> Vec<BiddingStrategy> {
     (0..n)
         .map(|i| match i % 13 {
             3 => BiddingStrategy::OptimalPersistent,
+            5 => BiddingStrategy::BestOffline {
+                lookback_hours: 10.0,
+            },
             7 => BiddingStrategy::Percentile(0.90),
             9 => BiddingStrategy::OptimalOneTime,
             11 => BiddingStrategy::OnDemand,
@@ -242,6 +245,47 @@ fn equivalent_under_finite_supply_with_faults() {
         };
         let strats = strategies(48, extreme_price, seed);
         assert_equivalent(&strats, &cfg, seed, Some(&faults));
+    }
+}
+
+#[test]
+fn cap_below_a_posted_price_fails_alike() {
+    // An on-demand price below π̄: once capacity binds and the market
+    // posts a price above the cap, the next tenant decision finds the cap
+    // below the observed maximum. The slot's shared price view must fail
+    // with exactly the dense fleet's per-tenant error — after a first
+    // decision round that both fleets survive.
+    for (r, gen) in [uniform_price as PriceGen, clustered_price]
+        .into_iter()
+        .enumerate()
+    {
+        for seed in [401u64 + r as u64, 0xCA9 + r as u64] {
+            let cfg = ClosedLoopConfig {
+                on_demand: Price::new(0.2),
+                supply: Supply::Finite {
+                    capacity: 40,
+                    policy: ProviderPolicy::UtilizationTracking { od_cap: 24 },
+                },
+                od_arrivals: 1.5,
+                od_departure: 0.25,
+                ..config(200)
+            };
+            let strats = strategies(60, gen, seed);
+            let first_round = ClosedLoopConfig {
+                horizon_slots: 1,
+                ..cfg
+            };
+            assert_equivalent(&strats, &first_round, seed, None);
+            let w = run_closed_loop_logged(&strats, &cfg, seed, None)
+                .expect_err("a posted price tops the cap");
+            let d = dense::run_closed_loop_logged(&strats, &cfg, seed, None)
+                .expect_err("the oracle fails too");
+            assert_eq!(w.to_string(), d.to_string(), "seed {seed}");
+            assert!(
+                w.to_string().contains("below observed maximum"),
+                "seed {seed}: {w}"
+            );
+        }
     }
 }
 
