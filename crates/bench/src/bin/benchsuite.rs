@@ -626,7 +626,8 @@ fn engine_benches(h: &mut Harness) {
 
 /// The closed loop at population scale: the wakeup fleet at 1k/10k/100k
 /// tenants over 80 market steps (20 warmup + 60 horizon), the 100k-tenant
-/// submission wave on its own (one horizon slot), a quiet-slot-
+/// submission wave on its own (one horizon slot), a running-heavy 50k
+/// session (a 4 h job, so per-slot charges dominate), a quiet-slot-
 /// dominated 10k session on both fleets (the skip-path ratio), and a
 /// million-tenant quiet session with the amortized per-quiet-slot cost
 /// derived from two horizons. The ISSUE-6 acceptance ratio (>= 50x on
@@ -660,6 +661,22 @@ fn engine_scale_benches(h: &mut Harness) {
         .throughput_items(100_000)
         .bench("closed_loop_wave/100k_tenants_1_slot", || {
             run_closed_loop(black_box(&strategies), black_box(&wave_cfg), 0x5CA1E).unwrap()
+        });
+
+    // A running-heavy session: a 4 h job (48 five-minute slots), so the
+    // half of the tenants whose bids clear the posted price each run about
+    // 48 slots and pay one charge per running slot — about 1.27M charges
+    // over 200 market steps, where the 1 h rows above charge a few per
+    // tenant.
+    let strategies = tenant_mix(50_000);
+    let busy_cfg = spotbid_engine::ClosedLoopConfig {
+        job: JobSpec::builder(4.0).recovery_secs(60.0).build().unwrap(),
+        ..closed_loop_config(20, 180)
+    };
+    h.group("engine_scale")
+        .throughput_items(50_000)
+        .bench("closed_loop_busy/50k_tenants_200_slots", || {
+            run_closed_loop(black_box(&strategies), black_box(&busy_cfg), 0x5CA1E).unwrap()
         });
 
     // The skip path in isolation: a quiet-slot-dominated session —

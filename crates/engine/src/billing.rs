@@ -257,8 +257,8 @@ impl Bill {
     /// Bit-identical to calling [`Bill::total_for_tag`] once per tag: each
     /// tag's items are accumulated in charge order either way, and float
     /// addition order is all that matters. Items tagged `>= n` are ignored.
-    /// This is the O(items + n) path the closed loop uses at 10⁵–10⁶
-    /// tenants, where a scan per tag would be quadratic.
+    /// The closed loops keep the same totals running as charges arrive
+    /// (`observer::CostTotals`) instead of holding the items.
     pub fn totals_by_tag(&self, n: usize) -> Vec<Cost> {
         let mut totals = vec![Cost::ZERO; n];
         for i in &self.items {

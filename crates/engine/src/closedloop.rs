@@ -34,9 +34,9 @@
 //!   bills, and RNG stream reservations at any thread count — per the
 //!   DESIGN.md §5f contract, held by `tests/wakeup_equiv.rs`.
 
-use crate::billing::Bill;
+use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
-use crate::observer::EventLog;
+use crate::observer::{CostTotals, EventLog};
 use crate::source::PriceSource;
 use crate::EngineError;
 use spotbid_core::{BiddingStrategy, JobSpec};
@@ -361,10 +361,11 @@ fn validate(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig) -> Result<()
 /// tenants finish their remaining work on demand (charged at the horizon
 /// close, in tag order — the float accumulation order is part of the
 /// bit-equivalence contract), then per-tenant outcomes and the price-path
-/// summary are folded into the report.
+/// summary are folded into the report. `costs` holds the session's spot
+/// charges per tenant (tags are tenant indices here).
 fn assemble_report(
     finals: &[TenantFinal],
-    bill: &mut Bill,
+    mut costs: CostTotals,
     source: &ClosedLoopSource,
     cfg: &ClosedLoopConfig,
 ) -> Result<ClosedLoopReport, EngineError> {
@@ -372,20 +373,18 @@ fn assemble_report(
         if !f.completed {
             let work = (cfg.job.execution - cfg.slot_len * f.slots_run as f64).max(Hours::ZERO);
             if work > Hours::ZERO {
-                bill.try_charge_on_demand(
-                    (cfg.warmup_slots + cfg.horizon_slots) as u64,
-                    cfg.on_demand,
-                    work,
-                    f.tag,
-                )?;
+                costs.try_charge(&LineItem {
+                    slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
+                    price: cfg.on_demand,
+                    duration: work,
+                    kind: UsageKind::OnDemand,
+                    tag: f.tag,
+                })?;
             }
         }
     }
     let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-    // One pass over the bill instead of a scan per tenant (tags are tenant
-    // indices here); per-tag accumulation order is unchanged, so costs stay
-    // bit-identical to the per-tag scans.
-    let totals = bill.totals_by_tag(finals.len());
+    let totals = costs.into_totals();
     let outcomes: Vec<TenantOutcome> = finals
         .iter()
         .map(|f| {

@@ -25,7 +25,7 @@ use super::{
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver, Kernel};
-use crate::observer::{BillingObserver, EventLog, Observer};
+use crate::observer::{CostTotals, EventLog, Observer};
 use crate::EngineError;
 use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec};
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
@@ -356,21 +356,20 @@ fn run_dense(
         .map(|(i, s)| TenantBidder::new(*s, cfg, i as u32))
         .collect();
     let mut fleet = TenantFleet::new(tenants, &streams);
-    let mut billing = BillingObserver::validated();
+    let mut costs = CostTotals::new(strategies.len());
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
         match log {
             Some(l) => kernel.run(
                 &mut [&mut fleet],
-                &mut [&mut billing as &mut dyn Observer, l],
+                &mut [&mut costs as &mut dyn Observer, l],
                 horizon,
             )?,
-            None => kernel.run(&mut [&mut fleet], &mut [&mut billing], horizon)?,
+            None => kernel.run(&mut [&mut fleet], &mut [&mut costs], horizon)?,
         };
         source = kernel.into_source();
     }
-    let mut bill = billing.into_bill();
 
     let finals: Vec<TenantFinal> = fleet
         .tenants
@@ -384,7 +383,7 @@ fn run_dense(
             resubmissions: t.resubmissions,
         })
         .collect();
-    assemble_report(&finals, &mut bill, &source, cfg)
+    assemble_report(&finals, costs, &source, cfg)
 }
 
 /// Runs one closed-loop session on the frozen per-slot fleet. Same

@@ -54,9 +54,10 @@ mod wakeup;
 pub use wakeup::PortfolioFleetStats;
 
 use super::LoopFaults;
+use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
 use crate::kernel::{JobDriver, Kernel};
-use crate::observer::{BillingObserver, EventLog, Observer};
+use crate::observer::{CostTotals, EventLog, Observer};
 use crate::source::PriceSource;
 use crate::EngineError;
 use spotbid_core::portfolio::PortfolioStrategy;
@@ -430,21 +431,20 @@ fn run_session<F: JobDriver<PortfolioSource>>(
     source.warmup(cfg.warmup_slots);
 
     let mut fleet = make_fleet(&streams);
-    let mut billing = BillingObserver::validated();
+    let mut costs = CostTotals::new(strategies.len());
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
         match log {
             Some(l) => kernel.run(
                 &mut [&mut fleet],
-                &mut [&mut billing as &mut dyn Observer, l],
+                &mut [&mut costs as &mut dyn Observer, l],
                 horizon,
             )?,
-            None => kernel.run(&mut [&mut fleet], &mut [&mut billing], horizon)?,
+            None => kernel.run(&mut [&mut fleet], &mut [&mut costs], horizon)?,
         };
         source = kernel.into_source();
     }
-    let mut bill = billing.into_bill();
     let finals = finals(&fleet);
 
     // §5.1 fallback: incomplete tenants finish their remaining work on
@@ -452,16 +452,17 @@ fn run_session<F: JobDriver<PortfolioSource>>(
     // order is part of the parity contract with the single-market loop).
     for t in &finals {
         if !t.completed && t.remaining > Hours::ZERO {
-            bill.try_charge_on_demand(
-                (cfg.warmup_slots + cfg.horizon_slots) as u64,
-                cfg.on_demand,
-                t.remaining,
-                t.tag,
-            )?;
+            costs.try_charge(&LineItem {
+                slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
+                price: cfg.on_demand,
+                duration: t.remaining,
+                kind: UsageKind::OnDemand,
+                tag: t.tag,
+            })?;
         }
     }
     let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-    let totals = bill.totals_by_tag(finals.len());
+    let totals = costs.into_totals();
     let outcomes: Vec<PortfolioTenantOutcome> = finals
         .iter()
         .map(|t| {

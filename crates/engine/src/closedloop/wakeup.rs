@@ -39,7 +39,7 @@ use super::{
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver, Kernel};
-use crate::observer::{BillingObserver, EventLog, Observer};
+use crate::observer::{CostTotals, EventLog, Observer};
 use crate::EngineError;
 use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec, PriceView};
 use spotbid_market::params::MarketParams;
@@ -750,21 +750,20 @@ pub(super) fn run(
         None => Vec::new(),
     };
     let mut fleet = WakeupFleet::new(strategies, cfg, &streams, reclaim_mask);
-    let mut billing = BillingObserver::validated();
+    let mut costs = CostTotals::new(strategies.len());
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
         match log {
             Some(l) => kernel.run(
                 &mut [&mut fleet],
-                &mut [&mut billing as &mut dyn Observer, l],
+                &mut [&mut costs as &mut dyn Observer, l],
                 horizon,
             )?,
-            None => kernel.run(&mut [&mut fleet], &mut [&mut billing], horizon)?,
+            None => kernel.run(&mut [&mut fleet], &mut [&mut costs], horizon)?,
         };
         source = kernel.into_source();
     }
-    let mut bill = billing.into_bill();
 
     let finals: Vec<TenantFinal> = (0..fleet.strategy.len())
         .map(|tu| TenantFinal {
@@ -776,7 +775,7 @@ pub(super) fn run(
             resubmissions: fleet.resubmissions[tu],
         })
         .collect();
-    let report = assemble_report(&finals, &mut bill, &source, cfg)?;
+    let report = assemble_report(&finals, costs, &source, cfg)?;
     Ok((report, fleet.stats))
 }
 

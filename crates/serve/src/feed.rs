@@ -77,7 +77,7 @@ pub(crate) fn run_feed(cfg: &FeedConfig, shared: &Shared) {
             break;
         }
         // Outage path: the connection failed, died, or was poisoned.
-        shared.model.lock().expect("model lock").note_reconnect();
+        shared.lock_model().note_reconnect();
         match backoff.next_delay() {
             Some(d) => sleep_checked(d, &shared.shutdown),
             None => {
@@ -85,7 +85,7 @@ pub(crate) fn run_feed(cfg: &FeedConfig, shared: &Shared) {
                 // delay. The ramp restarts so a recovered feed is
                 // re-approached gently, and the next good record clears
                 // the degraded flag.
-                shared.model.lock().expect("model lock").mark_degraded();
+                shared.lock_model().mark_degraded();
                 backoff.reset();
                 sleep_checked(cfg.backoff.cap, &shared.shutdown);
             }
@@ -97,7 +97,7 @@ pub(crate) fn run_feed(cfg: &FeedConfig, shared: &Shared) {
 /// shutdown is requested.
 fn stream_records(stream: TcpStream, shared: &Shared, backoff: &mut Backoff) {
     let strict = {
-        let m = shared.model.lock().expect("model lock");
+        let m = shared.lock_model();
         m.validation() == Validation::Strict
     };
     let mut reader = BufReader::new(stream);
@@ -115,11 +115,7 @@ fn stream_records(stream: TcpStream, shared: &Shared, backoff: &mut Backoff) {
                 // way this connection is dead. An oversized line also
                 // lands here: reconnecting is how framing re-synchronizes.
                 if !e.is_timeout() {
-                    shared
-                        .model
-                        .lock()
-                        .expect("model lock")
-                        .note_corrupt_frame();
+                    shared.lock_model().note_corrupt_frame();
                 }
                 return;
             }
@@ -131,7 +127,7 @@ fn stream_records(stream: TcpStream, shared: &Shared, backoff: &mut Backoff) {
         }
         match wire::parse_feed_record(line) {
             Ok(rec) => {
-                let mut m = shared.model.lock().expect("model lock");
+                let mut m = shared.lock_model();
                 match m.ingest(rec) {
                     Ok(()) => backoff.reset(), // good record: full health
                     Err(_fault) => {
@@ -144,11 +140,7 @@ fn stream_records(stream: TcpStream, shared: &Shared, backoff: &mut Backoff) {
                 }
             }
             Err(_) => {
-                shared
-                    .model
-                    .lock()
-                    .expect("model lock")
-                    .note_corrupt_frame();
+                shared.lock_model().note_corrupt_frame();
                 if strict {
                     return;
                 }

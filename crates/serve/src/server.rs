@@ -30,7 +30,7 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -122,6 +122,15 @@ impl Shared {
             worker_panics: AtomicU64::new(0),
             workers_restarted: AtomicU64::new(0),
         }
+    }
+
+    /// Locks the model path, recovering from poisoning: a thread that
+    /// panicked while holding the lock must not turn every later request
+    /// into a panic. `ModelState`'s mutators take their one fallible step
+    /// (the window push, the model build) before touching any other
+    /// field, so a recovered state is one a live thread could have left.
+    pub fn lock_model(&self) -> MutexGuard<'_, ModelState> {
+        self.model.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -281,7 +290,7 @@ fn run_worker(cfg: &ServeConfig, rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &
             return;
         }
         let sock = {
-            let guard = rx.lock().expect("queue lock");
+            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
             guard.recv_timeout(Duration::from_millis(50))
         };
         match sock {
@@ -378,7 +387,7 @@ fn dispatch(line: &str, cfg: &ServeConfig, shared: &Shared) -> (String, bool) {
             ts_hours,
             tr_secs,
         } => {
-            let snapshot = shared.model.lock().expect("model lock").advisory_model();
+            let snapshot = shared.lock_model().advisory_model();
             let (model, stamp) = match snapshot {
                 Ok(x) => x,
                 Err(e) => {
@@ -410,7 +419,7 @@ fn dispatch(line: &str, cfg: &ServeConfig, shared: &Shared) -> (String, bool) {
             to_secs,
             m_max,
         } => {
-            let snapshot = shared.model.lock().expect("model lock").advisory_model();
+            let snapshot = shared.lock_model().advisory_model();
             let (model, stamp) = match snapshot {
                 Ok(x) => x,
                 Err(e) => {
@@ -447,7 +456,7 @@ fn dispatch(line: &str, cfg: &ServeConfig, shared: &Shared) -> (String, bool) {
 
 fn status_line(cfg: &ServeConfig, shared: &Shared) -> String {
     let (mode, window, as_of, stale, stats) = {
-        let m = shared.model.lock().expect("model lock");
+        let m = shared.lock_model();
         (
             m.mode(),
             m.window_len(),

@@ -620,6 +620,41 @@ fn supervisor_restarts_crashed_worker() {
     handle.stop();
 }
 
+/// A thread that panics while holding the model lock poisons it; the
+/// server recovers the lock and keeps answering with typed replies.
+#[test]
+fn poisoned_model_lock_still_gets_typed_replies() {
+    let handle = spotbid_serve::start(ServeConfig::default()).expect("start");
+    let shared = Arc::clone(handle.shared());
+    let crashed = thread::spawn(move || {
+        let mut m = shared.lock_model();
+        for r in records(5, 16) {
+            m.ingest(r).unwrap();
+        }
+        panic!("poisoning the model lock");
+    })
+    .join();
+    assert!(crashed.is_err(), "the poisoning thread must have panicked");
+    assert!(handle.shared().model.is_poisoned());
+
+    let mut client = Client::connect(handle.addr());
+    let status = client.request(r#"{"op":"status"}"#);
+    assert!(is_ok(&status), "status after poisoning: {status:?}");
+    assert_eq!(num(&status, "window"), 16.0);
+    let r = client.request(r#"{"op":"advise","strategy":"onetime","ts_hours":1.0}"#);
+    assert!(is_ok(&r), "advisory after poisoning: {r:?}");
+    assert_billing_sane(&r, "poisoned lock");
+    let r = client.request(r#"{"op":"advise","strategy":"onetime","ts_hours":-1.0}"#);
+    assert!(!is_ok(&r), "a bad request still gets a typed error: {r:?}");
+    error_kind(&r);
+    assert_eq!(
+        handle.shared().worker_panics.load(Ordering::Relaxed),
+        0,
+        "a poisoned lock must not panic a worker"
+    );
+    handle.stop();
+}
+
 /// Without `enable_test_ops` the crash op is just an unknown op.
 #[test]
 fn crash_op_is_refused_in_production_config() {
