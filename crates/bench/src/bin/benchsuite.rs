@@ -745,14 +745,15 @@ fn engine_scale_benches(h: &mut Harness) {
     );
 }
 
-/// The portfolio closed loop at population scale (DESIGN.md §5j): the
-/// event-driven portfolio fleet against the frozen
+/// The portfolio closed loop at population scale (DESIGN.md §5j): a
+/// running-heavy 20k-tenant 3-market session, the event-driven portfolio
+/// fleet against the frozen
 /// `closedloop::portfolio::dense` oracle on a quiet-slot-dominated
 /// 10k-tenant 4-market session (the skip-path ratio ISSUE-10 is judged
 /// by), plus a finite-supply 100k-tenant quiet session whose amortized
 /// per-quiet-slot cost — derived from two horizons, as in
-/// `engine_scale` — is compared against the unbounded wakeup path: the
-/// capacity-delta arming must keep quiet finite slots skippable.
+/// `engine_scale` — is compared against the unbounded wakeup path: quiet
+/// finite slots must stay skippable.
 fn portfolio_scale_benches(h: &mut Harness) {
     use spotbid_core::portfolio::PortfolioStrategy;
     use spotbid_core::strategy::BiddingStrategy;
@@ -796,6 +797,26 @@ fn portfolio_scale_benches(h: &mut Harness) {
             n
         ]
     };
+    // A running-heavy portfolio: split-even tenants over the engine-scale
+    // bid mix in 3 markets, on a 12 h job — three 48-slot legs, run side
+    // by side, so most tenants hold running legs for about 48 of the 180
+    // horizon slots (every other portfolio row is quiet). A 4 h job would
+    // split into 16-slot legs.
+    let busy_cfg = PortfolioLoopConfig {
+        markets: pcfg(180, Supply::Unbounded).markets[..3].to_vec(),
+        job: JobSpec::builder(12.0).recovery_secs(60.0).build().unwrap(),
+        ..pcfg(180, Supply::Unbounded)
+    };
+    let strategies: Vec<PortfolioStrategy> = tenant_mix(20_000)
+        .into_iter()
+        .map(|base| PortfolioStrategy::SplitEven { base })
+        .collect();
+    h.group("portfolio_scale")
+        .throughput_items(20_000)
+        .bench("portfolio_busy/20k_tenants_3_markets_200_slots", || {
+            run_portfolio_loop(black_box(&strategies), black_box(&busy_cfg), 0x5CA1E).unwrap()
+        });
+
     let strategies = quiet(10_000);
     let quiet_cfg = pcfg(2_000, Supply::Unbounded);
     let wake = h

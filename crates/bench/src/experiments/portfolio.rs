@@ -160,7 +160,7 @@ pub fn run_wakeup_stats(tenants: usize, seed: u64) -> PortfolioFleetStats {
         };
         tenants
     ];
-    let (_, stats) = run_portfolio_loop_with_stats(&strategies, &config(), seed).unwrap();
+    let (_, stats) = run_portfolio_loop_with_stats(&strategies, &config(), seed, None).unwrap();
     stats
 }
 

@@ -26,13 +26,13 @@
 //!   per slot, obviously correct, retained verbatim as the behavioral
 //!   oracle.
 //! - the **wakeup fleet** (default, behind [`run_closed_loop`]) — a
-//!   struct-of-arrays fleet with price-indexed wakeup buckets and a
-//!   calendar queue: a tenant is touched only when the posted price
-//!   crosses *its* threshold, a scheduled event (expected finish, fresh
-//!   submission) fires, or it is running. A slot where nothing fires
-//!   costs O(1). Bit-identical to [`dense`] — same `BidId`s, events,
-//!   bills, and RNG stream reservations at any thread count — per the
-//!   DESIGN.md §5f contract, held by `tests/wakeup_equiv.rs`.
+//!   struct-of-arrays fleet that touches a tenant only on its fresh
+//!   decision or when the market's slot report names its bid, and
+//!   settles running charges lazily from a per-slot table. A slot where
+//!   nothing fires and nothing runs is skipped. Bit-identical to
+//!   [`dense`] — same `BidId`s, events, bills, and RNG stream
+//!   reservations at any thread count — per the DESIGN.md §5f contract,
+//!   held by `tests/wakeup_equiv.rs`.
 
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
@@ -312,6 +312,76 @@ struct TenantFinal {
     resubmissions: u32,
 }
 
+/// The spot charge `price × slot_len` of every slot a wakeup fleet has
+/// advanced, slot-major across the session's markets: the replay table its
+/// lazy settlement adds from, as `SpotMarket::settle` replays the market's
+/// own per-slot table for bid records.
+#[derive(Debug)]
+pub(crate) struct SlotCharges {
+    markets: usize,
+    amounts: Vec<Cost>,
+}
+
+impl SlotCharges {
+    /// An empty table over `markets` markets.
+    pub(crate) fn new(markets: usize) -> Self {
+        SlotCharges {
+            markets,
+            amounts: Vec::new(),
+        }
+    }
+
+    /// Records the next market's charge for the current slot (call once
+    /// per market, in market order, every slot).
+    pub(crate) fn push(&mut self, price: Price, slot_len: Hours) {
+        self.amounts.push(price * slot_len);
+    }
+
+    /// The charge of `slot` in `market`.
+    pub(crate) fn at(&self, slot: u64, market: usize) -> Cost {
+        self.amounts[slot as usize * self.markets + market]
+    }
+
+    /// Slots recorded so far.
+    pub(crate) fn slots(&self) -> u64 {
+        (self.amounts.len() / self.markets) as u64
+    }
+
+    /// Adds tenant `tag`'s spot charges for slots `[since, end)` to its
+    /// total: slot by slot, one charge per entry of `markets` in the order
+    /// given. That is the float-addition sequence of eager accrual, which
+    /// charges each running leg every slot in plan order, provided the
+    /// running set did not change inside the range.
+    pub(crate) fn settle(
+        &self,
+        costs: &mut CostTotals,
+        tag: u32,
+        since: u64,
+        end: u64,
+        markets: impl Iterator<Item = usize> + Clone,
+    ) {
+        for slot in since..end {
+            for m in markets.clone() {
+                costs.add(tag, self.at(slot, m));
+            }
+        }
+    }
+}
+
+/// Validates slot `slot`'s spot charge the way each of its `Charged`
+/// items is validated. The refusal names only the price and the slot, so
+/// it is the same for every tenant that ran.
+pub(crate) fn spot_charge(slot: u64, price: Price, slot_len: Hours) -> Result<(), EngineError> {
+    LineItem {
+        slot,
+        price,
+        duration: slot_len,
+        kind: UsageKind::Spot,
+        tag: 0,
+    }
+    .validate()
+}
+
 fn validate(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig) -> Result<(), EngineError> {
     if strategies.is_empty() {
         return Err(EngineError::InvalidConfig {
@@ -584,6 +654,123 @@ mod tests {
             ..cfg
         };
         assert!(run_closed_loop(&[BiddingStrategy::OnDemand], &bad, 1).is_err());
+    }
+
+    /// One tenant's legs (markets in plan order) under a random wake
+    /// schedule: at each wake slot a random subset of legs ran, and a
+    /// random subset of those keeps running until the next wake.
+    struct Streaks {
+        legs: Vec<usize>,
+        /// `(slot, ran, keeps_running)`, ascending by slot; the sets are
+        /// indices into `legs`, ascending.
+        wakes: Vec<(u64, Vec<usize>, Vec<usize>)>,
+    }
+
+    fn random_streaks(rng: &mut Rng, markets: usize, slots: u64, split: bool) -> Streaks {
+        let legs: Vec<usize> = if split {
+            (0..markets).collect()
+        } else {
+            vec![(rng.range_f64(0.0, markets as f64) as usize).min(markets - 1)]
+        };
+        let subset = |rng: &mut Rng, from: &[usize]| -> Vec<usize> {
+            from.iter().copied().filter(|_| rng.chance(0.6)).collect()
+        };
+        let all: Vec<usize> = (0..legs.len()).collect();
+        let mut wakes = Vec::new();
+        let p = rng.range_f64(0.02, 0.3);
+        for slot in 0..slots {
+            // Slot 0 wakes often, so streaks start at the session start.
+            if (slot == 0 && rng.chance(0.7)) || rng.chance(p) {
+                let ran = subset(rng, &all);
+                let keeps = subset(rng, &ran);
+                wakes.push((slot, ran, keeps));
+            }
+        }
+        Streaks { legs, wakes }
+    }
+
+    #[test]
+    fn lazy_settlement_matches_eager_accrual_bit_for_bit() {
+        // Eager accrual charges every running leg every slot, in plan
+        // order; lazy settlement charges a tenant's carried slots from
+        // the table only at its next wake (or at the session end), slot
+        // by slot over the legs still running. Per tenant the two must add
+        // the same floats in the same order.
+        let slot_len = Hours::from_minutes(5.0);
+        let mut rng = Rng::seed_from_u64(0x1A2_5E77);
+        let (mut from_zero, mut open_at_end, mut carried) = (0, 0, 0u64);
+        for round in 0..24 {
+            let markets = 1 + round % 3;
+            let slots = 1 + rng.range_f64(0.0, 150.0) as u64;
+            let mut charges = SlotCharges::new(markets);
+            for _ in 0..slots {
+                for _ in 0..markets {
+                    // Prices with long mantissas, so the order of the
+                    // additions shows in the sums.
+                    charges.push(Price::new(rng.range_f64(0.0, 0.4) / 3.0), slot_len);
+                }
+            }
+            assert_eq!(charges.slots(), slots);
+            let n = 150;
+            let mut eager = CostTotals::new(n);
+            let mut lazy = CostTotals::new(n);
+            for t in 0..n as u32 {
+                let st = random_streaks(&mut rng, markets, slots, t % 2 == 1);
+                let markets_of =
+                    |set: &[usize]| set.iter().map(|&k| st.legs[k]).collect::<Vec<_>>();
+
+                // Eager: walk every slot.
+                let mut running: Vec<usize> = Vec::new();
+                let mut next = 0;
+                for slot in 0..slots {
+                    let ran = match st.wakes.get(next) {
+                        Some((w, ran, keeps)) if *w == slot => {
+                            next += 1;
+                            let ran = markets_of(ran);
+                            running = markets_of(keeps);
+                            ran
+                        }
+                        _ => running.clone(),
+                    };
+                    for m in ran {
+                        eager.add(t, charges.at(slot, m));
+                    }
+                }
+
+                // Lazy: settle the carried slots at each wake, then charge
+                // the wake slot itself; the session end settles the rest.
+                let (mut since, mut running) = (0, Vec::new());
+                for (w, ran, keeps) in &st.wakes {
+                    charges.settle(&mut lazy, t, since, *w, running.iter().copied());
+                    carried += (*w - since) * running.len() as u64;
+                    for m in markets_of(ran) {
+                        lazy.add(t, charges.at(*w, m));
+                    }
+                    if *w == 0 && !ran.is_empty() {
+                        from_zero += 1;
+                    }
+                    since = w + 1;
+                    running = markets_of(keeps);
+                }
+                if !running.is_empty() && since < slots {
+                    open_at_end += 1;
+                }
+                charges.settle(&mut lazy, t, since, slots, running.iter().copied());
+            }
+            let (e, l) = (eager.into_totals(), lazy.into_totals());
+            for (t, (e, l)) in e.iter().zip(&l).enumerate() {
+                assert_eq!(
+                    e.as_f64().to_bits(),
+                    l.as_f64().to_bits(),
+                    "round {round}, tenant {t}: eager {e:?} vs lazy {l:?}"
+                );
+            }
+        }
+        assert!(
+            from_zero > 0 && open_at_end > 0 && carried > 0,
+            "vacuous schedules: {from_zero} streaks from slot 0, \
+             {open_at_end} open at the end, {carried} carried leg-slots"
+        );
     }
 
     #[test]

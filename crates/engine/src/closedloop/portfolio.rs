@@ -15,9 +15,10 @@
 //!   slot. Frozen as the equivalence oracle, exactly like
 //!   [`crate::closedloop::dense`].
 //! - `wakeup` (private; behind [`run_portfolio_loop`]) — the event-driven
-//!   default: one price-indexed wakeup book per member market, a shared
-//!   pooled calendar, and O(1) skipping of slots where no market's wake
-//!   set fires. Bit-identical to [`dense`]
+//!   default: a tenant is touched only on its fresh plan or when a member
+//!   market's slot report names one of its legs, running legs are
+//!   settled lazily, and slots where nothing fires and nothing runs are
+//!   skipped. Bit-identical to [`dense`]
 //!   (`tests/portfolio_wakeup_equiv.rs`).
 //!
 //! ## RNG stream layout
@@ -410,19 +411,29 @@ struct TenantFinal {
     remaining: Hours,
 }
 
+/// What the shared session shell needs from a fleet besides driving it.
+trait SessionFleet: JobDriver<PortfolioSource> {
+    /// The fleet's own per-tenant cost totals, or `None` when it bills
+    /// through its `Charged` events alone (the shell then folds those).
+    fn costs(&mut self) -> Option<&mut CostTotals>;
+
+    /// Every tenant's state at the session end, in tag order, with
+    /// anything still accruing settled through the last slot.
+    fn finals(&mut self, job: &JobSpec) -> Vec<TenantFinal>;
+}
+
 /// The shared session shell both fleets run under: validation, source
 /// construction and warmup, the kernel loop, the §5.1 fallback, and the
 /// report assembly — all in a fixed order so every float accumulates
 /// identically whichever fleet ran. Returns the fleet alongside the
 /// report so callers can read fleet-specific telemetry.
-fn run_session<F: JobDriver<PortfolioSource>>(
+fn run_session<F: SessionFleet>(
     strategies: &[PortfolioStrategy],
     cfg: &PortfolioLoopConfig,
     seed: u64,
     faults: Option<&[LoopFaults]>,
     log: Option<&mut EventLog>,
     make_fleet: impl FnOnce(&RngStreams) -> F,
-    finals: impl FnOnce(&F) -> Vec<TenantFinal>,
 ) -> Result<(PortfolioReport, F), EngineError> {
     validate(strategies, cfg, faults)?;
 
@@ -431,21 +442,26 @@ fn run_session<F: JobDriver<PortfolioSource>>(
     source.warmup(cfg.warmup_slots);
 
     let mut fleet = make_fleet(&streams);
-    let mut costs = CostTotals::new(strategies.len());
+    let mut event_costs = CostTotals::new(strategies.len());
+    let fold_events = fleet.costs().is_none();
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
-        match log {
-            Some(l) => kernel.run(
-                &mut [&mut fleet],
-                &mut [&mut costs as &mut dyn Observer, l],
-                horizon,
-            )?,
-            None => kernel.run(&mut [&mut fleet], &mut [&mut costs], horizon)?,
-        };
+        let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2);
+        if fold_events {
+            observers.push(&mut event_costs);
+        }
+        if let Some(l) = log {
+            observers.push(l);
+        }
+        kernel.run(&mut [&mut fleet], &mut observers, horizon)?;
         source = kernel.into_source();
     }
-    let finals = finals(&fleet);
+    let finals = fleet.finals(&cfg.job);
+    let mut costs = match fleet.costs() {
+        Some(own) => std::mem::replace(own, CostTotals::new(0)),
+        None => event_costs,
+    };
 
     // §5.1 fallback: incomplete tenants finish their remaining work on
     // demand at the horizon close, in tag order (the float accumulation
@@ -537,9 +553,10 @@ pub fn run_portfolio_loop(
     wakeup::run(strategies, cfg, seed, None, None).map(|(report, _)| report)
 }
 
-/// As [`run_portfolio_loop`], also returning the wakeup fleet's
-/// [`PortfolioFleetStats`] (slots skipped in O(1), wakeups processed,
-/// per-market sweep counts).
+/// As [`run_portfolio_loop`], optionally fault-injected (one
+/// [`LoopFaults`] plan per market), also returning the wakeup fleet's
+/// [`PortfolioFleetStats`] (skipped slots, wakeups, per-market report
+/// wakeups).
 ///
 /// # Errors
 ///
@@ -548,13 +565,13 @@ pub fn run_portfolio_loop_with_stats(
     strategies: &[PortfolioStrategy],
     cfg: &PortfolioLoopConfig,
     seed: u64,
+    faults: Option<&[LoopFaults]>,
 ) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
-    wakeup::run(strategies, cfg, seed, None, None)
+    wakeup::run(strategies, cfg, seed, faults, None)
 }
 
-/// As [`run_portfolio_loop`], optionally fault-injected (one
-/// [`LoopFaults`] plan per market), also returning the full event stream —
-/// the parity wall's view of a run.
+/// As [`run_portfolio_loop_with_stats`], also returning the full event
+/// stream — the parity wall's view of a run.
 ///
 /// # Errors
 ///
@@ -564,10 +581,10 @@ pub fn run_portfolio_loop_logged(
     cfg: &PortfolioLoopConfig,
     seed: u64,
     faults: Option<&[LoopFaults]>,
-) -> Result<(PortfolioReport, Vec<Event>), EngineError> {
+) -> Result<(PortfolioReport, Vec<Event>, PortfolioFleetStats), EngineError> {
     let mut log = EventLog::new();
-    let (report, _) = wakeup::run(strategies, cfg, seed, faults, Some(&mut log))?;
-    Ok((report, log.into_events()))
+    let (report, stats) = wakeup::run(strategies, cfg, seed, faults, Some(&mut log))?;
+    Ok((report, log.into_events(), stats))
 }
 
 #[cfg(test)]
@@ -664,7 +681,7 @@ mod tests {
             home: 0,
             base: BiddingStrategy::FixedBid(Price::new(0.005)),
         });
-        let (report, stats) = run_portfolio_loop_with_stats(&strats, &cfg, 0x57A7).unwrap();
+        let (report, stats) = run_portfolio_loop_with_stats(&strats, &cfg, 0x57A7, None).unwrap();
         assert_eq!(stats.slots, cfg.horizon_slots as u64);
         assert_eq!(stats.swept.len(), 2);
         assert!(
@@ -710,7 +727,7 @@ mod tests {
             f0.reclaim[s] = true;
         }
         let faults = vec![f0, LoopFaults::default()];
-        let (report, events) = run_portfolio_loop_logged(
+        let (report, events, _) = run_portfolio_loop_logged(
             &[PortfolioStrategy::ZoneFallback {
                 home: 0,
                 base: BiddingStrategy::OptimalOneTime,

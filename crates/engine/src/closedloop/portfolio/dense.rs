@@ -10,13 +10,15 @@
 //! the two bit-identical across price regimes, faults, and mixed
 //! [`spotbid_market::sim::Supply`] members.
 
-use super::{run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, TenantFinal};
+use super::{
+    run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, SessionFleet, TenantFinal,
+};
 use crate::billing::{LineItem, UsageKind};
 use crate::closedloop::dense::SHARD_SIZE;
 use crate::closedloop::LoopFaults;
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver};
-use crate::observer::EventLog;
+use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy};
 use spotbid_core::{BidDecision, CoreError, JobSpec};
@@ -398,6 +400,27 @@ impl JobDriver<PortfolioSource> for PortfolioFleet {
     }
 }
 
+impl SessionFleet for PortfolioFleet {
+    fn costs(&mut self) -> Option<&mut CostTotals> {
+        None
+    }
+
+    fn finals(&mut self, job: &JobSpec) -> Vec<TenantFinal> {
+        self.tenants
+            .iter()
+            .map(|t| TenantFinal {
+                tag: t.tag,
+                strategy: t.strategy,
+                completed: t.completed,
+                spot_slots: t.slots_run,
+                interruptions: t.interruptions,
+                resubmissions: t.resubmissions,
+                remaining: t.remaining_work(job),
+            })
+            .collect()
+    }
+}
+
 fn run(
     strategies: &[PortfolioStrategy],
     cfg: &PortfolioLoopConfig,
@@ -405,36 +428,14 @@ fn run(
     faults: Option<&[LoopFaults]>,
     log: Option<&mut EventLog>,
 ) -> Result<PortfolioReport, EngineError> {
-    let (report, _) = run_session(
-        strategies,
-        cfg,
-        seed,
-        faults,
-        log,
-        |streams| {
-            let tenants: Vec<PortfolioTenant> = strategies
-                .iter()
-                .enumerate()
-                .map(|(i, s)| PortfolioTenant::new(*s, cfg, i as u32))
-                .collect();
-            PortfolioFleet::new(tenants, cfg, streams)
-        },
-        |fleet| {
-            fleet
-                .tenants
-                .iter()
-                .map(|t| TenantFinal {
-                    tag: t.tag,
-                    strategy: t.strategy,
-                    completed: t.completed,
-                    spot_slots: t.slots_run,
-                    interruptions: t.interruptions,
-                    resubmissions: t.resubmissions,
-                    remaining: t.remaining_work(&cfg.job),
-                })
-                .collect()
-        },
-    )?;
+    let (report, _) = run_session(strategies, cfg, seed, faults, log, |streams| {
+        let tenants: Vec<PortfolioTenant> = strategies
+            .iter()
+            .enumerate()
+            .map(|(i, s)| PortfolioTenant::new(*s, cfg, i as u32))
+            .collect();
+        PortfolioFleet::new(tenants, cfg, streams)
+    })?;
     Ok(report)
 }
 

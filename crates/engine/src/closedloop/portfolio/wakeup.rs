@@ -1,56 +1,53 @@
 //! The event-driven portfolio fleet: touch a tenant only when one of its
-//! markets does something it cares about (DESIGN.md §5j).
+//! markets reports something about one of its legs (DESIGN.md §5j).
 //!
 //! The dense portfolio fleet walks every tenant's legs against every
 //! market report every slot. This fleet generalizes the single-market
-//! wakeup machinery ([`crate::closedloop::wakeup`]) to M markets:
+//! wakeup fleet ([`crate::closedloop::wakeup`]) to M markets. A slot
+//! wakes
 //!
-//! - **one price-indexed wakeup book per member market** — the same
-//!   512-bucket classifier and ulp-repair walk as §5f, but registering
-//!   *leg handles* (a tenant can hold several pending legs in one
-//!   market), each mapping back to its owner;
-//! - **one shared pooled calendar** for expected leg finishes and the
-//!   unconditional re-wakes armed while a bid sits parked in some
-//!   market — after that market's reclamation outage, or after its
-//!   finite-supply capacity pass named the bid in
-//!   [`SlotReport::evicted`];
-//! - **fresh** tenants whose plan was applied this slot, and **running**
-//!   tenants (≥ 1 running leg accrues a charge every slot by §3.2);
-//! - a slot where no market's wake set fires and nothing runs is
-//!   *skipped in O(1)* ([`PortfolioFleetStats::skipped_slots`]).
+//! - **fresh** tenants whose plan was applied this slot;
+//! - the **owners** of every leg a member market's [`SlotReport`] lists as
+//!   started, interrupted, finished or terminated, found through one
+//!   bid-id → tenant column per market, filled at submit. The reports
+//!   name every tenant-visible change, parked restarts under outages and
+//!   finite supply included.
+//!
+//! Running legs accrue their market's posted price every slot (§3.2) and
+//! are settled lazily: each slot's per-market `price × job.slot` goes into
+//! a [`SlotCharges`] table, and a woken tenant first replays its carried
+//! slots `[run_since, slot)` slot by slot over its running legs in plan
+//! order. That set cannot change between wakes, so this is the dense
+//! fleet's float-addition order. The session end settles every tenant
+//! still running. The fleet keeps no list of runners, only their count; a
+//! logged run finds them by scanning the tenants on every slot it does
+//! not skip, to emit their `Charged` events in the dense order. A slot
+//! where no market's report names a tenant leg, no plan was applied and
+//! no leg runs is *skipped* ([`PortfolioFleetStats::skipped_slots`]).
 //!
 //! Wakeups are processed in ascending tenant order with each tenant's
 //! legs in plan order, plans fan out over the same 64-tenant shards with
 //! the same reserved RNG substreams, and bid submission stays serial — so
-//! per-market bid ids, event order, bills, and RNG draws are
+//! per-market bid ids, event order, costs, and RNG draws are
 //! **bit-identical** to the frozen [`super::dense`] oracle at any
 //! `SPOTBID_THREADS` (`tests/portfolio_wakeup_equiv.rs`).
 
-use super::{run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, TenantFinal};
+use super::{
+    run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, SessionFleet, TenantFinal,
+};
 use crate::billing::{LineItem, UsageKind};
 use crate::closedloop::dense::SHARD_SIZE;
-use crate::closedloop::LoopFaults;
+use crate::closedloop::wakeup::{push_owners, set_owner, with_runners, NO_OWNER};
+use crate::closedloop::{spot_charge, LoopFaults, SlotCharges};
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver};
-use crate::observer::EventLog;
+use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
 use spotbid_core::{BidDecision, CoreError, JobSpec};
-use spotbid_market::params::MarketParams;
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
 use spotbid_market::units::{Hours, Price};
 use spotbid_numerics::rng::{Rng, RngStreams};
-use std::collections::BTreeMap;
-
-/// Wakeup-bucket count per market book — matches the market bid-book
-/// resolution, same as the single-market fleet.
-const WAKE_BUCKETS: usize = 512;
-
-/// `pos_of` sentinel: leg handle not registered in any bucket.
-const NO_POS: u32 = u32::MAX;
-/// Calendar-entry flag bit: wake unconditionally. Tenant indices are
-/// asserted `< 2^31`, so the bit never collides.
-const UNCOND: u32 = 1 << 31;
 
 /// Wakeup accounting for one portfolio session — the multi-market
 /// sibling of [`crate::closedloop::FleetStats`].
@@ -58,152 +55,19 @@ const UNCOND: u32 = 1 << 31;
 pub struct PortfolioFleetStats {
     /// Slots the fleet was asked to advance.
     pub slots: u64,
-    /// Slots skipped in O(1): no market's wake set fired and no leg was
-    /// running anywhere.
+    /// Slots skipped: the wake set was empty and no leg was running
+    /// anywhere.
     pub skipped_slots: u64,
-    /// Total tenant wakeups processed across all slots.
+    /// Tenant wakeups summed over all slots: each slot's wake set (fresh
+    /// tenants plus the owners of the legs the reports name), counted once
+    /// per tenant. Runners carried through a slot are not counted.
     pub woken: u64,
-    /// Per-market wakeups produced by that market's price-fall sweep.
+    /// Per market, the wakeups its own reports produced: one per tenant
+    /// leg listed, before deduplication across lists and markets.
     pub swept: Vec<u64>,
 }
 
-/// Price-indexed wakeup buckets over one market's *pending* legs. Unlike
-/// the single-market book (tenant-keyed), entries are stable leg
-/// *handles* from a slab free-list — a tenant may hold several pending
-/// legs in the same market — and a sweep yields each crossed leg's
-/// owner. Same bucket classifier as the market bid-book, including the
-/// ulp-repair walk.
-#[derive(Debug)]
-struct LegBook {
-    buckets: Vec<Vec<u32>>,
-    lo: f64,
-    w: f64,
-    /// Bid price per handle (written at alloc, read at registration and
-    /// sweep filtering).
-    threshold: Vec<f64>,
-    /// Owning tenant per handle.
-    owner: Vec<u32>,
-    bucket_of: Vec<u32>,
-    /// Position in the bucket list, [`NO_POS`] when unregistered.
-    pos_of: Vec<u32>,
-    /// Released handles awaiting reuse.
-    free: Vec<u32>,
-}
-
-impl LegBook {
-    fn new(params: &MarketParams) -> Self {
-        LegBook {
-            buckets: vec![Vec::new(); WAKE_BUCKETS],
-            lo: params.pi_min.as_f64(),
-            w: params.spread().as_f64() / WAKE_BUCKETS as f64,
-            threshold: Vec::new(),
-            owner: Vec::new(),
-            bucket_of: Vec::new(),
-            pos_of: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Claims a handle for a new leg (unregistered until the owner's
-    /// first slot update sees it pending).
-    fn alloc(&mut self, owner: u32, threshold: f64) -> u32 {
-        if let Some(h) = self.free.pop() {
-            let hu = h as usize;
-            self.threshold[hu] = threshold;
-            self.owner[hu] = owner;
-            self.pos_of[hu] = NO_POS;
-            h
-        } else {
-            let h = self.threshold.len() as u32;
-            self.threshold.push(threshold);
-            self.owner.push(owner);
-            self.bucket_of.push(0);
-            self.pos_of.push(NO_POS);
-            h
-        }
-    }
-
-    /// Returns a finished/terminated leg's handle to the free list.
-    fn release(&mut self, h: u32) {
-        if self.registered(h) {
-            self.unregister(h);
-        }
-        self.free.push(h);
-    }
-
-    fn registered(&self, h: u32) -> bool {
-        self.pos_of[h as usize] != NO_POS
-    }
-
-    fn register(&mut self, h: u32) {
-        let hu = h as usize;
-        debug_assert!(!self.registered(h), "leg handle {h} already registered");
-        let b = self.bucket_index(self.threshold[hu]);
-        self.bucket_of[hu] = b as u32;
-        self.pos_of[hu] = self.buckets[b].len() as u32;
-        self.buckets[b].push(h);
-    }
-
-    fn unregister(&mut self, h: u32) {
-        let hu = h as usize;
-        let b = self.bucket_of[hu] as usize;
-        let p = self.pos_of[hu] as usize;
-        let list = &mut self.buckets[b];
-        debug_assert_eq!(list[p], h);
-        list.swap_remove(p);
-        if let Some(&moved) = list.get(p) {
-            self.pos_of[moved as usize] = p as u32;
-        }
-        self.pos_of[hu] = NO_POS;
-    }
-
-    /// Pushes the *owner* of every registered leg whose threshold lies in
-    /// `[pf, pp)`-or-above within the crossed bucket range — the only
-    /// pending legs this market's own sweep can have started. Owners may
-    /// repeat (several crossed legs); the caller dedups.
-    fn sweep_fall(&self, pf: f64, pp: f64, out: &mut Vec<u32>) {
-        let k_lo = self.bucket_index(pf);
-        let k_hi = self.bucket_index(pp);
-        for &h in &self.buckets[k_lo] {
-            if self.threshold[h as usize] >= pf {
-                out.push(self.owner[h as usize]);
-            }
-        }
-        for b in (k_lo + 1)..=k_hi {
-            for &h in &self.buckets[b] {
-                out.push(self.owner[h as usize]);
-            }
-        }
-    }
-
-    /// Bucket for price `p` — same classifier as the market bid-book:
-    /// clamped linear index plus an exact repair walk, so float error in
-    /// the division can never misfile a boundary price.
-    fn bucket_index(&self, p: f64) -> usize {
-        let raw = (p - self.lo) / self.w;
-        let mut i = if raw.is_finite() {
-            if raw <= 0.0 {
-                0
-            } else {
-                (raw as usize).min(WAKE_BUCKETS - 1)
-            }
-        } else if raw == f64::INFINITY {
-            WAKE_BUCKETS - 1
-        } else {
-            0
-        };
-        while i > 0 && p < self.lo + i as f64 * self.w {
-            i -= 1;
-        }
-        while i + 1 < WAKE_BUCKETS && p >= self.lo + (i + 1) as f64 * self.w {
-            i += 1;
-        }
-        i
-    }
-}
-
-/// One live spot position — the dense fleet's `Leg` plus the wakeup
-/// bookkeeping (book handle, scheduled finish).
+/// One live spot position — the dense fleet's `Leg`.
 #[derive(Debug, Clone, Copy)]
 struct WLeg {
     market: u32,
@@ -213,18 +77,12 @@ struct WLeg {
     /// Slots it has run so far.
     ran: u32,
     running: bool,
-    /// Handle in `books[market]`, valid for the leg's lifetime.
-    handle: u32,
-    /// Expected finish slot of the current run streak (valid while
-    /// `running`; stale calendar entries are validated on pop).
-    due: u64,
 }
 
 /// One portfolio tenant — the dense fleet's `PortfolioTenant` plus a
-/// running-leg count for run-list membership. The tenant's tag is its
-/// fleet index. Legs stay a per-tenant vector (plan order is part of the
-/// determinism contract and M is small); the wake-hot columns — done,
-/// armed_until, run-leg membership — live struct-of-arrays in the fleet.
+/// running-leg count and the start of its unsettled running slots. The tenant's tag is its fleet index. Legs
+/// stay a per-tenant vector (plan order is part of the determinism
+/// contract and M is small).
 #[derive(Debug)]
 struct WTenant {
     strategy: PortfolioStrategy,
@@ -242,8 +100,10 @@ struct WTenant {
     needs_submit: bool,
     /// Lost work whose resubmission budget ran out is abandoned.
     gave_up: bool,
-    /// Legs currently running (tenant is in the run list iff > 0).
+    /// Legs currently running (the tenant is a runner iff > 0).
     run_legs: u32,
+    /// First slot not yet charged for the running legs.
+    run_since: u64,
 }
 
 impl WTenant {
@@ -261,6 +121,7 @@ impl WTenant {
             needs_submit: true,
             gave_up: false,
             run_legs: 0,
+            run_since: 0,
         }
     }
 
@@ -269,20 +130,23 @@ impl WTenant {
     fn remaining_work(&self, job: &JobSpec) -> Hours {
         (job.execution - job.slot * self.slots_run as f64 - self.od_charged).max(Hours::ZERO)
     }
-}
 
-/// Appends a wake entry to a slot's calendar list, recycling spent
-/// vectors through the pool.
-fn calendar_push(
-    calendar: &mut BTreeMap<u64, Vec<u32>>,
-    pool: &mut Vec<Vec<u32>>,
-    slot: u64,
-    entry: u32,
-) {
-    calendar
-        .entry(slot)
-        .or_insert_with(|| pool.pop().unwrap_or_default())
-        .push(entry);
+    /// Charges the running legs their carried slots `[run_since, end)`,
+    /// slot by slot in plan order, and moves `run_since` to `end`.
+    fn settle(&mut self, t: u32, end: u64, charges: &SlotCharges, costs: &mut CostTotals) {
+        if self.run_legs == 0 {
+            return;
+        }
+        let since = self.run_since;
+        let running = self.legs.iter().filter(|l| l.running);
+        charges.settle(costs, t, since, end, running.map(|l| l.market as usize));
+        let n = end - since;
+        for leg in self.legs.iter_mut().filter(|l| l.running) {
+            leg.ran += n as u32;
+        }
+        self.slots_run += n * u64::from(self.run_legs);
+        self.run_since = end;
+    }
 }
 
 /// The event-driven portfolio fleet. See the module docs for the
@@ -292,35 +156,29 @@ struct PortfolioWakeupFleet {
     job: JobSpec,
     on_demand: Price,
     max_resubmissions: u32,
+    /// Visit every runner every slot, emitting its `Charged` events (set
+    /// only when the session logs events).
+    carry_runners: bool,
 
     // Tenant state (tag = index).
     tenants: Vec<WTenant>,
     done: Vec<bool>,
-    /// Target slot of each tenant's last unconditional calendar arm —
-    /// the already-armed guard against duplicate wake entries.
-    armed_until: Vec<u64>,
 
-    // Wakeup machinery.
-    /// One price-indexed book of pending legs per member market.
-    books: Vec<LegBook>,
-    /// Shared calendar: slot → wake entries (tenant index, optionally
-    /// [`UNCOND`]-flagged), pooled like the single-market fleet's.
-    calendar: BTreeMap<u64, Vec<u32>>,
-    cal_pool: Vec<Vec<u32>>,
-    /// Tenants with ≥ 1 running leg, ascending (rebuilt by sorted merge).
-    running: Vec<u32>,
+    /// Per market, the owning tenant of each bid id (background bids own
+    /// none).
+    owners: Vec<Vec<u32>>,
+    /// Every advanced slot's per-market spot charge.
+    charges: SlotCharges,
+    /// Per-tenant cost totals: on-demand charges, settled spot charges.
+    costs: CostTotals,
+    /// Tenants with ≥ 1 running leg.
+    running: usize,
     /// Tenants whose plan was applied this `before_slot`.
     fresh: Vec<u32>,
     /// Tenants queued to (re-)plan at the next `before_slot`.
     needy: Vec<u32>,
     /// Tenants not yet done — drives the kernel Done check.
     active: usize,
-    /// Last posted price per market (∞ before the first tenant-visible
-    /// slot, exactly the market's own pre-first-step posted price).
-    prev_price: Vec<f64>,
-    /// Per-market kernel-slot-indexed reclamation outages (warmup offset
-    /// already applied). Empty when fault-free.
-    reclaim_masks: Vec<Vec<bool>>,
     shard_rngs: Vec<Rng>,
     /// Live spot legs per market (the kernel's per-market demand signal).
     live: Vec<u32>,
@@ -329,10 +187,8 @@ struct PortfolioWakeupFleet {
     // Scratch buffers (steady state allocates nothing per slot).
     sc_woken: Vec<u32>,
     sc_order: Vec<u32>,
-    sc_started: Vec<u32>,
-    sc_removed: Vec<u32>,
-    sc_run_next: Vec<u32>,
-    sc_outage: Vec<bool>,
+    /// Per market: this slot's spot charge fails validation.
+    sc_refused: Vec<bool>,
 }
 
 impl PortfolioWakeupFleet {
@@ -340,12 +196,12 @@ impl PortfolioWakeupFleet {
         strategies: &[PortfolioStrategy],
         cfg: &PortfolioLoopConfig,
         streams: &RngStreams,
-        reclaim_masks: Vec<Vec<bool>>,
+        carry_runners: bool,
     ) -> Self {
         let n = strategies.len();
         assert!(
-            n < (1 << 31),
-            "portfolio wakeup fleet supports < 2^31 tenants"
+            n < NO_OWNER as usize,
+            "portfolio wakeup fleet supports < 2^32 - 1 tenants"
         );
         let m = cfg.markets.len();
         // Identical substream reservation to the dense portfolio fleet:
@@ -358,22 +214,16 @@ impl PortfolioWakeupFleet {
             job: cfg.job,
             on_demand: cfg.on_demand,
             max_resubmissions: cfg.max_resubmissions,
+            carry_runners,
             tenants: strategies.iter().map(|&s| WTenant::new(s, cfg)).collect(),
             done: vec![false; n],
-            armed_until: vec![0; n],
-            books: cfg
-                .markets
-                .iter()
-                .map(|mk| LegBook::new(&mk.params))
-                .collect(),
-            calendar: BTreeMap::new(),
-            cal_pool: Vec::new(),
-            running: Vec::new(),
+            owners: vec![Vec::new(); m],
+            charges: SlotCharges::new(m),
+            costs: CostTotals::new(n),
+            running: 0,
             fresh: Vec::new(),
             needy: (0..n as u32).collect(),
             active: n,
-            prev_price: vec![f64::INFINITY; m],
-            reclaim_masks,
             shard_rngs,
             live: vec![0; m],
             stats: PortfolioFleetStats {
@@ -382,27 +232,17 @@ impl PortfolioWakeupFleet {
             },
             sc_woken: Vec::new(),
             sc_order: Vec::new(),
-            sc_started: Vec::new(),
-            sc_removed: Vec::new(),
-            sc_run_next: Vec::new(),
-            sc_outage: Vec::new(),
-        }
-    }
-
-    /// Arms an unconditional wake at `slot`, at most once per tenant per
-    /// target slot (kernel slots start at 0, so armed targets are ≥ 1 and
-    /// the zero-initialized column never aliases a real arm).
-    fn arm_uncond(&mut self, slot: u64, t: u32) {
-        let tu = t as usize;
-        if self.armed_until[tu] != slot {
-            self.armed_until[tu] = slot;
-            calendar_push(&mut self.calendar, &mut self.cal_pool, slot, t | UNCOND);
+            sc_refused: vec![false; m],
         }
     }
 
     /// Acts on a resolved plan — byte-for-byte the dense fleet's
-    /// `apply_plan`, plus the wakeup bookkeeping (leg-handle allocation;
-    /// the caller queues the fresh wake).
+    /// `apply_plan` (its on-demand charges validated and added here), plus
+    /// the bid-owner columns; the caller queues the fresh wake.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Billing`] for an invalid on-demand charge.
     #[allow(clippy::too_many_arguments)]
     fn apply_plan(
         tenant: &mut WTenant,
@@ -411,10 +251,11 @@ impl PortfolioWakeupFleet {
         job: &JobSpec,
         slot: u64,
         source: &mut PortfolioSource,
-        books: &mut [LegBook],
+        owners: &mut [Vec<u32>],
+        costs: &mut CostTotals,
         live: &mut [u32],
         emit: &mut dyn FnMut(Event),
-    ) {
+    ) -> Result<(), EngineError> {
         for leg in &plan.legs {
             if tenant.pending == 0 {
                 break;
@@ -428,15 +269,15 @@ impl PortfolioWakeupFleet {
                 BidDecision::OnDemand { price } => {
                     let work = (job.slot * assigned as f64).min(tenant.remaining_work(job));
                     if work > Hours::ZERO {
-                        emit(Event::Charged {
-                            item: LineItem {
-                                slot,
-                                price,
-                                duration: work,
-                                kind: UsageKind::OnDemand,
-                                tag: t,
-                            },
-                        });
+                        let item = LineItem {
+                            slot,
+                            price,
+                            duration: work,
+                            kind: UsageKind::OnDemand,
+                            tag: t,
+                        };
+                        emit(Event::Charged { item });
+                        costs.try_charge(&item)?;
                         tenant.od_charged += work;
                     }
                     tenant.pending -= assigned;
@@ -454,15 +295,13 @@ impl PortfolioWakeupFleet {
                             work: WorkModel::FixedSlots(assigned as u32),
                         },
                     );
-                    let handle = books[leg.market].alloc(t, price.as_f64());
+                    set_owner(&mut owners[leg.market], id, t);
                     tenant.legs.push(WLeg {
                         market: leg.market as u32,
                         bid_id: id,
                         assigned: assigned as u32,
                         ran: 0,
                         running: false,
-                        handle,
-                        due: 0,
                     });
                     live[leg.market] += 1;
                     tenant.pending -= assigned;
@@ -483,24 +322,26 @@ impl PortfolioWakeupFleet {
             tenant.done_pending = true;
             emit(Event::Completed { slot, tenant: t });
         }
+        Ok(())
     }
 
     /// Advances one woken tenant against every market's report — the
-    /// dense fleet's `slot_update` plus wakeup maintenance: started legs
-    /// leave their book and schedule their expected finish, removed legs
-    /// release their handle, idle pending legs (re-)register, and
-    /// termination re-plans queue into `needy` (guarded against
-    /// duplicates by the `needs_submit` flag). The caller tracks run-list
-    /// membership through `run_legs`.
+    /// dense fleet's `slot_update`, with each slot a leg ran charged to the
+    /// tenant's total here, and termination re-plans queued into `needy`
+    /// (guarded against duplicates by the `needs_submit` flag). The first
+    /// leg that ran in a market in `refused` leaves its billing error in
+    /// `refusal`. The caller tracks run-list membership through
+    /// `run_legs`.
     #[allow(clippy::too_many_arguments)]
     fn update_tenant(
         tenant: &mut WTenant,
         t: u32,
         slot: u64,
         reports: &[SlotReport],
-        books: &mut [LegBook],
-        calendar: &mut BTreeMap<u64, Vec<u32>>,
-        cal_pool: &mut Vec<Vec<u32>>,
+        charges: &SlotCharges,
+        costs: &mut CostTotals,
+        refused: &[bool],
+        refusal: &mut Option<EngineError>,
         live: &mut [u32],
         needy: &mut Vec<u32>,
         job: &JobSpec,
@@ -513,7 +354,8 @@ impl PortfolioWakeupFleet {
         let mut k = 0;
         while k < tenant.legs.len() {
             let leg = &mut tenant.legs[k];
-            let report = &reports[leg.market as usize];
+            let m = leg.market as usize;
+            let report = &reports[m];
             let id = leg.bid_id;
             let started = report.started.binary_search(&id).is_ok();
             let interrupted = report.interrupted.binary_search(&id).is_ok();
@@ -524,22 +366,6 @@ impl PortfolioWakeupFleet {
                 leg.running = true;
                 tenant.run_legs += 1;
                 emit(Event::BidAccepted { slot, tenant: t });
-                // Leave the wakeup book and schedule the expected finish:
-                // the bid needs `assigned − ran` more running slots
-                // starting with this one — exactly the market's own
-                // finish calendar. An interruption strands the entry; it
-                // is validated against the legs' `due` on pop.
-                let m = leg.market as usize;
-                let rem = u64::from(leg.assigned - leg.ran);
-                let due = slot + rem - 1;
-                leg.due = due;
-                let h = leg.handle;
-                if books[m].registered(h) {
-                    books[m].unregister(h);
-                }
-                if due > slot {
-                    calendar_push(calendar, cal_pool, due, t);
-                }
             }
             if interrupted {
                 tenant.interruptions += 1;
@@ -557,6 +383,10 @@ impl PortfolioWakeupFleet {
                         tag: t,
                     },
                 });
+                costs.add(t, charges.at(slot, m));
+                if refused[m] && refusal.is_none() {
+                    *refusal = spot_charge(slot, report.price, job.slot).err();
+                }
             }
             if interrupted || terminated || finished {
                 if leg.running {
@@ -565,21 +395,15 @@ impl PortfolioWakeupFleet {
                 leg.running = false;
             }
             if finished {
-                let m = leg.market as usize;
-                let h = leg.handle;
                 live[m] -= 1;
                 tenant.legs.remove(k);
-                books[m].release(h);
                 continue;
             }
             if terminated {
                 emit(Event::Rejected { slot, tenant: t });
                 let lost = u64::from(leg.assigned - leg.ran);
-                let m = leg.market as usize;
-                let h = leg.handle;
                 live[m] -= 1;
                 tenant.legs.remove(k);
-                books[m].release(h);
                 tenant.pending += lost;
                 if tenant.resubmissions < max_resubmissions {
                     tenant.resubmissions += 1;
@@ -612,56 +436,7 @@ impl PortfolioWakeupFleet {
         if tenant.gave_up && tenant.legs.is_empty() && !tenant.needs_submit {
             return DriverStatus::Done;
         }
-        // Every live pending leg must sit in its market's wakeup book:
-        // fresh pends, re-pended persistents after an interruption, and
-        // parked bids waiting out an outage all land here;
-        // already-registered handles pass.
-        for leg in &tenant.legs {
-            if !leg.running {
-                let b = &mut books[leg.market as usize];
-                if !b.registered(leg.handle) {
-                    b.register(leg.handle);
-                }
-            }
-        }
         DriverStatus::Active
-    }
-
-    /// Rebuilds the sorted running list from this slot's membership
-    /// changes: a three-pointer merge of the old list with `sc_started`,
-    /// dropping `sc_removed` (all three ascending; a start-and-finish in
-    /// the same slot appears in both deltas and nets out).
-    fn merge_running(&mut self) {
-        if self.sc_started.is_empty() && self.sc_removed.is_empty() {
-            return;
-        }
-        let old = &self.running;
-        let added = &self.sc_started;
-        let removed = &self.sc_removed;
-        let mut out = std::mem::take(&mut self.sc_run_next);
-        out.clear();
-        out.reserve(old.len() + added.len());
-        let (mut i, mut j, mut r) = (0, 0, 0);
-        while i < old.len() || j < added.len() {
-            let x = if j >= added.len() || (i < old.len() && old[i] < added[j]) {
-                let v = old[i];
-                i += 1;
-                v
-            } else {
-                let v = added[j];
-                j += 1;
-                v
-            };
-            while r < removed.len() && removed[r] < x {
-                r += 1;
-            }
-            if r < removed.len() && removed[r] == x {
-                r += 1;
-            } else {
-                out.push(x);
-            }
-        }
-        self.sc_run_next = std::mem::replace(&mut self.running, out);
     }
 
     fn status(&self) -> DriverStatus {
@@ -745,10 +520,11 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
                 &job,
                 slot,
                 source,
-                &mut self.books,
+                &mut self.owners,
+                &mut self.costs,
                 &mut self.live,
                 emit,
-            );
+            )?;
             self.fresh.push(i);
         }
         needy.clear();
@@ -763,169 +539,127 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         emit: &mut dyn FnMut(Event),
     ) -> Result<DriverStatus, EngineError> {
         self.stats.slots += 1;
+        debug_assert_eq!(self.charges.slots(), slot);
+        for report in reports {
+            self.charges.push(report.price, self.job.slot);
+        }
 
-        // Collect this slot's wake set: fresh plans, calendar hits, then
-        // every market's price-fall sweep.
+        // This slot's wake set: fresh plans, then every market's report
+        // owners.
         let mut woken = std::mem::take(&mut self.sc_woken);
         woken.clear();
-        woken.extend_from_slice(&self.fresh);
-        self.fresh.clear();
-        if let Some(mut list) = self.calendar.remove(&slot) {
-            for &e in &list {
-                let t = e & !UNCOND;
-                // Plain entries are expected leg finishes: valid only if
-                // some leg is still running the streak that scheduled
-                // them (any due leg makes the wake genuine).
-                if e & UNCOND != 0
-                    || self.tenants[t as usize]
-                        .legs
-                        .iter()
-                        .any(|l| l.running && l.due == slot)
-                {
-                    woken.push(t);
-                }
-            }
-            list.clear();
-            self.cal_pool.push(list);
-        }
+        woken.append(&mut self.fresh);
         for (m, report) in reports.iter().enumerate() {
-            let pf = report.price.as_f64();
-            let pp = self.prev_price[m];
-            self.prev_price[m] = pf;
-            if pf < pp {
-                let before = woken.len();
-                self.books[m].sweep_fall(pf, pp, &mut woken);
-                self.stats.swept[m] += (woken.len() - before) as u64;
-            }
+            let before = woken.len();
+            push_owners(&self.owners[m], report, &mut woken);
+            self.stats.swept[m] += (woken.len() - before) as u64;
         }
 
-        if woken.is_empty() && self.running.is_empty() {
-            // No market's wake set fired and nothing is running: the
-            // dense fleet would have walked every tenant and changed
-            // nothing.
+        if woken.is_empty() && self.running == 0 {
+            // No market's report named a tenant leg, no plan was applied
+            // and nothing is running: the dense fleet would have walked
+            // every tenant and changed nothing.
             self.stats.skipped_slots += 1;
             self.sc_woken = woken;
             return Ok(self.status());
         }
 
         // Process in ascending tenant order — the dense fleet's scan
-        // order — via a dedup merge of the (sorted) wake set with the
-        // (sorted) running list.
+        // order. Carried runners join only when their `Charged` events
+        // are wanted, or when some market's spot charge is invalid: the
+        // refusal must be the one the first such charge would raise.
         woken.sort_unstable();
         woken.dedup();
-        let mut order = std::mem::take(&mut self.sc_order);
-        order.clear();
-        {
-            let run = &self.running;
-            order.reserve(woken.len() + run.len());
-            let (mut i, mut j) = (0, 0);
-            while i < woken.len() && j < run.len() {
-                let (a, b) = (woken[i], run[j]);
-                if a <= b {
-                    order.push(a);
-                    i += 1;
-                    j += usize::from(a == b);
-                } else {
-                    order.push(b);
-                    j += 1;
-                }
-            }
-            order.extend_from_slice(&woken[i..]);
-            order.extend_from_slice(&run[j..]);
+        self.stats.woken += woken.len() as u64;
+        let mut refused = std::mem::take(&mut self.sc_refused);
+        for (r, report) in refused.iter_mut().zip(reports) {
+            *r = spot_charge(slot, report.price, self.job.slot).is_err();
         }
-        self.stats.woken += order.len() as u64;
+        let carry = self.carry_runners || refused.contains(&true);
+        let mut order = std::mem::take(&mut self.sc_order);
+        let visit: &[u32] = if carry {
+            let tenants = &self.tenants;
+            with_runners(
+                &woken,
+                tenants.len(),
+                |tu| tenants[tu].run_legs > 0,
+                &mut order,
+            );
+            &order
+        } else {
+            &woken
+        };
 
-        let mut started_add = std::mem::take(&mut self.sc_started);
-        let mut removed = std::mem::take(&mut self.sc_removed);
-        started_add.clear();
-        removed.clear();
-        for &t in &order {
+        let mut refusal = None;
+        for &t in visit {
             let tu = t as usize;
             if self.done[tu] {
                 continue;
             }
-            let had_running = self.tenants[tu].run_legs > 0;
+            let tenant = &mut self.tenants[tu];
+            tenant.settle(t, slot, &self.charges, &mut self.costs);
+            let had_running = tenant.run_legs > 0;
             let status = Self::update_tenant(
-                &mut self.tenants[tu],
+                tenant,
                 t,
                 slot,
                 reports,
-                &mut self.books,
-                &mut self.calendar,
-                &mut self.cal_pool,
+                &self.charges,
+                &mut self.costs,
+                &refused,
+                &mut refusal,
                 &mut self.live,
                 &mut self.needy,
                 &self.job,
                 self.max_resubmissions,
                 emit,
             );
-            let now_running = self.tenants[tu].run_legs > 0;
-            if now_running && !had_running {
-                started_add.push(t);
-            }
-            if had_running && !now_running {
-                removed.push(t);
+            tenant.run_since = slot + 1;
+            match (had_running, tenant.run_legs > 0) {
+                (false, true) => self.running += 1,
+                (true, false) => self.running -= 1,
+                _ => {}
             }
             if status == DriverStatus::Done {
                 self.done[tu] = true;
                 self.active -= 1;
             }
         }
-        self.sc_started = started_add;
-        self.sc_removed = removed;
-        self.merge_running();
-
-        // Parked bids resolve at their market's next individual
-        // re-auction — which a price sweep cannot predict — so their
-        // owners are armed unconditionally for the next slot. Two things
-        // park a bid in market m:
-        //
-        // - market m's reclamation outage (every displaced and incoming
-        //   bid): every woken tenant still holding a live non-running leg
-        //   there re-arms, chaining across back-to-back outages;
-        // - market m's finite-supply capacity pass: the market names the
-        //   exact victim set in `reports[m].evicted`, so only those legs'
-        //   owners re-arm — every victim's owner is awake this slot
-        //   (running victims were in the running list; would-be starters
-        //   were swept, fresh, or parked-armed), so scanning `order` is
-        //   complete. Quiet slots stay skippable under `Supply::Finite`.
-        self.sc_outage.clear();
-        let mut any_outage = false;
-        for m in 0..reports.len() {
-            let o = self
-                .reclaim_masks
-                .get(m)
-                .and_then(|mask| mask.get(slot as usize))
-                .copied()
-                .unwrap_or(false);
-            any_outage |= o;
-            self.sc_outage.push(o);
-        }
-        if any_outage || reports.iter().any(|r| !r.evicted.is_empty()) {
-            for &t in &order {
-                let tu = t as usize;
-                if self.done[tu] {
-                    continue;
-                }
-                let mut arm = false;
-                for leg in &self.tenants[tu].legs {
-                    let m = leg.market as usize;
-                    if (self.sc_outage[m] && !leg.running)
-                        || reports[m].evicted.binary_search(&leg.bid_id).is_ok()
-                    {
-                        arm = true;
-                        break;
-                    }
-                }
-                if arm {
-                    self.arm_uncond(slot + 1, t);
-                }
-            }
-        }
-
         self.sc_woken = woken;
         self.sc_order = order;
-        Ok(self.status())
+        self.sc_refused = refused;
+        match refusal {
+            Some(e) => Err(e),
+            None => Ok(self.status()),
+        }
+    }
+}
+
+impl SessionFleet for PortfolioWakeupFleet {
+    fn costs(&mut self) -> Option<&mut CostTotals> {
+        Some(&mut self.costs)
+    }
+
+    fn finals(&mut self, job: &JobSpec) -> Vec<TenantFinal> {
+        // Tenants still running at the session end owe their carried
+        // slots.
+        let end = self.charges.slots();
+        for (t, tenant) in self.tenants.iter_mut().enumerate() {
+            tenant.settle(t as u32, end, &self.charges, &mut self.costs);
+        }
+        self.tenants
+            .iter()
+            .enumerate()
+            .map(|(i, t)| TenantFinal {
+                tag: i as u32,
+                strategy: t.strategy,
+                completed: t.completed,
+                spot_slots: t.slots_run,
+                interruptions: t.interruptions,
+                resubmissions: t.resubmissions,
+                remaining: t.remaining_work(job),
+            })
+            .collect()
     }
 }
 
@@ -939,159 +673,9 @@ pub(super) fn run(
     faults: Option<&[LoopFaults]>,
     log: Option<&mut EventLog>,
 ) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
-    // The fleet sees kernel slots (0-based after warmup); shift each
-    // market's absolute-slot fault plan accordingly.
-    let reclaim_masks: Vec<Vec<bool>> = match faults {
-        Some(fs) => fs
-            .iter()
-            .map(|f| {
-                (0..cfg.horizon_slots)
-                    .map(|s| f.reclaim_at(cfg.warmup_slots + s))
-                    .collect()
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    let (report, fleet) = run_session(
-        strategies,
-        cfg,
-        seed,
-        faults,
-        log,
-        |streams| PortfolioWakeupFleet::new(strategies, cfg, streams, reclaim_masks),
-        |fleet| {
-            fleet
-                .tenants
-                .iter()
-                .enumerate()
-                .map(|(i, t)| TenantFinal {
-                    tag: i as u32,
-                    strategy: t.strategy,
-                    completed: t.completed,
-                    spot_slots: t.slots_run,
-                    interruptions: t.interruptions,
-                    resubmissions: t.resubmissions,
-                    remaining: t.remaining_work(&cfg.job),
-                })
-                .collect()
-        },
-    )?;
+    let carry_runners = log.is_some();
+    let (report, fleet) = run_session(strategies, cfg, seed, faults, log, |streams| {
+        PortfolioWakeupFleet::new(strategies, cfg, streams, carry_runners)
+    })?;
     Ok((report, fleet.stats))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn book() -> LegBook {
-        let params = MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.05).unwrap();
-        LegBook::new(&params)
-    }
-
-    /// A hostile threshold for the slab audit: boundary-exact grid
-    /// points, below-floor, above-cap, and plain uniform values.
-    fn threshold(b: &LegBook, rng: &mut Rng) -> f64 {
-        match rng.range_f64(0.0, 4.0) as usize {
-            0 => {
-                let k = rng.range_f64(0.0, WAKE_BUCKETS as f64 + 1.0).floor();
-                b.lo + k * b.w
-            }
-            1 => rng.range_f64(-0.05, b.lo),
-            2 => rng.range_f64(b.lo + WAKE_BUCKETS as f64 * b.w, 1.0),
-            _ => rng.range_f64(b.lo, b.lo + WAKE_BUCKETS as f64 * b.w),
-        }
-    }
-
-    /// Full structural audit: every bucket position agrees with
-    /// `pos_of`/`bucket_of`, every member's bucket is its threshold's
-    /// classifier bucket, no freed handle lingers in a bucket, and
-    /// membership matches the reference set.
-    fn audit(b: &LegBook, registered: &[Option<u32>]) {
-        let mut seen = 0;
-        for (k, list) in b.buckets.iter().enumerate() {
-            for (p, &h) in list.iter().enumerate() {
-                let hu = h as usize;
-                let owner = registered[hu].expect("freed handle still in a bucket");
-                assert_eq!(b.owner[hu], owner);
-                assert_eq!(b.bucket_of[hu] as usize, k);
-                assert_eq!(b.pos_of[hu] as usize, p);
-                assert_eq!(b.bucket_index(b.threshold[hu]), k, "misfiled threshold");
-                seen += 1;
-            }
-        }
-        let expect = registered.iter().filter(|r| r.is_some()).count();
-        assert_eq!(seen, expect, "bucket membership drifted from the reference");
-    }
-
-    #[test]
-    fn leg_slab_survives_alloc_release_churn() {
-        // Handles are allocated, registered, unregistered, and released
-        // in arbitrary order; the slab's free list must recycle them
-        // without ever corrupting bucket membership.
-        let mut b = book();
-        let mut rng = Rng::seed_from_u64(0x1E6B);
-        let mut live: Vec<u32> = Vec::new(); // registered handles
-        let mut registered: Vec<Option<u32>> = Vec::new(); // by handle
-        let mut allocs = 0u32;
-        for step in 0..20_000 {
-            if live.is_empty() || rng.chance(0.55) {
-                let owner = rng.range_f64(0.0, 1000.0) as u32;
-                let thr = threshold(&b, &mut rng);
-                let h = b.alloc(owner, thr);
-                allocs += 1;
-                b.register(h);
-                if h as usize >= registered.len() {
-                    registered.resize(h as usize + 1, None);
-                }
-                registered[h as usize] = Some(owner);
-                live.push(h);
-            } else {
-                let k = rng.range_f64(0.0, live.len() as f64) as usize % live.len();
-                let h = live.swap_remove(k);
-                b.release(h);
-                registered[h as usize] = None;
-            }
-            if step % 997 == 0 {
-                audit(&b, &registered);
-            }
-        }
-        audit(&b, &registered);
-        assert!(
-            (b.threshold.len() as u32) < allocs,
-            "churn must have recycled handles through the free list"
-        );
-    }
-
-    #[test]
-    fn sweep_yields_owners_of_every_crossed_leg() {
-        let mut b = book();
-        let mut rng = Rng::seed_from_u64(0x0E5B);
-        // Two legs per owner so duplicate owner pushes are exercised.
-        let mut legs: Vec<(u32, u32)> = Vec::new(); // (handle, owner)
-        for owner in 0..200u32 {
-            for _ in 0..2 {
-                let h = b.alloc(owner, threshold(&b, &mut rng));
-                b.register(h);
-                legs.push((h, owner));
-            }
-        }
-        for _ in 0..2_000 {
-            let a = threshold(&b, &mut rng).max(0.0);
-            let c = threshold(&b, &mut rng).max(0.0);
-            let (pf, pp) = if a < c { (a, c) } else { (c, a) };
-            let mut out = Vec::new();
-            b.sweep_fall(pf, pp, &mut out);
-            out.sort_unstable();
-            // Completeness: every crossed leg's owner is woken.
-            for &(h, owner) in &legs {
-                let thr = b.threshold[h as usize];
-                if thr >= pf && thr < pp {
-                    assert!(
-                        out.binary_search(&owner).is_ok(),
-                        "owner {owner} of threshold {thr} in [{pf}, {pp}) slept"
-                    );
-                }
-            }
-        }
-    }
 }

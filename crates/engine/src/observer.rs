@@ -9,7 +9,8 @@
 //!   (single-job replays, MapReduce);
 //! - `CostTotals` folds the same charges into one running total per
 //!   tenant tag — what the closed loops report, in O(tenants) memory
-//!   instead of one item per running tenant-slot;
+//!   instead of one item per running tenant-slot (the dense fleets feed
+//!   it events; the wakeup fleets own one and add to it directly);
 //! - [`EventLog`] keeps everything for offline inspection.
 
 use crate::billing::{Bill, LineItem};
@@ -116,6 +117,12 @@ impl CostTotals {
             *t += item.amount();
         }
         Ok(())
+    }
+
+    /// Adds an amount whose charge was already validated to `tag`'s total
+    /// (the lazy settlement of spot charges validated once per slot).
+    pub(crate) fn add(&mut self, tag: u32, amount: Cost) {
+        self.totals[tag as usize] += amount;
     }
 
     /// Consumes the accumulator, returning the totals indexed by tag.

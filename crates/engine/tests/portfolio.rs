@@ -147,7 +147,7 @@ fn degenerate_portfolio_matches_single_market_loop() {
         .collect();
     for seed in [0xC105ED, 0xBEEF, 7] {
         let (sr, se, _) = run_closed_loop_logged(&bases, &cfg, seed, None).unwrap();
-        let (pr, pe) = run_portfolio_loop_logged(&ports, &pcfg, seed, None).unwrap();
+        let (pr, pe, _) = run_portfolio_loop_logged(&ports, &pcfg, seed, None).unwrap();
         assert_single_market_parity(&pr, &sr, &format!("seed {seed}"));
         assert_eq!(pe, se, "seed {seed}: event streams diverged");
     }
@@ -174,7 +174,7 @@ fn degenerate_portfolio_matches_single_market_loop_under_faults() {
         faults.reclaim[s] = true;
     }
     let (sr, se, _) = run_closed_loop_logged(&bases, &cfg, 0xFA17, Some(&faults)).unwrap();
-    let (pr, pe) =
+    let (pr, pe, _) =
         run_portfolio_loop_logged(&ports, &pcfg, 0xFA17, Some(std::slice::from_ref(&faults)))
             .unwrap();
     assert_single_market_parity(&pr, &sr, "faulted");
@@ -272,7 +272,7 @@ fn shared_shock_correlates_market_price_paths() {
     // bids below π_min so it is never accepted and the kernel holds the
     // session open for the whole horizon without disturbing the market.
     let price_corr = |cfg: &PortfolioLoopConfig, seed: u64| {
-        let (_, events) = run_portfolio_loop_logged(
+        let (_, events, _) = run_portfolio_loop_logged(
             &[PortfolioStrategy::ZoneFallback {
                 home: 0,
                 base: BiddingStrategy::FixedBid(Price::new(0.001)),

@@ -8,8 +8,8 @@
 //! slots, same per-market prices), at any thread count. The threshold
 //! regimes are the bid-book quartet — uniform, clustered,
 //! exact-bucket-boundary, out-of-range — driven through the portfolio
-//! strategy shells so every member market's wakeup book sees hostile
-//! thresholds, plus per-market fault plans and mixed
+//! strategy shells so every member market sees hostile thresholds, plus
+//! per-market fault plans and mixed
 //! `Supply::Finite`/`Supply::Unbounded` memberships.
 //!
 //! The degenerate corner is held down twice: an M=1 wakeup portfolio
@@ -133,20 +133,26 @@ fn portfolio_strategies(n: usize, gen: PriceGen, seed: u64) -> Vec<PortfolioStra
 }
 
 /// Core assertion: the wakeup portfolio fleet reproduces the dense oracle
-/// bit for bit — same report and same event stream.
+/// bit for bit — same report and same event stream — and its unlogged run
+/// reproduces its logged one, report and stats.
 fn assert_equivalent(
     strats: &[PortfolioStrategy],
     cfg: &PortfolioLoopConfig,
     seed: u64,
     faults: Option<&[LoopFaults]>,
 ) -> (PortfolioReport, Vec<Event>) {
-    let (wr, we) = run_portfolio_loop_logged(strats, cfg, seed, faults).unwrap();
+    let (wr, we, stats) = run_portfolio_loop_logged(strats, cfg, seed, faults).unwrap();
     let (dr, de) = dense::run_portfolio_loop_logged(strats, cfg, seed, faults).unwrap();
     assert_eq!(wr, dr, "seed {seed}: reports diverged");
     assert_eq!(we.len(), de.len(), "seed {seed}: event counts diverged");
     for (k, (w, d)) in we.iter().zip(&de).enumerate() {
         assert_eq!(w, d, "seed {seed}: event {k} diverged");
     }
+    // The unlogged path settles running legs lazily and never visits a
+    // carried runner; it must report exactly what the logged run did.
+    let (ur, ustats) = run_portfolio_loop_with_stats(strats, cfg, seed, faults).unwrap();
+    assert_eq!(ur, wr, "seed {seed}: unlogged report diverged");
+    assert_eq!(ustats, stats, "seed {seed}: unlogged stats diverged");
     (wr, we)
 }
 
@@ -219,8 +225,8 @@ fn equivalent_under_per_market_faults() {
 fn equivalent_with_mixed_finite_supply_members() {
     // One unbounded zone next to two finite boxes small enough to bind:
     // provider evictions park victims and restart them on slots no price
-    // sweep predicts, in some markets but not others. The capacity-delta
-    // arming (`SlotReport::evicted`) must keep the fleets bit-identical.
+    // path predicts, in some markets but not others. Waking the owners
+    // each market's report names must keep the fleets bit-identical.
     let mut reclaims = 0u64;
     for (gen, seed) in [
         (uniform_price as PriceGen, 211u64),
@@ -324,7 +330,7 @@ fn degenerate_single_market_wakeup_accounting_matches() {
         .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base })
         .collect();
     let (_, _, sstats) = run_closed_loop_logged(&bases, &single, 0xDE6E, None).unwrap();
-    let (_, pstats) = run_portfolio_loop_with_stats(&ports, &pcfg, 0xDE6E).unwrap();
+    let (_, pstats) = run_portfolio_loop_with_stats(&ports, &pcfg, 0xDE6E, None).unwrap();
     assert_eq!(pstats.slots, sstats.slots, "processed-slot counts diverged");
     assert_eq!(
         pstats.skipped_slots, sstats.skipped_slots,
@@ -342,10 +348,10 @@ fn digest_identical_at_1_and_4_threads_with_stats() {
     let strats = portfolio_strategies(200, clustered_price, 0x907F);
     let cfg = config(160);
     let one = with_threads(1, || {
-        run_portfolio_loop_with_stats(&strats, &cfg, 0x907F).unwrap()
+        run_portfolio_loop_with_stats(&strats, &cfg, 0x907F, None).unwrap()
     });
     let four = with_threads(4, || {
-        run_portfolio_loop_with_stats(&strats, &cfg, 0x907F).unwrap()
+        run_portfolio_loop_with_stats(&strats, &cfg, 0x907F, None).unwrap()
     });
     assert_eq!(one.0, four.0, "thread count leaked into the report");
     assert_eq!(one.1, four.1, "thread count leaked into the wakeup stats");
@@ -366,7 +372,7 @@ fn skip_count_equals_dense_zero_activity_slots() {
         let strats = portfolio_strategies(50, gen, seed);
         let cfg = config(200);
         let (_, events) = assert_equivalent(&strats, &cfg, seed, None);
-        let (_, stats) = run_portfolio_loop_with_stats(&strats, &cfg, seed).unwrap();
+        let (_, stats) = run_portfolio_loop_with_stats(&strats, &cfg, seed, None).unwrap();
         let mut active_slots: Vec<u64> = events
             .iter()
             .filter_map(|e| match e {

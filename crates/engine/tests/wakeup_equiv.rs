@@ -28,7 +28,8 @@ use std::collections::BTreeMap;
 use spotbid_core::{BiddingStrategy, JobSpec};
 use spotbid_engine::closedloop::dense;
 use spotbid_engine::{
-    run_closed_loop_logged, ClosedLoopConfig, ClosedLoopReport, Event, FleetStats, LoopFaults,
+    run_closed_loop_logged, run_closed_loop_with_stats, ClosedLoopConfig, ClosedLoopReport, Event,
+    FleetStats, LoopFaults,
 };
 use spotbid_market::units::{Hours, Price};
 use spotbid_market::{MarketParams, ProviderPolicy, Supply};
@@ -113,7 +114,8 @@ fn strategies(n: usize, gen: PriceGen, seed: u64) -> Vec<BiddingStrategy> {
 }
 
 /// Core assertion: the wakeup fleet reproduces the dense oracle bit for
-/// bit — same report (costs, savings, price path) and same event stream.
+/// bit — same report (costs, savings, price path) and same event stream —
+/// and its unlogged run reproduces its logged one, report and stats.
 fn assert_equivalent(
     strats: &[BiddingStrategy],
     cfg: &ClosedLoopConfig,
@@ -127,6 +129,11 @@ fn assert_equivalent(
     for (k, (w, d)) in we.iter().zip(&de).enumerate() {
         assert_eq!(w, d, "seed {seed}: event {k} diverged");
     }
+    // The unlogged path settles running tenants lazily and never visits a
+    // carried runner; it must report exactly what the logged run did.
+    let (ur, ustats) = run_closed_loop_with_stats(strats, cfg, seed, faults).unwrap();
+    assert_eq!(ur, wr, "seed {seed}: unlogged report diverged");
+    assert_eq!(ustats, stats, "seed {seed}: unlogged stats diverged");
     (wr, we, stats)
 }
 
@@ -192,10 +199,9 @@ fn equivalent_under_faults_across_regimes() {
 fn equivalent_under_finite_supply() {
     // Finite-capacity provider: capacity evictions and on-demand churn
     // interrupt running winners and restart parked victims on slots whose
-    // price path alone predicts neither — exactly the wakeups a pure
-    // threshold sweep cannot see. The fleet's unconditional calendar
-    // chain (DESIGN.md §5i) must keep it bit-identical to the dense
-    // oracle anyway.
+    // price path alone predicts neither. The market's slot report names
+    // both (DESIGN.md §5i), and waking its bid owners must keep the fleet
+    // bit-identical to the dense oracle.
     let regimes: [PriceGen; 3] = [uniform_price, clustered_price, boundary_price];
     let mut reclaims = 0u64;
     for (r, gen) in regimes.into_iter().enumerate() {

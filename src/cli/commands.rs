@@ -546,7 +546,7 @@ fn cmd_engine_portfolio(
         max_resubmissions: cfg.max_resubmissions,
     };
     let strategies = vec![PortfolioStrategy::SplitEven { base }; tenants];
-    let (report, stats) = run_portfolio_loop_with_stats(&strategies, &pcfg, seed)
+    let (report, stats) = run_portfolio_loop_with_stats(&strategies, &pcfg, seed, None)
         .map_err(|e| ArgError(e.to_string()))?;
     let mut out = format!(
         "portfolio closed loop — {tenants} × split-even({base:?}) tenants over {markets} zones, \
@@ -579,7 +579,7 @@ fn cmd_engine_portfolio(
     ));
     for (m, market) in pcfg.markets.iter().enumerate() {
         out.push_str(&format!(
-            "{}: posted price mean {} peak {}, {} sweep wakeups",
+            "{}: posted price mean {} peak {}, {} report wakeups",
             market.name, report.mean_price[m], report.peak_price[m], stats.swept[m],
         ));
         if let Some(p) = &report.provider[m] {
@@ -856,7 +856,7 @@ mod tests {
         for zone in ["zone-0", "zone-1", "zone-2"] {
             assert!(out.contains(zone), "{out}");
         }
-        assert!(out.contains("sweep wakeups"), "{out}");
+        assert!(out.contains("report wakeups"), "{out}");
         assert!(out.contains("wakeup fleet: "), "{out}");
         assert!(out.contains("skipped in O(1)"), "{out}");
         assert_eq!(

@@ -8,15 +8,22 @@
 //! The sessions keep one running cost total per tenant, not a ledger; the
 //! reconciliation tests rebuild the ledger from each run's `Charged`
 //! events and hold every reported cost to it (bill ≡ Σ charges).
+//!
+//! Unlogged, the event-driven fleets never visit a running tenant the
+//! market's report does not name: its charges are settled lazily from a
+//! per-slot table. The unlogged tests hold that path — the one every
+//! caller that does not log runs — to the dense oracles directly, under
+//! capacity reclamations and under finite supply.
 
 use spotbid::core::{BiddingStrategy, JobSpec, PortfolioStrategy};
 use spotbid::engine::closedloop::{dense, portfolio};
 use spotbid::engine::{
-    run_closed_loop_logged, run_portfolio_loop_logged, Bill, ClosedLoopConfig, Event,
-    PortfolioLoopConfig, PortfolioMarket, UsageKind,
+    run_closed_loop_logged, run_closed_loop_with_stats, run_portfolio_loop_logged,
+    run_portfolio_loop_with_stats, Bill, ClosedLoopConfig, Event, LoopFaults, PortfolioLoopConfig,
+    PortfolioMarket, UsageKind,
 };
 use spotbid::market::units::{Cost, Hours, Price};
-use spotbid::market::{MarketParams, Supply};
+use spotbid::market::{MarketParams, ProviderPolicy, Supply};
 
 const TENANTS: usize = 2_000;
 
@@ -137,7 +144,7 @@ fn single_market_fleet_matches_the_dense_oracle() {
 fn portfolio_fleet_matches_the_dense_oracle() {
     let cfg = portfolio_config();
     let strats = portfolio_strategies();
-    let (fast, fast_events) = run_portfolio_loop_logged(&strats, &cfg, 0x9F_0110, None).unwrap();
+    let (fast, fast_events, _) = run_portfolio_loop_logged(&strats, &cfg, 0x9F_0110, None).unwrap();
     let (oracle, oracle_events) =
         portfolio::dense::run_portfolio_loop_logged(&strats, &cfg, 0x9F_0110, None).unwrap();
     assert_eq!(fast, oracle, "reports diverged");
@@ -220,7 +227,7 @@ fn single_market_costs_equal_the_charged_events() {
 fn portfolio_costs_equal_the_charged_events() {
     let cfg = portfolio_config();
     let strats = portfolio_strategies();
-    let (fast, fast_events) = run_portfolio_loop_logged(&strats, &cfg, 0x9F_0110, None).unwrap();
+    let (fast, fast_events, _) = run_portfolio_loop_logged(&strats, &cfg, 0x9F_0110, None).unwrap();
     let (oracle, oracle_events) =
         portfolio::dense::run_portfolio_loop_logged(&strats, &cfg, 0x9F_0110, None).unwrap();
     for (report, events) in [(&fast, &fast_events), (&oracle, &oracle_events)] {
@@ -254,4 +261,49 @@ fn portfolio_costs_equal_the_charged_events() {
             "a vacuous reconciliation: {fallbacks} fallbacks, no contract share bought"
         );
     }
+}
+
+#[test]
+fn unlogged_single_market_fleet_matches_the_dense_oracle_under_faults() {
+    let cfg = single_config();
+    let strats = single_strategies();
+    let total = cfg.warmup_slots + cfg.horizon_slots;
+    // Feed gaps every 7th slot; a reclamation every 5th slot after warmup
+    // interrupts every runner mid-streak, 12-slot jobs many times over.
+    let faults = LoopFaults {
+        gap: (0..total).map(|s| s % 7 == 3).collect(),
+        reclaim: (0..total)
+            .map(|s| s > cfg.warmup_slots && s % 5 == 2)
+            .collect(),
+    };
+    let (fast, stats) =
+        run_closed_loop_with_stats(&strats, &cfg, 0xFA_0115, Some(&faults)).unwrap();
+    let (oracle, _) =
+        dense::run_closed_loop_logged(&strats, &cfg, 0xFA_0115, Some(&faults)).unwrap();
+    assert_eq!(fast, oracle, "reports diverged");
+    assert!(
+        fast.tenants.iter().any(|t| t.interruptions > 0) && stats.woken > 0,
+        "the reclamations never interrupted a runner"
+    );
+}
+
+#[test]
+fn unlogged_finite_supply_portfolio_matches_the_dense_oracle() {
+    let mut cfg = portfolio_config();
+    for (i, market) in cfg.markets.iter_mut().enumerate() {
+        market.supply = Supply::Finite {
+            capacity: 12 + 4 * i as u32,
+            policy: ProviderPolicy::StaticSplit { reserved: 4 },
+        };
+    }
+    let strats = portfolio_strategies();
+    let (fast, _) = run_portfolio_loop_with_stats(&strats, &cfg, 0xF1_0117, None).unwrap();
+    let (oracle, _) =
+        portfolio::dense::run_portfolio_loop_logged(&strats, &cfg, 0xF1_0117, None).unwrap();
+    assert_eq!(fast, oracle, "reports diverged");
+    let reclaims: u64 = fast.provider.iter().flatten().map(|p| p.reclaims).sum();
+    assert!(
+        reclaims > 0,
+        "capacity never bound: the test proved nothing"
+    );
 }
