@@ -626,7 +626,8 @@ fn engine_benches(h: &mut Harness) {
 
 /// The closed loop at population scale: the wakeup fleet at 1k/10k/100k
 /// tenants over 80 market steps (20 warmup + 60 horizon), the 100k-tenant
-/// submission wave on its own (one horizon slot), a running-heavy 50k
+/// submission wave on its own (one horizon slot; the tenant mix, and all
+/// strategies distinct), a running-heavy 50k
 /// session (a 4 h job, so per-slot charges dominate), a quiet-slot-
 /// dominated 10k session on both fleets (the skip-path ratio), and a
 /// million-tenant quiet session with the amortized per-quiet-slot cost
@@ -660,6 +661,18 @@ fn engine_scale_benches(h: &mut Harness) {
     h.group("engine_scale")
         .throughput_items(100_000)
         .bench("closed_loop_wave/100k_tenants_1_slot", || {
+            run_closed_loop(black_box(&strategies), black_box(&wave_cfg), 0x5CA1E).unwrap()
+        });
+
+    // The same wave with every tenant's strategy distinct: 100k fixed
+    // bids on distinct prices, so every tenant is its own strategy class
+    // and the per-slot decision memo never hits.
+    let strategies: Vec<BiddingStrategy> = (0..100_000)
+        .map(|i| BiddingStrategy::FixedBid(Price::new(0.05 + f64::from(i) * 2.9e-6)))
+        .collect();
+    h.group("engine_scale")
+        .throughput_items(100_000)
+        .bench("closed_loop_wave/100k_distinct_1_slot", || {
             run_closed_loop(black_box(&strategies), black_box(&wave_cfg), 0x5CA1E).unwrap()
         });
 

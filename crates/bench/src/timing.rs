@@ -65,10 +65,13 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// The short git revision of the working tree, for tagging reports.
+/// The short git revision of the working tree, for tagging reports,
+/// with `-dirty` appended when tracked files differ from `HEAD` (the
+/// measured tree is then not the commit named).
 ///
-/// `SPOTBID_GIT_REV` overrides; otherwise `git rev-parse --short HEAD` is
-/// consulted, falling back to `"unknown"` outside a repository.
+/// `SPOTBID_GIT_REV` overrides; otherwise `git rev-parse --short HEAD` and
+/// `git diff --quiet HEAD` are consulted, falling back to `"unknown"`
+/// outside a repository.
 pub fn git_rev() -> String {
     if let Ok(rev) = std::env::var("SPOTBID_GIT_REV") {
         let rev = rev.trim().to_owned();
@@ -76,15 +79,30 @@ pub fn git_rev() -> String {
             return rev;
         }
     }
-    std::process::Command::new("git")
+    let rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+        .and_then(|o| String::from_utf8(o.stdout).ok());
+    // `git diff --quiet` exits 1 exactly when there are differences.
+    let dirty = || {
+        std::process::Command::new("git")
+            .args(["diff", "--quiet", "HEAD", "--"])
+            .status()
+            .is_ok_and(|s| s.code() == Some(1))
+    };
+    rev_stamp(rev.as_deref(), dirty)
+}
+
+/// A revision stamp: the trimmed `rev`, suffixed `-dirty` when `dirty()`
+/// holds, or `"unknown"` when there is no revision.
+fn rev_stamp(rev: Option<&str>, dirty: impl FnOnce() -> bool) -> String {
+    match rev.map(str::trim).filter(|r| !r.is_empty()) {
+        Some(r) if dirty() => format!("{r}-dirty"),
+        Some(r) => r.to_owned(),
+        None => "unknown".to_owned(),
+    }
 }
 
 /// The compiler version string, for tagging reports (medians are only
@@ -579,6 +597,14 @@ pub fn time_experiment<T>(name: &str, f: impl FnOnce() -> T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rev_stamp_marks_a_dirty_tree() {
+        assert_eq!(rev_stamp(Some("abc1234\n"), || false), "abc1234");
+        assert_eq!(rev_stamp(Some("abc1234\n"), || true), "abc1234-dirty");
+        assert_eq!(rev_stamp(Some(" "), || true), "unknown");
+        assert_eq!(rev_stamp(None, || panic!("no rev, no diff")), "unknown");
+    }
 
     #[test]
     fn formats_all_magnitudes() {

@@ -15,8 +15,8 @@
 //! `[π_min, π̄]` — the paper's §4 uniform-bid assumption. Everything is
 //! deterministic from one `u64` seed via [`RngStreams`] substreams: stream
 //! 0 drives market departures, stream 1 the background arrivals, and
-//! streams 2+ are reserved one-per-decision-shard; tenants themselves draw
-//! no randomness.
+//! streams 2+ are reserved one per 64-tenant decision shard of the
+//! [`dense`] oracle; tenants themselves draw no randomness.
 //!
 //! Two tenant fleets share this contract, mirroring the market's own
 //! naive/bid-book split:
@@ -27,9 +27,10 @@
 //!   oracle.
 //! - the **wakeup fleet** (default, behind [`run_closed_loop`]) — a
 //!   struct-of-arrays fleet that touches a tenant only on its fresh
-//!   decision or when the market's slot report names its bid, and
-//!   settles running charges lazily from a per-slot table. A slot where
-//!   nothing fires and nothing runs is skipped. Bit-identical to
+//!   decision or when the market's slot report names its bid, decides
+//!   once per distinct strategy per slot, and settles running charges
+//!   lazily from a per-slot table. A slot where nothing fires and
+//!   nothing runs is skipped. Bit-identical to
 //!   [`dense`] — same `BidId`s, events, bills, and RNG stream
 //!   reservations at any thread count — per the DESIGN.md §5f contract,
 //!   held by `tests/wakeup_equiv.rs`.
@@ -427,18 +428,21 @@ fn validate(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig) -> Result<()
     Ok(())
 }
 
-/// §5.1 fallback plus aggregation, shared by both fleets: incomplete
-/// tenants finish their remaining work on demand (charged at the horizon
-/// close, in tag order — the float accumulation order is part of the
-/// bit-equivalence contract), then per-tenant outcomes and the price-path
-/// summary are folded into the report. `costs` holds the session's spot
-/// charges per tenant (tags are tenant indices here).
+/// §5.1 fallback plus aggregation, shared by both fleets, in one pass
+/// over the tenants' final states in tag order: an incomplete tenant
+/// finishes its remaining work on demand (charged at the horizon close;
+/// the float accumulation order is part of the bit-equivalence contract),
+/// then its outcome row is built; the price-path summary follows. `costs`
+/// holds the session's spot charges per tenant (tags are tenant indices
+/// here).
 fn assemble_report(
-    finals: &[TenantFinal],
+    finals: impl ExactSizeIterator<Item = TenantFinal>,
     mut costs: CostTotals,
     source: &ClosedLoopSource,
     cfg: &ClosedLoopConfig,
 ) -> Result<ClosedLoopReport, EngineError> {
+    let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
+    let mut outcomes = Vec::with_capacity(finals.len());
     for f in finals {
         if !f.completed {
             let work = (cfg.job.execution - cfg.slot_len * f.slots_run as f64).max(Hours::ZERO);
@@ -452,25 +456,18 @@ fn assemble_report(
                 })?;
             }
         }
+        let cost = costs.total(f.tag);
+        outcomes.push(TenantOutcome {
+            tenant: f.tag,
+            strategy: f.strategy,
+            completed: f.completed,
+            spot_slots: f.slots_run,
+            interruptions: f.interruptions,
+            resubmissions: f.resubmissions,
+            cost,
+            savings: 1.0 - cost.as_f64() / od_cost,
+        });
     }
-    let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-    let totals = costs.into_totals();
-    let outcomes: Vec<TenantOutcome> = finals
-        .iter()
-        .map(|f| {
-            let cost = totals[f.tag as usize];
-            TenantOutcome {
-                tenant: f.tag,
-                strategy: f.strategy,
-                completed: f.completed,
-                spot_slots: f.slots_run,
-                interruptions: f.interruptions,
-                resubmissions: f.resubmissions,
-                cost,
-                savings: 1.0 - cost.as_f64() / od_cost,
-            }
-        })
-        .collect();
     let visible = &source.posted[cfg.warmup_slots..];
     let mean_price =
         Price::new(visible.iter().map(|p| p.as_f64()).sum::<f64>() / visible.len().max(1) as f64);

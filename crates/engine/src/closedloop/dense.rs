@@ -371,19 +371,15 @@ fn run_dense(
         source = kernel.into_source();
     }
 
-    let finals: Vec<TenantFinal> = fleet
-        .tenants
-        .iter()
-        .map(|t| TenantFinal {
-            tag: t.tag,
-            strategy: t.strategy,
-            completed: t.completed,
-            slots_run: t.slots_run,
-            interruptions: t.interruptions,
-            resubmissions: t.resubmissions,
-        })
-        .collect();
-    assemble_report(&finals, costs, &source, cfg)
+    let finals = fleet.tenants.iter().map(|t| TenantFinal {
+        tag: t.tag,
+        strategy: t.strategy,
+        completed: t.completed,
+        slots_run: t.slots_run,
+        interruptions: t.interruptions,
+        resubmissions: t.resubmissions,
+    });
+    assemble_report(finals, costs, &source, cfg)
 }
 
 /// Runs one closed-loop session on the frozen per-slot fleet. Same

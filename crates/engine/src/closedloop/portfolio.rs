@@ -29,8 +29,9 @@
 //! - stream `2m+1` — market `m`'s idiosyncratic background arrivals
 //!   (count and bid prices),
 //! - stream `2M` — the shared arrival shock,
-//! - streams `2M+1 …` — reserved one-per-decision-shard (never drawn
-//!   from today, exactly like the single-market fleets).
+//! - streams `2M+1 …` — reserved one per decision shard of the [`dense`]
+//!   fleet (never drawn from today, exactly like the single-market
+//!   oracle's).
 //!
 //! At `M = 1` with a zero shared rate this collapses to the historical
 //! layout — stream 0 market, stream 1 background, shared stream untouched
@@ -42,8 +43,9 @@
 //!
 //! ## Determinism contract
 //!
-//! As in the single-market fleets (§5e/§5f): plan resolution is pure and
-//! fans out over `spotbid-exec` shards, while bid submission (which
+//! As in the single-market fleets (§5e/§5f): plan resolution is pure (the
+//! dense fleet fans it out over `spotbid-exec` shards, the wakeup fleet
+//! plans once per distinct strategy), while bid submission (which
 //! assigns per-market [`spotbid_market::sim::BidId`]s), event emission,
 //! and report processing stay serial in ascending tenant order, with each
 //! tenant's legs processed in plan order. The whole session is
@@ -222,7 +224,8 @@ impl PortfolioSource {
             what: e.to_string(),
         })?;
         // Streams 0..2M interleave (market, arrivals) per market; 2M is
-        // the shared shock. Decision shards reserve 2M+1… in the fleet.
+        // the shared shock. The dense fleet's decision shards reserve
+        // 2M+1….
         let mut chain = streams.streams(2 * m + 1);
         let shared_rng = chain.pop().expect("2M+1 streams");
         let mut market_rngs = Vec::with_capacity(m);
@@ -417,9 +420,13 @@ trait SessionFleet: JobDriver<PortfolioSource> {
     /// through its `Charged` events alone (the shell then folds those).
     fn costs(&mut self) -> Option<&mut CostTotals>;
 
-    /// Every tenant's state at the session end, in tag order, with
-    /// anything still accruing settled through the last slot.
-    fn finals(&mut self, job: &JobSpec) -> Vec<TenantFinal>;
+    /// Settles anything still accruing through the last slot into the
+    /// fleet's own cost totals (nothing, for a fleet billed through its
+    /// events).
+    fn close(&mut self) {}
+
+    /// Every tenant's state at the session end, in tag order.
+    fn finals<'a>(&'a self, job: &'a JobSpec) -> impl ExactSizeIterator<Item = TenantFinal> + 'a;
 }
 
 /// The shared session shell both fleets run under: validation, source
@@ -457,16 +464,20 @@ fn run_session<F: SessionFleet>(
         kernel.run(&mut [&mut fleet], &mut observers, horizon)?;
         source = kernel.into_source();
     }
-    let finals = fleet.finals(&cfg.job);
+    fleet.close();
     let mut costs = match fleet.costs() {
         Some(own) => std::mem::replace(own, CostTotals::new(0)),
         None => event_costs,
     };
 
-    // §5.1 fallback: incomplete tenants finish their remaining work on
-    // demand at the horizon close, in tag order (the float accumulation
-    // order is part of the parity contract with the single-market loop).
-    for t in &finals {
+    // One pass in tag order: the §5.1 fallback (an incomplete tenant
+    // finishes its remaining work on demand at the horizon close; the
+    // float accumulation order is part of the parity contract with the
+    // single-market loop), then the tenant's outcome row.
+    let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
+    let finals = fleet.finals(&cfg.job);
+    let mut outcomes = Vec::with_capacity(finals.len());
+    for t in finals {
         if !t.completed && t.remaining > Hours::ZERO {
             costs.try_charge(&LineItem {
                 slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
@@ -476,25 +487,18 @@ fn run_session<F: SessionFleet>(
                 tag: t.tag,
             })?;
         }
+        let cost = costs.total(t.tag);
+        outcomes.push(PortfolioTenantOutcome {
+            tenant: t.tag,
+            strategy: t.strategy,
+            completed: t.completed,
+            spot_slots: t.spot_slots,
+            interruptions: t.interruptions,
+            resubmissions: t.resubmissions,
+            cost,
+            savings: 1.0 - cost.as_f64() / od_cost,
+        });
     }
-    let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-    let totals = costs.into_totals();
-    let outcomes: Vec<PortfolioTenantOutcome> = finals
-        .iter()
-        .map(|t| {
-            let cost = totals[t.tag as usize];
-            PortfolioTenantOutcome {
-                tenant: t.tag,
-                strategy: t.strategy,
-                completed: t.completed,
-                spot_slots: t.spot_slots,
-                interruptions: t.interruptions,
-                resubmissions: t.resubmissions,
-                cost,
-                savings: 1.0 - cost.as_f64() / od_cost,
-            }
-        })
-        .collect();
     let mut mean_price = Vec::with_capacity(cfg.markets.len());
     let mut peak_price = Vec::with_capacity(cfg.markets.len());
     let mut slots = 0;

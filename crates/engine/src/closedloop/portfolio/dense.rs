@@ -405,19 +405,16 @@ impl SessionFleet for PortfolioFleet {
         None
     }
 
-    fn finals(&mut self, job: &JobSpec) -> Vec<TenantFinal> {
-        self.tenants
-            .iter()
-            .map(|t| TenantFinal {
-                tag: t.tag,
-                strategy: t.strategy,
-                completed: t.completed,
-                spot_slots: t.slots_run,
-                interruptions: t.interruptions,
-                resubmissions: t.resubmissions,
-                remaining: t.remaining_work(job),
-            })
-            .collect()
+    fn finals<'a>(&'a self, job: &'a JobSpec) -> impl ExactSizeIterator<Item = TenantFinal> + 'a {
+        self.tenants.iter().map(|t| TenantFinal {
+            tag: t.tag,
+            strategy: t.strategy,
+            completed: t.completed,
+            spot_slots: t.slots_run,
+            interruptions: t.interruptions,
+            resubmissions: t.resubmissions,
+            remaining: t.remaining_work(job),
+        })
     }
 }
 

@@ -13,6 +13,11 @@
 //!   name every tenant-visible change, parked restarts under outages and
 //!   finite supply included.
 //!
+//! Collecting the owners also records on each named live leg which of its
+//! market's four report lists named it, and marks its tenant woken so it
+//! joins the wake set once; a woken tenant reads those bits leg by leg
+//! instead of searching the reports.
+//!
 //! Running legs accrue their market's posted price every slot (§3.2) and
 //! are settled lazily: each slot's per-market `price × job.slot` goes into
 //! a [`SlotCharges`] table, and a woken tenant first replays its carried
@@ -25,9 +30,12 @@
 //! where no market's report names a tenant leg, no plan was applied and
 //! no leg runs is *skipped* ([`PortfolioFleetStats::skipped_slots`]).
 //!
-//! Wakeups are processed in ascending tenant order with each tenant's
-//! legs in plan order, plans fan out over the same 64-tenant shards with
-//! the same reserved RNG substreams, and bid submission stays serial — so
+//! Tenants are classified by strategy, as in the single-market fleet: one
+//! plan per class of bit-identical strategies per slot, with a tenant
+//! reclassified when cross-zone fallback moves its home market. Plans are
+//! applied serially in ascending tenant order after one reservation of
+//! each market's bid columns for the wave, and wakeups are processed in
+//! ascending tenant order with each tenant's legs in plan order — so
 //! per-market bid ids, event order, costs, and RNG draws are
 //! **bit-identical** to the frozen [`super::dense`] oracle at any
 //! `SPOTBID_THREADS` (`tests/portfolio_wakeup_equiv.rs`).
@@ -36,18 +44,19 @@ use super::{
     run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, SessionFleet, TenantFinal,
 };
 use crate::billing::{LineItem, UsageKind};
-use crate::closedloop::dense::SHARD_SIZE;
-use crate::closedloop::wakeup::{push_owners, set_owner, with_runners, NO_OWNER};
+use crate::closedloop::wakeup::{
+    for_each_owner, intern_class, reserve_owners, set_owner, strategy_key, with_runners, ClassMap,
+    DecisionMemo, NO_OWNER, R_FINISHED, R_INTERRUPTED, R_STARTED, R_TERMINATED,
+};
 use crate::closedloop::{spot_charge, LoopFaults, SlotCharges};
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver};
 use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
-use spotbid_core::{BidDecision, CoreError, JobSpec};
-use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
+use spotbid_core::{BidDecision, JobSpec};
+use spotbid_market::sim::{reserve_pow2, BidId, BidKind, BidRequest, SlotReport, WorkModel};
 use spotbid_market::units::{Hours, Price};
-use spotbid_numerics::rng::{Rng, RngStreams};
 
 /// Wakeup accounting for one portfolio session — the multi-market
 /// sibling of [`crate::closedloop::FleetStats`].
@@ -77,15 +86,39 @@ struct WLeg {
     /// Slots it has run so far.
     ran: u32,
     running: bool,
+    /// `R_*` bits of this slot's report of its market; zero outside
+    /// `on_slot`.
+    report: u8,
+}
+
+/// `WTenant::class` of a tenant whose strategy changed since it was
+/// classified.
+const UNCLASSIFIED: u32 = u32::MAX;
+
+/// A portfolio strategy's identity as a class key: variant, parameter
+/// bits and the base strategy's key.
+fn plan_key(s: &PortfolioStrategy) -> (u64, u64, u64, u64) {
+    let (variant, param, base) = match *s {
+        PortfolioStrategy::ZoneFallback { home, base } => (0, home as u64, base),
+        PortfolioStrategy::SplitEven { base } => (1, 0, base),
+        PortfolioStrategy::Contract { spot_share, base } => (2, spot_share.to_bits(), base),
+    };
+    let (b0, b1) = strategy_key(&base);
+    (variant, param, b0, b1)
 }
 
 /// One portfolio tenant — the dense fleet's `PortfolioTenant` plus a
-/// running-leg count and the start of its unsettled running slots. The tenant's tag is its fleet index. Legs
-/// stay a per-tenant vector (plan order is part of the determinism
+/// running-leg count, the start of its unsettled running slots, its
+/// strategy class and its woken bit. The tenant's tag is its fleet index.
+/// Legs stay a per-tenant vector (plan order is part of the determinism
 /// contract and M is small).
 #[derive(Debug)]
 struct WTenant {
     strategy: PortfolioStrategy,
+    /// Index of `strategy`'s class, or [`UNCLASSIFIED`].
+    class: u32,
+    /// In this slot's wake set already.
+    woken: bool,
     /// Slots of work awaiting (re-)submission.
     pending: u64,
     /// Live spot legs, in plan (ascending-market) submission order.
@@ -107,9 +140,11 @@ struct WTenant {
 }
 
 impl WTenant {
-    fn new(strategy: PortfolioStrategy, cfg: &PortfolioLoopConfig) -> Self {
+    fn new(strategy: PortfolioStrategy, class: u32, cfg: &PortfolioLoopConfig) -> Self {
         WTenant {
             strategy,
+            class,
+            woken: false,
             pending: cfg.job.slots_needed(),
             legs: Vec::new(),
             od_charged: Hours::ZERO,
@@ -163,6 +198,10 @@ struct PortfolioWakeupFleet {
     // Tenant state (tag = index).
     tenants: Vec<WTenant>,
     done: Vec<bool>,
+    /// Strategy key → class, kept for tenants reclassified mid-session.
+    classes: ClassMap<(u64, u64, u64, u64)>,
+    /// This slot's plan per class.
+    memo: DecisionMemo<PortfolioPlan>,
 
     /// Per market, the owning tenant of each bid id (background bids own
     /// none).
@@ -179,7 +218,6 @@ struct PortfolioWakeupFleet {
     needy: Vec<u32>,
     /// Tenants not yet done — drives the kernel Done check.
     active: usize,
-    shard_rngs: Vec<Rng>,
     /// Live spot legs per market (the kernel's per-market demand signal).
     live: Vec<u32>,
     stats: PortfolioFleetStats,
@@ -189,13 +227,14 @@ struct PortfolioWakeupFleet {
     sc_order: Vec<u32>,
     /// Per market: this slot's spot charge fails validation.
     sc_refused: Vec<bool>,
+    /// Per market: spot legs in this slot's plans.
+    sc_spot: Vec<usize>,
 }
 
 impl PortfolioWakeupFleet {
     fn new(
         strategies: &[PortfolioStrategy],
         cfg: &PortfolioLoopConfig,
-        streams: &RngStreams,
         carry_runners: bool,
     ) -> Self {
         let n = strategies.len();
@@ -204,19 +243,20 @@ impl PortfolioWakeupFleet {
             "portfolio wakeup fleet supports < 2^32 - 1 tenants"
         );
         let m = cfg.markets.len();
-        // Identical substream reservation to the dense portfolio fleet:
-        // 0..2M+1 belong to the markets, arrivals, and the shared shock;
-        // the rest to decision shards.
-        let max_shards = n.div_ceil(SHARD_SIZE);
-        let mut chain = streams.streams(2 * m + 1 + max_shards);
-        let shard_rngs = chain.split_off(2 * m + 1);
+        let mut classes = ClassMap::default();
+        let tenants = strategies
+            .iter()
+            .map(|&s| WTenant::new(s, intern_class(&mut classes, plan_key(&s)), cfg))
+            .collect();
         PortfolioWakeupFleet {
             job: cfg.job,
             on_demand: cfg.on_demand,
             max_resubmissions: cfg.max_resubmissions,
             carry_runners,
-            tenants: strategies.iter().map(|&s| WTenant::new(s, cfg)).collect(),
+            tenants,
             done: vec![false; n],
+            classes,
+            memo: DecisionMemo::new(),
             owners: vec![Vec::new(); m],
             charges: SlotCharges::new(m),
             costs: CostTotals::new(n),
@@ -224,7 +264,6 @@ impl PortfolioWakeupFleet {
             fresh: Vec::new(),
             needy: (0..n as u32).collect(),
             active: n,
-            shard_rngs,
             live: vec![0; m],
             stats: PortfolioFleetStats {
                 swept: vec![0; m],
@@ -233,6 +272,7 @@ impl PortfolioWakeupFleet {
             sc_woken: Vec::new(),
             sc_order: Vec::new(),
             sc_refused: vec![false; m],
+            sc_spot: vec![0; m],
         }
     }
 
@@ -302,6 +342,7 @@ impl PortfolioWakeupFleet {
                         assigned: assigned as u32,
                         ran: 0,
                         running: false,
+                        report: 0,
                     });
                     live[leg.market] += 1;
                     tenant.pending -= assigned;
@@ -326,7 +367,8 @@ impl PortfolioWakeupFleet {
     }
 
     /// Advances one woken tenant against every market's report — the
-    /// dense fleet's `slot_update`, with each slot a leg ran charged to the
+    /// dense fleet's `slot_update`, with each leg's verdict read from (and
+    /// cleared in) its report bits, each slot a leg ran charged to the
     /// tenant's total here, and termination re-plans queued into `needy`
     /// (guarded against duplicates by the `needs_submit` flag). The first
     /// leg that ran in a market in `refused` leaves its billing error in
@@ -356,11 +398,11 @@ impl PortfolioWakeupFleet {
             let leg = &mut tenant.legs[k];
             let m = leg.market as usize;
             let report = &reports[m];
-            let id = leg.bid_id;
-            let started = report.started.binary_search(&id).is_ok();
-            let interrupted = report.interrupted.binary_search(&id).is_ok();
-            let finished = report.finished.binary_search(&id).is_ok();
-            let terminated = report.terminated.binary_search(&id).is_ok();
+            let bits = std::mem::take(&mut leg.report);
+            let started = bits & R_STARTED != 0;
+            let interrupted = bits & R_INTERRUPTED != 0;
+            let finished = bits & R_FINISHED != 0;
+            let terminated = bits & R_TERMINATED != 0;
             let ran = started || (leg.running && !interrupted && !terminated);
             if started {
                 leg.running = true;
@@ -414,12 +456,13 @@ impl PortfolioWakeupFleet {
                         needy.push(t);
                     }
                     // Cross-zone fallback: the next plan's home market is
-                    // the next zone over.
+                    // the next zone over (a new strategy class).
                     if let PortfolioStrategy::ZoneFallback { home, base } = tenant.strategy {
                         tenant.strategy = PortfolioStrategy::ZoneFallback {
                             home: (home + 1) % reports.len(),
                             base,
                         };
+                        tenant.class = UNCLASSIFIED;
                     }
                 } else {
                     tenant.gave_up = true;
@@ -486,37 +529,57 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
             return Ok(());
         }
         // One per-market history snapshot and one portfolio view for the
-        // whole slot, shared read-only by every shard (a plan is a pure
-        // function of the view, so this equals the dense fleet's
-        // per-tenant `decide`); identical sharded fan-out to the dense
-        // fleet: same shard cuts, same reserved RNG substreams, same
-        // order-stable merge.
+        // whole slot. Each strategy class plans once, in tenant order; a
+        // failed plan ends the pass, and its error is raised once every
+        // earlier tenant's plan has been applied, where the per-tenant
+        // order raises it.
         let histories = source.observed()?;
         let view = PortfolioView::new(&histories, self.on_demand);
-        let shards = needy.len().div_ceil(SHARD_SIZE);
-        let (shard_rngs, tenants, job) = (&self.shard_rngs, &self.tenants, self.job);
-        let plans: Vec<Vec<Result<PortfolioPlan, CoreError>>> =
-            spotbid_exec::par_map(shards, |s| {
-                let mut _rng = shard_rngs[s].clone(); // reserved, see dense
-                let lo = s * SHARD_SIZE;
-                let hi = (lo + SHARD_SIZE).min(needy.len());
-                needy[lo..hi]
-                    .iter()
-                    .map(|&i| tenants[i as usize].strategy.decide_with(&view, &job))
-                    .collect()
-            });
+        let job = self.job;
+        self.memo.clear();
+        let mut spot = std::mem::take(&mut self.sc_spot);
+        spot.iter_mut().for_each(|n| *n = 0);
+        let (mut decided, mut failure) = (0, None);
+        for &i in &needy {
+            let tenant = &mut self.tenants[i as usize];
+            if tenant.class == UNCLASSIFIED {
+                tenant.class = intern_class(&mut self.classes, plan_key(&tenant.strategy));
+            }
+            let strategy = tenant.strategy;
+            match self
+                .memo
+                .decide(tenant.class, || strategy.decide_with(&view, &job))
+            {
+                Ok(plan) => {
+                    for leg in &plan.legs {
+                        if let BidDecision::Spot { .. } = leg.decision {
+                            spot[leg.market] += 1;
+                        }
+                    }
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+            decided += 1;
+        }
+        // The wave's legs grow each market's columns and owner column
+        // once.
+        for (m, &n) in spot.iter().enumerate() {
+            source.set.reserve(m, n);
+            reserve_owners(&mut self.owners[m], source.set.market(m).submitted(), n);
+        }
+        self.sc_spot = spot;
+        reserve_pow2(&mut self.fresh, decided);
         // Serial, ordered apply: per-market bid ids and events come out
         // exactly as if each tenant had planned in turn.
-        let mut flat = plans.into_iter().flatten();
-        for &i in &needy {
-            let plan = flat
-                .next()
-                .expect("one plan per needy tenant")
-                .map_err(EngineError::Core)?;
+        for &i in &needy[..decided] {
+            let tenant = &mut self.tenants[i as usize];
             Self::apply_plan(
-                &mut self.tenants[i as usize],
+                tenant,
                 i,
-                &plan,
+                self.memo.get(tenant.class),
                 &job,
                 slot,
                 source,
@@ -525,7 +588,11 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
                 &mut self.live,
                 emit,
             )?;
+            tenant.woken = true;
             self.fresh.push(i);
+        }
+        if let Some(e) = failure {
+            return Err(EngineError::Core(e));
         }
         needy.clear();
         self.needy = needy;
@@ -545,14 +612,29 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         }
 
         // This slot's wake set: fresh plans, then every market's report
-        // owners.
+        // owners, each tenant once; a live leg's report bits go to the
+        // leg.
         let mut woken = std::mem::take(&mut self.sc_woken);
         woken.clear();
         woken.append(&mut self.fresh);
+        let tenants = &mut self.tenants;
         for (m, report) in reports.iter().enumerate() {
-            let before = woken.len();
-            push_owners(&self.owners[m], report, &mut woken);
-            self.stats.swept[m] += (woken.len() - before) as u64;
+            let swept = &mut self.stats.swept[m];
+            for_each_owner(&self.owners[m], report, |t, id, bit| {
+                *swept += 1;
+                let tenant = &mut tenants[t as usize];
+                if !tenant.woken {
+                    tenant.woken = true;
+                    woken.push(t);
+                }
+                let live = tenant
+                    .legs
+                    .iter_mut()
+                    .find(|l| l.bid_id == id && l.market as usize == m);
+                if let Some(leg) = live {
+                    leg.report |= bit;
+                }
+            });
         }
 
         if woken.is_empty() && self.running == 0 {
@@ -565,11 +647,11 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         }
 
         // Process in ascending tenant order — the dense fleet's scan
-        // order. Carried runners join only when their `Charged` events
+        // order; the fresh and per-list owner runs are mostly ascending
+        // already. Carried runners join only when their `Charged` events
         // are wanted, or when some market's spot charge is invalid: the
         // refusal must be the one the first such charge would raise.
-        woken.sort_unstable();
-        woken.dedup();
+        woken.sort();
         self.stats.woken += woken.len() as u64;
         let mut refused = std::mem::take(&mut self.sc_refused);
         for (r, report) in refused.iter_mut().zip(reports) {
@@ -593,10 +675,11 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         let mut refusal = None;
         for &t in visit {
             let tu = t as usize;
+            let tenant = &mut self.tenants[tu];
+            tenant.woken = false;
             if self.done[tu] {
                 continue;
             }
-            let tenant = &mut self.tenants[tu];
             tenant.settle(t, slot, &self.charges, &mut self.costs);
             let had_running = tenant.run_legs > 0;
             let status = Self::update_tenant(
@@ -640,26 +723,25 @@ impl SessionFleet for PortfolioWakeupFleet {
         Some(&mut self.costs)
     }
 
-    fn finals(&mut self, job: &JobSpec) -> Vec<TenantFinal> {
+    fn close(&mut self) {
         // Tenants still running at the session end owe their carried
         // slots.
         let end = self.charges.slots();
         for (t, tenant) in self.tenants.iter_mut().enumerate() {
             tenant.settle(t as u32, end, &self.charges, &mut self.costs);
         }
-        self.tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TenantFinal {
-                tag: i as u32,
-                strategy: t.strategy,
-                completed: t.completed,
-                spot_slots: t.slots_run,
-                interruptions: t.interruptions,
-                resubmissions: t.resubmissions,
-                remaining: t.remaining_work(job),
-            })
-            .collect()
+    }
+
+    fn finals<'a>(&'a self, job: &'a JobSpec) -> impl ExactSizeIterator<Item = TenantFinal> + 'a {
+        self.tenants.iter().enumerate().map(|(i, t)| TenantFinal {
+            tag: i as u32,
+            strategy: t.strategy,
+            completed: t.completed,
+            spot_slots: t.slots_run,
+            interruptions: t.interruptions,
+            resubmissions: t.resubmissions,
+            remaining: t.remaining_work(job),
+        })
     }
 }
 
@@ -674,8 +756,8 @@ pub(super) fn run(
     log: Option<&mut EventLog>,
 ) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
     let carry_runners = log.is_some();
-    let (report, fleet) = run_session(strategies, cfg, seed, faults, log, |streams| {
-        PortfolioWakeupFleet::new(strategies, cfg, streams, carry_runners)
+    let (report, fleet) = run_session(strategies, cfg, seed, faults, log, |_| {
+        PortfolioWakeupFleet::new(strategies, cfg, carry_runners)
     })?;
     Ok((report, fleet.stats))
 }

@@ -15,6 +15,12 @@
 //!   outage or by the finite-supply capacity pass included, so no other
 //!   tenant's state can change this slot.
 //!
+//! Collecting the owners also records, in a per-tenant byte column, which
+//! of the four lists named the tenant's *live* bid, plus a woken bit that
+//! keeps each tenant in the wake set once. A woken tenant reads its bits
+//! instead of searching the report (a stale id, of a bid the tenant has
+//! since replaced, wakes its owner but sets no bit).
+//!
 //! A running tenant still pays the posted price every slot (§3.2), but
 //! nothing else happens to it until the report names its bid. So running
 //! charges are settled lazily, the way `SpotMarket::settle` settles bid
@@ -29,14 +35,20 @@
 //!
 //! A slot with an empty wake set and no runner is *skipped*
 //! ([`FleetStats::skipped_slots`]); fault-free, those are exactly the
-//! dense run's zero-activity slots. Wakeups are processed in ascending
-//! tenant order, decisions fan out over the same 64-tenant shards with
-//! the same reserved RNG substreams, and bid submission stays serial in
-//! tenant order — so bid ids, event order, costs, and RNG draws are
-//! **bit-identical** to [`super::dense`] at any `SPOTBID_THREADS`
-//! (`tests/wakeup_equiv.rs`).
+//! dense run's zero-activity slots.
+//!
+//! Tenants are grouped at construction into classes of bit-identical
+//! strategies. A decision is a pure function of the strategy, the slot's
+//! price view and the session job, so each class decides once per slot
+//! and its tenants share the result; the first tenant of a failing class
+//! raises the error, as the per-tenant order would. Decisions are applied
+//! serially in ascending tenant order, after one reservation of the
+//! market's bid columns for the whole wave, and wakeups are processed in
+//! ascending tenant order — so bid ids, event order, costs, and RNG draws
+//! are **bit-identical** to [`super::dense`] at any `SPOTBID_THREADS`
+//! (`tests/wakeup_equiv.rs`). The fleet draws no randomness and reserves
+//! no substream of its own.
 
-use super::dense::SHARD_SIZE;
 use super::{
     assemble_report, spot_charge, validate, ClosedLoopConfig, ClosedLoopReport, ClosedLoopSource,
     LoopFaults, SlotCharges, TenantFinal,
@@ -46,10 +58,12 @@ use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver, Kernel};
 use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
-use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec, PriceView};
-use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
+use spotbid_core::{BidDecision, BiddingStrategy, JobSpec, PriceView};
+use spotbid_market::sim::{reserve_pow2, BidId, BidKind, BidRequest, SlotReport, WorkModel};
 use spotbid_market::units::{Hours, Price};
-use spotbid_numerics::rng::{Rng, RngStreams};
+use spotbid_numerics::rng::RngStreams;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// `bid_id` column sentinel: no live bid.
 const NO_BID: u64 = u64::MAX;
@@ -68,6 +82,20 @@ const T_COMPLETED: u8 = 1 << 2;
 const T_DONE_PENDING: u8 = 1 << 3;
 /// Queued in `needy` for a (re-)submission next `before_slot`.
 const T_NEEDS_SUBMIT: u8 = 1 << 4;
+
+// Report bits: which of the slot report's lists named a tenant's live bid
+// (the `wake` column of the single-market fleet, a leg's `report` byte in
+// the portfolio fleet).
+/// Listed in [`SlotReport::started`].
+pub(super) const R_STARTED: u8 = 1 << 0;
+/// Listed in [`SlotReport::interrupted`].
+pub(super) const R_INTERRUPTED: u8 = 1 << 1;
+/// Listed in [`SlotReport::finished`].
+pub(super) const R_FINISHED: u8 = 1 << 2;
+/// Listed in [`SlotReport::terminated`].
+pub(super) const R_TERMINATED: u8 = 1 << 3;
+/// In this slot's wake set already.
+const W_WOKEN: u8 = 1 << 4;
 
 /// Wakeup accounting for one closed-loop session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,20 +121,128 @@ pub(super) fn set_owner(owner: &mut Vec<u32>, id: BidId, t: u32) {
     owner[i] = t;
 }
 
-/// Pushes the owning tenant of every tenant bid `report` names — the
-/// slot's report-driven wake set, before sorting.
-pub(super) fn push_owners(owner: &[u32], report: &SlotReport, out: &mut Vec<u32>) {
-    for ids in [
-        &report.started,
-        &report.interrupted,
-        &report.finished,
-        &report.terminated,
+/// Calls `f(tenant, id, bit)` for every tenant bid `report` names, with
+/// the report bit of the list naming it — the slot's report-driven wake
+/// set, list by list.
+pub(super) fn for_each_owner(
+    owner: &[u32],
+    report: &SlotReport,
+    mut f: impl FnMut(u32, BidId, u8),
+) {
+    for (ids, bit) in [
+        (&report.started, R_STARTED),
+        (&report.interrupted, R_INTERRUPTED),
+        (&report.finished, R_FINISHED),
+        (&report.terminated, R_TERMINATED),
     ] {
-        for id in ids {
+        for &id in ids {
             match owner.get(id.0 as usize) {
-                Some(&t) if t != NO_OWNER => out.push(t),
+                Some(&t) if t != NO_OWNER => f(t, id, bit),
                 _ => {}
             }
+        }
+    }
+}
+
+/// Grows a bid-id → tenant column to hold every id a market will have
+/// issued after `more` submissions beyond its `submitted` so far.
+pub(super) fn reserve_owners(owner: &mut Vec<u32>, submitted: usize, more: usize) {
+    reserve_pow2(owner, (submitted + more).saturating_sub(owner.len()));
+}
+
+/// A multiplicative hasher for the fleets' fixed-width strategy keys.
+/// Classifying 50k tenants through std's SipHash costs about five times
+/// as much; the keys are not attacker-chosen.
+#[derive(Default)]
+pub(super) struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits on top; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // The keys are tuples of `u64`s, hashed through `write_u64`.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+}
+
+/// Strategy key → class index.
+pub(super) type ClassMap<K> = HashMap<K, u32, BuildHasherDefault<MulHasher>>;
+
+/// The class of `key` in `ids`, a new one (the next index) if unseen.
+pub(super) fn intern_class<K: Hash + Eq>(ids: &mut ClassMap<K>, key: K) -> u32 {
+    let next = ids.len() as u32;
+    *ids.entry(key).or_insert(next)
+}
+
+/// A strategy's identity as a class key: its variant and the bits of its
+/// parameter, so two keys are equal exactly when the strategies are
+/// bit-identical.
+pub(super) fn strategy_key(s: &BiddingStrategy) -> (u64, u64) {
+    match *s {
+        BiddingStrategy::OptimalOneTime => (0, 0),
+        BiddingStrategy::OptimalPersistent => (1, 0),
+        BiddingStrategy::Percentile(p) => (2, p.to_bits()),
+        BiddingStrategy::FixedBid(p) => (3, p.as_f64().to_bits()),
+        BiddingStrategy::BestOffline { lookback_hours } => (4, lookback_hours.to_bits()),
+        BiddingStrategy::OnDemand => (5, 0),
+    }
+}
+
+/// Each strategy class's decision for the slot being decided.
+#[derive(Debug)]
+pub(super) struct DecisionMemo<D> {
+    /// Per class: 1 + the index of its decision in `made`, 0 if undecided.
+    at: Vec<u32>,
+    /// The decisions made since the last [`clear`](Self::clear), with
+    /// their classes.
+    made: Vec<(u32, D)>,
+}
+
+impl<D> DecisionMemo<D> {
+    pub(super) fn new() -> Self {
+        DecisionMemo {
+            at: Vec::new(),
+            made: Vec::new(),
+        }
+    }
+
+    /// Class `c`'s decision, made by `decide` on the class's first use.
+    /// A failed decision is not kept.
+    pub(super) fn decide<E>(
+        &mut self,
+        c: u32,
+        decide: impl FnOnce() -> Result<D, E>,
+    ) -> Result<&D, E> {
+        let c = c as usize;
+        if self.at.len() <= c {
+            self.at.resize(c + 1, 0);
+        }
+        if self.at[c] == 0 {
+            self.made.push((c as u32, decide()?));
+            self.at[c] = self.made.len() as u32;
+        }
+        Ok(&self.made[self.at[c] as usize - 1].1)
+    }
+
+    /// Class `c`'s decision; it must have been made since the last clear.
+    pub(super) fn get(&self, c: u32) -> &D {
+        &self.made[self.at[c as usize] as usize - 1].1
+    }
+
+    /// Forgets every decision (the next slot has a new view).
+    pub(super) fn clear(&mut self) {
+        for (c, _) in self.made.drain(..) {
+            self.at[c as usize] = 0;
         }
     }
 }
@@ -144,9 +280,18 @@ struct WakeupFleet {
     /// only when the session logs events).
     carry_runners: bool,
 
+    /// One strategy per class of bit-identical tenant strategies.
+    classes: Vec<BiddingStrategy>,
+    /// This slot's decision per class.
+    memo: DecisionMemo<BidDecision>,
+
     // Struct-of-arrays tenant columns, indexed by tag.
-    strategy: Vec<BiddingStrategy>,
+    /// The tenant's index into `classes`.
+    class_of: Vec<u32>,
     flags: Vec<u8>,
+    /// `R_*` bits of this slot's report plus [`W_WOKEN`]; zero outside
+    /// `on_slot`.
+    wake: Vec<u8>,
     /// Live bid id, [`NO_BID`] when none.
     bid_id: Vec<u64>,
     slots_run: Vec<u64>,
@@ -170,7 +315,6 @@ struct WakeupFleet {
     needy: Vec<u32>,
     /// Tenants not yet [`T_DONE`] — the kernel demand and the Done check.
     active: usize,
-    shard_rngs: Vec<Rng>,
     stats: FleetStats,
 
     // Scratch buffers (steady state allocates nothing per slot).
@@ -179,22 +323,24 @@ struct WakeupFleet {
 }
 
 impl WakeupFleet {
-    fn new(
-        strategies: &[BiddingStrategy],
-        cfg: &ClosedLoopConfig,
-        streams: &RngStreams,
-        carry_runners: bool,
-    ) -> Self {
+    fn new(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig, carry_runners: bool) -> Self {
         let n = strategies.len();
         assert!(
             n < NO_OWNER as usize,
             "wakeup fleet supports < 2^32 - 1 tenants"
         );
-        // Identical substream reservation to the dense fleet: 0 and 1
-        // belong to the market and the background process, 2+ to shards.
-        let max_shards = n.div_ceil(SHARD_SIZE);
-        let mut chain = streams.streams(2 + max_shards);
-        let shard_rngs = chain.split_off(2);
+        let mut ids = ClassMap::default();
+        let mut classes = Vec::new();
+        let class_of = strategies
+            .iter()
+            .map(|s| {
+                let c = intern_class(&mut ids, strategy_key(s));
+                if c as usize == classes.len() {
+                    classes.push(*s);
+                }
+                c
+            })
+            .collect();
         WakeupFleet {
             job: cfg.job,
             on_demand: cfg.on_demand,
@@ -202,8 +348,11 @@ impl WakeupFleet {
             slots_needed: cfg.job.slots_needed(),
             max_resubmissions: cfg.max_resubmissions,
             carry_runners,
-            strategy: strategies.to_vec(),
+            classes,
+            memo: DecisionMemo::new(),
+            class_of,
             flags: vec![T_NEEDS_SUBMIT; n],
+            wake: vec![0; n],
             bid_id: vec![NO_BID; n],
             slots_run: vec![0; n],
             interruptions: vec![0; n],
@@ -216,7 +365,6 @@ impl WakeupFleet {
             fresh: Vec::new(),
             needy: (0..n as u32).collect(),
             active: n,
-            shard_rngs,
             stats: FleetStats::default(),
             sc_woken: Vec::new(),
             sc_order: Vec::new(),
@@ -250,7 +398,8 @@ impl WakeupFleet {
 
     /// Acts on a resolved strategy decision — byte-for-byte the dense
     /// fleet's `apply_decision` (its on-demand charge validated and added
-    /// here), plus the bid-owner column and the fresh-wake queue.
+    /// here), plus the bid-owner column and the fresh-wake queue (and the
+    /// tenant's woken bit).
     ///
     /// # Errors
     ///
@@ -302,14 +451,16 @@ impl WakeupFleet {
                 });
             }
         }
+        self.wake[tu] |= W_WOKEN;
         self.fresh.push(t);
         Ok(())
     }
 
     /// Advances one woken tenant against the slot report — the dense
-    /// fleet's `slot_update` over columns, with a slot it ran charged to
-    /// its total here and the running count kept. Returns whether the
-    /// tenant ran this slot.
+    /// fleet's `slot_update` over columns, with the report's verdict on
+    /// the tenant's bid read from (and cleared in) its `wake` bits, a slot
+    /// it ran charged to its total here and the running count kept.
+    /// Returns whether the tenant ran this slot.
     fn tenant_slot_update(
         &mut self,
         t: u32,
@@ -318,6 +469,7 @@ impl WakeupFleet {
         emit: &mut dyn FnMut(Event),
     ) -> bool {
         let tu = t as usize;
+        let bits = std::mem::take(&mut self.wake[tu]);
         let f = self.flags[tu];
         if f & T_DONE != 0 {
             return false;
@@ -329,11 +481,10 @@ impl WakeupFleet {
         if self.bid_id[tu] == NO_BID {
             return false;
         }
-        let id = BidId(self.bid_id[tu]);
-        let started = report.started.binary_search(&id).is_ok();
-        let interrupted = report.interrupted.binary_search(&id).is_ok();
-        let finished = report.finished.binary_search(&id).is_ok();
-        let terminated = report.terminated.binary_search(&id).is_ok();
+        let started = bits & R_STARTED != 0;
+        let interrupted = bits & R_INTERRUPTED != 0;
+        let finished = bits & R_FINISHED != 0;
+        let terminated = bits & R_TERMINATED != 0;
         let was_running = f & T_RUNNING != 0;
         let ran = started || (was_running && !interrupted && !terminated);
         if started {
@@ -428,35 +579,43 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
             self.needy = needy;
             return Ok(());
         }
-        // One history snapshot and one price view for the whole slot,
-        // shared read-only by every shard (a decision is a pure function
-        // of the view, so this equals the dense fleet's per-tenant
-        // `decide`); identical sharded fan-out to the dense fleet: same
-        // shard cuts, same reserved RNG substreams, same order-stable
-        // merge.
+        // One history snapshot and one price view for the whole slot.
+        // Each strategy class decides once, in tenant order; a failed
+        // decision ends the pass, and its error is raised once every
+        // earlier tenant's decision has been applied, where the
+        // per-tenant order raises it.
         let history = source.observed()?;
         let view = PriceView::new(&history, self.on_demand);
-        let shards = needy.len().div_ceil(SHARD_SIZE);
-        let (shard_rngs, strategy, job) = (&self.shard_rngs, &self.strategy, &self.job);
-        let decisions: Vec<Vec<Result<BidDecision, CoreError>>> =
-            spotbid_exec::par_map(shards, |s| {
-                let mut _rng = shard_rngs[s].clone(); // reserved, see dense
-                let lo = s * SHARD_SIZE;
-                let hi = (lo + SHARD_SIZE).min(needy.len());
-                needy[lo..hi]
-                    .iter()
-                    .map(|&t| strategy[t as usize].decide_with(&view, job))
-                    .collect()
-            });
+        self.memo.clear();
+        let (mut decided, mut spot, mut failure) = (0, 0, None);
+        for &t in &needy {
+            let c = self.class_of[t as usize];
+            let strategy = &self.classes[c as usize];
+            match self
+                .memo
+                .decide(c, || strategy.decide_with(&view, &self.job))
+            {
+                Ok(d) => spot += usize::from(matches!(d, BidDecision::Spot { .. })),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+            decided += 1;
+        }
+        // The wave's bids grow the market's columns and the owner column
+        // once.
+        source.market.reserve(spot);
+        reserve_owners(&mut self.owner, source.market.submitted(), spot);
+        reserve_pow2(&mut self.fresh, decided);
         // Serial, ordered apply: bid ids and events come out exactly as if
         // each tenant had decided in turn.
-        let mut flat = decisions.into_iter().flatten();
-        for &t in &needy {
-            let decision = flat
-                .next()
-                .expect("one decision per needy tenant")
-                .map_err(EngineError::Core)?;
+        for &t in &needy[..decided] {
+            let decision = *self.memo.get(self.class_of[t as usize]);
             self.apply_decision(t, decision, slot, source, emit)?;
+        }
+        if let Some(e) = failure {
+            return Err(EngineError::Core(e));
         }
         needy.clear();
         self.needy = needy;
@@ -473,11 +632,22 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
         debug_assert_eq!(self.charges.slots(), slot);
         self.charges.push(report.price, self.job.slot);
 
-        // This slot's wake set: fresh decisions plus the report's owners.
+        // This slot's wake set: fresh decisions plus the report's owners,
+        // each once; a live bid's report bits go to its owner.
         let mut woken = std::mem::take(&mut self.sc_woken);
         woken.clear();
         woken.append(&mut self.fresh);
-        push_owners(&self.owner, report, &mut woken);
+        let (bid_id, wake) = (&self.bid_id, &mut self.wake);
+        for_each_owner(&self.owner, report, |t, id, bit| {
+            let w = &mut wake[t as usize];
+            if *w & W_WOKEN == 0 {
+                *w |= W_WOKEN;
+                woken.push(t);
+            }
+            if bid_id[t as usize] == id.0 {
+                *w |= bit;
+            }
+        });
 
         if woken.is_empty() && self.running == 0 {
             // Nothing fired and nothing is running: the dense fleet would
@@ -488,11 +658,11 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
         }
 
         // Process in ascending tenant order — the dense fleet's scan
-        // order. Carried runners join only when their `Charged` events
+        // order; the fresh and per-list owner runs are mostly ascending
+        // already. Carried runners join only when their `Charged` events
         // are wanted, or when the slot's spot charge is invalid: it is
         // refused only if somebody ran this slot.
-        woken.sort_unstable();
-        woken.dedup();
+        woken.sort();
         self.stats.woken += woken.len() as u64;
         let refusal = spot_charge(slot, report.price, self.job.slot).err();
         let carry = self.carry_runners || refusal.is_some();
@@ -540,7 +710,7 @@ pub(super) fn run(
     let mut source = ClosedLoopSource::new(cfg, &streams, faults, strategies.len());
     source.warmup(cfg.warmup_slots);
 
-    let mut fleet = WakeupFleet::new(strategies, cfg, &streams, log.is_some());
+    let mut fleet = WakeupFleet::new(strategies, cfg, log.is_some());
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
@@ -552,20 +722,20 @@ pub(super) fn run(
     }
     // Runners still running at the session end owe their carried slots.
     let end = fleet.charges.slots();
-    for t in 0..fleet.strategy.len() as u32 {
+    for t in 0..fleet.flags.len() as u32 {
         fleet.settle(t, end);
     }
 
-    let finals: Vec<TenantFinal> = (0..fleet.strategy.len())
-        .map(|tu| TenantFinal {
-            tag: tu as u32,
-            strategy: fleet.strategy[tu],
-            completed: fleet.flags[tu] & T_COMPLETED != 0,
-            slots_run: fleet.slots_run[tu],
-            interruptions: fleet.interruptions[tu],
-            resubmissions: fleet.resubmissions[tu],
-        })
-        .collect();
-    let report = assemble_report(&finals, fleet.costs, &source, cfg)?;
+    let costs = std::mem::replace(&mut fleet.costs, CostTotals::new(0));
+    let f = &fleet;
+    let finals = (0..f.flags.len()).map(|tu| TenantFinal {
+        tag: tu as u32,
+        strategy: f.classes[f.class_of[tu] as usize],
+        completed: f.flags[tu] & T_COMPLETED != 0,
+        slots_run: f.slots_run[tu],
+        interruptions: f.interruptions[tu],
+        resubmissions: f.resubmissions[tu],
+    });
+    let report = assemble_report(finals, costs, &source, cfg)?;
     Ok((report, fleet.stats))
 }

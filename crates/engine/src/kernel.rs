@@ -14,7 +14,9 @@
 //! flushes to every [`Observer`] after each hook, in emission order. An
 //! observer error aborts the session *after* the flush completes, so the
 //! billing ledger has already recorded everything up to (not including) the
-//! refused charge — matching the legacy `try_charge` semantics.
+//! refused charge — matching the legacy `try_charge` semantics. A session
+//! with no observers drops events as they are emitted: nobody reads them,
+//! so nothing is buffered.
 
 use crate::clock::SimClock;
 use crate::event::Event;
@@ -144,6 +146,7 @@ impl<S: PriceSource> Kernel<S> {
     ) -> Result<StopReason, EngineError> {
         let mut done = vec![false; drivers.len()];
         let mut buf: Vec<Event> = Vec::new();
+        let listening = !observers.is_empty();
         // Multi-market sources get per-market demand; the single-market
         // path below is byte-identical to the pre-promotion kernel.
         let markets = self.source.markets();
@@ -160,7 +163,7 @@ impl<S: PriceSource> Kernel<S> {
                 if *done {
                     continue;
                 }
-                let r = driver.before_slot(slot, &mut self.source, &mut |e| buf.push(e));
+                let r = driver.before_slot(slot, &mut self.source, &mut sink(&mut buf, listening));
                 flush(&mut buf, observers)?;
                 r?;
             }
@@ -184,13 +187,14 @@ impl<S: PriceSource> Kernel<S> {
             let Some(quote) = posted else {
                 return Ok(StopReason::SourceExhausted);
             };
-            self.source.quote_events(slot, &quote, &mut |e| buf.push(e));
+            self.source
+                .quote_events(slot, &quote, &mut sink(&mut buf, listening));
             flush(&mut buf, observers)?;
             for (driver, done) in drivers.iter_mut().zip(&mut done) {
                 if *done {
                     continue;
                 }
-                let r = driver.on_slot(slot, &quote, &mut |e| buf.push(e));
+                let r = driver.on_slot(slot, &quote, &mut sink(&mut buf, listening));
                 flush(&mut buf, observers)?;
                 if r? == DriverStatus::Done {
                     *done = true;
@@ -200,6 +204,16 @@ impl<S: PriceSource> Kernel<S> {
             // its buffers next slot.
             self.source.reclaim(quote);
             self.clock.tick();
+        }
+    }
+}
+
+/// The emit callback of one hook: buffers each event for the next flush,
+/// or drops it when no observer is `listening`.
+fn sink(buf: &mut Vec<Event>, listening: bool) -> impl FnMut(Event) + '_ {
+    move |e| {
+        if listening {
+            buf.push(e);
         }
     }
 }

@@ -125,7 +125,13 @@ impl CostTotals {
         self.totals[tag as usize] += amount;
     }
 
+    /// `tag`'s total so far.
+    pub(crate) fn total(&self, tag: u32) -> Cost {
+        self.totals[tag as usize]
+    }
+
     /// Consumes the accumulator, returning the totals indexed by tag.
+    #[cfg(test)]
     pub(crate) fn into_totals(self) -> Vec<Cost> {
         self.totals
     }

@@ -319,15 +319,22 @@ fn write_str(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// The deepest nesting of arrays and objects [`from_str`] accepts. The
+/// parser recurses once per level, so an unbounded depth would let a short
+/// input of `[` characters overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Json`] tree.
 ///
 /// Accepts the full JSON grammar (RFC 8259): nested arrays/objects,
 /// escape sequences including `\uXXXX` (with surrogate pairs), and
-/// scientific-notation numbers. Trailing non-whitespace is an error.
+/// scientific-notation numbers. Trailing non-whitespace is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn from_str(s: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -344,6 +351,8 @@ pub fn from_str(s: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -405,8 +414,22 @@ impl Parser<'_> {
                 Ok(Json::Bool(false))
             }
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(JsonError::new(format!(
                 "unexpected character `{}` at byte {}",
@@ -624,6 +647,22 @@ mod tests {
         ] {
             assert!(from_str(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // 65,535 `[` fit under the server's 64 KiB frame cap; unbounded
+        // recursion over them overflowed the stack.
+        let deep = "[".repeat(65_535);
+        let e = from_str(&deep).unwrap_err();
+        assert!(e.to_string().contains("nesting deeper"), "{e}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(from_str(&objects).is_err());
+        // Exactly the limit still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str(&over).is_err());
     }
 
     #[test]

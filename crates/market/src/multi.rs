@@ -130,6 +130,12 @@ impl MarketSet {
         self.markets[m].submit(request)
     }
 
+    /// Makes room in market `m`'s bid columns for `n` more submissions
+    /// (see [`SpotMarket::reserve`]).
+    pub fn reserve(&mut self, m: usize, n: usize) {
+        self.markets[m].reserve(n);
+    }
+
     /// Schedules a capacity reclamation in market `m`'s next slot.
     pub fn reclaim_next_slot(&mut self, m: usize) {
         self.markets[m].reclaim_next_slot();

@@ -378,6 +378,15 @@ fn select_victims(
     out.sort_unstable();
 }
 
+/// Grows `v` to hold `n` more elements at the power-of-two capacity that
+/// pushing them one by one would double it to; never shrinks it.
+pub fn reserve_pow2<T>(v: &mut Vec<T>, n: usize) {
+    let target = (v.len() + n).next_power_of_two();
+    if v.capacity() < target {
+        v.reserve_exact(target - v.len());
+    }
+}
+
 /// A discrete-time spot market with endogenous prices, stored as a
 /// price-indexed bid-book.
 ///
@@ -547,6 +556,30 @@ impl SpotMarket {
     /// Current slot index (number of completed steps).
     pub fn now(&self) -> u64 {
         self.t
+    }
+
+    /// Bids submitted so far: the next [`submit`](Self::submit) returns
+    /// `BidId(submitted())`.
+    pub fn submitted(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Makes room in every bid column for `n` more submissions at once,
+    /// so a submission wave grows each column once instead of doubling it
+    /// step by step. Each column grows to `(len + n).next_power_of_two()`,
+    /// the capacity doubling would reach anyway; an exact fit would leave
+    /// the next single submission to double the whole column. Behaviour
+    /// is unchanged: ids, records and reports are the same with or without
+    /// it.
+    pub fn reserve(&mut self, n: usize) {
+        reserve_pow2(&mut self.records, n);
+        reserve_pow2(&mut self.price_of, n);
+        reserve_pow2(&mut self.flags, n);
+        reserve_pow2(&mut self.run_since, n);
+        reserve_pow2(&mut self.due, n);
+        reserve_pow2(&mut self.bucket_of, n);
+        reserve_pow2(&mut self.pos_of, n);
+        reserve_pow2(&mut self.incoming, n);
     }
 
     /// Submits a bid; it competes from the next [`step`](Self::step) on.
@@ -1806,5 +1839,84 @@ mod tests {
         assert_eq!(rep.capacity, 4);
         assert!(rep.mean_utilization > 0.99, "all servers busy");
         assert_eq!(rep.peak_price, bound.price);
+    }
+
+    impl SpotMarket {
+        /// `(len, capacity)` of every bid column [`SpotMarket::reserve`]
+        /// grows.
+        fn column_shapes(&self) -> [(usize, usize); 8] {
+            [
+                (self.records.len(), self.records.capacity()),
+                (self.price_of.len(), self.price_of.capacity()),
+                (self.flags.len(), self.flags.capacity()),
+                (self.run_since.len(), self.run_since.capacity()),
+                (self.due.len(), self.due.capacity()),
+                (self.bucket_of.len(), self.bucket_of.capacity()),
+                (self.pos_of.len(), self.pos_of.capacity()),
+                (self.incoming.len(), self.incoming.capacity()),
+            ]
+        }
+    }
+
+    #[test]
+    fn reserve_then_submit_matches_submit_only() {
+        // Random waves into an unbounded and a finite market: reserving
+        // before each wave changes no id, record or step report, and
+        // grows no column past the power of two doubling would reach.
+        let mut g = Rng::seed_from_u64(0x02E5_E2FE);
+        for round in 0..12u64 {
+            let fresh = || {
+                if round % 2 == 0 {
+                    market()
+                } else {
+                    finite_market(300, 40)
+                }
+            };
+            let (mut plain, mut reserved) = (fresh(), fresh());
+            let (mut ra, mut rb) = (Rng::seed_from_u64(round), Rng::seed_from_u64(round));
+            for slot in 0..30 {
+                let n = if slot == 0 {
+                    500 + g.range_usize(3000)
+                } else {
+                    g.range_usize(60)
+                };
+                let before = reserved.column_shapes();
+                reserved.reserve(n);
+                for (k, (b, a)) in before.iter().zip(reserved.column_shapes()).enumerate() {
+                    let pow2 = (b.0 + n).next_power_of_two();
+                    assert_eq!(a.0, b.0, "column {k}: reserve changed its length");
+                    assert!(a.1 >= b.0 + n, "column {k}: {a:?} cannot hold {n} more");
+                    assert!(
+                        a.1 <= b.1.max(pow2),
+                        "column {k}: capacity {} beyond {pow2} (was {})",
+                        a.1,
+                        b.1
+                    );
+                }
+                for _ in 0..n {
+                    let request = BidRequest {
+                        price: Price::new(g.range_f64(0.02, 0.35)),
+                        kind: if g.chance(0.5) {
+                            BidKind::Persistent
+                        } else {
+                            BidKind::OneTime
+                        },
+                        work: if g.chance(0.3) {
+                            WorkModel::Geometric
+                        } else {
+                            WorkModel::FixedSlots(1 + g.range_usize(8) as u32)
+                        },
+                    };
+                    assert_eq!(plain.submitted(), reserved.submitted());
+                    assert_eq!(plain.submit(request), reserved.submit(request));
+                }
+                let (x, y) = (plain.step(&mut ra), reserved.step(&mut rb));
+                assert_eq!(x, y, "round {round}, slot {slot}");
+                plain.recycle(x);
+                reserved.recycle(y);
+            }
+            assert_eq!(plain.records(), reserved.records(), "round {round}");
+            assert_eq!(plain.provider_slots(), reserved.provider_slots());
+        }
     }
 }

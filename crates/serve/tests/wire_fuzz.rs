@@ -2,13 +2,16 @@
 //! session, `wire::parse_request` must return, never panic, and every
 //! failure must be one of the parser's typed kinds with a diagnostic.
 //!
-//! Three input families, from one std-only generator so a failing case
+//! Four input families, from one std-only generator so a failing case
 //! replays from its seed:
 //!
 //! - random bytes (decoded as the server decodes a line, lossily);
 //! - every truncation of each valid frame;
 //! - valid frames with a few bytes flipped, inserted, deleted or
-//!   replaced by JSON punctuation.
+//!   replaced by JSON punctuation;
+//! - deeply nested frames up to the 64 KiB frame cap. These exercise
+//!   the parser's recursion, so an unbounded depth would abort the
+//!   process with a stack overflow, which no `catch_unwind` can catch.
 
 use spotbid_serve::wire::{parse_request, ErrorKind, Request, WireError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -166,4 +169,45 @@ fn mutated_frames_never_panic() {
         parsed > 0 && refused > 0,
         "{parsed} parsed, {refused} refused"
     );
+}
+
+/// The server's per-line frame cap.
+const FRAME_CAP: usize = 64 * 1024;
+
+#[test]
+fn deeply_nested_frames_are_refused_not_overflowed() {
+    let mut g = Gen(SEED ^ 0x00DE_E9E5);
+    // The worst cases first: one bracket kind repeated to the frame cap,
+    // bare and inside a field of a valid frame.
+    let mut frames = vec![
+        "[".repeat(FRAME_CAP - 1),
+        "{\"a\":".repeat((FRAME_CAP - 1) / 5),
+        format!(
+            r#"{{"op":"advise","ts_hours":{}"#,
+            "[".repeat(FRAME_CAP - 40)
+        ),
+    ];
+    // Then random mixes of openers, closers and values at random depths.
+    for _ in 0..64 {
+        let depth = 200 + g.below(FRAME_CAP / 8);
+        let mut f = String::with_capacity(depth * 6);
+        for _ in 0..depth {
+            match g.below(3) {
+                0 => f.push('['),
+                1 => f.push_str(r#"{"k":"#),
+                _ => f.push_str("[1,"),
+            }
+        }
+        if g.below(2) == 0 {
+            f.push_str(&"]".repeat(depth));
+        }
+        frames.push(f);
+    }
+    for (case, f) in frames.iter().enumerate() {
+        assert!(f.len() < FRAME_CAP, "case {case} exceeds the frame cap");
+        assert!(
+            !check(f.as_bytes(), &format!("nested case {case}")),
+            "nested case {case} parsed"
+        );
+    }
 }

@@ -14,13 +14,21 @@
 //! per-slot table. The unlogged tests hold that path — the one every
 //! caller that does not log runs — to the dense oracles directly, under
 //! capacity reclamations and under finite supply.
+//!
+//! The wave tests hold the slot-0 submission wave itself: sessions of one
+//! or two horizon slots, where every tenant decides against the same view
+//! and the event-driven fleets decide once per distinct strategy. They run
+//! a mix of repeated strategies (memo hits, on-demand tenants included)
+//! and an all-distinct mix (memo misses only), logged and unlogged; the
+//! two-slot sessions add the resubmissions of the wave's rejected bids,
+//! so the owner columns hold superseded ids.
 
 use spotbid::core::{BiddingStrategy, JobSpec, PortfolioStrategy};
 use spotbid::engine::closedloop::{dense, portfolio};
 use spotbid::engine::{
     run_closed_loop_logged, run_closed_loop_with_stats, run_portfolio_loop_logged,
-    run_portfolio_loop_with_stats, Bill, ClosedLoopConfig, Event, LoopFaults, PortfolioLoopConfig,
-    PortfolioMarket, UsageKind,
+    run_portfolio_loop_with_stats, Bill, ClosedLoopConfig, ClosedLoopReport, Event, LoopFaults,
+    PortfolioLoopConfig, PortfolioMarket, PortfolioReport, UsageKind,
 };
 use spotbid::market::units::{Cost, Hours, Price};
 use spotbid::market::{MarketParams, ProviderPolicy, Supply};
@@ -306,4 +314,176 @@ fn unlogged_finite_supply_portfolio_matches_the_dense_oracle() {
         reclaims > 0,
         "capacity never bound: the test proved nothing"
     );
+}
+
+/// Every tenant its own strategy: fixed bids on `n` distinct prices.
+fn distinct_bids(n: usize) -> Vec<BiddingStrategy> {
+    (0..n)
+        .map(|i| BiddingStrategy::FixedBid(Price::new(0.03 + 0.3 * i as f64 / n as f64)))
+        .collect()
+}
+
+/// Whether any bid was submitted after the slot-0 wave.
+fn resubmitted_after_the_wave(events: &[Event]) -> bool {
+    events
+        .iter()
+        .any(|e| matches!(e, Event::BidSubmitted { slot, .. } if *slot > 0))
+}
+
+/// A wave-dominated single-market session, logged and unlogged, against
+/// the dense oracle; returns the oracle's report and events.
+fn single_wave(
+    strats: &[BiddingStrategy],
+    horizon: usize,
+    seed: u64,
+) -> (ClosedLoopReport, Vec<Event>) {
+    let cfg = ClosedLoopConfig {
+        horizon_slots: horizon,
+        ..single_config()
+    };
+    let (logged, events, _) = run_closed_loop_logged(strats, &cfg, seed, None).unwrap();
+    let (unlogged, _) = run_closed_loop_with_stats(strats, &cfg, seed, None).unwrap();
+    let (oracle, oracle_events) = dense::run_closed_loop_logged(strats, &cfg, seed, None).unwrap();
+    assert_eq!(logged, oracle, "logged report diverged (horizon {horizon})");
+    assert_eq!(
+        unlogged, oracle,
+        "unlogged report diverged (horizon {horizon})"
+    );
+    assert_same_events(&events, &oracle_events);
+    (oracle, oracle_events)
+}
+
+#[test]
+fn single_market_wave_matches_the_dense_oracle() {
+    let repeated = single_strategies();
+    let distinct = distinct_bids(TENANTS);
+    for horizon in [1, 2] {
+        let seed = 0x3A_7E00 + horizon as u64;
+        let (r, events) = single_wave(&repeated, horizon, seed);
+        let on_demand = r
+            .tenants
+            .iter()
+            .filter(|t| t.strategy == BiddingStrategy::OnDemand)
+            .all(|t| t.completed && t.spot_slots == 0);
+        assert!(on_demand, "an on-demand tenant ran on spot");
+        // The wave's rejected bids queue resubmissions; the second slot
+        // submits them.
+        assert!(r.tenants.iter().any(|t| t.resubmissions > 0));
+        assert_eq!(resubmitted_after_the_wave(&events), horizon == 2);
+        let (d, _) = single_wave(&distinct, horizon, seed);
+        assert!(
+            d.tenants.iter().any(|t| t.spot_slots > 0),
+            "no distinct bid ran"
+        );
+    }
+    // A failing strategy mid-wave: both fleets refuse the session alike.
+    let mut failing = repeated.clone();
+    failing[TENANTS / 2] = BiddingStrategy::Percentile(1.5);
+    let cfg = ClosedLoopConfig {
+        horizon_slots: 1,
+        ..single_config()
+    };
+    let fast = run_closed_loop_with_stats(&failing, &cfg, 0x3A_7E01, None).unwrap_err();
+    let oracle = dense::run_closed_loop_logged(&failing, &cfg, 0x3A_7E01, None).unwrap_err();
+    assert_eq!(fast, oracle);
+}
+
+/// A wave-dominated portfolio session, logged and unlogged, against the
+/// dense oracle; returns the oracle's report and events.
+fn portfolio_wave(
+    strats: &[PortfolioStrategy],
+    horizon: usize,
+    seed: u64,
+) -> (PortfolioReport, Vec<Event>) {
+    let cfg = PortfolioLoopConfig {
+        horizon_slots: horizon,
+        ..portfolio_config()
+    };
+    let (logged, events, _) = run_portfolio_loop_logged(strats, &cfg, seed, None).unwrap();
+    let (unlogged, _) = run_portfolio_loop_with_stats(strats, &cfg, seed, None).unwrap();
+    let (oracle, oracle_events) =
+        portfolio::dense::run_portfolio_loop_logged(strats, &cfg, seed, None).unwrap();
+    assert_eq!(logged, oracle, "logged report diverged (horizon {horizon})");
+    assert_eq!(
+        unlogged, oracle,
+        "unlogged report diverged (horizon {horizon})"
+    );
+    assert_same_events(&events, &oracle_events);
+    (oracle, oracle_events)
+}
+
+#[test]
+fn portfolio_wave_matches_the_dense_oracle() {
+    let repeated = portfolio_strategies();
+    // Every tenant distinct: its own fixed bid in every family.
+    let distinct: Vec<PortfolioStrategy> = distinct_bids(TENANTS / 4)
+        .into_iter()
+        .enumerate()
+        .map(|(i, base)| match i % 3 {
+            0 => PortfolioStrategy::ZoneFallback { home: i % 3, base },
+            1 => PortfolioStrategy::SplitEven { base },
+            _ => PortfolioStrategy::Contract {
+                spot_share: 0.5,
+                base,
+            },
+        })
+        .collect();
+    for horizon in [1, 2] {
+        let seed = 0x9A_7E00 + horizon as u64;
+        let (r, events) = portfolio_wave(&repeated, horizon, seed);
+        assert!(r.tenants.iter().any(|t| t.resubmissions > 0));
+        assert_eq!(resubmitted_after_the_wave(&events), horizon == 2);
+        let (d, _) = portfolio_wave(&distinct, horizon, seed);
+        assert!(
+            d.tenants.iter().any(|t| t.spot_slots > 0),
+            "no distinct leg ran"
+        );
+    }
+}
+
+#[test]
+fn rotating_zone_fallback_tenants_plan_for_their_current_home() {
+    // One starting strategy, one-time bids into three small finite
+    // markets. Identical tenants move in lockstep until the capacity pass
+    // lets a few of them run; outages then terminate those runners while
+    // the rest keep rotating, so tenants of one starting strategy re-plan
+    // side by side for different home markets.
+    let mut cfg = portfolio_config();
+    for market in &mut cfg.markets {
+        market.supply = Supply::Finite {
+            capacity: 40,
+            policy: ProviderPolicy::StaticSplit { reserved: 4 },
+        };
+    }
+    cfg.max_resubmissions = 40;
+    let total = cfg.warmup_slots + cfg.horizon_slots;
+    let faults: Vec<LoopFaults> = (0..3)
+        .map(|m| LoopFaults {
+            gap: Vec::new(),
+            reclaim: (0..total)
+                .map(|s| s > cfg.warmup_slots && s % 7 == 2 * m)
+                .collect(),
+        })
+        .collect();
+    let strats = vec![
+        PortfolioStrategy::ZoneFallback {
+            home: 0,
+            base: BiddingStrategy::OptimalOneTime,
+        };
+        600
+    ];
+    let seed = 0x20_7A7E;
+    let (fast, _) = run_portfolio_loop_with_stats(&strats, &cfg, seed, Some(&faults)).unwrap();
+    let (oracle, _) =
+        portfolio::dense::run_portfolio_loop_logged(&strats, &cfg, seed, Some(&faults)).unwrap();
+    assert_eq!(fast, oracle, "reports diverged");
+    let homes: std::collections::BTreeSet<usize> = fast
+        .tenants
+        .iter()
+        .filter_map(|t| match t.strategy {
+            PortfolioStrategy::ZoneFallback { home, .. } => Some(home),
+            _ => None,
+        })
+        .collect();
+    assert!(homes.len() > 1, "every tenant ended at home {homes:?}");
 }
