@@ -692,6 +692,37 @@ fn engine_scale_benches(h: &mut Harness) {
             run_closed_loop(black_box(&strategies), black_box(&busy_cfg), 0x5CA1E).unwrap()
         });
 
+    // The completion slot: the same 4 h job over exactly 48 horizon
+    // slots, so the slot-0 cohort (about half the tenants) finishes in the
+    // session's last slot, where the market and the fleet settle every
+    // finisher's 48 charges. The 47-slot twin stops one slot short (its
+    // runners are settled by the session end instead); the difference is
+    // the completion slot's own cost.
+    let cohort_cfg = |horizon| spotbid_engine::ClosedLoopConfig {
+        horizon_slots: horizon,
+        ..busy_cfg
+    };
+    let (cohort_48, cohort_47) = (cohort_cfg(48), cohort_cfg(47));
+    let cohort = h
+        .group("engine_scale")
+        .throughput_items(50_000)
+        .bench("closed_loop_cohort/50k_tenants_48_slots", || {
+            run_closed_loop(black_box(&strategies), black_box(&cohort_48), 0x5CA1E).unwrap()
+        });
+    let short = h
+        .group("engine_scale")
+        .throughput_items(50_000)
+        .bench("closed_loop_cohort/50k_tenants_47_slots", || {
+            run_closed_loop(black_box(&strategies), black_box(&cohort_47), 0x5CA1E).unwrap()
+        });
+    println!();
+    println!(
+        "completion slot, 50k tenants: {} ({} -> {})",
+        fmt_ns((cohort.median_ns - short.median_ns).max(0.0)),
+        fmt_ns(short.median_ns),
+        fmt_ns(cohort.median_ns)
+    );
+
     // The skip path in isolation: a quiet-slot-dominated session —
     // FixedBid($0.03) sits below the crowded-market price floor, so after
     // the slot-0 submission wave no tenant's state ever changes and the

@@ -313,62 +313,6 @@ struct TenantFinal {
     resubmissions: u32,
 }
 
-/// The spot charge `price × slot_len` of every slot a wakeup fleet has
-/// advanced, slot-major across the session's markets: the replay table its
-/// lazy settlement adds from, as `SpotMarket::settle` replays the market's
-/// own per-slot table for bid records.
-#[derive(Debug)]
-pub(crate) struct SlotCharges {
-    markets: usize,
-    amounts: Vec<Cost>,
-}
-
-impl SlotCharges {
-    /// An empty table over `markets` markets.
-    pub(crate) fn new(markets: usize) -> Self {
-        SlotCharges {
-            markets,
-            amounts: Vec::new(),
-        }
-    }
-
-    /// Records the next market's charge for the current slot (call once
-    /// per market, in market order, every slot).
-    pub(crate) fn push(&mut self, price: Price, slot_len: Hours) {
-        self.amounts.push(price * slot_len);
-    }
-
-    /// The charge of `slot` in `market`.
-    pub(crate) fn at(&self, slot: u64, market: usize) -> Cost {
-        self.amounts[slot as usize * self.markets + market]
-    }
-
-    /// Slots recorded so far.
-    pub(crate) fn slots(&self) -> u64 {
-        (self.amounts.len() / self.markets) as u64
-    }
-
-    /// Adds tenant `tag`'s spot charges for slots `[since, end)` to its
-    /// total: slot by slot, one charge per entry of `markets` in the order
-    /// given. That is the float-addition sequence of eager accrual, which
-    /// charges each running leg every slot in plan order, provided the
-    /// running set did not change inside the range.
-    pub(crate) fn settle(
-        &self,
-        costs: &mut CostTotals,
-        tag: u32,
-        since: u64,
-        end: u64,
-        markets: impl Iterator<Item = usize> + Clone,
-    ) {
-        for slot in since..end {
-            for m in markets.clone() {
-                costs.add(tag, self.at(slot, m));
-            }
-        }
-    }
-}
-
 /// Validates slot `slot`'s spot charge the way each of its `Charged`
 /// items is validated. The refusal names only the price and the slot, so
 /// it is the same for every tenant that ran.
@@ -544,6 +488,7 @@ pub fn run_closed_loop_logged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotbid_market::sim::ChargeTable;
 
     fn config() -> ClosedLoopConfig {
         ClosedLoopConfig {
@@ -699,12 +644,12 @@ mod tests {
         for round in 0..24 {
             let markets = 1 + round % 3;
             let slots = 1 + rng.range_f64(0.0, 150.0) as u64;
-            let mut charges = SlotCharges::new(markets);
+            let mut charges = ChargeTable::new(markets);
             for _ in 0..slots {
                 for _ in 0..markets {
                     // Prices with long mantissas, so the order of the
                     // additions shows in the sums.
-                    charges.push(Price::new(rng.range_f64(0.0, 0.4) / 3.0), slot_len);
+                    charges.push(Price::new(rng.range_f64(0.0, 0.4) / 3.0) * slot_len);
                 }
             }
             assert_eq!(charges.slots(), slots);
@@ -738,7 +683,8 @@ mod tests {
                 // the wake slot itself; the session end settles the rest.
                 let (mut since, mut running) = (0, Vec::new());
                 for (w, ran, keeps) in &st.wakes {
-                    charges.settle(&mut lazy, t, since, *w, running.iter().copied());
+                    let total = lazy.total_mut(t);
+                    *total = charges.settle(*total, since, *w, running.iter().copied());
                     carried += (*w - since) * running.len() as u64;
                     for m in markets_of(ran) {
                         lazy.add(t, charges.at(*w, m));
@@ -752,7 +698,8 @@ mod tests {
                 if !running.is_empty() && since < slots {
                     open_at_end += 1;
                 }
-                charges.settle(&mut lazy, t, since, slots, running.iter().copied());
+                let total = lazy.total_mut(t);
+                *total = charges.settle(*total, since, slots, running.iter().copied());
             }
             let (e, l) = (eager.into_totals(), lazy.into_totals());
             for (t, (e, l)) in e.iter().zip(&l).enumerate() {

@@ -20,7 +20,7 @@
 //!
 //! Running legs accrue their market's posted price every slot (§3.2) and
 //! are settled lazily: each slot's per-market `price × job.slot` goes into
-//! a [`SlotCharges`] table, and a woken tenant first replays its carried
+//! a [`ChargeTable`], and a woken tenant first replays its carried
 //! slots `[run_since, slot)` slot by slot over its running legs in plan
 //! order. That set cannot change between wakes, so this is the dense
 //! fleet's float-addition order. The session end settles every tenant
@@ -48,14 +48,16 @@ use crate::closedloop::wakeup::{
     for_each_owner, intern_class, reserve_owners, set_owner, strategy_key, with_runners, ClassMap,
     DecisionMemo, NO_OWNER, R_FINISHED, R_INTERRUPTED, R_STARTED, R_TERMINATED,
 };
-use crate::closedloop::{spot_charge, LoopFaults, SlotCharges};
+use crate::closedloop::{spot_charge, LoopFaults};
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver};
 use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
 use spotbid_core::{BidDecision, JobSpec};
-use spotbid_market::sim::{reserve_pow2, BidId, BidKind, BidRequest, SlotReport, WorkModel};
+use spotbid_market::sim::{
+    reserve_pow2, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
+};
 use spotbid_market::units::{Hours, Price};
 
 /// Wakeup accounting for one portfolio session — the multi-market
@@ -168,13 +170,14 @@ impl WTenant {
 
     /// Charges the running legs their carried slots `[run_since, end)`,
     /// slot by slot in plan order, and moves `run_since` to `end`.
-    fn settle(&mut self, t: u32, end: u64, charges: &SlotCharges, costs: &mut CostTotals) {
+    fn settle(&mut self, t: u32, end: u64, charges: &mut ChargeTable, costs: &mut CostTotals) {
         if self.run_legs == 0 {
             return;
         }
         let since = self.run_since;
         let running = self.legs.iter().filter(|l| l.running);
-        charges.settle(costs, t, since, end, running.map(|l| l.market as usize));
+        let total = costs.total_mut(t);
+        *total = charges.settle(*total, since, end, running.map(|l| l.market as usize));
         let n = end - since;
         for leg in self.legs.iter_mut().filter(|l| l.running) {
             leg.ran += n as u32;
@@ -207,7 +210,7 @@ struct PortfolioWakeupFleet {
     /// none).
     owners: Vec<Vec<u32>>,
     /// Every advanced slot's per-market spot charge.
-    charges: SlotCharges,
+    charges: ChargeTable,
     /// Per-tenant cost totals: on-demand charges, settled spot charges.
     costs: CostTotals,
     /// Tenants with ≥ 1 running leg.
@@ -258,7 +261,7 @@ impl PortfolioWakeupFleet {
             classes,
             memo: DecisionMemo::new(),
             owners: vec![Vec::new(); m],
-            charges: SlotCharges::new(m),
+            charges: ChargeTable::new(m),
             costs: CostTotals::new(n),
             running: 0,
             fresh: Vec::new(),
@@ -380,7 +383,7 @@ impl PortfolioWakeupFleet {
         t: u32,
         slot: u64,
         reports: &[SlotReport],
-        charges: &SlotCharges,
+        charges: &ChargeTable,
         costs: &mut CostTotals,
         refused: &[bool],
         refusal: &mut Option<EngineError>,
@@ -608,7 +611,7 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         self.stats.slots += 1;
         debug_assert_eq!(self.charges.slots(), slot);
         for report in reports {
-            self.charges.push(report.price, self.job.slot);
+            self.charges.push(report.price * self.job.slot);
         }
 
         // This slot's wake set: fresh plans, then every market's report
@@ -680,7 +683,7 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
             if self.done[tu] {
                 continue;
             }
-            tenant.settle(t, slot, &self.charges, &mut self.costs);
+            tenant.settle(t, slot, &mut self.charges, &mut self.costs);
             let had_running = tenant.run_legs > 0;
             let status = Self::update_tenant(
                 tenant,
@@ -728,7 +731,7 @@ impl SessionFleet for PortfolioWakeupFleet {
         // slots.
         let end = self.charges.slots();
         for (t, tenant) in self.tenants.iter_mut().enumerate() {
-            tenant.settle(t as u32, end, &self.charges, &mut self.costs);
+            tenant.settle(t as u32, end, &mut self.charges, &mut self.costs);
         }
     }
 

@@ -24,9 +24,9 @@
 //! A running tenant still pays the posted price every slot (§3.2), but
 //! nothing else happens to it until the report names its bid. So running
 //! charges are settled lazily, the way `SpotMarket::settle` settles bid
-//! records: each slot's `price × job.slot` goes into a [`SlotCharges`]
-//! table, a woken runner first adds its carried slots `[run_since, slot)`
-//! from the table and is then processed for the current slot as usual,
+//! records: each slot's `price × job.slot` goes into a [`ChargeTable`],
+//! a woken runner first adds its carried slots `[run_since, slot)` from
+//! the table and is then processed for the current slot as usual,
 //! and the session end settles every runner still running. Per tenant
 //! that is the dense fleet's float-addition order, so costs are
 //! bit-identical. The fleet keeps no list of runners, only their count;
@@ -51,7 +51,7 @@
 
 use super::{
     assemble_report, spot_charge, validate, ClosedLoopConfig, ClosedLoopReport, ClosedLoopSource,
-    LoopFaults, SlotCharges, TenantFinal,
+    LoopFaults, TenantFinal,
 };
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
@@ -59,7 +59,9 @@ use crate::kernel::{DriverStatus, JobDriver, Kernel};
 use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::{BidDecision, BiddingStrategy, JobSpec, PriceView};
-use spotbid_market::sim::{reserve_pow2, BidId, BidKind, BidRequest, SlotReport, WorkModel};
+use spotbid_market::sim::{
+    reserve_pow2, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
+};
 use spotbid_market::units::{Hours, Price};
 use spotbid_numerics::rng::RngStreams;
 use std::collections::HashMap;
@@ -303,7 +305,7 @@ struct WakeupFleet {
     /// Owning tenant per market bid id, [`NO_OWNER`] for background bids.
     owner: Vec<u32>,
     /// Every advanced slot's spot charge, for lazy settlement.
-    charges: SlotCharges,
+    charges: ChargeTable,
     /// Per-tenant cost totals: on-demand charges, settled spot charges.
     costs: CostTotals,
     /// Tenants currently running (flagged [`T_RUNNING`]).
@@ -359,7 +361,7 @@ impl WakeupFleet {
             resubmissions: vec![0; n],
             run_since: vec![0; n],
             owner: Vec::new(),
-            charges: SlotCharges::new(1),
+            charges: ChargeTable::new(1),
             costs: CostTotals::new(n),
             running: 0,
             fresh: Vec::new(),
@@ -390,8 +392,8 @@ impl WakeupFleet {
             return;
         }
         let since = self.run_since[tu];
-        self.charges
-            .settle(&mut self.costs, t, since, end, std::iter::once(0));
+        let total = self.costs.total_mut(t);
+        *total = self.charges.settle(*total, since, end, std::iter::once(0));
         self.slots_run[tu] += end - since;
         self.run_since[tu] = end;
     }
@@ -630,7 +632,7 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
     ) -> Result<DriverStatus, EngineError> {
         self.stats.slots += 1;
         debug_assert_eq!(self.charges.slots(), slot);
-        self.charges.push(report.price, self.job.slot);
+        self.charges.push(report.price * self.job.slot);
 
         // This slot's wake set: fresh decisions plus the report's owners,
         // each once; a live bid's report bits go to its owner.

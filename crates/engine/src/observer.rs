@@ -130,6 +130,11 @@ impl CostTotals {
         self.totals[tag as usize]
     }
 
+    /// `tag`'s total, for lazy settlement to fold charges into.
+    pub(crate) fn total_mut(&mut self, tag: u32) -> &mut Cost {
+        &mut self.totals[tag as usize]
+    }
+
     /// Consumes the accumulator, returning the totals indexed by tag.
     #[cfg(test)]
     pub(crate) fn into_totals(self) -> Vec<Cost> {

@@ -387,6 +387,149 @@ pub fn reserve_pow2<T>(v: &mut Vec<T>, n: usize) {
     }
 }
 
+/// The spot charge `price × slot_len` of every completed slot of one or
+/// more markets, slot-major: the append-only replay table that lazy
+/// settlement folds. The market settles its bid records from its own
+/// table; the closed-loop fleets settle tenant totals from theirs.
+///
+/// Bids and tenants that started together and finish together settle the
+/// same slots from the same starting total, so [`settle`](Self::settle)
+/// remembers its recent folds and a finishing cohort replays the table
+/// once. The memo is a direct-mapped inline table keyed by the bits of
+/// the starting total, `since`, `end` and the leg sequence, compared in
+/// full. The key fixes every operand of the fold, since entries below
+/// `end` never change once pushed, so a hit returns exactly the bits the
+/// loop would compute.
+#[derive(Debug, Clone)]
+pub struct ChargeTable {
+    markets: usize,
+    amounts: Vec<Cost>,
+    memo: [Fold; MEMO_SLOTS],
+}
+
+/// Entries of a [`ChargeTable`]'s memo (a power of two).
+const MEMO_SLOTS: usize = 8;
+
+/// One remembered fold; `legs == 0` marks an empty entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fold {
+    start: u64,
+    since: u64,
+    end: u64,
+    legs: u64,
+    sum: u64,
+}
+
+impl ChargeTable {
+    /// An empty table over `markets` markets.
+    pub fn new(markets: usize) -> Self {
+        ChargeTable {
+            markets,
+            amounts: Vec::new(),
+            memo: [Fold::default(); MEMO_SLOTS],
+        }
+    }
+
+    /// Records the next market's charge for the current slot (call once
+    /// per market, in market order, every slot).
+    pub fn push(&mut self, charge: Cost) {
+        self.amounts.push(charge);
+    }
+
+    /// The charge of `slot` in `market`.
+    pub fn at(&self, slot: u64, market: usize) -> Cost {
+        self.amounts[slot as usize * self.markets + market]
+    }
+
+    /// Slots recorded so far.
+    pub fn slots(&self) -> u64 {
+        (self.amounts.len() / self.markets) as u64
+    }
+
+    /// `start` plus the charges of slots `[since, end)`: slot by slot, one
+    /// charge per entry of `markets` in the order given, added left to
+    /// right — the float-addition sequence of eager per-slot accrual, bit
+    /// for bit. A sequence of up to eight markets below 255 is remembered;
+    /// a longer one is folded afresh.
+    pub fn settle(
+        &mut self,
+        start: Cost,
+        since: u64,
+        end: u64,
+        markets: impl Iterator<Item = usize> + Clone,
+    ) -> Cost {
+        let (table, stride) = (&self.amounts[..], self.markets);
+        let Some(legs) = pack_legs(markets.clone()) else {
+            return fold_charges(table, stride, markets, start, since, end);
+        };
+        let start_bits = start.as_f64().to_bits();
+        let e = &mut self.memo[memo_slot(start_bits, since, end, legs)];
+        if e.legs == legs && e.start == start_bits && e.since == since && e.end == end {
+            return Cost::new(f64::from_bits(e.sum));
+        }
+        let sum = fold_charges(table, stride, unpack_legs(legs), start, since, end);
+        *e = Fold {
+            start: start_bits,
+            since,
+            end,
+            legs,
+            sum: sum.as_f64().to_bits(),
+        };
+        sum
+    }
+}
+
+/// Packs up to eight market indices below 255 exactly into one word: byte
+/// `k` holds leg `k`'s market plus one, and the first zero byte ends the
+/// sequence. `None` when there are none, more than eight, or one of them
+/// is 255 or more.
+fn pack_legs(markets: impl IntoIterator<Item = usize>) -> Option<u64> {
+    let mut bits = 0u64;
+    for (k, m) in markets.into_iter().enumerate() {
+        if k == 8 || m >= 255 {
+            return None;
+        }
+        bits |= (m as u64 + 1) << (8 * k);
+    }
+    (bits != 0).then_some(bits)
+}
+
+/// The markets [`pack_legs`] packed, in order.
+fn unpack_legs(mut bits: u64) -> impl Iterator<Item = usize> + Clone {
+    std::iter::from_fn(move || {
+        let b = bits & 0xFF;
+        bits >>= 8;
+        (b != 0).then(|| b as usize - 1)
+    })
+}
+
+/// The lazy-settlement fold: `start` plus, slot by slot over
+/// `[since, end)`, the charge of each market of `legs` in order, left to
+/// right, over a slot-major `table` of `stride` markets per slot.
+fn fold_charges(
+    table: &[Cost],
+    stride: usize,
+    legs: impl Iterator<Item = usize> + Clone,
+    start: Cost,
+    since: u64,
+    end: u64,
+) -> Cost {
+    let mut acc = start;
+    for slot in since..end {
+        let row = &table[slot as usize * stride..][..stride];
+        for m in legs.clone() {
+            acc += row[m];
+        }
+    }
+    acc
+}
+
+/// The memo entry a key maps to.
+fn memo_slot(start: u64, since: u64, end: u64, legs: u64) -> usize {
+    let h = start ^ since.rotate_left(21) ^ end.rotate_left(42) ^ legs.rotate_left(7);
+    (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
 /// A discrete-time spot market with endogenous prices, stored as a
 /// price-indexed bid-book.
 ///
@@ -438,7 +581,7 @@ pub struct SpotMarket {
     /// `price_t × slot_len` for every completed slot: the replay table
     /// that settles lazy charges in the same order, with the same
     /// floating-point operands, as the naive per-slot accrual.
-    slot_charge: Vec<Cost>,
+    slot_charge: ChargeTable,
     /// Running geometric bids, ascending by id — the per-slot RNG draw
     /// order (one `chance(θ)` each, matching the naive submission-order
     /// scan).
@@ -522,7 +665,7 @@ impl SpotMarket {
             incoming: Vec::new(),
             open_count: 0,
             prev_price: f64::INFINITY,
-            slot_charge: Vec::new(),
+            slot_charge: ChargeTable::new(1),
             geo_run: Vec::new(),
             calendar: BTreeMap::new(),
             parked: Vec::new(),
@@ -769,7 +912,7 @@ impl SpotMarket {
         };
         report.price = price;
         let pf = price.as_f64();
-        debug_assert_eq!(self.slot_charge.len() as u64, t);
+        debug_assert_eq!(self.slot_charge.slots(), t);
         self.slot_charge.push(price * self.slot_len);
 
         let mut started = std::mem::take(&mut self.sc_started);
@@ -1333,16 +1476,16 @@ impl SpotMarket {
     /// Settles the lazy charge accrual for slots `[run_since, end]`: the
     /// same `charged += price_u × slot_len` sequence, in the same
     /// chronological order, as the naive per-slot loop — so the float sums
-    /// are bit-identical.
+    /// are bit-identical (the memo returns the fold's own bits).
     fn settle(&mut self, iu: usize, end: u64) {
         let since = self.run_since[iu];
         if since > end {
             return;
         }
         let rec = &mut self.records[iu];
-        for u in since..=end {
-            rec.charged += self.slot_charge[u as usize];
-        }
+        rec.charged = self
+            .slot_charge
+            .settle(rec.charged, since, end + 1, std::iter::once(0));
         rec.slots_run += (end - since + 1) as u32;
         self.run_since[iu] = end + 1;
     }
@@ -1917,6 +2060,192 @@ mod tests {
             }
             assert_eq!(plain.records(), reserved.records(), "round {round}");
             assert_eq!(plain.provider_slots(), reserved.provider_slots());
+        }
+    }
+
+    /// One of `pool`, or a fresh finite value.
+    fn pick(g: &mut Rng, pool: &[f64]) -> f64 {
+        let k = (g.next_u64() % (pool.len() as u64 + 1)) as usize;
+        pool.get(k)
+            .copied()
+            .unwrap_or_else(|| g.range_f64(-1.0, 1.0) / 3.0)
+    }
+
+    fn bits(c: Cost) -> u64 {
+        c.as_f64().to_bits()
+    }
+
+    /// `table.settle(..)` and whether it was a memo hit. A hit answers
+    /// from the memo without reading the charges, so a copy of the table
+    /// with its charges blanked still returns the sum.
+    fn settle_observed(
+        table: &mut ChargeTable,
+        start: Cost,
+        since: u64,
+        end: u64,
+        legs: &[usize],
+    ) -> (Cost, bool) {
+        let mut blank = table.clone();
+        blank.amounts.fill(Cost::ZERO);
+        let probe = blank.settle(start, since, end, legs.iter().copied());
+        let refold = fold_charges(
+            &blank.amounts,
+            blank.markets,
+            legs.iter().copied(),
+            start,
+            since,
+            end,
+        );
+        let sum = table.settle(start, since, end, legs.iter().copied());
+        (sum, bits(probe) == bits(sum) && bits(refold) != bits(sum))
+    }
+
+    #[test]
+    fn settle_memo_matches_the_plain_fold_bit_for_bit() {
+        // Random growing tables with NaN and ±∞ charges, cohorts of
+        // repeated keys interleaved with one-off keys, ±0.0 starting
+        // totals: every settlement has the plain left fold's bits.
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut g = Rng::seed_from_u64(0xF01D_3E30);
+        let mut hits = 0;
+        for round in 0..40 {
+            let stride = 1 + round % 3;
+            let mut table = ChargeTable::new(stride);
+            let mut cohorts: Vec<(Cost, u64, u64, Vec<usize>)> = Vec::new();
+            for _ in 0..6 {
+                // Grow the table, then query old and new ranges.
+                for _ in 0..stride * (1 + (g.next_u64() % 60) as usize) {
+                    let v = if g.chance(0.02) {
+                        pick(&mut g, &specials)
+                    } else {
+                        g.range_f64(0.0, 0.4) / 3.0
+                    };
+                    table.push(Cost::new(v));
+                }
+                let slots = table.slots();
+                for _ in 0..4 {
+                    let since = g.next_u64() % (slots + 1);
+                    let end = since + g.next_u64() % (slots - since + 1);
+                    let n = 1 + (g.next_u64() % 4) as usize;
+                    let legs = (0..n)
+                        .map(|_| (g.next_u64() % stride as u64) as usize)
+                        .collect();
+                    cohorts.push((Cost::new(pick(&mut g, &specials)), since, end, legs));
+                }
+                for _ in 0..200 {
+                    let (start, since, end, legs) = if g.chance(0.7) {
+                        cohorts[(g.next_u64() % cohorts.len() as u64) as usize].clone()
+                    } else {
+                        let since = g.next_u64() % (slots + 1);
+                        let legs = vec![(g.next_u64() % stride as u64) as usize];
+                        (Cost::new(pick(&mut g, &specials)), since, slots, legs)
+                    };
+                    let plain = fold_charges(
+                        &table.amounts,
+                        stride,
+                        legs.iter().copied(),
+                        start,
+                        since,
+                        end,
+                    );
+                    let (sum, hit) = settle_observed(&mut table, start, since, end, &legs);
+                    assert_eq!(
+                        bits(sum),
+                        bits(plain),
+                        "round {round}: start {start:?} [{since}, {end}) legs {legs:?}"
+                    );
+                    hits += usize::from(hit);
+                }
+            }
+        }
+        assert!(hits > 1000, "only {hits} observable memo hits");
+    }
+
+    #[test]
+    fn settle_memo_keys_sharing_an_entry_do_not_alias() {
+        // For each key component, find two keys that differ only there and
+        // map to the same entry, then alternate them: each must miss and
+        // refold, never return the other's sum.
+        let mut table = ChargeTable::new(1);
+        for i in 0..400 {
+            table.push(Cost::new(0.01 + (i as f64).sin().abs() / 7.0));
+        }
+        type Key = (Cost, u64, u64, Vec<usize>);
+        let base: Key = (Cost::new(0.25), 10, 50, vec![0]);
+        let slot = |(c, since, end, legs): &Key| {
+            memo_slot(
+                bits(*c),
+                *since,
+                *end,
+                pack_legs(legs.iter().copied()).unwrap(),
+            )
+        };
+        let variants: [&dyn Fn(u64) -> Key; 4] = [
+            &|k| (Cost::new(0.25 + k as f64 / 64.0), 10, 50, vec![0]),
+            &|k| (Cost::new(0.25), 10 + k, 50, vec![0]),
+            &|k| (Cost::new(0.25), 10, 50 + k, vec![0]),
+            &|k| (Cost::new(0.25), 10, 50, vec![0; 1 + k as usize % 8]),
+        ];
+        for (c, make) in variants.iter().enumerate() {
+            let twin = (1..200)
+                .map(make)
+                .find(|key| slot(key) == slot(&base))
+                .unwrap_or_else(|| panic!("component {c}: no key shares base's entry"));
+            for _ in 0..3 {
+                for (start, since, end, legs) in [&base, &twin] {
+                    let plain = fold_charges(
+                        &table.amounts,
+                        1,
+                        legs.iter().copied(),
+                        *start,
+                        *since,
+                        *end,
+                    );
+                    let sum = table.settle(*start, *since, *end, legs.iter().copied());
+                    assert_eq!(bits(sum), bits(plain), "component {c}");
+                }
+            }
+        }
+        // +0.0 and −0.0 starts over an empty range fold to themselves.
+        for _ in 0..2 {
+            for z in [0.0, -0.0] {
+                let sum = table.settle(Cost::new(z), 7, 7, std::iter::once(0));
+                assert_eq!(bits(sum), z.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn legs_pack_exactly_or_not_at_all() {
+        let seq = [3, 0, 254, 3, 1, 1, 7, 2];
+        let legs = pack_legs(seq).unwrap();
+        assert_eq!(unpack_legs(legs).collect::<Vec<_>>(), seq);
+        assert_eq!(pack_legs([0]), Some(1));
+        assert_eq!(pack_legs([]), None);
+        assert_eq!(pack_legs([255]), None);
+        assert_eq!(pack_legs([0; 9]), None);
+    }
+
+    #[test]
+    fn charge_table_settles_any_leg_sequence() {
+        // Packable sequences go through the memo, longer ones through the
+        // plain fold; both are the eager per-slot sums.
+        let mut table = ChargeTable::new(3);
+        for i in 0..90 {
+            table.push(Cost::new(0.01 + (i as f64 * 0.7).cos().abs() / 9.0));
+        }
+        assert_eq!(table.slots(), 30);
+        for legs in [vec![1], vec![2, 0, 1], vec![0; 8], vec![2; 9]] {
+            for _ in 0..2 {
+                let mut eager = Cost::new(0.5);
+                for slot in 4..27 {
+                    for &m in &legs {
+                        eager += table.at(slot, m);
+                    }
+                }
+                let lazy = table.settle(Cost::new(0.5), 4, 27, legs.iter().copied());
+                assert_eq!(bits(lazy), bits(eager), "legs {legs:?}");
+            }
         }
     }
 }

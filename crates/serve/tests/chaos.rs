@@ -566,10 +566,12 @@ fn degraded_mode_entry_and_exit_within_budget() {
     assert_billing_sane(&r, "degraded advisory");
     assert!(num(&r, "stale_attempts") >= f64::from(retries));
 
-    // Exit: heal the feed; the next good record restores live mode.
+    // Exit: heal the feed; the next good record restores live mode. The
+    // mode turns live on the first healed record while the rest are still
+    // streaming in, so wait for both within the one deadline.
     phase.store(2, Ordering::Relaxed);
     let status = poll_status(&mut client, Duration::from_secs(10), |s| {
-        str_field(s, "mode") == "live"
+        str_field(s, "mode") == "live" && num(s, "records_ok") == n as f64
     });
     assert_eq!(num(&status, "records_ok"), n as f64);
     assert_eq!(num(&status, "stale_attempts"), 0.0);

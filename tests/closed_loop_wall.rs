@@ -22,6 +22,11 @@
 //! and an all-distinct mix (memo misses only), logged and unlogged; the
 //! two-slot sessions add the resubmissions of the wave's rejected bids,
 //! so the owner columns hold superseded ids.
+//!
+//! The staggered-cohort tests hold the settlement memo: a reclamation
+//! outage plus resubmissions makes the tenants finishing in one slot
+//! settle streaks of different starts from different totals, interleaved
+//! by tenant id, so consecutive settlements alternate between memo keys.
 
 use spotbid::core::{BiddingStrategy, JobSpec, PortfolioStrategy};
 use spotbid::engine::closedloop::{dense, portfolio};
@@ -486,4 +491,125 @@ fn rotating_zone_fallback_tenants_plan_for_their_current_home() {
         })
         .collect();
     assert!(homes.len() > 1, "every tenant ended at home {homes:?}");
+}
+
+/// The reclamation outage slots, as a fault schedule over a session of
+/// `total` slots whose horizon starts after `warmup`.
+fn outage_at(total: usize, warmup: usize, slot: usize) -> LoopFaults {
+    LoopFaults {
+        gap: Vec::new(),
+        reclaim: (0..total).map(|s| s == warmup + slot).collect(),
+    }
+}
+
+/// Whether some slot's spot finishers settle staggered streaks: their
+/// last streaks began in at least two different slots, one of them with
+/// charges already in its total, and the groups of equal (streak start,
+/// total) interleave in tenant order — the keys a lazy settlement sees.
+fn staggered_cohort(events: &[Event]) -> bool {
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut total: BTreeMap<u32, f64> = BTreeMap::new();
+    // Per tenant: its last streak's first slot and its total then.
+    let mut streak: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    let mut spot_at: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut cohorts: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+    for e in events {
+        match *e {
+            Event::BidAccepted { slot, tenant } => {
+                let held = total.get(&tenant).copied().unwrap_or(0.0);
+                streak.insert(tenant, (slot, held.to_bits()));
+            }
+            Event::Charged { item } => {
+                *total.entry(item.tag).or_default() += item.amount().as_f64();
+                if item.kind == UsageKind::Spot {
+                    spot_at.insert(item.tag, item.slot);
+                }
+            }
+            Event::Completed { slot, tenant } if spot_at.get(&tenant) == Some(&slot) => {
+                cohorts.entry(slot).or_default().push(tenant);
+            }
+            _ => {}
+        }
+    }
+    cohorts.values().any(|finishers| {
+        let mut keys: Vec<(u32, (u64, u64))> = finishers.iter().map(|&t| (t, streak[&t])).collect();
+        keys.sort_unstable();
+        let distinct: BTreeSet<(u64, u64)> = keys.iter().map(|k| k.1).collect();
+        let starts: BTreeSet<u64> = distinct.iter().map(|k| k.0).collect();
+        let held = distinct.iter().any(|k| k.1 != 0);
+        let runs = 1 + keys.windows(2).filter(|w| w[0].1 != w[1].1).count();
+        starts.len() >= 2 && held && runs > distinct.len()
+    })
+}
+
+#[test]
+fn single_market_staggered_cohorts_match_the_dense_oracle() {
+    // An outage in a capacity-bound market: one-time tenants are
+    // terminated and resubmit, and the capacity pass lets the resubmitted
+    // bids and the parked persistent ones back in over several slots, so
+    // a finishing cohort mixes streaks of different starts and totals.
+    let mut cfg = single_config();
+    cfg.supply = Supply::Finite {
+        capacity: 81,
+        policy: ProviderPolicy::StaticSplit { reserved: 10 },
+    };
+    cfg.od_arrivals = 8.0;
+    cfg.od_departure = 0.2;
+    cfg.max_resubmissions = 10;
+    let n = 150;
+    let strats: Vec<BiddingStrategy> = (0..n)
+        .map(|i| match i % 3 {
+            0 => BiddingStrategy::OptimalOneTime,
+            _ => BiddingStrategy::FixedBid(Price::new(
+                0.168 + 0.05 * ((i * 37) % n) as f64 / n as f64,
+            )),
+        })
+        .collect();
+    let faults = outage_at(cfg.warmup_slots + cfg.horizon_slots, cfg.warmup_slots, 5);
+    let seed = 11;
+    let (logged, events, _) = run_closed_loop_logged(&strats, &cfg, seed, Some(&faults)).unwrap();
+    let (unlogged, _) = run_closed_loop_with_stats(&strats, &cfg, seed, Some(&faults)).unwrap();
+    let (oracle, oracle_events) =
+        dense::run_closed_loop_logged(&strats, &cfg, seed, Some(&faults)).unwrap();
+    assert_eq!(logged, oracle, "logged report diverged");
+    assert_eq!(unlogged, oracle, "unlogged report diverged");
+    assert_same_events(&events, &oracle_events);
+    assert!(
+        oracle.tenants.iter().any(|t| t.resubmissions > 0),
+        "no bid was resubmitted"
+    );
+    assert!(
+        staggered_cohort(&oracle_events),
+        "no finishing cohort mixed staggered streaks"
+    );
+}
+
+#[test]
+fn portfolio_staggered_cohorts_match_the_dense_oracle() {
+    // One outage per market, a slot apart: legs resume in different
+    // slots with different totals, and tenants of every family finish
+    // side by side.
+    let cfg = portfolio_config();
+    let strats = portfolio_strategies();
+    let total = cfg.warmup_slots + cfg.horizon_slots;
+    let faults: Vec<LoopFaults> = (0..cfg.markets.len())
+        .map(|m| outage_at(total, cfg.warmup_slots, 4 + m))
+        .collect();
+    let seed = 0x9A_66_E0;
+    let (logged, events, _) =
+        run_portfolio_loop_logged(&strats, &cfg, seed, Some(&faults)).unwrap();
+    let (unlogged, _) = run_portfolio_loop_with_stats(&strats, &cfg, seed, Some(&faults)).unwrap();
+    let (oracle, oracle_events) =
+        portfolio::dense::run_portfolio_loop_logged(&strats, &cfg, seed, Some(&faults)).unwrap();
+    assert_eq!(logged, oracle, "logged report diverged");
+    assert_eq!(unlogged, oracle, "unlogged report diverged");
+    assert_same_events(&events, &oracle_events);
+    assert!(
+        oracle.tenants.iter().any(|t| t.resubmissions > 0),
+        "no leg was resubmitted"
+    );
+    assert!(
+        staggered_cohort(&oracle_events),
+        "no finishing cohort mixed staggered streaks"
+    );
 }
