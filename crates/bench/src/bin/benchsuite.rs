@@ -344,6 +344,28 @@ fn market_scale_benches(h: &mut Harness) {
         },
     );
 
+    // A 200k-bid submission wave into a fresh market: bid by bid without
+    // `reserve` (how a caller that does not know its wave size submits),
+    // and as one `submit_batch`. Each sample builds, fills and drops one
+    // market.
+    let wave: Vec<BidRequest> = (0..200_000).map(|i| standing_bid(&params, i)).collect();
+    h.group("market_scale")
+        .throughput_items(wave.len() as u64)
+        .bench("submit_wave/200k_bids", || {
+            let mut market = SpotMarket::new(params, slot);
+            for &request in &wave {
+                market.submit(request);
+            }
+            market.submitted()
+        });
+    h.group("market_scale")
+        .throughput_items(wave.len() as u64)
+        .bench("submit_wave_batch/200k_bids", || {
+            let mut market = SpotMarket::new(params, slot);
+            market.submit_batch(&wave);
+            market.submitted()
+        });
+
     // A million-bid slot on the bid-book (the naive scan at 1M would burn
     // the whole suite budget on warmup alone).
     let mut market = SpotMarket::new(params, slot);

@@ -33,8 +33,8 @@
 //! Tenants are classified by strategy, as in the single-market fleet: one
 //! plan per class of bit-identical strategies per slot, with a tenant
 //! reclassified when cross-zone fallback moves its home market. Plans are
-//! applied serially in ascending tenant order after one reservation of
-//! each market's bid columns for the wave, and wakeups are processed in
+//! applied serially in ascending tenant order, their legs entering each
+//! market as one batch per wave, and wakeups are processed in
 //! ascending tenant order with each tenant's legs in plan order — so
 //! per-market bid ids, event order, costs, and RNG draws are
 //! **bit-identical** to the frozen [`super::dense`] oracle at any
@@ -55,6 +55,7 @@ use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
 use spotbid_core::{BidDecision, JobSpec};
+use spotbid_market::multi::MarketSet;
 use spotbid_market::sim::{
     reserve_pow2, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
 };
@@ -232,6 +233,9 @@ struct PortfolioWakeupFleet {
     sc_refused: Vec<bool>,
     /// Per market: spot legs in this slot's plans.
     sc_spot: Vec<usize>,
+    /// Per market: this slot's bids, in tenant order, for one batched
+    /// submission.
+    sc_waves: Vec<Vec<BidRequest>>,
 }
 
 impl PortfolioWakeupFleet {
@@ -276,12 +280,15 @@ impl PortfolioWakeupFleet {
             sc_order: Vec::new(),
             sc_refused: vec![false; m],
             sc_spot: vec![0; m],
+            sc_waves: vec![Vec::new(); m],
         }
     }
 
     /// Acts on a resolved plan — byte-for-byte the dense fleet's
     /// `apply_plan` (its on-demand charges validated and added here), plus
-    /// the bid-owner columns; the caller queues the fresh wake.
+    /// the bid-owner columns; the caller queues the fresh wake. A spot
+    /// leg joins its market's wave, to be submitted after every bid `set`
+    /// holds, so it gets the id a submission would return now.
     ///
     /// # Errors
     ///
@@ -293,7 +300,8 @@ impl PortfolioWakeupFleet {
         plan: &PortfolioPlan,
         job: &JobSpec,
         slot: u64,
-        source: &mut PortfolioSource,
+        set: &MarketSet,
+        waves: &mut [Vec<BidRequest>],
         owners: &mut [Vec<u32>],
         costs: &mut CostTotals,
         live: &mut [u32],
@@ -326,18 +334,17 @@ impl PortfolioWakeupFleet {
                     tenant.pending -= assigned;
                 }
                 BidDecision::Spot { price, persistent } => {
-                    let id = source.set.submit(
-                        leg.market,
-                        BidRequest {
-                            price,
-                            kind: if persistent {
-                                BidKind::Persistent
-                            } else {
-                                BidKind::OneTime
-                            },
-                            work: WorkModel::FixedSlots(assigned as u32),
+                    let wave = &mut waves[leg.market];
+                    let id = BidId((set.market(leg.market).submitted() + wave.len()) as u64);
+                    wave.push(BidRequest {
+                        price,
+                        kind: if persistent {
+                            BidKind::Persistent
+                        } else {
+                            BidKind::OneTime
                         },
-                    );
+                        work: WorkModel::FixedSlots(assigned as u32),
+                    });
                     set_owner(&mut owners[leg.market], id, t);
                     tenant.legs.push(WLeg {
                         market: leg.market as u32,
@@ -567,16 +574,17 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
             }
             decided += 1;
         }
-        // The wave's legs grow each market's columns and owner column
-        // once.
+        // The wave's legs grow each market's owner column once.
         for (m, &n) in spot.iter().enumerate() {
-            source.set.reserve(m, n);
             reserve_owners(&mut self.owners[m], source.set.market(m).submitted(), n);
+            self.sc_waves[m].reserve(n);
         }
         self.sc_spot = spot;
         reserve_pow2(&mut self.fresh, decided);
         // Serial, ordered apply: per-market bid ids and events come out
-        // exactly as if each tenant had planned in turn.
+        // exactly as if each tenant had planned and submitted in turn. The
+        // legs then enter each market in one batch (an apply error ends
+        // the session, markets and all).
         for &i in &needy[..decided] {
             let tenant = &mut self.tenants[i as usize];
             Self::apply_plan(
@@ -585,7 +593,8 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
                 self.memo.get(tenant.class),
                 &job,
                 slot,
-                source,
+                &source.set,
+                &mut self.sc_waves,
                 &mut self.owners,
                 &mut self.costs,
                 &mut self.live,
@@ -593,6 +602,10 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
             )?;
             tenant.woken = true;
             self.fresh.push(i);
+        }
+        for (m, wave) in self.sc_waves.iter_mut().enumerate() {
+            source.set.submit_batch(m, wave);
+            wave.clear();
         }
         if let Some(e) = failure {
             return Err(EngineError::Core(e));

@@ -42,8 +42,8 @@
 //! price view and the session job, so each class decides once per slot
 //! and its tenants share the result; the first tenant of a failing class
 //! raises the error, as the per-tenant order would. Decisions are applied
-//! serially in ascending tenant order, after one reservation of the
-//! market's bid columns for the whole wave, and wakeups are processed in
+//! serially in ascending tenant order, their bids entering the market
+//! as one batch per wave, and wakeups are processed in
 //! ascending tenant order — so bid ids, event order, costs, and RNG draws
 //! are **bit-identical** to [`super::dense`] at any `SPOTBID_THREADS`
 //! (`tests/wakeup_equiv.rs`). The fleet draws no randomness and reserves
@@ -322,6 +322,8 @@ struct WakeupFleet {
     // Scratch buffers (steady state allocates nothing per slot).
     sc_woken: Vec<u32>,
     sc_order: Vec<u32>,
+    /// This slot's bids, in tenant order, for one batched submission.
+    sc_wave: Vec<BidRequest>,
 }
 
 impl WakeupFleet {
@@ -370,6 +372,7 @@ impl WakeupFleet {
             stats: FleetStats::default(),
             sc_woken: Vec::new(),
             sc_order: Vec::new(),
+            sc_wave: Vec::new(),
         }
     }
 
@@ -401,7 +404,9 @@ impl WakeupFleet {
     /// Acts on a resolved strategy decision — byte-for-byte the dense
     /// fleet's `apply_decision` (its on-demand charge validated and added
     /// here), plus the bid-owner column and the fresh-wake queue (and the
-    /// tenant's woken bit).
+    /// tenant's woken bit). A bid joins the slot's wave, whose batch
+    /// starts at market id `first`, so it gets the id a submission would
+    /// return now.
     ///
     /// # Errors
     ///
@@ -411,7 +416,7 @@ impl WakeupFleet {
         t: u32,
         decision: BidDecision,
         slot: u64,
-        source: &mut ClosedLoopSource,
+        first: usize,
         emit: &mut dyn FnMut(Event),
     ) -> Result<(), EngineError> {
         let tu = t as usize;
@@ -434,7 +439,8 @@ impl WakeupFleet {
             }
             BidDecision::Spot { price, persistent } => {
                 let remaining = (self.slots_needed - self.slots_run[tu]).max(1) as u32;
-                let id = source.market.submit(BidRequest {
+                let id = BidId((first + self.sc_wave.len()) as u64);
+                self.sc_wave.push(BidRequest {
                     price,
                     kind: if persistent {
                         BidKind::Persistent
@@ -605,17 +611,22 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
             }
             decided += 1;
         }
-        // The wave's bids grow the market's columns and the owner column
-        // once.
-        source.market.reserve(spot);
-        reserve_owners(&mut self.owner, source.market.submitted(), spot);
+        // The wave's bids grow the owner column once.
+        let first = source.market.submitted();
+        reserve_owners(&mut self.owner, first, spot);
         reserve_pow2(&mut self.fresh, decided);
+        self.sc_wave.reserve(spot);
         // Serial, ordered apply: bid ids and events come out exactly as if
-        // each tenant had decided in turn.
+        // each tenant had decided and submitted in turn. The bids then
+        // enter the market in one batch (an apply error ends the session,
+        // market and all).
         for &t in &needy[..decided] {
             let decision = *self.memo.get(self.class_of[t as usize]);
-            self.apply_decision(t, decision, slot, source, emit)?;
+            self.apply_decision(t, decision, slot, first, emit)?;
         }
+        let ids = source.market.submit_batch(&self.sc_wave);
+        debug_assert_eq!(ids.start, first as u64);
+        self.sc_wave.clear();
         if let Some(e) = failure {
             return Err(EngineError::Core(e));
         }

@@ -34,6 +34,7 @@ use crate::sim::{
 use crate::units::Hours;
 use crate::MarketError;
 use spotbid_numerics::rng::Rng;
+use std::ops::Range;
 
 /// Configuration of one member market in a [`MarketSet`].
 #[derive(Debug, Clone)]
@@ -130,10 +131,10 @@ impl MarketSet {
         self.markets[m].submit(request)
     }
 
-    /// Makes room in market `m`'s bid columns for `n` more submissions
-    /// (see [`SpotMarket::reserve`]).
-    pub fn reserve(&mut self, m: usize, n: usize) {
-        self.markets[m].reserve(n);
+    /// Submits a wave of bids to market `m` (see
+    /// [`SpotMarket::submit_batch`]); returns its raw ids `first..first + n`.
+    pub fn submit_batch(&mut self, m: usize, requests: &[BidRequest]) -> Range<u64> {
+        self.markets[m].submit_batch(requests)
     }
 
     /// Schedules a capacity reclamation in market `m`'s next slot.
@@ -141,8 +142,8 @@ impl MarketSet {
         self.markets[m].reclaim_next_slot();
     }
 
-    /// Settled records of market `m`.
-    pub fn records(&mut self, m: usize) -> &[BidRecord] {
+    /// Settled records of market `m`, built from its columns.
+    pub fn records(&mut self, m: usize) -> Vec<BidRecord> {
         self.markets[m].records()
     }
 

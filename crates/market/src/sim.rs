@@ -37,6 +37,7 @@ use crate::provider::{clearing_price, optimal_price, ProviderPolicy};
 use crate::units::{Cost, Hours, Price};
 use spotbid_numerics::rng::Rng;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 pub mod naive;
 
@@ -304,6 +305,8 @@ const F_RESIDENT: u8 = 1 << 4;
 /// Transient mark on a would-be starter evicted by the capacity pass
 /// (cleared while filtering the start set the same slot).
 const F_EVICT: u8 = 1 << 5;
+/// Closed by finishing its work (a closed bid without it terminated).
+const F_FINISHED: u8 = 1 << 6;
 
 /// One price bucket: the open bids whose price falls in its range, split
 /// by run state so each crossing scan touches only the side it moves.
@@ -379,10 +382,11 @@ fn select_victims(
 }
 
 /// Grows `v` to hold `n` more elements at the power-of-two capacity that
-/// pushing them one by one would double it to; never shrinks it.
+/// pushing them one by one would double it to; never shrinks it, and
+/// `n = 0` leaves it alone.
 pub fn reserve_pow2<T>(v: &mut Vec<T>, n: usize) {
     let target = (v.len() + n).next_power_of_two();
-    if v.capacity() < target {
+    if n > 0 && v.capacity() < target {
         v.reserve_exact(target - v.len());
     }
 }
@@ -538,9 +542,13 @@ fn memo_slot(start: u64, since: u64, end: u64, legs: u64) -> usize {
 ///
 /// - [`step`](Self::step) costs O(events + boundary-bucket + running
 ///   geometric bids) instead of O(open bids);
+/// - each bid lives once, as one entry per struct-of-arrays column; a
+///   [`BidRecord`] is built from the columns on read;
 /// - charges accrue lazily, so [`record`](Self::record) and
 ///   [`records`](Self::records) take `&mut self` (they settle the accrual
-///   before returning);
+///   before building);
+/// - [`submit_batch`](Self::submit_batch) enters a whole wave column by
+///   column;
 /// - [`step_into`](Self::step_into)/[`recycle`](Self::recycle) let a
 ///   driving loop reuse `SlotReport` buffers arena-style.
 #[derive(Debug, Clone)]
@@ -548,18 +556,22 @@ pub struct SpotMarket {
     params: MarketParams,
     slot_len: Hours,
     t: u64,
-    records: Vec<BidRecord>,
 
-    // ---- struct-of-arrays hot columns, parallel to `records` ----
+    // ---- the bid columns, indexed by bid id ----
     /// Bid price as a raw f64 (the per-bid accept/reject operand).
     price_of: Vec<f64>,
-    /// `F_*` state bits.
+    /// `F_*` state bits: kind, work model and phase.
     flags: Vec<u8>,
-    /// First slot of the current running streak (valid while running);
-    /// charges for `[run_since, now)` are accrued but not yet settled.
-    run_since: Vec<u64>,
+    /// Slots of work of a fixed-work bid (0 for geometric work).
+    work: Vec<u32>,
+    /// Slot of submission.
+    submitted_at: Vec<u64>,
+    /// Running streak and settled accounting.
+    accrual: Vec<Accrual>,
     /// Scheduled finish slot (valid while a fixed-work bid is running).
     due: Vec<u64>,
+    /// Slot the bid left the system, [`NOT_CLOSED`] while open.
+    closed_at: Vec<u64>,
     /// The bid's price bucket.
     bucket_of: Vec<u32>,
     /// Position within its current bucket list (pending or running).
@@ -567,11 +579,11 @@ pub struct SpotMarket {
 
     // ---- the book ----
     buckets: Vec<Bucket>,
-    bucket_lo: f64,
-    bucket_w: f64,
-    /// Bids submitted since the last step, in id order; they face their
-    /// first auction individually before joining the bucket lists.
-    incoming: Vec<u32>,
+    grid: BucketGrid,
+    /// Ids below this have faced their first auction (or parked for it);
+    /// the bids submitted since the last step are the contiguous range
+    /// from here to [`submitted`](Self::submitted), in id order.
+    arrived: u32,
     /// Incrementally-maintained demand `L(t)` (open bids).
     open_count: usize,
     /// Last posted price (`+∞` before the first step, when no residents
@@ -629,13 +641,108 @@ pub struct SpotMarket {
     sc_geo_next: Vec<u32>,
     sc_fin_geo: Vec<u32>,
     sc_fin_fixed: Vec<u32>,
-    sc_sync: Vec<u32>,
     /// Parked bids that won their individual re-auction this slot (phase
     /// 1b), pending the capacity pass: survivors count as
     /// [`ProviderSlot::parked_restarts`].
     sc_parked_started: Vec<u32>,
     cal_pool: Vec<Vec<u32>>,
     report_pool: Vec<Vec<BidId>>,
+}
+
+/// A bid's running streak and settled accounting: what a settlement
+/// reads and writes, and the count an interruption bumps right after
+/// settling. One 24-byte entry, so a capacity pass that settles victims
+/// scattered over the book misses the cache once per victim, not once
+/// per field.
+#[derive(Debug, Clone, Copy)]
+struct Accrual {
+    /// First slot of the current running streak (valid while running);
+    /// charges for `[run_since, now)` are accrued but not yet settled.
+    run_since: u64,
+    /// Settled charges (the streak since `run_since` excluded).
+    charged: Cost,
+    /// Settled running slots (the streak since `run_since` excluded).
+    slots_run: u32,
+    /// Interruptions suffered (running → not running).
+    interruptions: u32,
+}
+
+/// A new bid's [`Accrual`].
+const NO_ACCRUAL: Accrual = Accrual {
+    run_since: 0,
+    charged: Cost::ZERO,
+    slots_run: 0,
+    interruptions: 0,
+};
+
+/// `closed_at` of a bid still in the system.
+const NOT_CLOSED: u64 = u64::MAX;
+
+/// The `F_*` bits a new bid starts with.
+fn initial_flags(request: &BidRequest) -> u8 {
+    let mut flags = F_OPEN;
+    if request.kind == BidKind::Persistent {
+        flags |= F_PERSISTENT;
+    }
+    if request.work == WorkModel::Geometric {
+        flags |= F_GEOMETRIC;
+    }
+    flags
+}
+
+/// The `work` column's entry for a request.
+fn work_slots(request: &BidRequest) -> u32 {
+    match request.work {
+        WorkModel::FixedSlots(n) => n,
+        WorkModel::Geometric => 0,
+    }
+}
+
+/// The bucket boundaries over `[π_min, π̄]`: `bounds[i] = lo + i × w`
+/// with `w = (π̄ − π_min) / BUCKETS`, each computed once by that one
+/// expression.
+#[derive(Debug, Clone)]
+struct BucketGrid {
+    lo: f64,
+    /// `1 / w`, for the first estimate.
+    inv_w: f64,
+    bounds: Box<[f64; BUCKETS + 1]>,
+}
+
+impl BucketGrid {
+    fn new(params: &MarketParams) -> Self {
+        let lo = params.pi_min.as_f64();
+        let w = params.spread().as_f64() / BUCKETS as f64;
+        let mut bounds = Box::new([0.0; BUCKETS + 1]);
+        for (i, b) in bounds.iter_mut().enumerate() {
+            *b = lo + i as f64 * w;
+        }
+        BucketGrid {
+            lo,
+            inv_w: 1.0 / w,
+            bounds,
+        }
+    }
+
+    /// The bucket whose range `[bounds[b], bounds[b+1])` contains `p`
+    /// (bucket 0 is open below, bucket `BUCKETS-1` open above; NaN maps to
+    /// bucket 0): the largest `b < BUCKETS` with `bounds[b] <= p`, or 0.
+    ///
+    /// A multiplication estimates `b` (the saturating cast sends NaN and
+    /// negatives to 0, `+∞` to the top) and the walks repair it against
+    /// the table. The bounds never decrease, so the repaired index is that
+    /// unique bucket whatever the estimate, and wholesale bucket
+    /// classification in the crossing scan is sound even at one-ulp edges.
+    fn index(&self, p: f64) -> usize {
+        let mut i = (((p - self.lo) * self.inv_w) as usize).min(BUCKETS - 1);
+        while i > 0 && p < self.bounds[i] {
+            i -= 1;
+        }
+        while i + 1 < BUCKETS && p >= self.bounds[i + 1] {
+            i += 1;
+        }
+        i
+    }
 }
 
 impl SpotMarket {
@@ -647,22 +754,22 @@ impl SpotMarket {
 
     /// Creates an empty market backed by the given [`Supply`].
     pub fn with_supply(params: MarketParams, slot_len: Hours, supply: Supply) -> Self {
-        let spread = params.spread().as_f64();
         SpotMarket {
             params,
             slot_len,
             t: 0,
-            records: Vec::new(),
             price_of: Vec::new(),
             flags: Vec::new(),
-            run_since: Vec::new(),
+            work: Vec::new(),
+            submitted_at: Vec::new(),
+            accrual: Vec::new(),
             due: Vec::new(),
+            closed_at: Vec::new(),
             bucket_of: Vec::new(),
             pos_of: Vec::new(),
             buckets: vec![Bucket::default(); BUCKETS],
-            bucket_lo: params.pi_min.as_f64(),
-            bucket_w: spread / BUCKETS as f64,
-            incoming: Vec::new(),
+            grid: BucketGrid::new(&params),
+            arrived: 0,
             open_count: 0,
             prev_price: f64::INFINITY,
             slot_charge: ChargeTable::new(1),
@@ -684,7 +791,6 @@ impl SpotMarket {
             sc_geo_next: Vec::new(),
             sc_fin_geo: Vec::new(),
             sc_fin_fixed: Vec::new(),
-            sc_sync: Vec::new(),
             sc_parked_started: Vec::new(),
             cal_pool: Vec::new(),
             report_pool: Vec::new(),
@@ -704,7 +810,7 @@ impl SpotMarket {
     /// Bids submitted so far: the next [`submit`](Self::submit) returns
     /// `BidId(submitted())`.
     pub fn submitted(&self) -> usize {
-        self.records.len()
+        self.price_of.len()
     }
 
     /// Makes room in every bid column for `n` more submissions at once,
@@ -715,80 +821,121 @@ impl SpotMarket {
     /// is unchanged: ids, records and reports are the same with or without
     /// it.
     pub fn reserve(&mut self, n: usize) {
-        reserve_pow2(&mut self.records, n);
         reserve_pow2(&mut self.price_of, n);
         reserve_pow2(&mut self.flags, n);
-        reserve_pow2(&mut self.run_since, n);
+        reserve_pow2(&mut self.work, n);
+        reserve_pow2(&mut self.submitted_at, n);
+        reserve_pow2(&mut self.accrual, n);
         reserve_pow2(&mut self.due, n);
+        reserve_pow2(&mut self.closed_at, n);
         reserve_pow2(&mut self.bucket_of, n);
         reserve_pow2(&mut self.pos_of, n);
-        reserve_pow2(&mut self.incoming, n);
     }
 
     /// Submits a bid; it competes from the next [`step`](Self::step) on.
     pub fn submit(&mut self, request: BidRequest) -> BidId {
-        assert!(
-            self.records.len() < u32::MAX as usize,
-            "bid-book index space exhausted"
-        );
-        let id = BidId(self.records.len() as u64);
-        self.records.push(BidRecord {
-            id,
-            request,
-            phase: BidPhase::Pending,
-            submitted_at: self.t,
-            slots_run: 0,
-            charged: Cost::ZERO,
-            interruptions: 0,
-            closed_at: None,
-        });
-        let idx = (self.records.len() - 1) as u32;
-        let mut flags = F_OPEN;
-        if request.kind == BidKind::Persistent {
-            flags |= F_PERSISTENT;
-        }
-        if request.work == WorkModel::Geometric {
-            flags |= F_GEOMETRIC;
-        }
-        self.price_of.push(request.price.as_f64());
-        self.flags.push(flags);
-        self.run_since.push(0);
+        let id = self.submitted();
+        assert!(id < u32::MAX as usize, "bid-book index space exhausted");
+        let price = request.price.as_f64();
+        self.price_of.push(price);
+        self.flags.push(initial_flags(&request));
+        self.work.push(work_slots(&request));
+        self.submitted_at.push(self.t);
+        self.accrual.push(NO_ACCRUAL);
         self.due.push(0);
-        self.bucket_of
-            .push(self.bucket_index(request.price.as_f64()) as u32);
+        self.closed_at.push(NOT_CLOSED);
+        self.bucket_of.push(self.grid.index(price) as u32);
         self.pos_of.push(0);
-        self.incoming.push(idx);
         self.open_count += 1;
-        id
+        BidId(id as u64)
     }
 
-    /// Read access to a bid's record.
+    /// Submits a wave of bids at once, filling each column in one pass.
+    /// Returns the raw ids `first..first + n`: exactly the ids, in order,
+    /// that `n` calls to [`submit`](Self::submit) would return, with the
+    /// same records and the same reports afterwards.
+    pub fn submit_batch(&mut self, requests: &[BidRequest]) -> Range<u64> {
+        let (first, n) = (self.submitted(), requests.len());
+        assert!(
+            first + n <= u32::MAX as usize,
+            "bid-book index space exhausted"
+        );
+        self.reserve(n);
+        let len = first + n;
+        let grid = &self.grid;
+        self.price_of
+            .extend(requests.iter().map(|r| r.price.as_f64()));
+        self.flags.extend(requests.iter().map(initial_flags));
+        self.work.extend(requests.iter().map(work_slots));
+        self.bucket_of
+            .extend(requests.iter().map(|r| grid.index(r.price.as_f64()) as u32));
+        self.submitted_at.resize(len, self.t);
+        self.accrual.resize(len, NO_ACCRUAL);
+        self.due.resize(len, 0);
+        self.closed_at.resize(len, NOT_CLOSED);
+        self.pos_of.resize(len, 0);
+        self.open_count += n;
+        first as u64..len as u64
+    }
+
+    /// A bid's record, built from its columns.
     ///
     /// Settles the bid's lazily-accrued charges first (hence `&mut`); the
-    /// returned record is exactly what the naive implementation would
-    /// show.
-    pub fn record(&mut self, id: BidId) -> Option<&BidRecord> {
+    /// record is exactly what the naive implementation would show.
+    pub fn record(&mut self, id: BidId) -> Option<BidRecord> {
         let i = id.0 as usize;
-        if i >= self.records.len() {
+        if i >= self.submitted() {
             return None;
         }
         self.sync_one(i);
-        Some(&self.records[i])
+        Some(self.build_record(i))
     }
 
-    /// All bid records (submitted order), with every running bid's lazy
-    /// charge accrual settled.
-    pub fn records(&mut self) -> &[BidRecord] {
-        let mut pending = std::mem::take(&mut self.sc_sync);
-        pending.clear();
-        for b in &self.buckets {
-            pending.extend_from_slice(&b.running);
+    /// All bid records (submitted order), built from the columns after
+    /// every running bid's lazy charge accrual is settled.
+    pub fn records(&mut self) -> Vec<BidRecord> {
+        for i in 0..self.submitted() {
+            self.sync_one(i);
         }
-        for &i in &pending {
-            self.sync_one(i as usize);
+        (0..self.submitted())
+            .map(|i| self.build_record(i))
+            .collect()
+    }
+
+    /// Bid `iu`'s columns as a [`BidRecord`] (settled up to `run_since`).
+    fn build_record(&self, iu: usize) -> BidRecord {
+        let f = self.flags[iu];
+        let phase = if f & F_RUNNING != 0 {
+            BidPhase::Running
+        } else if f & F_OPEN != 0 {
+            BidPhase::Pending
+        } else if f & F_FINISHED != 0 {
+            BidPhase::Finished
+        } else {
+            BidPhase::Terminated
+        };
+        BidRecord {
+            id: BidId(iu as u64),
+            request: BidRequest {
+                price: Price::new(self.price_of[iu]),
+                kind: if f & F_PERSISTENT != 0 {
+                    BidKind::Persistent
+                } else {
+                    BidKind::OneTime
+                },
+                work: if f & F_GEOMETRIC != 0 {
+                    WorkModel::Geometric
+                } else {
+                    WorkModel::FixedSlots(self.work[iu])
+                },
+            },
+            phase,
+            submitted_at: self.submitted_at[iu],
+            slots_run: self.accrual[iu].slots_run,
+            charged: self.accrual[iu].charged,
+            interruptions: self.accrual[iu].interruptions,
+            closed_at: Some(self.closed_at[iu]).filter(|&t| t != NOT_CLOSED),
         }
-        self.sc_sync = pending;
-        &self.records
     }
 
     /// Number of bids still pending or running.
@@ -941,8 +1088,8 @@ impl SpotMarket {
                 bucket.running.clear();
             }
             if pf < pp {
-                let k_lo = self.bucket_index(pf);
-                let k_hi = self.bucket_index(pp);
+                let k_lo = self.grid.index(pf);
+                let k_hi = self.grid.index(pp);
                 for b in k_lo..=k_hi {
                     let mut list = std::mem::take(&mut self.buckets[b].pending);
                     if b > k_lo {
@@ -967,8 +1114,8 @@ impl SpotMarket {
             }
         } else if pf > pp {
             // Price rose: running bids in [pp, pf) are outbid.
-            let k_lo = self.bucket_index(pp);
-            let k_hi = self.bucket_index(pf);
+            let k_lo = self.grid.index(pp);
+            let k_hi = self.grid.index(pf);
             for b in k_lo..=k_hi {
                 let mut list = std::mem::take(&mut self.buckets[b].running);
                 if b < k_hi {
@@ -994,8 +1141,8 @@ impl SpotMarket {
             // Price fell: pending bids in [pf, pp) win their auction.
             // (`pp` is +∞ only before the first step, when every bucket is
             // empty — the scan is then a no-op walk.)
-            let k_lo = self.bucket_index(pf);
-            let k_hi = self.bucket_index(pp);
+            let k_lo = self.grid.index(pf);
+            let k_hi = self.grid.index(pp);
             for b in k_lo..=k_hi {
                 let mut list = std::mem::take(&mut self.buckets[b].pending);
                 if b > k_lo {
@@ -1034,22 +1181,8 @@ impl SpotMarket {
             let mut parked = std::mem::take(&mut self.parked);
             parked.sort_unstable();
             for &i in &parked {
-                let iu = i as usize;
-                self.flags[iu] |= F_RESIDENT;
-                if self.price_of[iu] >= pf {
-                    started.push(i);
+                if self.first_auction(i, pf, &mut started, report) {
                     self.sc_parked_started.push(i);
-                } else if self.flags[iu] & F_PERSISTENT != 0 {
-                    let b = self.bucket_of[iu] as usize;
-                    self.pos_of[iu] = self.buckets[b].pending.len() as u32;
-                    self.buckets[b].pending.push(i);
-                } else {
-                    let rec = &mut self.records[iu];
-                    rec.phase = BidPhase::Terminated;
-                    rec.closed_at = Some(t);
-                    report.terminated.push(rec.id);
-                    self.flags[iu] &= !F_OPEN;
-                    self.open_count -= 1;
                 }
             }
             parked.clear();
@@ -1068,27 +1201,16 @@ impl SpotMarket {
             self.running_count -= 1;
             debug_assert!(t > 0, "no residents can exist before the first step");
             self.settle(iu, t - 1);
-            let persistent = self.flags[iu] & F_PERSISTENT != 0;
-            let rec = &mut self.records[iu];
-            rec.interruptions += 1;
-            report.interrupted.push(rec.id);
-            if persistent {
-                rec.phase = BidPhase::Pending;
-                if reclaiming {
-                    // Re-pended by the outage; its price may be ≥ pf, so it
-                    // waits outside the buckets for its re-auction.
-                    self.parked.push(i);
-                } else {
-                    let b = self.bucket_of[iu] as usize;
-                    self.pos_of[iu] = self.buckets[b].pending.len() as u32;
-                    self.buckets[b].pending.push(i);
-                }
+            self.accrual[iu].interruptions += 1;
+            report.interrupted.push(BidId(u64::from(i)));
+            if self.flags[iu] & F_PERSISTENT == 0 {
+                self.terminate(i, report);
+            } else if reclaiming {
+                // Re-pended by the outage; its price may be ≥ pf, so it
+                // waits outside the buckets for its re-auction.
+                self.parked.push(i);
             } else {
-                rec.phase = BidPhase::Terminated;
-                rec.closed_at = Some(t);
-                report.terminated.push(rec.id);
-                self.flags[iu] &= !F_OPEN;
-                self.open_count -= 1;
+                self.push_pending(i);
             }
         }
 
@@ -1096,31 +1218,15 @@ impl SpotMarket {
         // order. Winners join the start set; persistent losers become
         // pending residents; one-time losers exit immediately. During a
         // reclamation there is no auction to face: arrivals park and wait.
-        let incoming = std::mem::take(&mut self.incoming);
+        let incoming = self.arrived..self.submitted() as u32;
+        self.arrived = incoming.end;
         if reclaiming {
-            self.parked.extend_from_slice(&incoming);
+            self.parked.extend(incoming);
         } else {
-            for &i in &incoming {
-                let iu = i as usize;
-                self.flags[iu] |= F_RESIDENT;
-                if self.price_of[iu] >= pf {
-                    started.push(i);
-                } else if self.flags[iu] & F_PERSISTENT != 0 {
-                    let b = self.bucket_of[iu] as usize;
-                    self.pos_of[iu] = self.buckets[b].pending.len() as u32;
-                    self.buckets[b].pending.push(i);
-                } else {
-                    let rec = &mut self.records[iu];
-                    rec.phase = BidPhase::Terminated;
-                    rec.closed_at = Some(t);
-                    report.terminated.push(rec.id);
-                    self.flags[iu] &= !F_OPEN;
-                    self.open_count -= 1;
-                }
+            for i in incoming {
+                self.first_auction(i, pf, &mut started, report);
             }
         }
-        self.incoming = incoming;
-        self.incoming.clear();
 
         // 3b. Capacity enforcement (finite supply only): if the carried
         // runners plus this slot's winners exceed the spot share, the
@@ -1163,7 +1269,7 @@ impl SpotMarket {
                 );
                 for &i in &victims {
                     let iu = i as usize;
-                    report.evicted.push(self.records[iu].id);
+                    report.evicted.push(BidId(u64::from(i)));
                     if self.flags[iu] & F_RUNNING != 0 {
                         // A running instance reclaimed for the pool.
                         reclaims += 1;
@@ -1171,34 +1277,17 @@ impl SpotMarket {
                         self.flags[iu] &= !F_RUNNING;
                         self.running_count -= 1;
                         self.settle(iu, t - 1);
-                        let persistent = self.flags[iu] & F_PERSISTENT != 0;
-                        let rec = &mut self.records[iu];
-                        rec.interruptions += 1;
-                        report.interrupted.push(rec.id);
-                        if persistent {
-                            rec.phase = BidPhase::Pending;
-                            self.parked.push(i);
-                        } else {
-                            rec.phase = BidPhase::Terminated;
-                            rec.closed_at = Some(t);
-                            report.terminated.push(rec.id);
-                            self.flags[iu] &= !F_OPEN;
-                            self.open_count -= 1;
-                        }
+                        self.accrual[iu].interruptions += 1;
+                        report.interrupted.push(BidId(u64::from(i)));
                     } else {
                         // A would-be starter: never launched this slot.
                         fresh_evictions += 1;
                         self.flags[iu] |= F_EVICT;
-                        if self.flags[iu] & F_PERSISTENT != 0 {
-                            self.parked.push(i);
-                        } else {
-                            let rec = &mut self.records[iu];
-                            rec.phase = BidPhase::Terminated;
-                            rec.closed_at = Some(t);
-                            report.terminated.push(rec.id);
-                            self.flags[iu] &= !F_OPEN;
-                            self.open_count -= 1;
-                        }
+                    }
+                    if self.flags[iu] & F_PERSISTENT != 0 {
+                        self.parked.push(i);
+                    } else {
+                        self.terminate(i, report);
                     }
                 }
                 let mut w = 0usize;
@@ -1247,23 +1336,19 @@ impl SpotMarket {
         for &i in &started {
             let iu = i as usize;
             self.flags[iu] |= F_RUNNING;
-            self.run_since[iu] = t;
+            self.accrual[iu].run_since = t;
             let b = self.bucket_of[iu] as usize;
             self.pos_of[iu] = self.buckets[b].running.len() as u32;
             self.buckets[b].running.push(i);
-            self.records[iu].phase = BidPhase::Running;
-            report.started.push(self.records[iu].id);
+            report.started.push(BidId(u64::from(i)));
             if self.flags[iu] & F_GEOMETRIC != 0 {
                 geo_in.push(i);
             } else {
-                let WorkModel::FixedSlots(n) = self.records[iu].request.work else {
-                    unreachable!()
-                };
                 // Settled at (re)start, so `slots_run` is exact here; a
                 // zero-slot request still occupies (and is charged for)
                 // the slot it is accepted in, matching the naive rule
                 // `slots_run >= n` checked after the increment.
-                let rem = n.saturating_sub(self.records[iu].slots_run);
+                let rem = self.work[iu].saturating_sub(self.accrual[iu].slots_run);
                 let due = t + u64::from(rem.saturating_sub(1));
                 self.due[iu] = due;
                 let slot_list = self
@@ -1305,17 +1390,9 @@ impl SpotMarket {
                 b += 1;
                 i
             };
-            let iu = i as usize;
             if rng.chance(self.params.theta) {
-                self.settle(iu, t);
-                let rec = &mut self.records[iu];
-                rec.phase = BidPhase::Finished;
-                rec.closed_at = Some(t);
+                self.finish(i);
                 fin_geo.push(i);
-                self.flags[iu] &= !(F_RUNNING | F_OPEN);
-                self.running_count -= 1;
-                self.remove_running(i);
-                self.open_count -= 1;
             } else {
                 gnext.push(i);
             }
@@ -1341,19 +1418,9 @@ impl SpotMarket {
             self.cal_pool.push(due_list);
             fin_fixed.sort_unstable();
             for &i in &fin_fixed {
+                self.finish(i);
                 let iu = i as usize;
-                self.settle(iu, t);
-                let rec = &mut self.records[iu];
-                debug_assert!(matches!(
-                    rec.request.work,
-                    WorkModel::FixedSlots(n) if rec.slots_run >= n
-                ));
-                rec.phase = BidPhase::Finished;
-                rec.closed_at = Some(t);
-                self.flags[iu] &= !(F_RUNNING | F_OPEN);
-                self.running_count -= 1;
-                self.remove_running(i);
-                self.open_count -= 1;
+                debug_assert!(self.accrual[iu].slots_run >= self.work[iu]);
             }
         }
 
@@ -1373,7 +1440,7 @@ impl SpotMarket {
                 b += 1;
                 fin_fixed[b - 1]
             };
-            report.finished.push(self.records[i as usize].id);
+            report.finished.push(BidId(u64::from(i)));
         }
 
         self.sc_started = started;
@@ -1432,31 +1499,59 @@ impl SpotMarket {
         }
     }
 
-    /// The bucket whose exact range `[lo(b), lo(b+1))` contains `p`
-    /// (bucket 0 is open below, bucket `BUCKETS-1` open above; NaN maps to
-    /// bucket 0). The float division is repaired against the index-derived
-    /// boundaries, so wholesale bucket classification in the crossing scan
-    /// is sound even at one-ulp edges.
-    fn bucket_index(&self, p: f64) -> usize {
-        let raw = (p - self.bucket_lo) / self.bucket_w;
-        let mut i = if raw.is_finite() {
-            if raw <= 0.0 {
-                0
-            } else {
-                (raw as usize).min(BUCKETS - 1)
-            }
-        } else if raw == f64::INFINITY {
-            BUCKETS - 1
+    /// Bid `i`'s first auction at posted price `pf` — a fresh arrival's,
+    /// or a parked bid's re-auction: it becomes a resident, and a winner
+    /// joins `started` (returning true), a persistent loser pends in its
+    /// bucket and a one-time loser exits.
+    fn first_auction(
+        &mut self,
+        i: u32,
+        pf: f64,
+        started: &mut Vec<u32>,
+        report: &mut SlotReport,
+    ) -> bool {
+        let iu = i as usize;
+        self.flags[iu] |= F_RESIDENT;
+        if self.price_of[iu] >= pf {
+            started.push(i);
+            return true;
+        }
+        if self.flags[iu] & F_PERSISTENT != 0 {
+            self.push_pending(i);
         } else {
-            0
-        };
-        while i > 0 && p < self.bucket_lo + i as f64 * self.bucket_w {
-            i -= 1;
+            self.terminate(i, report);
         }
-        while i + 1 < BUCKETS && p >= self.bucket_lo + (i + 1) as f64 * self.bucket_w {
-            i += 1;
-        }
-        i
+        false
+    }
+
+    /// Appends a bid to its bucket's pending list.
+    fn push_pending(&mut self, i: u32) {
+        let iu = i as usize;
+        let b = self.bucket_of[iu] as usize;
+        self.pos_of[iu] = self.buckets[b].pending.len() as u32;
+        self.buckets[b].pending.push(i);
+    }
+
+    /// Closes an open, not running bid unfinished this slot and reports it
+    /// terminated.
+    fn terminate(&mut self, i: u32, report: &mut SlotReport) {
+        let iu = i as usize;
+        self.closed_at[iu] = self.t;
+        self.flags[iu] &= !F_OPEN;
+        self.open_count -= 1;
+        report.terminated.push(BidId(u64::from(i)));
+    }
+
+    /// Closes a running bid that finished its work this slot, settled
+    /// through this slot.
+    fn finish(&mut self, i: u32) {
+        let iu = i as usize;
+        self.settle(iu, self.t);
+        self.closed_at[iu] = self.t;
+        self.flags[iu] = (self.flags[iu] & !(F_RUNNING | F_OPEN)) | F_FINISHED;
+        self.running_count -= 1;
+        self.remove_running(i);
+        self.open_count -= 1;
     }
 
     /// Removes a bid from its bucket's running list (swap-remove with
@@ -1478,16 +1573,15 @@ impl SpotMarket {
     /// chronological order, as the naive per-slot loop — so the float sums
     /// are bit-identical (the memo returns the fold's own bits).
     fn settle(&mut self, iu: usize, end: u64) {
-        let since = self.run_since[iu];
-        if since > end {
+        let a = &mut self.accrual[iu];
+        if a.run_since > end {
             return;
         }
-        let rec = &mut self.records[iu];
-        rec.charged = self
+        a.charged = self
             .slot_charge
-            .settle(rec.charged, since, end + 1, std::iter::once(0));
-        rec.slots_run += (end - since + 1) as u32;
-        self.run_since[iu] = end + 1;
+            .settle(a.charged, a.run_since, end + 1, std::iter::once(0));
+        a.slots_run += (end - a.run_since + 1) as u32;
+        a.run_since = end + 1;
     }
 
     /// Settles a single bid's accrual up to the last completed slot.
@@ -1868,7 +1962,7 @@ mod tests {
     /// victim (the cutoff) and whether equal prices straddle position `k`.
     fn check_selection(prices: &[f64], starter_share: f64, k: usize, rng: &mut Rng) -> (u32, bool) {
         let m = market();
-        let bucket_of: Vec<u32> = prices.iter().map(|&p| m.bucket_index(p) as u32).collect();
+        let bucket_of: Vec<u32> = prices.iter().map(|&p| m.grid.index(p) as u32).collect();
         let mut buckets = vec![Bucket::default(); BUCKETS];
         let mut starters = Vec::new();
         for i in 0..prices.len() as u32 {
@@ -1984,19 +2078,103 @@ mod tests {
         assert_eq!(rep.peak_price, bound.price);
     }
 
+    /// The bucket lookup the boundary table replaced: a division estimate
+    /// repaired against boundaries recomputed on every comparison.
+    fn bucket_index_oracle(params: &MarketParams, p: f64) -> usize {
+        let lo = params.pi_min.as_f64();
+        let w = params.spread().as_f64() / BUCKETS as f64;
+        let raw = (p - lo) / w;
+        let mut i = if raw.is_finite() {
+            if raw <= 0.0 {
+                0
+            } else {
+                (raw as usize).min(BUCKETS - 1)
+            }
+        } else if raw == f64::INFINITY {
+            BUCKETS - 1
+        } else {
+            0
+        };
+        while i > 0 && p < lo + i as f64 * w {
+            i -= 1;
+        }
+        while i + 1 < BUCKETS && p >= lo + (i + 1) as f64 * w {
+            i += 1;
+        }
+        i
+    }
+
+    #[test]
+    fn boundary_table_lookup_matches_the_division_oracle() {
+        // Several spreads, from a narrow band far from zero to a wide one
+        // starting at zero; every boundary and its one-ulp neighbours,
+        // random prices in and around the range, the specials.
+        let spreads = [
+            (0.35, 0.02),
+            (1.0, 0.0),
+            (0.0104, 0.0031),
+            (3.7, 2.9),
+            (1e6, 7.5),
+            (0.5, 0.499_999_999),
+        ];
+        let mut g = Rng::seed_from_u64(0xB0_0D5);
+        for (hi, lo) in spreads {
+            let params = MarketParams::new(Price::new(hi), Price::new(lo), 0.05, 0.02).unwrap();
+            let grid = BucketGrid::new(&params);
+            let mut probes = vec![
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+                0.0,
+                -0.0,
+                lo,
+                hi,
+                lo / 2.0,
+                lo - 1.0,
+                hi * 2.0,
+                hi + 1e-9,
+            ];
+            for &b in grid.bounds.iter() {
+                probes.extend([b, b.next_up(), b.next_down()]);
+            }
+            let spread = hi - lo;
+            for _ in 0..20_000 {
+                probes.push(g.range_f64(lo - spread, hi + spread));
+            }
+            for p in probes {
+                assert_eq!(
+                    grid.index(p),
+                    bucket_index_oracle(&params, p),
+                    "price {p:e} over [{lo}, {hi}]"
+                );
+            }
+            // Each boundary opens its own bucket where the table is strict.
+            for b in 1..BUCKETS {
+                if grid.bounds[b - 1] < grid.bounds[b] {
+                    assert_eq!(grid.index(grid.bounds[b]), b);
+                    assert_eq!(grid.index(grid.bounds[b].next_down()), b - 1);
+                }
+            }
+        }
+    }
+
     impl SpotMarket {
         /// `(len, capacity)` of every bid column [`SpotMarket::reserve`]
         /// grows.
-        fn column_shapes(&self) -> [(usize, usize); 8] {
+        fn column_shapes(&self) -> [(usize, usize); 9] {
+            let shape = |len, cap| (len, cap);
             [
-                (self.records.len(), self.records.capacity()),
-                (self.price_of.len(), self.price_of.capacity()),
-                (self.flags.len(), self.flags.capacity()),
-                (self.run_since.len(), self.run_since.capacity()),
-                (self.due.len(), self.due.capacity()),
-                (self.bucket_of.len(), self.bucket_of.capacity()),
-                (self.pos_of.len(), self.pos_of.capacity()),
-                (self.incoming.len(), self.incoming.capacity()),
+                shape(self.price_of.len(), self.price_of.capacity()),
+                shape(self.flags.len(), self.flags.capacity()),
+                shape(self.work.len(), self.work.capacity()),
+                shape(self.submitted_at.len(), self.submitted_at.capacity()),
+                shape(self.accrual.len(), self.accrual.capacity()),
+                shape(self.due.len(), self.due.capacity()),
+                shape(self.closed_at.len(), self.closed_at.capacity()),
+                shape(self.bucket_of.len(), self.bucket_of.capacity()),
+                shape(self.pos_of.len(), self.pos_of.capacity()),
             ]
         }
     }

@@ -169,14 +169,14 @@ impl SpotMarket {
         id
     }
 
-    /// Read access to a bid's record.
-    pub fn record(&self, id: BidId) -> Option<&BidRecord> {
-        self.records.get(id.0 as usize)
+    /// A copy of a bid's record (by value, like the bid-book's).
+    pub fn record(&self, id: BidId) -> Option<BidRecord> {
+        self.records.get(id.0 as usize).cloned()
     }
 
-    /// All bid records (submitted order).
-    pub fn records(&self) -> &[BidRecord] {
-        &self.records
+    /// Copies of all bid records (submitted order).
+    pub fn records(&self) -> Vec<BidRecord> {
+        self.records.clone()
     }
 
     /// Number of bids still pending or running.
