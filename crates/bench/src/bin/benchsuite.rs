@@ -508,6 +508,49 @@ fn market_multi_benches(h: &mut Harness) {
             set.step_into(black_box(&mut rngs), black_box(&mut reports));
         });
 
+    // An aged, squeezed set: four finite books of 50k standing bids each
+    // (8192 servers, up to 4096 on demand), stepped 20k slots with
+    // on-demand and one-time churn before timing. The churn interrupts
+    // and restarts standing bids every slot, so this row times a book
+    // that has seen hundreds of thousands of restarts, where every other
+    // market row times a young one.
+    const AGE: usize = 20_000;
+    let squeezed = Supply::Finite {
+        capacity: 8192,
+        policy: ProviderPolicy::UtilizationTracking { od_cap: 4096 },
+    };
+    let specs = (0..M)
+        .map(|m| MarketSpec::with_supply(format!("m{m}"), params, squeezed))
+        .collect();
+    let mut aged = MarketSet::new(specs, slot).unwrap();
+    for m in 0..M {
+        for i in 0..50_000 {
+            aged.submit(m, standing_bid(&params, m * 50_000 + i));
+        }
+    }
+    let mut od = Rng::seed_from_u64(0x0D);
+    let mut next = M * 50_000;
+    let mut squeeze_slot = |set: &mut MarketSet, rngs: &mut [Rng], reports: &mut [SlotReport]| {
+        for m in 0..M {
+            let active = set.market(m).od_active();
+            set.release_on_demand(m, od.poisson(f64::from(active) * 0.1) as u32);
+            set.request_on_demand(m, od.poisson(200.0) as u32);
+            for _ in 0..CHURN_PER_STEP / M {
+                set.submit(m, churn_bid(&params, next));
+                next += 1;
+            }
+        }
+        set.step_into(rngs, reports);
+    };
+    for _ in 0..AGE {
+        squeeze_slot(&mut aged, &mut rngs, &mut reports);
+    }
+    h.group("market_multi")
+        .throughput_items(200_000)
+        .bench("market_set_step_aged/4x50k_bids_20k_slots", || {
+            squeeze_slot(&mut aged, black_box(&mut rngs), black_box(&mut reports))
+        });
+
     // The per-slot correlated background draw at M=8.
     let arrivals = CorrelatedArrivals::new(2.0, vec![3.0; 8]).unwrap();
     let mut shared = Rng::seed_from_u64(1);

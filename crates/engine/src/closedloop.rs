@@ -507,6 +507,17 @@ mod tests {
     }
 
     #[test]
+    fn unlogged_fleets_build_no_events() {
+        let mut seen = Vec::new();
+        let mut emit = |e: Event| seen.push(e);
+        let mut unlogged = wakeup::Events::new(&mut emit, false);
+        unlogged.emit(|| unreachable!("an unlogged session built an event"));
+        let mut logged = wakeup::Events::new(&mut emit, true);
+        logged.emit(|| Event::Completed { slot: 3, tenant: 7 });
+        assert_eq!(seen, vec![Event::Completed { slot: 3, tenant: 7 }]);
+    }
+
+    #[test]
     fn deterministic_from_seed() {
         let strategies = [
             BiddingStrategy::OptimalPersistent,

@@ -26,7 +26,8 @@
 //! fleet's float-addition order. The session end settles every tenant
 //! still running. The fleet keeps no list of runners, only their count; a
 //! logged run finds them by scanning the tenants on every slot it does
-//! not skip, to emit their `Charged` events in the dense order. A slot
+//! not skip, to emit their `Charged` events in the dense order; an
+//! unlogged run builds no events at all. A slot
 //! where no market's report names a tenant leg, no plan was applied and
 //! no leg runs is *skipped* ([`PortfolioFleetStats::skipped_slots`]).
 //!
@@ -46,7 +47,7 @@ use super::{
 use crate::billing::{LineItem, UsageKind};
 use crate::closedloop::wakeup::{
     for_each_owner, intern_class, reserve_owners, set_owner, strategy_key, with_runners, ClassMap,
-    DecisionMemo, NO_OWNER, R_FINISHED, R_INTERRUPTED, R_STARTED, R_TERMINATED,
+    DecisionMemo, Events, NO_OWNER, R_FINISHED, R_INTERRUPTED, R_STARTED, R_TERMINATED,
 };
 use crate::closedloop::{spot_charge, LoopFaults};
 use crate::event::Event;
@@ -195,9 +196,9 @@ struct PortfolioWakeupFleet {
     job: JobSpec,
     on_demand: Price,
     max_resubmissions: u32,
-    /// Visit every runner every slot, emitting its `Charged` events (set
-    /// only when the session logs events).
-    carry_runners: bool,
+    /// The session logs events: they are built and emitted, and every
+    /// runner is visited every slot for its `Charged` events.
+    logged: bool,
 
     // Tenant state (tag = index).
     tenants: Vec<WTenant>,
@@ -239,11 +240,7 @@ struct PortfolioWakeupFleet {
 }
 
 impl PortfolioWakeupFleet {
-    fn new(
-        strategies: &[PortfolioStrategy],
-        cfg: &PortfolioLoopConfig,
-        carry_runners: bool,
-    ) -> Self {
+    fn new(strategies: &[PortfolioStrategy], cfg: &PortfolioLoopConfig, logged: bool) -> Self {
         let n = strategies.len();
         assert!(
             n < NO_OWNER as usize,
@@ -259,7 +256,7 @@ impl PortfolioWakeupFleet {
             job: cfg.job,
             on_demand: cfg.on_demand,
             max_resubmissions: cfg.max_resubmissions,
-            carry_runners,
+            logged,
             tenants,
             done: vec![false; n],
             classes,
@@ -305,7 +302,7 @@ impl PortfolioWakeupFleet {
         owners: &mut [Vec<u32>],
         costs: &mut CostTotals,
         live: &mut [u32],
-        emit: &mut dyn FnMut(Event),
+        events: &mut Events<'_>,
     ) -> Result<(), EngineError> {
         for leg in &plan.legs {
             if tenant.pending == 0 {
@@ -327,7 +324,7 @@ impl PortfolioWakeupFleet {
                             kind: UsageKind::OnDemand,
                             tag: t,
                         };
-                        emit(Event::Charged { item });
+                        events.emit(|| Event::Charged { item });
                         costs.try_charge(&item)?;
                         tenant.od_charged += work;
                     }
@@ -356,7 +353,7 @@ impl PortfolioWakeupFleet {
                     });
                     live[leg.market] += 1;
                     tenant.pending -= assigned;
-                    emit(Event::BidSubmitted {
+                    events.emit(|| Event::BidSubmitted {
                         slot,
                         tenant: t,
                         price,
@@ -371,7 +368,7 @@ impl PortfolioWakeupFleet {
             // on-demand decision).
             tenant.completed = true;
             tenant.done_pending = true;
-            emit(Event::Completed { slot, tenant: t });
+            events.emit(|| Event::Completed { slot, tenant: t });
         }
         Ok(())
     }
@@ -398,7 +395,7 @@ impl PortfolioWakeupFleet {
         needy: &mut Vec<u32>,
         job: &JobSpec,
         max_resubmissions: u32,
-        emit: &mut dyn FnMut(Event),
+        events: &mut Events<'_>,
     ) -> DriverStatus {
         if tenant.done_pending {
             return DriverStatus::Done;
@@ -417,16 +414,16 @@ impl PortfolioWakeupFleet {
             if started {
                 leg.running = true;
                 tenant.run_legs += 1;
-                emit(Event::BidAccepted { slot, tenant: t });
+                events.emit(|| Event::BidAccepted { slot, tenant: t });
             }
             if interrupted {
                 tenant.interruptions += 1;
-                emit(Event::Interrupted { slot, tenant: t });
+                events.emit(|| Event::Interrupted { slot, tenant: t });
             }
             if ran {
                 leg.ran += 1;
                 tenant.slots_run += 1;
-                emit(Event::Charged {
+                events.emit(|| Event::Charged {
                     item: LineItem {
                         slot,
                         price: report.price,
@@ -452,7 +449,7 @@ impl PortfolioWakeupFleet {
                 continue;
             }
             if terminated {
-                emit(Event::Rejected { slot, tenant: t });
+                events.emit(|| Event::Rejected { slot, tenant: t });
                 let lost = u64::from(leg.assigned - leg.ran);
                 live[m] -= 1;
                 tenant.legs.remove(k);
@@ -483,7 +480,7 @@ impl PortfolioWakeupFleet {
         }
         if !tenant.completed && tenant.legs.is_empty() && tenant.pending == 0 {
             tenant.completed = true;
-            emit(Event::Completed { slot, tenant: t });
+            events.emit(|| Event::Completed { slot, tenant: t });
             return DriverStatus::Done;
         }
         if tenant.gave_up && tenant.legs.is_empty() && !tenant.needs_submit {
@@ -585,6 +582,7 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         // exactly as if each tenant had planned and submitted in turn. The
         // legs then enter each market in one batch (an apply error ends
         // the session, markets and all).
+        let mut events = Events::new(emit, self.logged);
         for &i in &needy[..decided] {
             let tenant = &mut self.tenants[i as usize];
             Self::apply_plan(
@@ -598,7 +596,7 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
                 &mut self.owners,
                 &mut self.costs,
                 &mut self.live,
-                emit,
+                &mut events,
             )?;
             tenant.woken = true;
             self.fresh.push(i);
@@ -673,7 +671,7 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         for (r, report) in refused.iter_mut().zip(reports) {
             *r = spot_charge(slot, report.price, self.job.slot).is_err();
         }
-        let carry = self.carry_runners || refused.contains(&true);
+        let carry = self.logged || refused.contains(&true);
         let mut order = std::mem::take(&mut self.sc_order);
         let visit: &[u32] = if carry {
             let tenants = &self.tenants;
@@ -689,6 +687,7 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         };
 
         let mut refusal = None;
+        let mut events = Events::new(emit, self.logged);
         for &t in visit {
             let tu = t as usize;
             let tenant = &mut self.tenants[tu];
@@ -711,7 +710,7 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
                 &mut self.needy,
                 &self.job,
                 self.max_resubmissions,
-                emit,
+                &mut events,
             );
             tenant.run_since = slot + 1;
             match (had_running, tenant.run_legs > 0) {
@@ -771,9 +770,9 @@ pub(super) fn run(
     faults: Option<&[LoopFaults]>,
     log: Option<&mut EventLog>,
 ) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
-    let carry_runners = log.is_some();
+    let logged = log.is_some();
     let (report, fleet) = run_session(strategies, cfg, seed, faults, log, |_| {
-        PortfolioWakeupFleet::new(strategies, cfg, carry_runners)
+        PortfolioWakeupFleet::new(strategies, cfg, logged)
     })?;
     Ok((report, fleet.stats))
 }

@@ -31,7 +31,8 @@
 //! that is the dense fleet's float-addition order, so costs are
 //! bit-identical. The fleet keeps no list of runners, only their count;
 //! a logged run finds them by scanning the tenant flags on every slot it
-//! does not skip, to emit their `Charged` events in the dense order.
+//! does not skip, to emit their `Charged` events in the dense order. An
+//! unlogged run builds no events at all ([`Events`]).
 //!
 //! A slot with an empty wake set and no runner is *skipped*
 //! ([`FleetStats::skipped_slots`]); fault-free, those are exactly the
@@ -67,8 +68,9 @@ use spotbid_numerics::rng::RngStreams;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// `bid_id` column sentinel: no live bid.
-const NO_BID: u64 = u64::MAX;
+/// `bid_id` column sentinel: no live bid. The market never issues it: its
+/// ids stay below `u32::MAX`.
+const NO_BID: u32 = u32::MAX;
 /// `owner` column sentinel: a background bid, owned by no tenant. Tenant
 /// indices stay below it.
 pub(super) const NO_OWNER: u32 = u32::MAX;
@@ -111,6 +113,24 @@ pub struct FleetStats {
     /// tenants plus the owners of the bids its report names), counted
     /// once per tenant. Runners carried through a slot are not counted.
     pub woken: u64,
+}
+
+/// A fleet's event output for one hook call: the kernel's `emit` when the
+/// session logs events, otherwise nothing, so an unlogged session builds
+/// no events at all.
+pub(super) struct Events<'a>(Option<&'a mut dyn FnMut(Event)>);
+
+impl<'a> Events<'a> {
+    pub(super) fn new(emit: &'a mut dyn FnMut(Event), logged: bool) -> Self {
+        Events(if logged { Some(emit) } else { None })
+    }
+
+    /// Emits the event `make` builds, if the session logs events.
+    pub(super) fn emit(&mut self, make: impl FnOnce() -> Event) {
+        if let Some(emit) = &mut self.0 {
+            emit(make());
+        }
+    }
 }
 
 /// Records tenant `t` as the owner of bid `id` in a bid-id → tenant
@@ -278,9 +298,9 @@ struct WakeupFleet {
     slot_len: Hours,
     slots_needed: u64,
     max_resubmissions: u32,
-    /// Visit every runner every slot, emitting its `Charged` event (set
-    /// only when the session logs events).
-    carry_runners: bool,
+    /// The session logs events: they are built and emitted, and every
+    /// runner is visited every slot for its `Charged` event.
+    logged: bool,
 
     /// One strategy per class of bit-identical tenant strategies.
     classes: Vec<BiddingStrategy>,
@@ -295,7 +315,7 @@ struct WakeupFleet {
     /// `on_slot`.
     wake: Vec<u8>,
     /// Live bid id, [`NO_BID`] when none.
-    bid_id: Vec<u64>,
+    bid_id: Vec<u32>,
     slots_run: Vec<u64>,
     interruptions: Vec<u32>,
     resubmissions: Vec<u32>,
@@ -327,7 +347,7 @@ struct WakeupFleet {
 }
 
 impl WakeupFleet {
-    fn new(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig, carry_runners: bool) -> Self {
+    fn new(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig, logged: bool) -> Self {
         let n = strategies.len();
         assert!(
             n < NO_OWNER as usize,
@@ -351,7 +371,7 @@ impl WakeupFleet {
             slot_len: cfg.slot_len,
             slots_needed: cfg.job.slots_needed(),
             max_resubmissions: cfg.max_resubmissions,
-            carry_runners,
+            logged,
             classes,
             memo: DecisionMemo::new(),
             class_of,
@@ -417,7 +437,7 @@ impl WakeupFleet {
         decision: BidDecision,
         slot: u64,
         first: usize,
-        emit: &mut dyn FnMut(Event),
+        events: &mut Events<'_>,
     ) -> Result<(), EngineError> {
         let tu = t as usize;
         match decision {
@@ -431,11 +451,11 @@ impl WakeupFleet {
                         kind: UsageKind::OnDemand,
                         tag: t,
                     };
-                    emit(Event::Charged { item });
+                    events.emit(|| Event::Charged { item });
                     self.costs.try_charge(&item)?;
                 }
                 self.flags[tu] |= T_COMPLETED | T_DONE_PENDING;
-                emit(Event::Completed { slot, tenant: t });
+                events.emit(|| Event::Completed { slot, tenant: t });
             }
             BidDecision::Spot { price, persistent } => {
                 let remaining = (self.slots_needed - self.slots_run[tu]).max(1) as u32;
@@ -449,9 +469,9 @@ impl WakeupFleet {
                     },
                     work: WorkModel::FixedSlots(remaining),
                 });
-                self.bid_id[tu] = id.0;
+                self.bid_id[tu] = u32::try_from(id.0).expect("market bid ids fit in u32");
                 set_owner(&mut self.owner, id, t);
-                emit(Event::BidSubmitted {
+                events.emit(|| Event::BidSubmitted {
                     slot,
                     tenant: t,
                     price,
@@ -474,7 +494,7 @@ impl WakeupFleet {
         t: u32,
         slot: u64,
         report: &SlotReport,
-        emit: &mut dyn FnMut(Event),
+        events: &mut Events<'_>,
     ) -> bool {
         let tu = t as usize;
         let bits = std::mem::take(&mut self.wake[tu]);
@@ -497,19 +517,19 @@ impl WakeupFleet {
         let ran = started || (was_running && !interrupted && !terminated);
         if started {
             self.flags[tu] |= T_RUNNING;
-            emit(Event::BidAccepted { slot, tenant: t });
+            events.emit(|| Event::BidAccepted { slot, tenant: t });
             self.running += 1;
         }
         if interrupted {
             self.interruptions[tu] += 1;
-            emit(Event::Interrupted { slot, tenant: t });
+            events.emit(|| Event::Interrupted { slot, tenant: t });
         }
         if ran {
             // The provider charges running bids the posted price per slot
             // (§3.2); mirror the market's internal `charged` accrual in
             // this tenant's own total.
             self.slots_run[tu] += 1;
-            emit(Event::Charged {
+            events.emit(|| Event::Charged {
                 item: LineItem {
                     slot,
                     price: report.price,
@@ -528,12 +548,12 @@ impl WakeupFleet {
         }
         if finished {
             self.flags[tu] |= T_COMPLETED;
-            emit(Event::Completed { slot, tenant: t });
+            events.emit(|| Event::Completed { slot, tenant: t });
             self.finish(tu);
             return ran;
         }
         if terminated {
-            emit(Event::Rejected { slot, tenant: t });
+            events.emit(|| Event::Rejected { slot, tenant: t });
             self.bid_id[tu] = NO_BID;
             if self.resubmissions[tu] < self.max_resubmissions {
                 self.resubmissions[tu] += 1;
@@ -620,9 +640,10 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
         // each tenant had decided and submitted in turn. The bids then
         // enter the market in one batch (an apply error ends the session,
         // market and all).
+        let mut events = Events::new(emit, self.logged);
         for &t in &needy[..decided] {
             let decision = *self.memo.get(self.class_of[t as usize]);
-            self.apply_decision(t, decision, slot, first, emit)?;
+            self.apply_decision(t, decision, slot, first, &mut events)?;
         }
         let ids = source.market.submit_batch(&self.sc_wave);
         debug_assert_eq!(ids.start, first as u64);
@@ -657,7 +678,7 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
                 *w |= W_WOKEN;
                 woken.push(t);
             }
-            if bid_id[t as usize] == id.0 {
+            if u64::from(bid_id[t as usize]) == id.0 {
                 *w |= bit;
             }
         });
@@ -678,7 +699,7 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
         woken.sort();
         self.stats.woken += woken.len() as u64;
         let refusal = spot_charge(slot, report.price, self.job.slot).err();
-        let carry = self.carry_runners || refusal.is_some();
+        let carry = self.logged || refusal.is_some();
         let mut order = std::mem::take(&mut self.sc_order);
         let visit: &[u32] = if carry {
             let flags = &self.flags;
@@ -694,9 +715,10 @@ impl JobDriver<ClosedLoopSource> for WakeupFleet {
         };
 
         let mut ran_any = false;
+        let mut events = Events::new(emit, self.logged);
         for &t in visit {
             self.settle(t, slot);
-            ran_any |= self.tenant_slot_update(t, slot, report, emit);
+            ran_any |= self.tenant_slot_update(t, slot, report, &mut events);
             self.run_since[t as usize] = slot + 1;
         }
         self.sc_woken = woken;

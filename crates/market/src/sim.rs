@@ -36,7 +36,6 @@ use crate::params::MarketParams;
 use crate::provider::{clearing_price, optimal_price, ProviderPolicy};
 use crate::units::{Cost, Hours, Price};
 use spotbid_numerics::rng::Rng;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 pub mod naive;
@@ -307,6 +306,129 @@ const F_RESIDENT: u8 = 1 << 4;
 const F_EVICT: u8 = 1 << 5;
 /// Closed by finishing its work (a closed bid without it terminated).
 const F_FINISHED: u8 = 1 << 6;
+/// Holds the one entry the finish [`Calendar`] keeps for it.
+const F_FILED: u8 = 1 << 7;
+
+/// Slots the finish calendar's near wheel spans, and epochs (of `SPAN`
+/// slots each) its mid wheel spans.
+const SPAN: u64 = 256;
+
+/// The fixed-work finish calendar (DESIGN.md §5e): at most one entry per
+/// bid, filed by the bid's due slot at filing time.
+///
+/// A due within `SPAN` slots of now goes to the near wheel, one list per
+/// slot mod `SPAN`, popped every slot; one within `SPAN` epochs to the mid
+/// wheel, one list per epoch mod `SPAN`, refiled when its epoch opens; any
+/// later due to the far list, refiled every `SPAN²` slots. A bid that
+/// launches holding no entry is filed and marked [`F_FILED`]; one that
+/// restarts with its entry still standing files nothing, because a
+/// restart only delays the due slot (new due = old due + idle slots), so
+/// that entry is visited no later than the bid can finish. A visit drops
+/// the entry of a bid no longer running, reports a runner due now, and
+/// refiles any other runner by its current due.
+#[derive(Debug, Clone)]
+struct Calendar {
+    /// `near[d % SPAN]`: bids filed due at slot `d`, `now <= d < now + SPAN`.
+    near: Vec<Vec<u32>>,
+    /// `mid[(d / SPAN) % SPAN]`: bids filed due in epoch `d / SPAN`, within
+    /// `SPAN` epochs of now's.
+    mid: Vec<Vec<u32>>,
+    /// Bids filed due further out.
+    far: Vec<u32>,
+    /// A spare list, swapped in for the mid list being refiled.
+    scratch: Vec<u32>,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Calendar {
+            near: vec![Vec::new(); SPAN as usize],
+            mid: vec![Vec::new(); SPAN as usize],
+            far: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Files bid `i`, due at slot `due`, at slot `t`.
+    fn file(&mut self, i: u32, due: u64, t: u64) {
+        debug_assert!(due >= t, "bid {i} filed at {t}, due at {due}");
+        let list = if due - t < SPAN {
+            &mut self.near[(due % SPAN) as usize]
+        } else if due / SPAN - t / SPAN < SPAN {
+            &mut self.mid[(due / SPAN % SPAN) as usize]
+        } else {
+            &mut self.far
+        };
+        list.push(i);
+    }
+
+    /// Appends to `out` every running bid due at slot `t` (unsorted),
+    /// after refiling the mid and far entries whose window opens at `t`.
+    fn pop(&mut self, t: u64, flags: &mut [u8], due: &[u64], out: &mut Vec<u32>) {
+        if t % SPAN == 0 {
+            if t % (SPAN * SPAN) == 0 {
+                // Refiled in place: most far runners stay far.
+                let mut far = std::mem::take(&mut self.far);
+                far.retain(|&i| {
+                    let iu = i as usize;
+                    if flags[iu] & F_RUNNING == 0 {
+                        flags[iu] &= !F_FILED;
+                        false
+                    } else if due[iu] / SPAN - t / SPAN >= SPAN {
+                        true
+                    } else {
+                        self.file(i, due[iu], t);
+                        false
+                    }
+                });
+                self.far = far;
+            }
+            let mut list = std::mem::replace(
+                &mut self.mid[(t / SPAN % SPAN) as usize],
+                std::mem::take(&mut self.scratch),
+            );
+            self.visit(&mut list, t, flags, due, out);
+            self.scratch = list;
+        }
+        let mut list = std::mem::take(&mut self.near[(t % SPAN) as usize]);
+        self.visit(&mut list, t, flags, due, out);
+        self.near[(t % SPAN) as usize] = list;
+    }
+
+    /// Visits and empties `list` at slot `t`: drops the entry of a bid no
+    /// longer running, appends a runner due at `t` to `out`, and refiles
+    /// any other runner by its current due. Nothing is refiled into
+    /// `list`'s own slot: a refiled due lies after `t` and, in the mid
+    /// wheel, in a later epoch than `t`'s.
+    fn visit(
+        &mut self,
+        list: &mut Vec<u32>,
+        t: u64,
+        flags: &mut [u8],
+        due: &[u64],
+        out: &mut Vec<u32>,
+    ) {
+        for &i in list.iter() {
+            let iu = i as usize;
+            if flags[iu] & F_RUNNING == 0 {
+                flags[iu] &= !F_FILED;
+            } else if due[iu] == t {
+                flags[iu] &= !F_FILED;
+                out.push(i);
+            } else {
+                self.file(i, due[iu], t);
+            }
+        }
+        list.clear();
+    }
+
+    /// Entries held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        let lists = |w: &[Vec<u32>]| w.iter().map(Vec::len).sum::<usize>();
+        lists(&self.near) + lists(&self.mid) + self.far.len()
+    }
+}
 
 /// One price bucket: the open bids whose price falls in its range, split
 /// by run state so each crossing scan touches only the side it moves.
@@ -330,25 +452,39 @@ struct Bucket {
 /// smallest. NaN prices, which bucket to 0 but order last, never run
 /// (`NaN >= pf` is false), so they are never candidates.
 ///
+/// Every candidate bids at least the posted price (runners below it were
+/// outbid by the crossing scan, starters won their auction), so none sits
+/// below the posted price's bucket `floor`, and the walk, the gather and
+/// the `counts` reset all start there.
+///
 /// `counts` is per-bucket scratch: sized to `buckets` on first use and
 /// left all-zero on return.
+#[allow(clippy::too_many_arguments)]
 fn select_victims(
     buckets: &[Bucket],
     starters: &[u32],
     price_of: &[f64],
     bucket_of: &[u32],
+    floor: usize,
     k: usize,
     counts: &mut Vec<u32>,
     out: &mut Vec<u32>,
 ) {
     debug_assert!(k > 0);
+    debug_assert!(
+        buckets[..floor].iter().all(|b| b.running.is_empty())
+            && starters
+                .iter()
+                .all(|&i| bucket_of[i as usize] as usize >= floor),
+        "a candidate below the floor bucket {floor}"
+    );
     counts.resize(buckets.len(), 0);
     for &i in starters {
         counts[bucket_of[i as usize] as usize] += 1;
     }
     let mut total = 0usize;
     let mut cutoff = buckets.len() - 1;
-    for (b, bucket) in buckets.iter().enumerate() {
+    for (b, bucket) in buckets.iter().enumerate().skip(floor) {
         total += bucket.running.len() + counts[b] as usize;
         if total >= k {
             cutoff = b;
@@ -356,10 +492,10 @@ fn select_victims(
         }
     }
     debug_assert!(total >= k, "fewer candidates than victims");
-    counts.fill(0);
+    counts[floor..].fill(0);
 
     out.clear();
-    for bucket in &buckets[..=cutoff] {
+    for bucket in &buckets[floor..=cutoff] {
         out.extend_from_slice(&bucket.running);
     }
     out.extend(
@@ -598,10 +734,9 @@ pub struct SpotMarket {
     /// order (one `chance(θ)` each, matching the naive submission-order
     /// scan).
     geo_run: Vec<u32>,
-    /// Fixed-work finish calendar: slot → bids scheduled to finish then.
-    /// Entries go stale when a bid is interrupted first; the pop
-    /// re-validates against `due`.
-    calendar: BTreeMap<u64, Vec<u32>>,
+    /// Fixed-work finish calendar: an entry for every running fixed-work
+    /// bid, visited no later than its due slot, and at most one per bid.
+    calendar: Calendar,
     /// Open bids displaced by a capacity reclamation (plus arrivals during
     /// one): they are exempt from the resident price invariants, so they
     /// sit outside the bucket lists and face an individual first-auction
@@ -645,7 +780,6 @@ pub struct SpotMarket {
     /// 1b), pending the capacity pass: survivors count as
     /// [`ProviderSlot::parked_restarts`].
     sc_parked_started: Vec<u32>,
-    cal_pool: Vec<Vec<u32>>,
     report_pool: Vec<Vec<BidId>>,
 }
 
@@ -774,7 +908,7 @@ impl SpotMarket {
             prev_price: f64::INFINITY,
             slot_charge: ChargeTable::new(1),
             geo_run: Vec::new(),
-            calendar: BTreeMap::new(),
+            calendar: Calendar::new(),
             parked: Vec::new(),
             running_count: 0,
             reclaim_next: false,
@@ -792,7 +926,6 @@ impl SpotMarket {
             sc_fin_geo: Vec::new(),
             sc_fin_fixed: Vec::new(),
             sc_parked_started: Vec::new(),
-            cal_pool: Vec::new(),
             report_pool: Vec::new(),
         }
     }
@@ -1263,6 +1396,7 @@ impl SpotMarket {
                     &started,
                     &self.price_of,
                     &self.bucket_of,
+                    self.grid.index(pf),
                     carried - spot_cap as usize,
                     &mut self.sc_bucket_count,
                     &mut victims,
@@ -1348,14 +1482,15 @@ impl SpotMarket {
                 // zero-slot request still occupies (and is charged for)
                 // the slot it is accepted in, matching the naive rule
                 // `slots_run >= n` checked after the increment.
+                // A restarted bid keeps the entry of an earlier launch,
+                // which comes due no later than this one.
                 let rem = self.work[iu].saturating_sub(self.accrual[iu].slots_run);
                 let due = t + u64::from(rem.saturating_sub(1));
                 self.due[iu] = due;
-                let slot_list = self
-                    .calendar
-                    .entry(due)
-                    .or_insert_with(|| self.cal_pool.pop().unwrap_or_default());
-                slot_list.push(i);
+                if self.flags[iu] & F_FILED == 0 {
+                    self.flags[iu] |= F_FILED;
+                    self.calendar.file(i, due, t);
+                }
             }
         }
 
@@ -1402,26 +1537,16 @@ impl SpotMarket {
         self.sc_geo_next = gr;
 
         // 6. Calendar pop: fixed-work bids whose streak reaches its work
-        // requirement this slot. Entries are validated against `due` and
-        // the running flag, so interruptions (which reschedule on restart)
-        // leave only harmless stale entries behind.
+        // requirement this slot, the running bids with `due == t`.
         let mut fin_fixed = std::mem::take(&mut self.sc_fin_fixed);
         fin_fixed.clear();
-        if let Some(mut due_list) = self.calendar.remove(&t) {
-            for &i in &due_list {
-                let iu = i as usize;
-                if self.flags[iu] & F_RUNNING != 0 && self.due[iu] == t {
-                    fin_fixed.push(i);
-                }
-            }
-            due_list.clear();
-            self.cal_pool.push(due_list);
-            fin_fixed.sort_unstable();
-            for &i in &fin_fixed {
-                self.finish(i);
-                let iu = i as usize;
-                debug_assert!(self.accrual[iu].slots_run >= self.work[iu]);
-            }
+        self.calendar
+            .pop(t, &mut self.flags, &self.due, &mut fin_fixed);
+        fin_fixed.sort_unstable();
+        for &i in &fin_fixed {
+            self.finish(i);
+            let iu = i as usize;
+            debug_assert!(self.accrual[iu].slots_run >= self.work[iu]);
         }
 
         // 7. Finished = id-merge of the geometric and fixed finish sets.
@@ -1958,11 +2083,26 @@ mod tests {
     }
 
     /// One randomized `select_victims` case against the full
-    /// `victim_order` sort it replaces. Returns the bucket of the `k`-th
-    /// victim (the cutoff) and whether equal prices straddle position `k`.
-    fn check_selection(prices: &[f64], starter_share: f64, k: usize, rng: &mut Rng) -> (u32, bool) {
+    /// `victim_order` sort it replaces, walked from the bucket of a posted
+    /// price at or below every candidate: the lowest candidate price
+    /// itself, a price below it, or one below the whole book. Returns the
+    /// bucket of the `k`-th victim (the cutoff), whether equal prices
+    /// straddle position `k`, and the floor bucket.
+    fn check_selection(
+        prices: &[f64],
+        starter_share: f64,
+        k: usize,
+        rng: &mut Rng,
+    ) -> (u32, bool, usize) {
         let m = market();
         let bucket_of: Vec<u32> = prices.iter().map(|&p| m.grid.index(p) as u32).collect();
+        let lowest = prices.iter().copied().fold(f64::INFINITY, f64::min);
+        let posted = match rng.range_usize(3) {
+            0 => lowest,
+            1 => rng.range_f64(lowest - 0.05, lowest),
+            _ => -1.0,
+        };
+        let floor = m.grid.index(posted);
         let mut buckets = vec![Bucket::default(); BUCKETS];
         let mut starters = Vec::new();
         for i in 0..prices.len() as u32 {
@@ -1992,17 +2132,18 @@ mod tests {
             &starters,
             prices,
             &bucket_of,
+            floor,
             k,
             &mut counts,
             &mut out,
         );
         let mut expect = full[..k].to_vec();
         expect.sort_unstable();
-        assert_eq!(out, expect, "k = {k} of {}", prices.len());
+        assert_eq!(out, expect, "k = {k} of {}, floor {floor}", prices.len());
         assert!(counts.iter().all(|&c| c == 0), "scratch left dirty");
         let last = full[k - 1] as usize;
         let straddle = k < full.len() && prices[full[k] as usize] == prices[last];
-        (bucket_of[last], straddle)
+        (bucket_of[last], straddle, floor)
     }
 
     #[test]
@@ -2011,6 +2152,7 @@ mod tests {
         let w = (hi - lo) / BUCKETS as f64;
         let mut rng = Rng::seed_from_u64(0x5E1E);
         let (mut straddles, mut top_cutoffs, mut bottom_cutoffs) = (0, 0, 0);
+        let (mut cutoff_floors, mut raised_floors) = (0, 0);
         for trial in 0..600u32 {
             let n = 1 + (rng.range_f64(0.0, 300.0) as usize);
             let prices: Vec<f64> = (0..n)
@@ -2037,16 +2179,23 @@ mod tests {
                 .collect();
             let starter_share = [0.0, 1.0, 0.3][(trial / 6 % 3) as usize];
             for k in [1, n, 1 + (rng.range_f64(0.0, n as f64) as usize).min(n - 1)] {
-                let (cutoff, straddle) = check_selection(&prices, starter_share, k, &mut rng);
+                let (cutoff, straddle, floor) =
+                    check_selection(&prices, starter_share, k, &mut rng);
                 straddles += usize::from(straddle);
                 top_cutoffs += usize::from(cutoff as usize == BUCKETS - 1);
                 bottom_cutoffs += usize::from(cutoff == 0);
+                cutoff_floors += usize::from(floor == cutoff as usize);
+                raised_floors += usize::from(floor > 0 && floor < cutoff as usize);
             }
         }
         // The hostile shapes really occurred.
         assert!(straddles > 50, "ties across k: {straddles}");
         assert!(top_cutoffs > 50, "cutoff in bucket 511: {top_cutoffs}");
         assert!(bottom_cutoffs > 50, "cutoff in bucket 0: {bottom_cutoffs}");
+        // The walk started in the cutoff bucket, and strictly between the
+        // bottom of the book and the cutoff.
+        assert!(cutoff_floors > 50, "floor at the cutoff: {cutoff_floors}");
+        assert!(raised_floors > 50, "floor inside the walk: {raised_floors}");
     }
 
     #[test]
@@ -2076,6 +2225,59 @@ mod tests {
         assert_eq!(rep.capacity, 4);
         assert!(rep.mean_utilization > 0.99, "all servers busy");
         assert_eq!(rep.peak_price, bound.price);
+    }
+
+    #[test]
+    fn calendar_memory_is_bounded_by_open_fixed_work_bids() {
+        // A squeezed finite market of standing bids that never finish,
+        // restarted over and over by on-demand churn and one-time churn
+        // bids. A calendar keyed by due slot would gain a key per restart;
+        // this one holds at most one entry per open fixed-work bid.
+        const STANDING: u32 = 2000;
+        let mut m = finite_market(STANDING / 8, STANDING / 16);
+        let mut g = Rng::seed_from_u64(0xCA1E);
+        let mut rng = Rng::seed_from_u64(0xCA1F);
+        let ladder = |i: u32| 0.02 + (f64::from(i) * 0.618_033_988_749_895).fract() * 0.33;
+        for i in 0..STANDING {
+            m.submit(bid(ladder(i), BidKind::Persistent, u32::MAX));
+        }
+        let (mut restarts, mut worst) = (0usize, 0usize);
+        for s in 0..20_000u32 {
+            let depart = (0..m.od_active()).filter(|_| g.chance(0.1)).count() as u32;
+            m.release_on_demand(depart);
+            m.request_on_demand(g.poisson(f64::from(STANDING) / 320.0) as u32);
+            for k in 0..4 {
+                m.submit(BidRequest {
+                    price: Price::new(ladder(STANDING + 4 * s + k)),
+                    kind: BidKind::OneTime,
+                    work: WorkModel::Geometric,
+                });
+            }
+            let report = m.step(&mut rng);
+            if s > 0 {
+                restarts += report
+                    .started
+                    .iter()
+                    .filter(|id| id.0 < u64::from(STANDING))
+                    .count();
+            }
+            m.recycle(report);
+            worst = worst.max(m.calendar.len());
+        }
+        let open_fixed = (0..STANDING as usize)
+            .filter(|&i| m.flags[i] & F_OPEN != 0)
+            .count();
+        assert_eq!(open_fixed, STANDING as usize, "standing bids never close");
+        assert!(
+            worst <= open_fixed + SPAN as usize,
+            "calendar held {worst} entries for {open_fixed} open fixed-work bids"
+        );
+        // The churn really restarted the book: a calendar keyed by due
+        // slot would have grown far beyond the bound.
+        assert!(
+            restarts > 10 * (open_fixed + SPAN as usize),
+            "only {restarts} restarts"
+        );
     }
 
     /// The bucket lookup the boundary table replaced: a division estimate
