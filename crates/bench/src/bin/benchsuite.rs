@@ -19,7 +19,7 @@
 //! section list) — CI's scale-smoke step runs `--only scale` to exercise
 //! the `market_scale`/`engine_scale`/`portfolio_scale` sections under a
 //! tight budget, and `--only engine_scale` / `--only portfolio_scale` at
-//! 1 and 4 workers to smoke the wakeup fleets' population sweeps at both
+//! 1 and 4 workers to smoke the wakeup fleet's population sweeps at both
 //! thread counts.
 
 use spotbid_bench::experiments::{fig3, table3};

@@ -16,8 +16,8 @@
 //! finished run under the hourly rules so experiments can report both and
 //! quantify the gap (small for multi-hour jobs, visible for short ones).
 
-use crate::billing::{Bill, LineItem, UsageKind};
 use crate::ClientError;
+use spotbid_engine::{Bill, LineItem, UsageKind};
 use spotbid_market::units::Hours;
 use spotbid_trace::SpotPriceHistory;
 

@@ -27,11 +27,9 @@
 
 #![warn(missing_docs)]
 
-pub mod billing;
 pub mod client;
 pub mod experiment;
 pub mod hourly;
-pub mod job_monitor;
 pub mod price_monitor;
 pub mod runtime;
 
@@ -120,5 +118,17 @@ mod tests {
         assert!(std::error::Error::source(&e).is_none());
         let e: ClientError = spotbid_trace::TraceError::Parse { what: "z".into() }.into();
         assert!(e.to_string().contains("trace error"));
+    }
+
+    #[test]
+    fn engine_billing_errors_convert_to_client_errors() {
+        use spotbid_engine::Bill;
+        use spotbid_market::units::{Hours, Price};
+        let mut b = Bill::new();
+        let r: Result<(), ClientError> = b
+            .try_charge_spot(0, Price::new(f64::NAN), Hours::new(0.1), 0)
+            .map_err(ClientError::from);
+        assert!(matches!(r, Err(ClientError::Billing { .. })));
+        assert!(b.items().is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! The user here is a price-taker (the paper's standing assumption): the
 //! price series is given, and the runtime walks it slot by slot, driving a
-//! [`crate::job_monitor::JobMonitor`] and a [`crate::billing::Bill`].
+//! [`spotbid_engine::job_monitor::JobMonitor`] and a [`spotbid_engine::Bill`].
 //! One-time requests exit on the first rejection after starting (and are
 //! rejected outright if the first slot's price is above the bid);
 //! persistent requests ride out interruptions.

@@ -3,8 +3,8 @@
 //! never takes an illegal `JobState` edge and its accounting invariants
 //! hold at every step.
 
-use spotbid_client::job_monitor::{JobMonitor, JobState};
 use spotbid_core::JobSpec;
+use spotbid_engine::job_monitor::{JobMonitor, JobState};
 use spotbid_market::units::Hours;
 use spotbid_numerics::rng::RngStreams;
 

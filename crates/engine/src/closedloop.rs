@@ -4,56 +4,45 @@
 //! The paper's two halves never meet: Sections 5–7 bidders are price-takers
 //! replaying recorded traces, and the Section-4 equilibrium market is only
 //! exercised with synthetic uniform bids. Here they are joined — N
-//! strategy-driven tenants observe the prices an endogenous [`SpotMarket`]
-//! has posted *so far*, resolve their `BiddingStrategy` online, and submit
-//! real bids whose demand moves the very price process they are bidding
-//! against (the regime studied by feedback-control bidding, arXiv:1708.01391,
-//! and strategic multi-bidder interaction, arXiv:2305.19578).
+//! strategy-driven tenants observe the prices an endogenous
+//! [`SpotMarket`](spotbid_market::sim::SpotMarket) has posted *so far*,
+//! resolve their `BiddingStrategy` online, and submit real bids whose
+//! demand moves the very price process they are bidding against (the
+//! regime studied by feedback-control bidding, arXiv:1708.01391, and
+//! strategic multi-bidder interaction, arXiv:2305.19578).
 //!
 //! Background load keeps the market alive: each slot, `Poisson(λ)` one-time
 //! bidders with geometric work arrive, bidding uniformly over
 //! `[π_min, π̄]` — the paper's §4 uniform-bid assumption. Everything is
-//! deterministic from one `u64` seed via [`RngStreams`] substreams: stream
-//! 0 drives market departures, stream 1 the background arrivals, and
-//! streams 2+ are reserved one per 64-tenant decision shard of the
-//! [`dense`] oracle; tenants themselves draw no randomness.
+//! deterministic from one `u64` seed via `RngStreams` substreams: stream
+//! 0 drives market departures, stream 1 the background arrivals, streams
+//! 2+ are reserved one per 64-tenant decision shard of the [`dense`]
+//! oracle, and under finite supply the on-demand churn draws from stream
+//! `2 + ⌈N/64⌉`; tenants themselves draw no randomness.
 //!
-//! Two tenant fleets share this contract, mirroring the market's own
-//! naive/bid-book split:
-//!
-//! - [`dense`] — the frozen per-slot fleet: every slot it scans every
-//!   tenant and binary-searches every live bid against the report. O(N)
-//!   per slot, obviously correct, retained verbatim as the behavioral
-//!   oracle.
-//! - the **wakeup fleet** (default, behind [`run_closed_loop`]) — a
-//!   struct-of-arrays fleet that touches a tenant only on its fresh
-//!   decision or when the market's slot report names its bid, decides
-//!   once per distinct strategy per slot, and settles running charges
-//!   lazily from a per-slot table. A slot where nothing fires and
-//!   nothing runs is skipped. Bit-identical to
-//!   [`dense`] — same `BidId`s, events, bills, and RNG stream
-//!   reservations at any thread count — per the DESIGN.md §5f contract,
-//!   held by `tests/wakeup_equiv.rs`.
+//! A single-market bidder is the one-market case of a portfolio (Zhang,
+//! Ghosh & Aggarwal's portfolio contracts): [`run_closed_loop`] runs the
+//! engine's one wakeup fleet under the [`portfolio`] session shell with
+//! one market and every tenant a zone-fallback bidder at home there, and
+//! builds the [`ClosedLoopReport`] rows directly; crate-privately it adds
+//! the on-demand churn above and its rule that an on-demand decision buys
+//! all the remaining work (DESIGN.md §5f). [`dense`], the frozen per-slot
+//! session that scans every tenant every slot, is its oracle:
+//! bit-identical reports, events, `BidId`s and RNG stream reservations at
+//! any thread count (`tests/wakeup_equiv.rs`).
 
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
-use crate::observer::{CostTotals, EventLog};
-use crate::source::PriceSource;
+use crate::observer::EventLog;
 use crate::EngineError;
-use spotbid_core::{BiddingStrategy, JobSpec};
+use portfolio::{PortfolioLoopConfig, PortfolioMarket, SingleMarket};
+use spotbid_core::{BiddingStrategy, JobSpec, PortfolioStrategy};
 use spotbid_market::params::MarketParams;
-use spotbid_market::sim::{
-    BidKind, BidRequest, ProviderReport, SlotReport, SpotMarket, Supply, WorkModel,
-};
+use spotbid_market::sim::{ProviderReport, Supply};
 use spotbid_market::units::{Cost, Hours, Price};
-use spotbid_numerics::rng::{Rng, RngStreams};
-use spotbid_trace::SpotPriceHistory;
 
 pub mod dense;
 pub mod portfolio;
-mod wakeup;
-
-pub use wakeup::FleetStats;
 
 /// Configuration of one closed-loop session.
 #[derive(Debug, Clone, Copy)]
@@ -132,10 +121,25 @@ pub struct ClosedLoopReport {
     pub provider: Option<ProviderReport>,
 }
 
-/// A fault plan for one closed-loop session, indexed by **absolute** slot
-/// (warmup slots included). Both fleets consume faults through the shared
-/// `ClosedLoopSource`, so a faulted wakeup run stays bit-identical to
-/// the faulted dense run. Slots beyond a vector's length are fault-free.
+/// Wakeup accounting for one closed-loop session.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FleetStats {
+    /// Slots the fleet was asked to advance.
+    pub slots: u64,
+    /// Slots skipped: the wake set was empty and nothing was running.
+    /// Fault-free, exactly the dense run's zero-activity slots.
+    pub skipped_slots: u64,
+    /// Tenant wakeups summed over all slots: each slot's wake set (fresh
+    /// tenants plus the owners of the bids its report names), counted
+    /// once per tenant. Runners carried through a slot are not counted.
+    pub woken: u64,
+}
+
+/// A fault plan for one market of a closed-loop session, indexed by
+/// **absolute** slot (warmup slots included). The wakeup fleet and the
+/// dense oracles read it at the same point of each slot, so a faulted
+/// wakeup run stays bit-identical to the faulted dense run. Slots beyond a
+/// vector's length are fault-free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoopFaults {
     /// Feed gaps: the slot's posted price never reaches the tenants'
@@ -156,163 +160,6 @@ impl LoopFaults {
     }
 }
 
-/// An endogenous market as a kernel price source: each slot, background
-/// bidders arrive, then the market clears, and the posted price is
-/// appended to the history tenants observe (unless a feed gap swallows
-/// it).
-#[derive(Debug)]
-struct ClosedLoopSource {
-    market: SpotMarket,
-    /// Geometric departures inside `SpotMarket::step`.
-    market_rng: Rng,
-    /// Background arrival process — a separate substream so tenant demand
-    /// never shifts the background draws.
-    bg_rng: Rng,
-    arrivals: f64,
-    slot_len: Hours,
-    /// On-demand churn process — its own reserved substream (placed after
-    /// the decision shards), present only under finite supply so the
-    /// unbounded stream layout is untouched.
-    od_rng: Option<Rng>,
-    od_arrivals: f64,
-    od_departure: f64,
-    /// Every price the market posted, in slot order (ground truth).
-    posted: Vec<Price>,
-    /// The prices that reached the tenants' feed (gap slots omitted).
-    observed: Vec<Price>,
-    faults: Option<LoopFaults>,
-}
-
-impl ClosedLoopSource {
-    fn new(
-        cfg: &ClosedLoopConfig,
-        streams: &RngStreams,
-        faults: Option<&LoopFaults>,
-        n_tenants: usize,
-    ) -> Self {
-        // Streams 0/1 belong to the market and the background process and
-        // 2.. to the decision shards; the on-demand process reserves the
-        // next index after the shards, so it exists at any tenant count
-        // without shifting any pre-existing stream.
-        let od_rng = match cfg.supply {
-            Supply::Unbounded => None,
-            Supply::Finite { .. } => {
-                Some(streams.stream(2 + n_tenants.div_ceil(dense::SHARD_SIZE) as u64))
-            }
-        };
-        ClosedLoopSource {
-            market: SpotMarket::with_supply(cfg.params, cfg.slot_len, cfg.supply),
-            market_rng: streams.stream(0),
-            bg_rng: streams.stream(1),
-            arrivals: cfg.background_arrivals,
-            slot_len: cfg.slot_len,
-            od_rng,
-            od_arrivals: cfg.od_arrivals,
-            od_departure: cfg.od_departure,
-            posted: Vec::new(),
-            observed: Vec::new(),
-            faults: faults.cloned(),
-        }
-    }
-
-    fn advance(&mut self) -> SlotReport {
-        let slot = self.posted.len();
-        let (gap, reclaim) = match &self.faults {
-            Some(f) => (f.gap_at(slot), f.reclaim_at(slot)),
-            None => (false, false),
-        };
-        if reclaim {
-            self.market.reclaim_next_slot();
-        }
-        if let Some(od_rng) = self.od_rng.as_mut() {
-            // On-demand churn: each active instance departs with
-            // probability `od_departure`, then `Poisson(od_arrivals)` new
-            // requests contend for the pool — admissions shrink the spot
-            // share the market clears this slot, and may force it to
-            // reclaim running spot instances.
-            let mut departed = 0u32;
-            for _ in 0..self.market.od_active() {
-                if od_rng.chance(self.od_departure) {
-                    departed += 1;
-                }
-            }
-            self.market.release_on_demand(departed);
-            let requested = od_rng.poisson(self.od_arrivals).min(u64::from(u32::MAX)) as u32;
-            if requested > 0 {
-                self.market.request_on_demand(requested);
-            }
-        }
-        let n = self.bg_rng.poisson(self.arrivals);
-        let (lo, hi) = (
-            self.market.params().pi_min.as_f64(),
-            self.market.params().pi_bar.as_f64(),
-        );
-        for _ in 0..n {
-            let price = Price::new(self.bg_rng.range_f64(lo, hi));
-            self.market.submit(BidRequest {
-                price,
-                kind: BidKind::OneTime,
-                work: WorkModel::Geometric,
-            });
-        }
-        let report = self.market.step(&mut self.market_rng);
-        self.posted.push(report.price);
-        if !gap {
-            self.observed.push(report.price);
-        }
-        report
-    }
-
-    fn warmup(&mut self, slots: usize) {
-        for _ in 0..slots {
-            let report = self.advance();
-            self.market.recycle(report);
-        }
-    }
-
-    /// The history a tenant may observe (every price that reached the
-    /// feed so far).
-    fn observed(&self) -> Result<SpotPriceHistory, EngineError> {
-        SpotPriceHistory::new(self.slot_len, self.observed.clone()).map_err(|e| {
-            EngineError::InvalidConfig {
-                what: format!("observed history: {e}"),
-            }
-        })
-    }
-}
-
-impl PriceSource for ClosedLoopSource {
-    type Quote = SlotReport;
-
-    fn post(&mut self, _slot: u64, _demand: usize) -> Option<SlotReport> {
-        Some(self.advance())
-    }
-
-    fn quote_events(&self, slot: u64, quote: &SlotReport, emit: &mut dyn FnMut(Event)) {
-        emit(Event::PricePosted {
-            slot,
-            price: quote.price,
-        });
-    }
-
-    fn reclaim(&mut self, quote: SlotReport) {
-        // Return the spent report's buffers to the market's arena, so the
-        // closed loop steps without per-slot event allocation.
-        self.market.recycle(quote);
-    }
-}
-
-/// Per-tenant final state, as both fleets hand it to the shared report
-/// assembly. Field-for-field what [`TenantOutcome`] needs before costs.
-struct TenantFinal {
-    tag: u32,
-    strategy: BiddingStrategy,
-    completed: bool,
-    slots_run: u64,
-    interruptions: u32,
-    resubmissions: u32,
-}
-
 /// Validates slot `slot`'s spot charge the way each of its `Charged`
 /// items is validated. The refusal names only the price and the slot, so
 /// it is the same for every tenant that ran.
@@ -327,109 +174,6 @@ pub(crate) fn spot_charge(slot: u64, price: Price, slot_len: Hours) -> Result<()
     .validate()
 }
 
-fn validate(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig) -> Result<(), EngineError> {
-    if strategies.is_empty() {
-        return Err(EngineError::InvalidConfig {
-            what: "no tenants".into(),
-        });
-    }
-    if cfg.warmup_slots == 0 || cfg.horizon_slots == 0 {
-        return Err(EngineError::InvalidConfig {
-            what: "warmup_slots and horizon_slots must be ≥ 1".into(),
-        });
-    }
-    if !cfg.background_arrivals.is_finite() || cfg.background_arrivals < 0.0 {
-        return Err(EngineError::InvalidConfig {
-            what: format!(
-                "background_arrivals {} must be finite and ≥ 0",
-                cfg.background_arrivals
-            ),
-        });
-    }
-    if !cfg.od_arrivals.is_finite() || cfg.od_arrivals < 0.0 {
-        return Err(EngineError::InvalidConfig {
-            what: format!("od_arrivals {} must be finite and ≥ 0", cfg.od_arrivals),
-        });
-    }
-    if !(0.0..=1.0).contains(&cfg.od_departure) {
-        return Err(EngineError::InvalidConfig {
-            what: format!("od_departure {} must be in [0, 1]", cfg.od_departure),
-        });
-    }
-    if let Supply::Finite { capacity, .. } = cfg.supply {
-        if capacity == 0 {
-            return Err(EngineError::InvalidConfig {
-                what: "finite supply needs capacity ≥ 1".into(),
-            });
-        }
-    }
-    cfg.job.validate().map_err(EngineError::Core)?;
-    if cfg.job.slot != cfg.slot_len {
-        return Err(EngineError::InvalidConfig {
-            what: "job slot length must equal the market slot length".into(),
-        });
-    }
-    Ok(())
-}
-
-/// §5.1 fallback plus aggregation, shared by both fleets, in one pass
-/// over the tenants' final states in tag order: an incomplete tenant
-/// finishes its remaining work on demand (charged at the horizon close;
-/// the float accumulation order is part of the bit-equivalence contract),
-/// then its outcome row is built; the price-path summary follows. `costs`
-/// holds the session's spot charges per tenant (tags are tenant indices
-/// here).
-fn assemble_report(
-    finals: impl ExactSizeIterator<Item = TenantFinal>,
-    mut costs: CostTotals,
-    source: &ClosedLoopSource,
-    cfg: &ClosedLoopConfig,
-) -> Result<ClosedLoopReport, EngineError> {
-    let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-    let mut outcomes = Vec::with_capacity(finals.len());
-    for f in finals {
-        if !f.completed {
-            let work = (cfg.job.execution - cfg.slot_len * f.slots_run as f64).max(Hours::ZERO);
-            if work > Hours::ZERO {
-                costs.try_charge(&LineItem {
-                    slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
-                    price: cfg.on_demand,
-                    duration: work,
-                    kind: UsageKind::OnDemand,
-                    tag: f.tag,
-                })?;
-            }
-        }
-        let cost = costs.total(f.tag);
-        outcomes.push(TenantOutcome {
-            tenant: f.tag,
-            strategy: f.strategy,
-            completed: f.completed,
-            spot_slots: f.slots_run,
-            interruptions: f.interruptions,
-            resubmissions: f.resubmissions,
-            cost,
-            savings: 1.0 - cost.as_f64() / od_cost,
-        });
-    }
-    let visible = &source.posted[cfg.warmup_slots..];
-    let mean_price =
-        Price::new(visible.iter().map(|p| p.as_f64()).sum::<f64>() / visible.len().max(1) as f64);
-    let peak_price = visible
-        .iter()
-        .copied()
-        .fold(Price::ZERO, |a, b| if b > a { b } else { a });
-    Ok(ClosedLoopReport {
-        completed: outcomes.iter().filter(|o| o.completed).count(),
-        mean_savings: outcomes.iter().map(|o| o.savings).sum::<f64>() / outcomes.len() as f64,
-        tenants: outcomes,
-        mean_price,
-        peak_price,
-        slots: visible.len() as u64,
-        provider: source.market.provider_report(),
-    })
-}
-
 /// Runs one closed-loop session on the event-driven wakeup fleet: warms
 /// the market up with background load, then lets one tenant per strategy
 /// bid into it for `horizon_slots`. Deterministic from `seed`, and
@@ -442,14 +186,14 @@ fn assemble_report(
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy lists, zero warmup or
-/// horizon, or a non-finite arrival rate; [`EngineError::Core`] if a
-/// strategy fails to resolve.
+/// horizon, a non-finite arrival rate, or finite supply of capacity 0;
+/// [`EngineError::Core`] if a strategy fails to resolve.
 pub fn run_closed_loop(
     strategies: &[BiddingStrategy],
     cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Result<ClosedLoopReport, EngineError> {
-    wakeup::run(strategies, cfg, seed, None, None).map(|(report, _)| report)
+    run(strategies, cfg, seed, None, None).map(|(report, _)| report)
 }
 
 /// As [`run_closed_loop`], optionally fault-injected, also returning the
@@ -464,7 +208,7 @@ pub fn run_closed_loop_with_stats(
     seed: u64,
     faults: Option<&LoopFaults>,
 ) -> Result<(ClosedLoopReport, FleetStats), EngineError> {
-    wakeup::run(strategies, cfg, seed, faults, None)
+    run(strategies, cfg, seed, faults, None)
 }
 
 /// As [`run_closed_loop`], optionally fault-injected, also returning the
@@ -481,14 +225,84 @@ pub fn run_closed_loop_logged(
     faults: Option<&LoopFaults>,
 ) -> Result<(ClosedLoopReport, Vec<Event>, FleetStats), EngineError> {
     let mut log = EventLog::new();
-    let (report, stats) = wakeup::run(strategies, cfg, seed, faults, Some(&mut log))?;
+    let (report, stats) = run(strategies, cfg, seed, faults, Some(&mut log))?;
     Ok((report, log.into_events(), stats))
+}
+
+/// The single-market session as a one-market portfolio: every tenant a
+/// zone-fallback bidder at home in the one market, the rows of its report
+/// built directly.
+fn run(
+    strategies: &[BiddingStrategy],
+    cfg: &ClosedLoopConfig,
+    seed: u64,
+    faults: Option<&LoopFaults>,
+    log: Option<&mut EventLog>,
+) -> Result<(ClosedLoopReport, FleetStats), EngineError> {
+    let one = PortfolioLoopConfig {
+        markets: vec![PortfolioMarket {
+            name: String::new(),
+            params: cfg.params,
+            idio_arrivals: cfg.background_arrivals,
+            supply: cfg.supply,
+        }],
+        shared_arrivals: 0.0,
+        slot_len: cfg.slot_len,
+        on_demand: cfg.on_demand,
+        job: cfg.job,
+        warmup_slots: cfg.warmup_slots,
+        horizon_slots: cfg.horizon_slots,
+        max_resubmissions: cfg.max_resubmissions,
+    };
+    let single = SingleMarket {
+        od_arrivals: cfg.od_arrivals,
+        od_departure: cfg.od_departure,
+        od_stream: 2 + strategies.len().div_ceil(dense::SHARD_SIZE) as u64,
+    };
+    let tenants = strategies
+        .iter()
+        .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base });
+    let faults = faults.map(std::slice::from_ref);
+    let mut session = portfolio::wakeup::run(tenants, &one, seed, faults, Some(&single), log)?;
+    let (tenants, completed, mean_savings) =
+        session.outcomes(&one, |t, cost, savings| TenantOutcome {
+            tenant: t.tag,
+            strategy: match *t.strategy {
+                PortfolioStrategy::ZoneFallback { base, .. } => base,
+                _ => unreachable!("every single-market tenant is a zone-fallback bidder"),
+            },
+            completed: t.completed,
+            spot_slots: t.spot_slots,
+            interruptions: t.interruptions,
+            resubmissions: t.resubmissions,
+            cost,
+            savings,
+        })?;
+    let (mean_price, peak_price, slots) = session.prices(0, cfg.warmup_slots);
+    let report = ClosedLoopReport {
+        tenants,
+        completed,
+        mean_savings,
+        mean_price,
+        peak_price,
+        slots,
+        provider: session.provider(0),
+    };
+    let s = &session.fleet.stats;
+    let stats = FleetStats {
+        slots: s.slots,
+        skipped_slots: s.skipped_slots,
+        woken: s.woken,
+    };
+    Ok((report, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::CostTotals;
     use spotbid_market::sim::ChargeTable;
+    use spotbid_numerics::rng::Rng;
 
     fn config() -> ClosedLoopConfig {
         ClosedLoopConfig {
@@ -504,17 +318,6 @@ mod tests {
             od_arrivals: 0.0,
             od_departure: 0.0,
         }
-    }
-
-    #[test]
-    fn unlogged_fleets_build_no_events() {
-        let mut seen = Vec::new();
-        let mut emit = |e: Event| seen.push(e);
-        let mut unlogged = wakeup::Events::new(&mut emit, false);
-        unlogged.emit(|| unreachable!("an unlogged session built an event"));
-        let mut logged = wakeup::Events::new(&mut emit, true);
-        logged.emit(|| Event::Completed { slot: 3, tenant: 7 });
-        assert_eq!(seen, vec![Event::Completed { slot: 3, tenant: 7 }]);
     }
 
     #[test]
@@ -562,6 +365,36 @@ mod tests {
         assert_eq!(t.spot_slots, 0);
         assert!((t.cost.as_f64() - 0.35).abs() < 1e-12, "od × 1h job");
         assert!(t.savings.abs() < 1e-12);
+    }
+
+    #[test]
+    fn on_demand_buys_the_whole_remaining_job() {
+        // 111 one-minute slots make 1.8499999999999999 h, just short of
+        // the 1.85 h job: a portfolio's on-demand leg would buy the
+        // former, the single-market loop buys the job's remaining work.
+        let minute = Hours::from_minutes(1.0);
+        let cfg = ClosedLoopConfig {
+            slot_len: minute,
+            job: JobSpec::builder(1.85)
+                .recovery_secs(60.0)
+                .slot(minute)
+                .build()
+                .unwrap(),
+            ..config()
+        };
+        assert!(minute * (cfg.job.slots_needed() as f64) < cfg.job.execution);
+        let strategies = [BiddingStrategy::OnDemand];
+        let (report, events, _) = run_closed_loop_logged(&strategies, &cfg, 5, None).unwrap();
+        let oracle = dense::run_closed_loop_logged(&strategies, &cfg, 5, None).unwrap();
+        assert_eq!((report, &events), (oracle.0, &oracle.1));
+        let bought: Vec<Hours> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Charged { item } => Some(item.duration),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bought, vec![cfg.job.execution]);
     }
 
     #[test]

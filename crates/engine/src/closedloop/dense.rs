@@ -1,7 +1,9 @@
-//! The frozen per-slot tenant fleet: the behavioral oracle for the
-//! event-driven wakeup fleet.
+//! The frozen per-slot single-market session: the behavioral oracle for
+//! [`super::run_closed_loop`], which runs the one wakeup fleet as a
+//! one-market portfolio.
 //!
 //! This is the original `TenantFleet` implementation, retained verbatim
+//! with its own market source, validation and report assembly
 //! (analogous to `market::sim::naive`): every slot it scans *every*
 //! tenant, re-checks who must (re-)bid, and binary-searches every live
 //! bid against the slot report — O(N) per slot regardless of how few
@@ -18,19 +20,279 @@
 //! order, and results are identical to the legacy one-driver-per-tenant
 //! loop at any thread count.
 
-use super::{
-    assemble_report, validate, ClosedLoopConfig, ClosedLoopReport, ClosedLoopSource, LoopFaults,
-    TenantFinal,
-};
+use super::{ClosedLoopConfig, ClosedLoopReport, LoopFaults, TenantOutcome};
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver, Kernel};
 use crate::observer::{CostTotals, EventLog, Observer};
+use crate::source::PriceSource;
 use crate::EngineError;
 use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec};
-use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
+use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, SpotMarket, Supply, WorkModel};
 use spotbid_market::units::{Hours, Price};
 use spotbid_numerics::rng::{Rng, RngStreams};
+use spotbid_trace::SpotPriceHistory;
+
+/// An endogenous market as a kernel price source: each slot, background
+/// bidders arrive, then the market clears, and the posted price is
+/// appended to the history tenants observe (unless a feed gap swallows
+/// it). The one-market session source of [`super::portfolio`] reproduces
+/// it draw for draw.
+#[derive(Debug)]
+struct ClosedLoopSource {
+    market: SpotMarket,
+    /// Geometric departures inside `SpotMarket::step`.
+    market_rng: Rng,
+    /// Background arrival process — a separate substream so tenant demand
+    /// never shifts the background draws.
+    bg_rng: Rng,
+    arrivals: f64,
+    slot_len: Hours,
+    /// On-demand churn process — its own reserved substream (placed after
+    /// the decision shards), present only under finite supply so the
+    /// unbounded stream layout is untouched.
+    od_rng: Option<Rng>,
+    od_arrivals: f64,
+    od_departure: f64,
+    /// Every price the market posted, in slot order (ground truth).
+    posted: Vec<Price>,
+    /// The prices that reached the tenants' feed (gap slots omitted).
+    observed: Vec<Price>,
+    faults: Option<LoopFaults>,
+}
+
+impl ClosedLoopSource {
+    fn new(
+        cfg: &ClosedLoopConfig,
+        streams: &RngStreams,
+        faults: Option<&LoopFaults>,
+        n_tenants: usize,
+    ) -> Self {
+        // Streams 0/1 belong to the market and the background process and
+        // 2.. to the decision shards; the on-demand process reserves the
+        // next index after the shards, so it exists at any tenant count
+        // without shifting any pre-existing stream.
+        let od_rng = match cfg.supply {
+            Supply::Unbounded => None,
+            Supply::Finite { .. } => {
+                Some(streams.stream(2 + n_tenants.div_ceil(SHARD_SIZE) as u64))
+            }
+        };
+        ClosedLoopSource {
+            market: SpotMarket::with_supply(cfg.params, cfg.slot_len, cfg.supply),
+            market_rng: streams.stream(0),
+            bg_rng: streams.stream(1),
+            arrivals: cfg.background_arrivals,
+            slot_len: cfg.slot_len,
+            od_rng,
+            od_arrivals: cfg.od_arrivals,
+            od_departure: cfg.od_departure,
+            posted: Vec::new(),
+            observed: Vec::new(),
+            faults: faults.cloned(),
+        }
+    }
+
+    fn advance(&mut self) -> SlotReport {
+        let slot = self.posted.len();
+        let (gap, reclaim) = match &self.faults {
+            Some(f) => (f.gap_at(slot), f.reclaim_at(slot)),
+            None => (false, false),
+        };
+        if reclaim {
+            self.market.reclaim_next_slot();
+        }
+        if let Some(od_rng) = self.od_rng.as_mut() {
+            // On-demand churn: each active instance departs with
+            // probability `od_departure`, then `Poisson(od_arrivals)` new
+            // requests contend for the pool — admissions shrink the spot
+            // share the market clears this slot, and may force it to
+            // reclaim running spot instances.
+            let mut departed = 0u32;
+            for _ in 0..self.market.od_active() {
+                if od_rng.chance(self.od_departure) {
+                    departed += 1;
+                }
+            }
+            self.market.release_on_demand(departed);
+            let requested = od_rng.poisson(self.od_arrivals).min(u64::from(u32::MAX)) as u32;
+            if requested > 0 {
+                self.market.request_on_demand(requested);
+            }
+        }
+        let n = self.bg_rng.poisson(self.arrivals);
+        let (lo, hi) = (
+            self.market.params().pi_min.as_f64(),
+            self.market.params().pi_bar.as_f64(),
+        );
+        for _ in 0..n {
+            let price = Price::new(self.bg_rng.range_f64(lo, hi));
+            self.market.submit(BidRequest {
+                price,
+                kind: BidKind::OneTime,
+                work: WorkModel::Geometric,
+            });
+        }
+        let report = self.market.step(&mut self.market_rng);
+        self.posted.push(report.price);
+        if !gap {
+            self.observed.push(report.price);
+        }
+        report
+    }
+
+    fn warmup(&mut self, slots: usize) {
+        for _ in 0..slots {
+            let report = self.advance();
+            self.market.recycle(report);
+        }
+    }
+
+    /// The history a tenant may observe (every price that reached the
+    /// feed so far).
+    fn observed(&self) -> Result<SpotPriceHistory, EngineError> {
+        SpotPriceHistory::new(self.slot_len, self.observed.clone()).map_err(|e| {
+            EngineError::InvalidConfig {
+                what: format!("observed history: {e}"),
+            }
+        })
+    }
+}
+
+impl PriceSource for ClosedLoopSource {
+    type Quote = SlotReport;
+
+    fn post(&mut self, _slot: u64, _demand: usize) -> Option<SlotReport> {
+        Some(self.advance())
+    }
+
+    fn quote_events(&self, slot: u64, quote: &SlotReport, emit: &mut dyn FnMut(Event)) {
+        emit(Event::PricePosted {
+            slot,
+            price: quote.price,
+        });
+    }
+
+    fn reclaim(&mut self, quote: SlotReport) {
+        // Return the spent report's buffers to the market's arena, so the
+        // closed loop steps without per-slot event allocation.
+        self.market.recycle(quote);
+    }
+}
+
+/// Per-tenant final state, as the fleet hands it to the report assembly.
+/// Field-for-field what [`TenantOutcome`] needs before costs.
+struct TenantFinal {
+    tag: u32,
+    strategy: BiddingStrategy,
+    completed: bool,
+    slots_run: u64,
+    interruptions: u32,
+    resubmissions: u32,
+}
+
+fn validate(strategies: &[BiddingStrategy], cfg: &ClosedLoopConfig) -> Result<(), EngineError> {
+    if strategies.is_empty() {
+        return Err(EngineError::InvalidConfig {
+            what: "no tenants".into(),
+        });
+    }
+    if cfg.warmup_slots == 0 || cfg.horizon_slots == 0 {
+        return Err(EngineError::InvalidConfig {
+            what: "warmup_slots and horizon_slots must be ≥ 1".into(),
+        });
+    }
+    if !cfg.background_arrivals.is_finite() || cfg.background_arrivals < 0.0 {
+        return Err(EngineError::InvalidConfig {
+            what: format!(
+                "background_arrivals {} must be finite and ≥ 0",
+                cfg.background_arrivals
+            ),
+        });
+    }
+    if !cfg.od_arrivals.is_finite() || cfg.od_arrivals < 0.0 {
+        return Err(EngineError::InvalidConfig {
+            what: format!("od_arrivals {} must be finite and ≥ 0", cfg.od_arrivals),
+        });
+    }
+    if !(0.0..=1.0).contains(&cfg.od_departure) {
+        return Err(EngineError::InvalidConfig {
+            what: format!("od_departure {} must be in [0, 1]", cfg.od_departure),
+        });
+    }
+    if let Supply::Finite { capacity, .. } = cfg.supply {
+        if capacity == 0 {
+            return Err(EngineError::InvalidConfig {
+                what: "finite supply needs capacity ≥ 1".into(),
+            });
+        }
+    }
+    cfg.job.validate().map_err(EngineError::Core)?;
+    if cfg.job.slot != cfg.slot_len {
+        return Err(EngineError::InvalidConfig {
+            what: "job slot length must equal the market slot length".into(),
+        });
+    }
+    Ok(())
+}
+
+/// §5.1 fallback plus aggregation in one pass over the tenants' final
+/// states in tag order: an incomplete tenant
+/// finishes its remaining work on demand (charged at the horizon close;
+/// the float accumulation order is part of the bit-equivalence contract),
+/// then its outcome row is built; the price-path summary follows. `costs`
+/// holds the session's spot charges per tenant (tags are tenant indices
+/// here).
+fn assemble_report(
+    finals: impl ExactSizeIterator<Item = TenantFinal>,
+    mut costs: CostTotals,
+    source: &ClosedLoopSource,
+    cfg: &ClosedLoopConfig,
+) -> Result<ClosedLoopReport, EngineError> {
+    let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
+    let mut outcomes = Vec::with_capacity(finals.len());
+    for f in finals {
+        if !f.completed {
+            let work = (cfg.job.execution - cfg.slot_len * f.slots_run as f64).max(Hours::ZERO);
+            if work > Hours::ZERO {
+                costs.try_charge(&LineItem {
+                    slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
+                    price: cfg.on_demand,
+                    duration: work,
+                    kind: UsageKind::OnDemand,
+                    tag: f.tag,
+                })?;
+            }
+        }
+        let cost = costs.total(f.tag);
+        outcomes.push(TenantOutcome {
+            tenant: f.tag,
+            strategy: f.strategy,
+            completed: f.completed,
+            spot_slots: f.slots_run,
+            interruptions: f.interruptions,
+            resubmissions: f.resubmissions,
+            cost,
+            savings: 1.0 - cost.as_f64() / od_cost,
+        });
+    }
+    let visible = &source.posted[cfg.warmup_slots..];
+    let mean_price =
+        Price::new(visible.iter().map(|p| p.as_f64()).sum::<f64>() / visible.len().max(1) as f64);
+    let peak_price = visible
+        .iter()
+        .copied()
+        .fold(Price::ZERO, |a, b| if b > a { b } else { a });
+    Ok(ClosedLoopReport {
+        completed: outcomes.iter().filter(|o| o.completed).count(),
+        mean_savings: outcomes.iter().map(|o| o.savings).sum::<f64>() / outcomes.len() as f64,
+        tenants: outcomes,
+        mean_price,
+        peak_price,
+        slots: visible.len() as u64,
+        provider: source.market.provider_report(),
+    })
+}
 
 /// One strategy-driven tenant: re-resolves its strategy against the
 /// observed history whenever it must (re-)bid, and tracks its bid through

@@ -8,18 +8,26 @@
 //! [`PortfolioStrategy`] plans — job splits, cross-zone fallback,
 //! spot/on-demand contracts — against the per-market observed histories.
 //!
-//! Two fleet implementations share this module's source, validation, and
-//! report assembly (DESIGN.md §5j):
+//! Two fleets run under this module's session shell (source, validation,
+//! the §5.1 fallback and the outcome rows; DESIGN.md §5j):
 //!
+//! - `wakeup` (private; behind [`run_portfolio_loop`]) — the engine's one
+//!   event-driven fleet: a tenant is touched only on its fresh plan or
+//!   when a member market's slot report names one of its legs, running
+//!   legs are settled lazily, and slots where nothing fires and nothing
+//!   runs are skipped. Bit-identical to [`dense`]
+//!   (`tests/portfolio_wakeup_equiv.rs`).
 //! - [`dense`] — the original fleet, every tenant re-evaluated every
 //!   slot. Frozen as the equivalence oracle, exactly like
 //!   [`crate::closedloop::dense`].
-//! - `wakeup` (private; behind [`run_portfolio_loop`]) — the event-driven
-//!   default: a tenant is touched only on its fresh plan or when a member
-//!   market's slot report names one of its legs, running legs are
-//!   settled lazily, and slots where nothing fires and nothing runs are
-//!   skipped. Bit-identical to [`dense`]
-//!   (`tests/portfolio_wakeup_equiv.rs`).
+//!
+//! The single-market loop is this loop at `M = 1`:
+//! [`super::run_closed_loop`] runs the wakeup fleet under the same shell
+//! with one market and every tenant a [`PortfolioStrategy::ZoneFallback`]
+//! at home there, and adds two things crate-privately (`SingleMarket`):
+//! a finite market's on-demand churn, drawn from stream `2 + ⌈N/64⌉`
+//! after the slot's reclamation and before its background arrivals, and
+//! its rule that an on-demand decision buys all the remaining work.
 //!
 //! ## RNG stream layout
 //!
@@ -33,17 +41,18 @@
 //!   fleet (never drawn from today, exactly like the single-market
 //!   oracle's).
 //!
-//! At `M = 1` with a zero shared rate this collapses to the historical
+//! At `M = 1` with a zero shared rate this collapses to the single-market
 //! layout — stream 0 market, stream 1 background, shared stream untouched
-//! (a zero-mean Poisson draws nothing) — which is what makes the
-//! degenerate-portfolio parity tests in `tests/portfolio.rs` possible:
-//! a one-market [`run_portfolio_loop`] with
-//! [`PortfolioStrategy::ZoneFallback`] reproduces [`super::run_closed_loop`]
-//! outcome-for-outcome and event-for-event.
+//! (a zero-mean Poisson draws nothing) — which is what lets
+//! [`super::run_closed_loop`] run as a one-market portfolio and keeps it
+//! bit-identical to the single-market dense oracle
+//! ([`crate::closedloop::dense`]; `tests/wakeup_equiv.rs`, and the
+//! one-market parity tests of `tests/portfolio.rs` and the root
+//! `tests/closed_loop_wall.rs`).
 //!
 //! ## Determinism contract
 //!
-//! As in the single-market fleets (§5e/§5f): plan resolution is pure (the
+//! As in the single-market oracle (§5e/§5f): plan resolution is pure (the
 //! dense fleet fans it out over `spotbid-exec` shards, the wakeup fleet
 //! plans once per distinct strategy), while bid submission (which
 //! assigns per-market [`spotbid_market::sim::BidId`]s), event emission,
@@ -52,7 +61,7 @@
 //! bit-identical at any `SPOTBID_THREADS`.
 
 pub mod dense;
-mod wakeup;
+pub(super) mod wakeup;
 
 pub use wakeup::PortfolioFleetStats;
 
@@ -109,30 +118,6 @@ pub struct PortfolioLoopConfig {
     pub max_resubmissions: u32,
 }
 
-impl PortfolioLoopConfig {
-    /// The degenerate one-market portfolio equivalent of a single-market
-    /// [`super::ClosedLoopConfig`]: same market, same background process
-    /// (all idiosyncratic, zero shared shock), same horizon. Used by the
-    /// parity wall to pin the M=1 case to the historical path.
-    pub fn single(cfg: &super::ClosedLoopConfig, name: impl Into<String>) -> Self {
-        PortfolioLoopConfig {
-            markets: vec![PortfolioMarket {
-                name: name.into(),
-                params: cfg.params,
-                idio_arrivals: cfg.background_arrivals,
-                supply: cfg.supply,
-            }],
-            shared_arrivals: 0.0,
-            slot_len: cfg.slot_len,
-            on_demand: cfg.on_demand,
-            job: cfg.job,
-            warmup_slots: cfg.warmup_slots,
-            horizon_slots: cfg.horizon_slots,
-            max_resubmissions: cfg.max_resubmissions,
-        }
-    }
-}
-
 /// What happened to one portfolio tenant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortfolioTenantOutcome {
@@ -180,7 +165,7 @@ pub struct PortfolioReport {
 /// price is appended to that market's observed history (unless a
 /// per-market feed gap swallows it).
 #[derive(Debug)]
-struct PortfolioSource {
+pub(super) struct PortfolioSource {
     set: MarketSet,
     arrivals: CorrelatedArrivals,
     /// Stream `2m`: market `m`'s departure draws.
@@ -195,6 +180,9 @@ struct PortfolioSource {
     /// Per-market prices that reached the tenants' feed.
     observed: Vec<Vec<Price>>,
     faults: Option<Vec<LoopFaults>>,
+    /// The single-market loop's on-demand churn in its one market, under
+    /// finite supply, and the churn's substream.
+    churn: Option<(SingleMarket, Rng)>,
     /// Scratch: this slot's arrival counts.
     counts: Vec<u64>,
     /// Recycled report buffers (the quote arena).
@@ -206,6 +194,7 @@ impl PortfolioSource {
         cfg: &PortfolioLoopConfig,
         streams: &RngStreams,
         faults: Option<&[LoopFaults]>,
+        single: Option<&SingleMarket>,
     ) -> Result<Self, EngineError> {
         let m = cfg.markets.len();
         let specs: Vec<MarketSpec> = cfg
@@ -237,6 +226,11 @@ impl PortfolioSource {
                 arr_rngs.push(rng);
             }
         }
+        // The single-market loop's churn draws from its own substream, and
+        // only under finite supply, so the unbounded layout is untouched.
+        let churn = single
+            .filter(|_| matches!(cfg.markets[0].supply, Supply::Finite { .. }))
+            .map(|s| (*s, streams.stream(s.od_stream)));
         Ok(PortfolioSource {
             set,
             arrivals,
@@ -247,6 +241,7 @@ impl PortfolioSource {
             posted: vec![Vec::new(); m],
             observed: vec![Vec::new(); m],
             faults: faults.map(<[LoopFaults]>::to_vec),
+            churn,
             counts: Vec::new(),
             spare: None,
         })
@@ -259,6 +254,21 @@ impl PortfolioSource {
                 if f.reclaim_at(slot) {
                     self.set.reclaim_next_slot(m);
                 }
+            }
+        }
+        if let Some((churn, rng)) = &mut self.churn {
+            // On-demand churn: each active instance departs with
+            // probability `od_departure`, then `Poisson(od_arrivals)` new
+            // requests contend for the pool; admissions shrink the spot
+            // share and may force the market to reclaim spot instances.
+            let market = self.set.market_mut(0);
+            let departed = (0..market.od_active())
+                .filter(|_| rng.chance(churn.od_departure))
+                .count();
+            market.release_on_demand(departed as u32);
+            let requested = rng.poisson(churn.od_arrivals).min(u64::from(u32::MAX)) as u32;
+            if requested > 0 {
+                market.request_on_demand(requested);
             }
         }
         self.arrivals
@@ -353,69 +363,93 @@ impl PriceSource for PortfolioSource {
     }
 }
 
+/// What turns a one-market session into the single-market loop behind
+/// [`super::run_closed_loop`]. Crate-private: no portfolio caller sets it.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct SingleMarket {
+    /// Mean on-demand requests per slot (`Poisson`), under finite supply.
+    pub(super) od_arrivals: f64,
+    /// Per-slot departure probability of each active on-demand instance.
+    pub(super) od_departure: f64,
+    /// The churn's substream: `2 + ⌈N/64⌉`, the first after the single
+    /// dense oracle's decision shards.
+    pub(super) od_stream: u64,
+}
+
+/// The one validator of both closed loops.
 fn validate(
-    strategies: &[PortfolioStrategy],
+    tenants: usize,
     cfg: &PortfolioLoopConfig,
     faults: Option<&[LoopFaults]>,
+    single: Option<&SingleMarket>,
 ) -> Result<(), EngineError> {
-    if strategies.is_empty() {
-        return Err(EngineError::InvalidConfig {
-            what: "no tenants".into(),
-        });
+    let invalid = |what: String| Err(EngineError::InvalidConfig { what });
+    if tenants == 0 {
+        return invalid("no tenants".into());
     }
     if cfg.markets.is_empty() {
-        return Err(EngineError::InvalidConfig {
-            what: "no markets".into(),
-        });
+        return invalid("no markets".into());
     }
     if cfg.warmup_slots == 0 || cfg.horizon_slots == 0 {
-        return Err(EngineError::InvalidConfig {
-            what: "warmup_slots and horizon_slots must be ≥ 1".into(),
-        });
+        return invalid("warmup_slots and horizon_slots must be ≥ 1".into());
     }
     let bad = |r: f64| !r.is_finite() || r < 0.0;
     if bad(cfg.shared_arrivals) || cfg.markets.iter().any(|m| bad(m.idio_arrivals)) {
-        return Err(EngineError::InvalidConfig {
-            what: "arrival rates must be finite and ≥ 0".into(),
-        });
+        return invalid("arrival rates must be finite and ≥ 0".into());
+    }
+    if let Some(s) = single {
+        if bad(s.od_arrivals) {
+            return invalid(format!(
+                "od_arrivals {} must be finite and ≥ 0",
+                s.od_arrivals
+            ));
+        }
+        if !(0.0..=1.0).contains(&s.od_departure) {
+            return invalid(format!("od_departure {} must be in [0, 1]", s.od_departure));
+        }
+    }
+    for m in &cfg.markets {
+        if let Supply::Finite { capacity: 0, .. } = m.supply {
+            return invalid(format!("finite supply of {:?} needs capacity ≥ 1", m.name));
+        }
     }
     cfg.job.validate().map_err(EngineError::Core)?;
     if cfg.job.slot != cfg.slot_len {
-        return Err(EngineError::InvalidConfig {
-            what: "job slot length must equal the market slot length".into(),
-        });
+        return invalid("job slot length must equal the market slot length".into());
+    }
+    if u32::try_from(cfg.job.slots_needed()).is_err() {
+        return invalid("a job's slots must fit the market's u32 work model".into());
     }
     if let Some(f) = faults {
         if f.len() != cfg.markets.len() {
-            return Err(EngineError::InvalidConfig {
-                what: format!(
-                    "fault plans ({}) must match markets ({})",
-                    f.len(),
-                    cfg.markets.len()
-                ),
-            });
+            return invalid(format!(
+                "fault plans ({}) must match markets ({})",
+                f.len(),
+                cfg.markets.len()
+            ));
         }
     }
     Ok(())
 }
 
 /// One tenant's session-final state, extracted from a fleet for the
-/// shared report assembly — everything the §5.1 fallback and the outcome
-/// rows need, independent of the fleet's internal layout.
-struct TenantFinal {
-    tag: u32,
-    strategy: PortfolioStrategy,
-    completed: bool,
-    spot_slots: u64,
-    interruptions: u32,
-    resubmissions: u32,
-    /// Execution work still uncovered at the horizon close (the §5.1
-    /// on-demand fallback charge for incomplete tenants).
-    remaining: Hours,
+/// report assembly — everything the §5.1 fallback and the outcome rows
+/// need, independent of the fleet's internal layout.
+pub(super) struct TenantFinal<'a> {
+    pub(super) tag: u32,
+    pub(super) strategy: &'a PortfolioStrategy,
+    pub(super) completed: bool,
+    pub(super) spot_slots: u64,
+    pub(super) interruptions: u32,
+    pub(super) resubmissions: u32,
+    /// Execution work an incomplete tenant left uncovered at the horizon
+    /// close (its §5.1 on-demand fallback charge); zero for a complete
+    /// one.
+    pub(super) remaining: Hours,
 }
 
-/// What the shared session shell needs from a fleet besides driving it.
-trait SessionFleet: JobDriver<PortfolioSource> {
+/// What the session shell needs from a fleet besides driving it.
+pub(super) trait SessionFleet: JobDriver<PortfolioSource> {
     /// The fleet's own per-tenant cost totals, or `None` when it bills
     /// through its `Charged` events alone (the shell then folds those).
     fn costs(&mut self) -> Option<&mut CostTotals>;
@@ -426,37 +460,45 @@ trait SessionFleet: JobDriver<PortfolioSource> {
     fn close(&mut self) {}
 
     /// Every tenant's state at the session end, in tag order.
-    fn finals<'a>(&'a self, job: &'a JobSpec) -> impl ExactSizeIterator<Item = TenantFinal> + 'a;
+    fn finals(&self) -> impl ExactSizeIterator<Item = TenantFinal<'_>> + '_;
 }
 
-/// The shared session shell both fleets run under: validation, source
-/// construction and warmup, the kernel loop, the §5.1 fallback, and the
-/// report assembly — all in a fixed order so every float accumulates
-/// identically whichever fleet ran. Returns the fleet alongside the
-/// report so callers can read fleet-specific telemetry.
+/// A session run to its end: the fleet, the source it advanced and every
+/// tenant's cost total.
+pub(super) struct Session<F> {
+    costs: CostTotals,
+    pub(super) fleet: F,
+    source: PortfolioSource,
+}
+
+/// The session shell every fleet runs under: validation, source
+/// construction and warmup, the kernel loop and the final settlement, in
+/// a fixed order so every float accumulates identically whichever fleet
+/// ran.
 fn run_session<F: SessionFleet>(
-    strategies: &[PortfolioStrategy],
+    tenants: usize,
     cfg: &PortfolioLoopConfig,
     seed: u64,
     faults: Option<&[LoopFaults]>,
+    single: Option<&SingleMarket>,
     log: Option<&mut EventLog>,
     make_fleet: impl FnOnce(&RngStreams) -> F,
-) -> Result<(PortfolioReport, F), EngineError> {
-    validate(strategies, cfg, faults)?;
+) -> Result<Session<F>, EngineError> {
+    validate(tenants, cfg, faults, single)?;
 
     let streams = RngStreams::new(seed);
-    let mut source = PortfolioSource::new(cfg, &streams, faults)?;
+    let mut source = PortfolioSource::new(cfg, &streams, faults, single)?;
     source.warmup(cfg.warmup_slots);
 
     let mut fleet = make_fleet(&streams);
-    let mut event_costs = CostTotals::new(strategies.len());
-    let fold_events = fleet.costs().is_none();
+    // A fleet without its own totals is billed by folding its events.
+    let mut event_costs = fleet.costs().is_none().then(|| CostTotals::new(tenants));
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
         let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2);
-        if fold_events {
-            observers.push(&mut event_costs);
+        if let Some(folded) = event_costs.as_mut() {
+            observers.push(folded);
         }
         if let Some(l) = log {
             observers.push(l);
@@ -465,77 +507,118 @@ fn run_session<F: SessionFleet>(
         source = kernel.into_source();
     }
     fleet.close();
-    let mut costs = match fleet.costs() {
-        Some(own) => std::mem::replace(own, CostTotals::new(0)),
-        None => event_costs,
+    let costs = match (event_costs, fleet.costs()) {
+        (Some(folded), _) => folded,
+        (None, own) => std::mem::replace(own.expect("billed by itself"), CostTotals::new(0)),
     };
+    Ok(Session {
+        fleet,
+        source,
+        costs,
+    })
+}
 
-    // One pass in tag order: the §5.1 fallback (an incomplete tenant
-    // finishes its remaining work on demand at the horizon close; the
-    // float accumulation order is part of the parity contract with the
-    // single-market loop), then the tenant's outcome row.
-    let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-    let finals = fleet.finals(&cfg.job);
-    let mut outcomes = Vec::with_capacity(finals.len());
-    for t in finals {
-        if !t.completed && t.remaining > Hours::ZERO {
-            costs.try_charge(&LineItem {
-                slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
-                price: cfg.on_demand,
-                duration: t.remaining,
-                kind: UsageKind::OnDemand,
-                tag: t.tag,
-            })?;
+impl<F: SessionFleet> Session<F> {
+    /// One pass in tag order: the §5.1 fallback (an incomplete tenant
+    /// finishes its remaining work on demand at the horizon close; the
+    /// float accumulation order is part of the parity contract with the
+    /// dense oracles), then the row `row` builds from the tenant's final
+    /// state, cost and savings. Returns the rows, the count of tenants
+    /// that completed and their mean savings.
+    pub(super) fn outcomes<R>(
+        &mut self,
+        cfg: &PortfolioLoopConfig,
+        row: impl Fn(TenantFinal<'_>, Cost, f64) -> R,
+    ) -> Result<(Vec<R>, usize, f64), EngineError> {
+        let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
+        let finals = self.fleet.finals();
+        let mut rows = Vec::with_capacity(finals.len());
+        // `Iterator::sum` over the rows' savings, in row order, from the
+        // same neutral element.
+        let (mut completed, mut savings_sum) = (0, -0.0);
+        for t in finals {
+            if !t.completed && t.remaining > Hours::ZERO {
+                self.costs.try_charge(&LineItem {
+                    slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
+                    price: cfg.on_demand,
+                    duration: t.remaining,
+                    kind: UsageKind::OnDemand,
+                    tag: t.tag,
+                })?;
+            }
+            let cost = self.costs.total(t.tag);
+            let savings = 1.0 - cost.as_f64() / od_cost;
+            completed += usize::from(t.completed);
+            savings_sum += savings;
+            rows.push(row(t, cost, savings));
         }
-        let cost = costs.total(t.tag);
-        outcomes.push(PortfolioTenantOutcome {
+        let mean_savings = savings_sum / rows.len() as f64;
+        Ok((rows, completed, mean_savings))
+    }
+}
+
+impl<F> Session<F> {
+    /// Market `m`'s mean and peak posted price over the tenant-visible
+    /// horizon, and the horizon's length in slots.
+    pub(super) fn prices(&self, m: usize, warmup_slots: usize) -> (Price, Price, u64) {
+        let visible = &self.source.posted[m][warmup_slots..];
+        let mean = Price::new(
+            visible.iter().map(|p| p.as_f64()).sum::<f64>() / visible.len().max(1) as f64,
+        );
+        let peak = visible
+            .iter()
+            .copied()
+            .fold(Price::ZERO, |a, b| if b > a { b } else { a });
+        (mean, peak, visible.len() as u64)
+    }
+
+    /// Market `m`'s provider telemetry (`None` under unbounded supply).
+    pub(super) fn provider(&self, m: usize) -> Option<ProviderReport> {
+        self.source.set.provider_report(m)
+    }
+}
+
+/// Assembles a portfolio session's report.
+fn portfolio_report<F: SessionFleet>(
+    session: &mut Session<F>,
+    cfg: &PortfolioLoopConfig,
+) -> Result<PortfolioReport, EngineError> {
+    let (tenants, completed, mean_savings) =
+        session.outcomes(cfg, |t, cost, savings| PortfolioTenantOutcome {
             tenant: t.tag,
-            strategy: t.strategy,
+            strategy: *t.strategy,
             completed: t.completed,
             spot_slots: t.spot_slots,
             interruptions: t.interruptions,
             resubmissions: t.resubmissions,
             cost,
-            savings: 1.0 - cost.as_f64() / od_cost,
-        });
-    }
-    let mut mean_price = Vec::with_capacity(cfg.markets.len());
-    let mut peak_price = Vec::with_capacity(cfg.markets.len());
+            savings,
+        })?;
+    let m = cfg.markets.len();
+    let (mut mean_price, mut peak_price) = (Vec::with_capacity(m), Vec::with_capacity(m));
     let mut slots = 0;
-    for posted in &source.posted {
-        let visible = &posted[cfg.warmup_slots..];
-        mean_price.push(Price::new(
-            visible.iter().map(|p| p.as_f64()).sum::<f64>() / visible.len().max(1) as f64,
-        ));
-        peak_price.push(
-            visible
-                .iter()
-                .copied()
-                .fold(Price::ZERO, |a, b| if b > a { b } else { a }),
-        );
-        slots = visible.len() as u64;
+    for k in 0..m {
+        let (mean, peak, visible) = session.prices(k, cfg.warmup_slots);
+        mean_price.push(mean);
+        peak_price.push(peak);
+        slots = visible;
     }
-    let provider = (0..cfg.markets.len())
-        .map(|m| source.set.provider_report(m))
-        .collect();
-    let report = PortfolioReport {
-        completed: outcomes.iter().filter(|o| o.completed).count(),
-        mean_savings: outcomes.iter().map(|o| o.savings).sum::<f64>() / outcomes.len() as f64,
-        tenants: outcomes,
+    Ok(PortfolioReport {
+        tenants,
+        completed,
+        mean_savings,
         mean_price,
         peak_price,
         slots,
-        provider,
-    };
-    Ok((report, fleet))
+        provider: (0..m).map(|k| session.provider(k)).collect(),
+    })
 }
 
 /// Runs one portfolio closed-loop session: warms M correlated markets up
 /// with background load, then lets one tenant per strategy plan and bid
 /// across them for `horizon_slots`. Deterministic from `seed` at any
-/// thread count; at M=1 with [`PortfolioStrategy::ZoneFallback`] it
-/// reproduces the single-market [`super::run_closed_loop`] bit-for-bit
-/// (see `tests/portfolio.rs`).
+/// thread count. [`super::run_closed_loop`] is this loop at M = 1 with
+/// every tenant on [`PortfolioStrategy::ZoneFallback`].
 ///
 /// Runs the event-driven wakeup fleet; [`dense::run_portfolio_loop`] is
 /// the frozen dense oracle it is held bit-identical to.
@@ -547,14 +630,15 @@ fn run_session<F: SessionFleet>(
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy or market lists, zero
-/// warmup or horizon, non-finite arrival rates, or a fault-plan/market
-/// count mismatch; [`EngineError::Core`] if a strategy fails to resolve.
+/// warmup or horizon, non-finite arrival rates, a finite market of
+/// capacity 0, or a fault-plan/market count mismatch;
+/// [`EngineError::Core`] if a strategy fails to resolve.
 pub fn run_portfolio_loop(
     strategies: &[PortfolioStrategy],
     cfg: &PortfolioLoopConfig,
     seed: u64,
 ) -> Result<PortfolioReport, EngineError> {
-    wakeup::run(strategies, cfg, seed, None, None).map(|(report, _)| report)
+    run(strategies, cfg, seed, None, None).map(|(report, _)| report)
 }
 
 /// As [`run_portfolio_loop`], optionally fault-injected (one
@@ -571,7 +655,7 @@ pub fn run_portfolio_loop_with_stats(
     seed: u64,
     faults: Option<&[LoopFaults]>,
 ) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
-    wakeup::run(strategies, cfg, seed, faults, None)
+    run(strategies, cfg, seed, faults, None)
 }
 
 /// As [`run_portfolio_loop_with_stats`], also returning the full event
@@ -587,14 +671,27 @@ pub fn run_portfolio_loop_logged(
     faults: Option<&[LoopFaults]>,
 ) -> Result<(PortfolioReport, Vec<Event>, PortfolioFleetStats), EngineError> {
     let mut log = EventLog::new();
-    let (report, stats) = wakeup::run(strategies, cfg, seed, faults, Some(&mut log))?;
+    let (report, stats) = run(strategies, cfg, seed, faults, Some(&mut log))?;
     Ok((report, log.into_events(), stats))
+}
+
+fn run(
+    strategies: &[PortfolioStrategy],
+    cfg: &PortfolioLoopConfig,
+    seed: u64,
+    faults: Option<&[LoopFaults]>,
+    log: Option<&mut EventLog>,
+) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
+    let mut session = wakeup::run(strategies.iter().copied(), cfg, seed, faults, None, log)?;
+    let report = portfolio_report(&mut session, cfg)?;
+    Ok((report, session.fleet.stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spotbid_core::BiddingStrategy;
+    use spotbid_market::ProviderPolicy;
 
     fn market(name: &str, pi_min: f64, idio: f64) -> PortfolioMarket {
         PortfolioMarket {
@@ -772,5 +869,16 @@ mod tests {
         // One fault plan for two markets.
         let r = run_portfolio_loop_logged(&strats, &cfg, 1, Some(&[LoopFaults::default()]));
         assert!(r.is_err());
+        // A finite member market with no servers, as the single-market
+        // loop refuses it.
+        let mut bad = cfg.clone();
+        bad.markets[1].supply = Supply::Finite {
+            capacity: 0,
+            policy: ProviderPolicy::StaticSplit { reserved: 0 },
+        };
+        assert!(matches!(
+            run_portfolio_loop(&strats, &bad, 1),
+            Err(EngineError::InvalidConfig { .. })
+        ));
     }
 }

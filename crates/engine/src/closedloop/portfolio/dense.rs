@@ -11,7 +11,8 @@
 //! [`spotbid_market::sim::Supply`] members.
 
 use super::{
-    run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, SessionFleet, TenantFinal,
+    portfolio_report, run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource,
+    SessionFleet, TenantFinal,
 };
 use crate::billing::{LineItem, UsageKind};
 use crate::closedloop::dense::SHARD_SIZE;
@@ -405,15 +406,20 @@ impl SessionFleet for PortfolioFleet {
         None
     }
 
-    fn finals<'a>(&'a self, job: &'a JobSpec) -> impl ExactSizeIterator<Item = TenantFinal> + 'a {
-        self.tenants.iter().map(|t| TenantFinal {
+    fn finals(&self) -> impl ExactSizeIterator<Item = TenantFinal<'_>> + '_ {
+        let job = &self.job;
+        self.tenants.iter().map(move |t| TenantFinal {
             tag: t.tag,
-            strategy: t.strategy,
+            strategy: &t.strategy,
             completed: t.completed,
             spot_slots: t.slots_run,
             interruptions: t.interruptions,
             resubmissions: t.resubmissions,
-            remaining: t.remaining_work(job),
+            remaining: if t.completed {
+                Hours::ZERO
+            } else {
+                t.remaining_work(job)
+            },
         })
     }
 }
@@ -425,7 +431,7 @@ fn run(
     faults: Option<&[LoopFaults]>,
     log: Option<&mut EventLog>,
 ) -> Result<PortfolioReport, EngineError> {
-    let (report, _) = run_session(strategies, cfg, seed, faults, log, |streams| {
+    let mut session = run_session(strategies.len(), cfg, seed, faults, None, log, |streams| {
         let tenants: Vec<PortfolioTenant> = strategies
             .iter()
             .enumerate()
@@ -433,7 +439,7 @@ fn run(
             .collect();
         PortfolioFleet::new(tenants, cfg, streams)
     })?;
-    Ok(report)
+    portfolio_report(&mut session, cfg)
 }
 
 /// As [`super::run_portfolio_loop`], but over the frozen dense fleet —

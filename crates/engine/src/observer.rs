@@ -10,7 +10,7 @@
 //! - `CostTotals` folds the same charges into one running total per
 //!   tenant tag — what the closed loops report, in O(tenants) memory
 //!   instead of one item per running tenant-slot (the dense fleets feed
-//!   it events; the wakeup fleets own one and add to it directly);
+//!   it events; the wakeup fleet owns one and adds to it directly);
 //! - [`EventLog`] keeps everything for offline inspection.
 
 use crate::billing::{Bill, LineItem};

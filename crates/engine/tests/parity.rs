@@ -11,7 +11,6 @@
 //! and the adapter half pins `spotbid_client::runtime` to the engine.
 
 use spotbid_core::{BidDecision, JobSpec};
-use spotbid_engine::billing::Bill;
 use spotbid_engine::{EngineError, MarketView, RecoveryPolicy, RunStatus};
 use spotbid_market::units::{Hours, Price};
 use spotbid_numerics::rng::Rng;
@@ -535,14 +534,4 @@ fn zero_length_histories_are_benign() {
     let old = legacy::run_job(&h, decision, &job, 0).unwrap();
     assert_eq!(out, old);
     assert_eq!(out.status, RunStatus::HistoryExhausted);
-}
-
-#[test]
-fn engine_bill_type_is_client_bill_type() {
-    // One ledger type across layers: a Bill built by the engine is a Bill
-    // the client hourly-billing rules accept (type identity, not mere
-    // structural equality).
-    let mut b: spotbid_client::billing::Bill = Bill::new();
-    b.charge_spot(0, Price::new(0.05), Hours::from_minutes(5.0), 0);
-    assert_eq!(b.items().len(), 1);
 }

@@ -39,6 +39,27 @@ fn single_config() -> ClosedLoopConfig {
     }
 }
 
+/// The one-market portfolio of a single-market config: same market, same
+/// background process (all idiosyncratic, zero shared shock), same
+/// horizon.
+fn one_market(cfg: &ClosedLoopConfig) -> PortfolioLoopConfig {
+    PortfolioLoopConfig {
+        markets: vec![PortfolioMarket {
+            name: "solo".into(),
+            params: cfg.params,
+            idio_arrivals: cfg.background_arrivals,
+            supply: cfg.supply,
+        }],
+        shared_arrivals: 0.0,
+        slot_len: cfg.slot_len,
+        on_demand: cfg.on_demand,
+        job: cfg.job,
+        warmup_slots: cfg.warmup_slots,
+        horizon_slots: cfg.horizon_slots,
+        max_resubmissions: cfg.max_resubmissions,
+    }
+}
+
 /// A mixed fleet crossing the 64-tenant shard boundary, with every base
 /// strategy family represented (history-fitting, percentile, fixed-ladder,
 /// one-time, on-demand).
@@ -139,7 +160,7 @@ fn digest(report: &PortfolioReport) -> u64 {
 #[test]
 fn degenerate_portfolio_matches_single_market_loop() {
     let cfg = single_config();
-    let pcfg = PortfolioLoopConfig::single(&cfg, "solo");
+    let pcfg = one_market(&cfg);
     let bases = base_strategies(130);
     let ports: Vec<PortfolioStrategy> = bases
         .iter()
@@ -156,7 +177,7 @@ fn degenerate_portfolio_matches_single_market_loop() {
 #[test]
 fn degenerate_portfolio_matches_single_market_loop_under_faults() {
     let cfg = single_config();
-    let pcfg = PortfolioLoopConfig::single(&cfg, "solo");
+    let pcfg = one_market(&cfg);
     let bases = base_strategies(72);
     let ports: Vec<PortfolioStrategy> = bases
         .iter()

@@ -296,6 +296,27 @@ fn cap_below_a_posted_price_fails_alike() {
     }
 }
 
+/// The one-market portfolio of a single-market config: same market, same
+/// background process (all idiosyncratic, zero shared shock), same
+/// horizon.
+fn one_market(cfg: &ClosedLoopConfig) -> PortfolioLoopConfig {
+    PortfolioLoopConfig {
+        markets: vec![PortfolioMarket {
+            name: "solo".into(),
+            params: cfg.params,
+            idio_arrivals: cfg.background_arrivals,
+            supply: cfg.supply,
+        }],
+        shared_arrivals: 0.0,
+        slot_len: cfg.slot_len,
+        on_demand: cfg.on_demand,
+        job: cfg.job,
+        warmup_slots: cfg.warmup_slots,
+        horizon_slots: cfg.horizon_slots,
+        max_resubmissions: cfg.max_resubmissions,
+    }
+}
+
 #[test]
 fn degenerate_single_market_wakeup_accounting_matches() {
     // M=1 is not a new simulator: the parity wall in `tests/portfolio.rs`
@@ -316,7 +337,7 @@ fn degenerate_single_market_wakeup_accounting_matches() {
         od_arrivals: 0.0,
         od_departure: 0.0,
     };
-    let pcfg = PortfolioLoopConfig::single(&single, "solo");
+    let pcfg = one_market(&single);
     let mut rng = Rng::seed_from_u64(0xDE6E);
     let bases: Vec<BiddingStrategy> = (0..80)
         .map(|i| match i % 13 {

@@ -158,7 +158,7 @@ where
 }
 
 /// As [`par_map`], with an explicit worker count.
-pub fn par_map_threads<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
+fn par_map_threads<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -166,8 +166,8 @@ where
     par_map_scratch_threads(threads, n, || (), |i, ()| f(i))
 }
 
-/// As [`par_map_threads`], with a per-worker scratch value created by
-/// `init` and threaded through every call that worker executes.
+/// As [`par_map`] on `threads` workers, with a per-worker scratch value
+/// created by `init` and threaded through every call that worker executes.
 ///
 /// The scratch exists to let hot trial loops reuse allocations (price
 /// buffers, trace vectors) instead of reallocating per index — it is an
@@ -175,7 +175,7 @@ where
 /// guarantee only extends to callers whose `f(i, scratch)` output is
 /// independent of whatever a previous call left in `scratch`; overwrite it
 /// fully before reading.
-pub fn par_map_scratch_threads<T, S, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<T>
+fn par_map_scratch_threads<T, S, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
@@ -265,7 +265,7 @@ where
 }
 
 /// As [`par_trials`], with an explicit worker count.
-pub fn par_trials_threads<T, F>(threads: usize, seed: u64, n: usize, f: F) -> Vec<T>
+fn par_trials_threads<T, F>(threads: usize, seed: u64, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &mut Rng) -> T + Sync,
@@ -285,7 +285,7 @@ where
 /// This is the allocation-hoisting variant for replay loops that build a
 /// large buffer (e.g. a two-month price trace) per trial: each worker
 /// creates one scratch with `init` and reuses it across every trial it
-/// executes. See [`par_map_scratch_threads`] for the determinism contract —
+/// executes. The scratch is an allocation cache, not a state channel —
 /// `f` must fully overwrite the scratch before reading it, so its output
 /// stays a pure function of `(seed, i)`.
 pub fn par_trials_scratch<T, S, I, F>(seed: u64, n: usize, init: I, f: F) -> Vec<T>
@@ -298,7 +298,7 @@ where
 }
 
 /// As [`par_trials_scratch`], with an explicit worker count.
-pub fn par_trials_scratch_threads<T, S, I, F>(
+fn par_trials_scratch_threads<T, S, I, F>(
     threads: usize,
     seed: u64,
     n: usize,

@@ -23,6 +23,10 @@
 //! two-slot sessions add the resubmissions of the wave's rejected bids,
 //! so the owner columns hold superseded ids.
 //!
+//! The one-market test holds the portfolio loop at M = 1 to the
+//! single-market dense oracle: a single-market bidder is a one-market
+//! zone-fallback portfolio, clean and under faults.
+//!
 //! The staggered-cohort tests hold the settlement memo: a reclamation
 //! outage plus resubmissions makes the tenants finishing in one slot
 //! settle streaks of different starts from different totals, interleaved
@@ -612,4 +616,89 @@ fn portfolio_staggered_cohorts_match_the_dense_oracle() {
         staggered_cohort(&oracle_events),
         "no finishing cohort mixed staggered streaks"
     );
+}
+
+#[test]
+fn one_market_portfolio_matches_the_single_market_dense_oracle() {
+    let cfg = single_config();
+    let one = PortfolioLoopConfig {
+        markets: vec![PortfolioMarket {
+            name: "solo".into(),
+            params: cfg.params,
+            idio_arrivals: cfg.background_arrivals,
+            supply: cfg.supply,
+        }],
+        shared_arrivals: 0.0,
+        slot_len: cfg.slot_len,
+        on_demand: cfg.on_demand,
+        job: cfg.job,
+        warmup_slots: cfg.warmup_slots,
+        horizon_slots: cfg.horizon_slots,
+        max_resubmissions: cfg.max_resubmissions,
+    };
+    let bases = single_strategies();
+    let homes: Vec<PortfolioStrategy> = bases
+        .iter()
+        .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base })
+        .collect();
+    let total = cfg.warmup_slots + cfg.horizon_slots;
+    // Feed gaps every 7th slot and a reclamation every 5th slot after
+    // warmup, as in the unlogged fault test.
+    let faults = LoopFaults {
+        gap: (0..total).map(|s| s % 7 == 3).collect(),
+        reclaim: (0..total)
+            .map(|s| s > cfg.warmup_slots && s % 5 == 2)
+            .collect(),
+    };
+    for plan in [None, Some(faults)] {
+        let seed = 0x0E_3A2E;
+        let (port, port_events, _) =
+            run_portfolio_loop_logged(&homes, &one, seed, plan.as_ref().map(std::slice::from_ref))
+                .unwrap();
+        let (oracle, oracle_events) =
+            dense::run_closed_loop_logged(&bases, &cfg, seed, plan.as_ref()).unwrap();
+        let faulted = plan.is_some();
+        assert_eq!(port.tenants.len(), oracle.tenants.len());
+        for (p, o) in port.tenants.iter().zip(&oracle.tenants) {
+            let home = PortfolioStrategy::ZoneFallback {
+                home: 0,
+                base: o.strategy,
+            };
+            assert_eq!(
+                (p.tenant, p.strategy, p.completed, p.spot_slots),
+                (o.tenant, home, o.completed, o.spot_slots),
+                "tenant {} (faults: {faulted})",
+                o.tenant
+            );
+            assert_eq!(
+                (p.interruptions, p.resubmissions),
+                (o.interruptions, o.resubmissions),
+                "tenant {} (faults: {faulted})",
+                o.tenant
+            );
+            assert_eq!(
+                (p.cost.as_f64().to_bits(), p.savings.to_bits()),
+                (o.cost.as_f64().to_bits(), o.savings.to_bits()),
+                "tenant {} (faults: {faulted})",
+                o.tenant
+            );
+        }
+        assert_eq!(port.completed, oracle.completed);
+        assert_eq!(port.mean_savings.to_bits(), oracle.mean_savings.to_bits());
+        assert_eq!(
+            (port.mean_price.as_slice(), port.peak_price.as_slice()),
+            (
+                [oracle.mean_price].as_slice(),
+                [oracle.peak_price].as_slice()
+            ),
+            "prices diverged (faults: {faulted})"
+        );
+        assert_eq!(port.slots, oracle.slots);
+        assert_eq!(port.provider, vec![oracle.provider]);
+        assert_same_events(&port_events, &oracle_events);
+        assert!(
+            oracle.tenants.iter().any(|t| t.resubmissions > 0) && oracle.completed > 0,
+            "a vacuous session (faults: {faulted})"
+        );
+    }
 }
