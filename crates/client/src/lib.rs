@@ -30,7 +30,6 @@
 pub mod client;
 pub mod experiment;
 pub mod hourly;
-pub mod price_monitor;
 pub mod runtime;
 
 pub use client::{SpotClient, TrialResult};

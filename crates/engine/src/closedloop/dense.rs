@@ -12,13 +12,11 @@
 //! `BidId`s, same event order, same bills, same RNG stream reservations
 //! at any thread count (`tests/wakeup_equiv.rs`, DESIGN.md §5f).
 //!
-//! Tenant evaluation is **sharded**: all tenants live in one
-//! `TenantFleet` kernel driver whose per-slot strategy decisions fan out
-//! across `spotbid-exec` workers in fixed 64-tenant shards (order-stable
-//! merge, one reserved RNG substream per shard), while bid submission and
-//! report processing stay serial in tenant order — so bid ids, event
-//! order, and results are identical to the legacy one-driver-per-tenant
-//! loop at any thread count.
+//! All tenants live in one `TenantFleet` kernel driver that decides, bids
+//! and processes reports serially in tenant order (one RNG substream
+//! reserved per 64-tenant decision shard, never drawn) — so bid ids,
+//! event order, and results are identical to the legacy
+//! one-driver-per-tenant loop at any thread count.
 
 use super::{ClosedLoopConfig, ClosedLoopReport, LoopFaults, TenantOutcome};
 use crate::billing::{LineItem, UsageKind};
@@ -27,7 +25,7 @@ use crate::kernel::{DriverStatus, JobDriver, Kernel};
 use crate::observer::{CostTotals, EventLog, Observer};
 use crate::source::PriceSource;
 use crate::EngineError;
-use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec};
+use spotbid_core::{BidDecision, BiddingStrategy, JobSpec};
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, SpotMarket, Supply, WorkModel};
 use spotbid_market::units::{Hours, Price};
 use spotbid_numerics::rng::{Rng, RngStreams};
@@ -474,43 +472,30 @@ impl TenantBidder {
     }
 }
 
-/// Tenants per decision shard. Small enough that a partial last shard
-/// doesn't idle workers, large enough that shard overhead amortizes.
+/// Tenants per decision shard: [`RngStreams`] substream `2 + shard` is
+/// reserved for the shard's 64 tenants (0 and 1 belong to the market and
+/// the background process). Current strategies draw nothing from it; the
+/// on-demand churn's stream is the first after the shards'.
 pub(super) const SHARD_SIZE: usize = 64;
 
-/// Every tenant as one kernel driver, with sharded decision evaluation.
-///
-/// Strategy resolution (`BiddingStrategy::decide`) is the per-slot hot
-/// spot at large N and is a pure function of the shared price history, so
-/// the fleet fans it out across `spotbid-exec` workers in fixed
-/// [`SHARD_SIZE`] shards and merges the decisions order-stably. Everything
-/// with market-visible side effects — bid submission (which assigns
-/// [`BidId`]s), event emission, report processing — stays serial in tenant
-/// order, so the fleet is bit-identical to the legacy
-/// one-driver-per-tenant loop at any `SPOTBID_THREADS`.
-///
-/// Each shard owns a reserved [`RngStreams`] substream (`2 + shard`; 0 and
-/// 1 belong to the market and the background process). Current strategies
-/// draw nothing from it — it exists so a future randomized strategy can
-/// draw per-shard without perturbing streams 0/1 or the merge order.
+/// Every tenant as one kernel driver. Each slot the tenants that must
+/// (re-)bid decide and submit in ascending tenant order, so bid ids
+/// ([`BidId`]), events and reports are bit-identical to the legacy
+/// one-driver-per-tenant loop, and a session is the same at any
+/// `SPOTBID_THREADS`.
 struct TenantFleet {
     tenants: Vec<TenantBidder>,
     done: Vec<bool>,
-    shard_rngs: Vec<Rng>,
     /// Scratch: indices of tenants that must (re-)bid this slot.
     needy: Vec<u32>,
 }
 
 impl TenantFleet {
-    fn new(tenants: Vec<TenantBidder>, streams: &RngStreams) -> Self {
-        let max_shards = tenants.len().div_ceil(SHARD_SIZE);
-        let mut chain = streams.streams(2 + max_shards);
-        let shard_rngs = chain.split_off(2);
+    fn new(tenants: Vec<TenantBidder>) -> Self {
         let done = vec![false; tenants.len()];
         TenantFleet {
             tenants,
             done,
-            shard_rngs,
             needy: Vec::new(),
         }
     }
@@ -540,36 +525,17 @@ impl JobDriver<ClosedLoopSource> for TenantFleet {
         // One history snapshot for the whole slot: `posted` only grows in
         // `post`, so every tenant would observe the same prices anyway.
         let history = source.observed()?;
-        let inputs: Vec<(BiddingStrategy, JobSpec, Price)> = self
-            .needy
-            .iter()
-            .map(|&i| {
-                let t = &self.tenants[i as usize];
-                (t.strategy, t.job, t.on_demand)
-            })
-            .collect();
-        let shards = inputs.len().div_ceil(SHARD_SIZE);
-        let shard_rngs = &self.shard_rngs;
-        let decisions: Vec<Vec<Result<BidDecision, CoreError>>> =
-            spotbid_exec::par_map(shards, |s| {
-                let mut _rng = shard_rngs[s].clone(); // reserved, see above
-                let lo = s * SHARD_SIZE;
-                let hi = (lo + SHARD_SIZE).min(inputs.len());
-                inputs[lo..hi]
-                    .iter()
-                    .map(|(strat, job, od)| strat.decide(&history, job, *od))
-                    .collect()
-            });
-        // Serial, ordered apply: bid ids and events come out exactly as if
-        // each tenant had decided in turn.
-        let mut flat = decisions.into_iter().flatten();
+        // Each tenant decides, then applies, in turn: bid ids and events
+        // come out in tenant order, and a failed decision ends the pass
+        // after every earlier tenant's is applied.
         for k in 0..self.needy.len() {
             let i = self.needy[k] as usize;
-            let decision = flat
-                .next()
-                .expect("one decision per needy tenant")
+            let t = &mut self.tenants[i];
+            let decision = t
+                .strategy
+                .decide(&history, &t.job, t.on_demand)
                 .map_err(EngineError::Core)?;
-            self.tenants[i].apply_decision(decision, slot, source, emit);
+            t.apply_decision(decision, slot, source, emit);
         }
         Ok(())
     }
@@ -617,7 +583,7 @@ fn run_dense(
         .enumerate()
         .map(|(i, s)| TenantBidder::new(*s, cfg, i as u32))
         .collect();
-    let mut fleet = TenantFleet::new(tenants, &streams);
+    let mut fleet = TenantFleet::new(tenants);
     let mut costs = CostTotals::new(strategies.len());
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);

@@ -53,12 +53,12 @@
 //! ## Determinism contract
 //!
 //! As in the single-market oracle (§5e/§5f): plan resolution is pure (the
-//! dense fleet fans it out over `spotbid-exec` shards, the wakeup fleet
-//! plans once per distinct strategy), while bid submission (which
-//! assigns per-market [`spotbid_market::sim::BidId`]s), event emission,
-//! and report processing stay serial in ascending tenant order, with each
-//! tenant's legs processed in plan order. The whole session is
-//! bit-identical at any `SPOTBID_THREADS`.
+//! dense fleet plans tenant by tenant, the wakeup fleet once per distinct
+//! strategy), while bid submission (which assigns per-market
+//! [`spotbid_market::sim::BidId`]s), event emission, and report
+//! processing stay serial in ascending tenant order, with each tenant's
+//! legs processed in plan order. The whole session runs on one thread and
+//! is bit-identical at any `SPOTBID_THREADS`.
 
 pub mod dense;
 pub(super) mod wakeup;
@@ -463,12 +463,17 @@ pub(super) trait SessionFleet: JobDriver<PortfolioSource> {
     fn finals(&self) -> impl ExactSizeIterator<Item = TenantFinal<'_>> + '_;
 }
 
-/// A session run to its end: the fleet, the source it advanced and every
-/// tenant's cost total.
+/// A session run to its end: the fleet, every tenant's cost total, and
+/// what the report needs of the markets — their posted prices and
+/// provider telemetry. The markets themselves, with every bid column, are
+/// dropped before the report rows are built.
 pub(super) struct Session<F> {
     costs: CostTotals,
     pub(super) fleet: F,
-    source: PortfolioSource,
+    /// Per market, every posted price in slot order.
+    posted: Vec<Vec<Price>>,
+    /// Per market, the provider telemetry (`None` under unbounded supply).
+    provider: Vec<Option<ProviderReport>>,
 }
 
 /// The session shell every fleet runs under: validation, source
@@ -482,7 +487,7 @@ fn run_session<F: SessionFleet>(
     faults: Option<&[LoopFaults]>,
     single: Option<&SingleMarket>,
     log: Option<&mut EventLog>,
-    make_fleet: impl FnOnce(&RngStreams) -> F,
+    make_fleet: impl FnOnce() -> F,
 ) -> Result<Session<F>, EngineError> {
     validate(tenants, cfg, faults, single)?;
 
@@ -490,10 +495,10 @@ fn run_session<F: SessionFleet>(
     let mut source = PortfolioSource::new(cfg, &streams, faults, single)?;
     source.warmup(cfg.warmup_slots);
 
-    let mut fleet = make_fleet(&streams);
+    let mut fleet = make_fleet();
     // A fleet without its own totals is billed by folding its events.
     let mut event_costs = fleet.costs().is_none().then(|| CostTotals::new(tenants));
-    {
+    let (posted, provider) = {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
         let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2);
@@ -504,8 +509,13 @@ fn run_session<F: SessionFleet>(
             observers.push(l);
         }
         kernel.run(&mut [&mut fleet], &mut observers, horizon)?;
-        source = kernel.into_source();
-    }
+        // Only the prices and the provider telemetry outlive the loop:
+        // the markets and their bid books are dropped here.
+        let source = kernel.into_source();
+        let set = &source.set;
+        let provider = (0..set.len()).map(|m| set.provider_report(m)).collect();
+        (source.posted, provider)
+    };
     fleet.close();
     let costs = match (event_costs, fleet.costs()) {
         (Some(folded), _) => folded,
@@ -513,7 +523,8 @@ fn run_session<F: SessionFleet>(
     };
     Ok(Session {
         fleet,
-        source,
+        posted,
+        provider,
         costs,
     })
 }
@@ -561,7 +572,7 @@ impl<F> Session<F> {
     /// Market `m`'s mean and peak posted price over the tenant-visible
     /// horizon, and the horizon's length in slots.
     pub(super) fn prices(&self, m: usize, warmup_slots: usize) -> (Price, Price, u64) {
-        let visible = &self.source.posted[m][warmup_slots..];
+        let visible = &self.posted[m][warmup_slots..];
         let mean = Price::new(
             visible.iter().map(|p| p.as_f64()).sum::<f64>() / visible.len().max(1) as f64,
         );
@@ -574,7 +585,7 @@ impl<F> Session<F> {
 
     /// Market `m`'s provider telemetry (`None` under unbounded supply).
     pub(super) fn provider(&self, m: usize) -> Option<ProviderReport> {
-        self.source.set.provider_report(m)
+        self.provider[m]
     }
 }
 

@@ -15,17 +15,15 @@ use super::{
     SessionFleet, TenantFinal,
 };
 use crate::billing::{LineItem, UsageKind};
-use crate::closedloop::dense::SHARD_SIZE;
 use crate::closedloop::LoopFaults;
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver};
 use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy};
-use spotbid_core::{BidDecision, CoreError, JobSpec};
+use spotbid_core::{BidDecision, JobSpec};
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
 use spotbid_market::units::{Hours, Price};
-use spotbid_numerics::rng::{Rng, RngStreams};
 
 /// One live spot position of a tenant.
 #[derive(Debug, Clone, Copy)]
@@ -271,14 +269,12 @@ impl PortfolioTenant {
     }
 }
 
-/// Every portfolio tenant as one kernel driver, with sharded plan
-/// resolution — the multi-market counterpart of the dense fleet, same
-/// §5e/§5f contract: pure decisions fan out, market-visible side effects
-/// stay serial in ascending tenant order.
+/// Every portfolio tenant as one kernel driver — the multi-market
+/// counterpart of the dense fleet, same §5e/§5f contract: plans and their
+/// market-visible side effects run serially in ascending tenant order.
 struct PortfolioFleet {
     tenants: Vec<PortfolioTenant>,
     done: Vec<bool>,
-    shard_rngs: Vec<Rng>,
     job: JobSpec,
     on_demand: Price,
     max_resubmissions: u32,
@@ -289,17 +285,12 @@ struct PortfolioFleet {
 }
 
 impl PortfolioFleet {
-    fn new(tenants: Vec<PortfolioTenant>, cfg: &PortfolioLoopConfig, streams: &RngStreams) -> Self {
+    fn new(tenants: Vec<PortfolioTenant>, cfg: &PortfolioLoopConfig) -> Self {
         let m = cfg.markets.len();
-        let max_shards = tenants.len().div_ceil(SHARD_SIZE);
-        // Shard streams live after the market/arrival/shared block.
-        let mut chain = streams.streams(2 * m + 1 + max_shards);
-        let shard_rngs = chain.split_off(2 * m + 1);
         let done = vec![false; tenants.len()];
         PortfolioFleet {
             tenants,
             done,
-            shard_rngs,
             job: cfg.job,
             on_demand: cfg.on_demand,
             max_resubmissions: cfg.max_resubmissions,
@@ -336,34 +327,17 @@ impl JobDriver<PortfolioSource> for PortfolioFleet {
         }
         // One per-market history snapshot for the whole slot.
         let histories = source.observed()?;
-        let inputs: Vec<PortfolioStrategy> = self
-            .needy
-            .iter()
-            .map(|&i| self.tenants[i as usize].strategy)
-            .collect();
-        let shards = inputs.len().div_ceil(SHARD_SIZE);
-        let shard_rngs = &self.shard_rngs;
         let (job, on_demand) = (self.job, self.on_demand);
-        let plans: Vec<Vec<Result<PortfolioPlan, CoreError>>> =
-            spotbid_exec::par_map(shards, |s| {
-                let mut _rng = shard_rngs[s].clone(); // reserved, see module docs
-                let lo = s * SHARD_SIZE;
-                let hi = (lo + SHARD_SIZE).min(inputs.len());
-                inputs[lo..hi]
-                    .iter()
-                    .map(|strat| strat.decide(&histories, &job, on_demand))
-                    .collect()
-            });
-        // Serial, ordered apply: per-market bid ids and events come out
-        // exactly as if each tenant had planned in turn.
-        let mut flat = plans.into_iter().flatten();
+        // Each tenant plans, then applies, in turn: per-market bid ids and
+        // events come out in tenant order, and a failed plan ends the pass
+        // after every earlier tenant's is applied.
         for k in 0..self.needy.len() {
-            let i = self.needy[k] as usize;
-            let plan = flat
-                .next()
-                .expect("one plan per needy tenant")
+            let t = &mut self.tenants[self.needy[k] as usize];
+            let plan = t
+                .strategy
+                .decide(&histories, &job, on_demand)
                 .map_err(EngineError::Core)?;
-            self.tenants[i].apply_plan(&plan, &job, slot, source, &mut self.live, emit);
+            t.apply_plan(&plan, &job, slot, source, &mut self.live, emit);
         }
         Ok(())
     }
@@ -431,13 +405,13 @@ fn run(
     faults: Option<&[LoopFaults]>,
     log: Option<&mut EventLog>,
 ) -> Result<PortfolioReport, EngineError> {
-    let mut session = run_session(strategies.len(), cfg, seed, faults, None, log, |streams| {
+    let mut session = run_session(strategies.len(), cfg, seed, faults, None, log, || {
         let tenants: Vec<PortfolioTenant> = strategies
             .iter()
             .enumerate()
             .map(|(i, s)| PortfolioTenant::new(*s, cfg, i as u32))
             .collect();
-        PortfolioFleet::new(tenants, cfg, streams)
+        PortfolioFleet::new(tenants, cfg)
     })?;
     portfolio_report(&mut session, cfg)
 }

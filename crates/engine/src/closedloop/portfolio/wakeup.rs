@@ -32,8 +32,10 @@
 //! wake set and no runner is skipped.
 //!
 //! Each class of bit-identical strategies plans once per slot; plans are
-//! applied in ascending tenant order, their legs entering each market as
-//! one batch, and wakeups are processed in ascending tenant order with
+//! applied in ascending tenant order, their legs entering each market
+//! through a queue of at most [`QUEUE`] bids flushed as one batch (a
+//! batch gives the ids and state the same submissions one by one would),
+//! and wakeups are processed in ascending tenant order with
 //! each tenant's legs in plan order. Bid ids, events, costs and RNG draws
 //! are **bit-identical** to the frozen dense oracles at any
 //! `SPOTBID_THREADS` (`tests/wakeup_equiv.rs`,
@@ -51,6 +53,7 @@ use crate::observer::{CostTotals, EventLog};
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
 use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec, PriceView};
+use spotbid_market::multi::MarketSet;
 use spotbid_market::sim::{
     reserve_pow2, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
 };
@@ -62,6 +65,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `bid` sentinel: no live leg (market ids stay below it), and the slab's
 /// end-of-list link.
 const NIL: u32 = u32::MAX;
+
+/// Bids a market's wave queue holds before it is flushed into the market
+/// as one batch.
+const QUEUE: usize = 1024;
 
 // Tenant flags.
 /// Finished for the session.
@@ -420,11 +427,11 @@ pub(in crate::closedloop) struct Fleet {
     sc_order: Vec<u32>,
     /// Per market: this slot's spot charge fails validation.
     sc_refused: Vec<bool>,
-    /// Per market: the wave's spot legs, and the bids held before it.
+    /// Per market: the wave's spot legs.
     sc_spot: Vec<usize>,
-    sc_first: Vec<usize>,
-    /// Per market: this slot's bids, in tenant order, for one batch.
-    sc_waves: Vec<Vec<BidRequest>>,
+    /// Per market: the wave's latest bids, in tenant order, at most
+    /// [`QUEUE`] of them, not yet submitted.
+    sc_queues: Vec<Vec<BidRequest>>,
     /// The running legs' markets of the tenant being settled.
     sc_legs: Vec<usize>,
 }
@@ -482,8 +489,7 @@ impl Fleet {
             sc_order: Vec::new(),
             sc_refused: vec![false; m],
             sc_spot: Vec::new(),
-            sc_first: Vec::new(),
-            sc_waves: vec![Vec::new(); m],
+            sc_queues: vec![Vec::new(); m],
             sc_legs: Vec::new(),
         }
     }
@@ -598,7 +604,7 @@ impl Fleet {
         t: u32,
         plan: &Plan,
         slot: u64,
-        first: &[usize],
+        set: &mut MarketSet,
         events: &mut Events<'_>,
     ) -> Result<(), EngineError> {
         let tu = t as usize;
@@ -616,7 +622,7 @@ impl Fleet {
             } if alone && pending > 0 => {
                 let assigned = cap(slots, pending);
                 pending -= assigned;
-                let at = (slot, first);
+                let at = (slot, &mut *set);
                 self.submit(t, market, (price, persistent), assigned, at, events);
             }
             _ => {
@@ -631,7 +637,7 @@ impl Fleet {
                             self.buy_on_demand(t, price, assigned, slot, events)?
                         }
                         BidDecision::Spot { price, persistent } => {
-                            let at = (slot, first);
+                            let at = (slot, &mut *set);
                             self.submit(t, m, (price, persistent), assigned, at, events)
                         }
                     }
@@ -653,8 +659,9 @@ impl Fleet {
     }
 
     /// Submits tenant `t`'s spot leg of `assigned` slots to market `m`:
-    /// the bid joins the market's wave after the `first[m]` bids it held
-    /// before the wave, so it gets the id a submission would return now.
+    /// the bid joins the market's queue, flushed into the market first if
+    /// full, after the bids the market holds, so it gets the id a
+    /// submission would return now.
     #[inline(always)]
     fn submit(
         &mut self,
@@ -662,12 +669,16 @@ impl Fleet {
         m: usize,
         (price, persistent): (Price, bool),
         assigned: u32,
-        (slot, first): (u64, &[usize]),
+        (slot, set): (u64, &mut MarketSet),
         events: &mut Events<'_>,
     ) {
-        let wave = &mut self.sc_waves[m];
-        let id = first[m] + wave.len();
-        wave.push(BidRequest {
+        let queue = &mut self.sc_queues[m];
+        if queue.len() == QUEUE {
+            set.submit_batch(m, queue);
+            queue.clear();
+        }
+        let id = set.market(m).submitted() + queue.len();
+        queue.push(BidRequest {
             price,
             kind: if persistent {
                 BidKind::Persistent
@@ -677,6 +688,7 @@ impl Fleet {
             work: WorkModel::FixedSlots(assigned),
         });
         set_owner(&mut self.owners[m], id, t);
+        self.live[m] += 1;
         let leg = Leg {
             market: m as u32,
             bid: u32::try_from(id).expect("market bid ids fit in u32"),
@@ -741,11 +753,11 @@ impl Fleet {
         tenants: &[u32],
         memo: &DecisionMemo,
         slot: u64,
-        first: &[usize],
+        set: &mut MarketSet,
         events: &mut Events<'_>,
     ) -> Result<(), EngineError> {
         for &t in tenants {
-            self.apply_plan(t, memo.get(self.class[t as usize]), slot, first, events)?;
+            self.apply_plan(t, memo.get(self.class[t as usize]), slot, set, events)?;
         }
         Ok(())
     }
@@ -1015,11 +1027,8 @@ impl JobDriver<PortfolioSource> for Fleet {
             }
             decided += 1;
         }
-        // The wave's spot legs grow each market's owner column and wave
+        // The wave's spot legs grow each market's owner and bid columns
         // once; the wave's ids follow every bid its market holds.
-        let mut first = std::mem::take(&mut self.sc_first);
-        first.clear();
-        first.extend((0..self.markets).map(|m| source.set.market(m).submitted()));
         self.sc_spot.clear();
         self.sc_spot.resize(self.markets, 0);
         for (_, uses, plan) in &self.memo.made {
@@ -1030,23 +1039,27 @@ impl JobDriver<PortfolioSource> for Fleet {
             }
         }
         for (m, &n) in self.sc_spot.iter().enumerate() {
+            let market = source.set.market_mut(m);
             let owners = &mut self.owners[m];
-            reserve_pow2(owners, (first[m] + n).saturating_sub(owners.len()));
-            self.sc_waves[m].reserve(n);
+            reserve_pow2(
+                owners,
+                (market.submitted() + n).saturating_sub(owners.len()),
+            );
+            market.reserve(n);
         }
         reserve_pow2(&mut self.fresh, decided);
         // Serial, ordered apply: bid ids and events come out as if each
-        // tenant had planned and submitted in turn; the legs then enter
-        // each market in one batch (an apply error ends the session).
+        // tenant had planned and submitted in turn; the legs enter each
+        // market in batches of up to `QUEUE` (an apply error ends the
+        // session).
         let mut events = Events::new(emit, self.logged);
         let memo = std::mem::take(&mut self.memo);
-        let applied = self.apply_wave(&needy[..decided], &memo, slot, &first, &mut events);
-        (self.memo, self.sc_first) = (memo, first);
+        let applied = self.apply_wave(&needy[..decided], &memo, slot, &mut source.set, &mut events);
+        self.memo = memo;
         applied?;
-        for (m, wave) in self.sc_waves.iter_mut().enumerate() {
-            self.live[m] += wave.len() as u32;
-            source.set.submit_batch(m, wave);
-            wave.clear();
+        for (m, queue) in self.sc_queues.iter_mut().enumerate() {
+            source.set.submit_batch(m, queue);
+            queue.clear();
         }
         if let Some(e) = failure {
             return Err(EngineError::Core(e));
@@ -1192,7 +1205,7 @@ pub(in crate::closedloop) fn run(
     log: Option<&mut EventLog>,
 ) -> Result<Session<Fleet>, EngineError> {
     let logged = log.is_some();
-    run_session(strategies.len(), cfg, seed, faults, single, log, |_| {
+    run_session(strategies.len(), cfg, seed, faults, single, log, || {
         Fleet::new(strategies, cfg, logged, single.is_some())
     })
 }

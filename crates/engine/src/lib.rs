@@ -14,9 +14,7 @@
 //! - [`kernel::JobDriver`] — a per-tenant component advanced one slot at a
 //!   time (single spot jobs, MapReduce clusters, closed-loop bidders);
 //! - [`observer::Observer`] — pluggable hooks fed the append-only
-//!   [`event::Event`] stream (billing ledger, event log);
-//! - [`policy::BidPolicy`] — how a tenant turns observed prices into a
-//!   bid; `spotbid_core::BiddingStrategy` plugs in directly.
+//!   [`event::Event`] stream (billing ledger, event log).
 //!
 //! The client and MapReduce runtimes are thin adapters over this kernel
 //! (bit-identical to their pre-kernel implementations — see the parity
@@ -34,7 +32,6 @@ pub mod event;
 pub mod job_monitor;
 pub mod kernel;
 pub mod observer;
-pub mod policy;
 pub mod session;
 pub mod single;
 pub mod source;
@@ -53,7 +50,6 @@ pub use closedloop::{
 pub use event::Event;
 pub use kernel::{DriverStatus, JobDriver, Kernel, StopReason};
 pub use observer::{BillingObserver, EventLog, Observer};
-pub use policy::BidPolicy;
 pub use session::run_market;
 pub use single::{
     run_job, run_job_resilient, run_job_with_fallback, JobOutcome, RecoveryPolicy, RunStatus,

@@ -288,6 +288,9 @@ impl SlotReport {
 /// cheap.
 const BUCKETS: usize = 512;
 
+// The `bucket_of` column stores a bucket index as a `u16`.
+const _: () = assert!(BUCKETS <= u16::MAX as usize + 1);
+
 // Per-bid state flags (the `flags` struct-of-arrays column).
 /// Still in the system (pending or running).
 const F_OPEN: u8 = 1 << 0;
@@ -364,6 +367,8 @@ impl Calendar {
 
     /// Appends to `out` every running bid due at slot `t` (unsorted),
     /// after refiling the mid and far entries whose window opens at `t`.
+    /// Reads `due` only for bids flagged [`F_RUNNING`]: a closed bid's
+    /// word holds its closing slot.
     fn pop(&mut self, t: u64, flags: &mut [u8], due: &[u64], out: &mut Vec<u32>) {
         if t % SPAN == 0 {
             if t % (SPAN * SPAN) == 0 {
@@ -464,7 +469,7 @@ fn select_victims(
     buckets: &[Bucket],
     starters: &[u32],
     price_of: &[f64],
-    bucket_of: &[u32],
+    bucket_of: &[u16],
     floor: usize,
     k: usize,
     counts: &mut Vec<u32>,
@@ -700,18 +705,20 @@ pub struct SpotMarket {
     flags: Vec<u8>,
     /// Slots of work of a fixed-work bid (0 for geometric work).
     work: Vec<u32>,
-    /// Slot of submission.
-    submitted_at: Vec<u64>,
     /// Running streak and settled accounting.
     accrual: Vec<Accrual>,
-    /// Scheduled finish slot (valid while a fixed-work bid is running).
+    /// One slot per bid, read by its flags: while a fixed-work bid runs,
+    /// its scheduled finish slot; once [`F_OPEN`] is clear, the slot it
+    /// left the system; otherwise unused.
     due: Vec<u64>,
-    /// Slot the bid left the system, [`NOT_CLOSED`] while open.
-    closed_at: Vec<u64>,
     /// The bid's price bucket.
-    bucket_of: Vec<u32>,
+    bucket_of: Vec<u16>,
     /// Position within its current bucket list (pending or running).
     pos_of: Vec<u32>,
+    /// `(first id, slot)` for every run of bids submitted in one slot,
+    /// ascending: a bid was submitted in the slot of the last run whose
+    /// first id is at or below its own.
+    arrivals: Vec<(u32, u64)>,
 
     // ---- the book ----
     buckets: Vec<Bucket>,
@@ -809,9 +816,6 @@ const NO_ACCRUAL: Accrual = Accrual {
     interruptions: 0,
 };
 
-/// `closed_at` of a bid still in the system.
-const NOT_CLOSED: u64 = u64::MAX;
-
 /// The `F_*` bits a new bid starts with.
 fn initial_flags(request: &BidRequest) -> u8 {
     let mut flags = F_OPEN;
@@ -895,12 +899,11 @@ impl SpotMarket {
             price_of: Vec::new(),
             flags: Vec::new(),
             work: Vec::new(),
-            submitted_at: Vec::new(),
             accrual: Vec::new(),
             due: Vec::new(),
-            closed_at: Vec::new(),
             bucket_of: Vec::new(),
             pos_of: Vec::new(),
+            arrivals: Vec::new(),
             buckets: vec![Bucket::default(); BUCKETS],
             grid: BucketGrid::new(&params),
             arrived: 0,
@@ -957,10 +960,8 @@ impl SpotMarket {
         reserve_pow2(&mut self.price_of, n);
         reserve_pow2(&mut self.flags, n);
         reserve_pow2(&mut self.work, n);
-        reserve_pow2(&mut self.submitted_at, n);
         reserve_pow2(&mut self.accrual, n);
         reserve_pow2(&mut self.due, n);
-        reserve_pow2(&mut self.closed_at, n);
         reserve_pow2(&mut self.bucket_of, n);
         reserve_pow2(&mut self.pos_of, n);
     }
@@ -973,14 +974,21 @@ impl SpotMarket {
         self.price_of.push(price);
         self.flags.push(initial_flags(&request));
         self.work.push(work_slots(&request));
-        self.submitted_at.push(self.t);
         self.accrual.push(NO_ACCRUAL);
         self.due.push(0);
-        self.closed_at.push(NOT_CLOSED);
-        self.bucket_of.push(self.grid.index(price) as u32);
+        self.bucket_of.push(self.grid.index(price) as u16);
         self.pos_of.push(0);
         self.open_count += 1;
+        self.note_arrivals(id);
         BidId(id as u64)
+    }
+
+    /// Opens a run of arrivals at bid `first` unless the current slot's
+    /// run is already open.
+    fn note_arrivals(&mut self, first: usize) {
+        if self.arrivals.last().is_none_or(|&(_, slot)| slot != self.t) {
+            self.arrivals.push((first as u32, self.t));
+        }
     }
 
     /// Submits a wave of bids at once, filling each column in one pass.
@@ -1001,13 +1009,14 @@ impl SpotMarket {
         self.flags.extend(requests.iter().map(initial_flags));
         self.work.extend(requests.iter().map(work_slots));
         self.bucket_of
-            .extend(requests.iter().map(|r| grid.index(r.price.as_f64()) as u32));
-        self.submitted_at.resize(len, self.t);
+            .extend(requests.iter().map(|r| grid.index(r.price.as_f64()) as u16));
         self.accrual.resize(len, NO_ACCRUAL);
         self.due.resize(len, 0);
-        self.closed_at.resize(len, NOT_CLOSED);
         self.pos_of.resize(len, 0);
         self.open_count += n;
+        if n > 0 {
+            self.note_arrivals(first);
+        }
         first as u64..len as u64
     }
 
@@ -1063,12 +1072,20 @@ impl SpotMarket {
                 },
             },
             phase,
-            submitted_at: self.submitted_at[iu],
+            submitted_at: self.submitted_at(iu),
             slots_run: self.accrual[iu].slots_run,
             charged: self.accrual[iu].charged,
             interruptions: self.accrual[iu].interruptions,
-            closed_at: Some(self.closed_at[iu]).filter(|&t| t != NOT_CLOSED),
+            closed_at: (f & F_OPEN == 0).then_some(self.due[iu]),
         }
+    }
+
+    /// The slot bid `iu` was submitted in: its arrival run's.
+    fn submitted_at(&self, iu: usize) -> u64 {
+        let run = self
+            .arrivals
+            .partition_point(|&(first, _)| first as usize <= iu);
+        self.arrivals[run - 1].1
     }
 
     /// Number of bids still pending or running.
@@ -1661,7 +1678,7 @@ impl SpotMarket {
     /// terminated.
     fn terminate(&mut self, i: u32, report: &mut SlotReport) {
         let iu = i as usize;
-        self.closed_at[iu] = self.t;
+        self.due[iu] = self.t;
         self.flags[iu] &= !F_OPEN;
         self.open_count -= 1;
         report.terminated.push(BidId(u64::from(i)));
@@ -1672,7 +1689,7 @@ impl SpotMarket {
     fn finish(&mut self, i: u32) {
         let iu = i as usize;
         self.settle(iu, self.t);
-        self.closed_at[iu] = self.t;
+        self.due[iu] = self.t;
         self.flags[iu] = (self.flags[iu] & !(F_RUNNING | F_OPEN)) | F_FINISHED;
         self.running_count -= 1;
         self.remove_running(i);
@@ -2093,9 +2110,9 @@ mod tests {
         starter_share: f64,
         k: usize,
         rng: &mut Rng,
-    ) -> (u32, bool, usize) {
+    ) -> (u16, bool, usize) {
         let m = market();
-        let bucket_of: Vec<u32> = prices.iter().map(|&p| m.grid.index(p) as u32).collect();
+        let bucket_of: Vec<u16> = prices.iter().map(|&p| m.grid.index(p) as u16).collect();
         let lowest = prices.iter().copied().fold(f64::INFINITY, f64::min);
         let posted = match rng.range_usize(3) {
             0 => lowest,
@@ -2365,20 +2382,35 @@ mod tests {
     impl SpotMarket {
         /// `(len, capacity)` of every bid column [`SpotMarket::reserve`]
         /// grows.
-        fn column_shapes(&self) -> [(usize, usize); 9] {
+        fn column_shapes(&self) -> [(usize, usize); 7] {
             let shape = |len, cap| (len, cap);
             [
                 shape(self.price_of.len(), self.price_of.capacity()),
                 shape(self.flags.len(), self.flags.capacity()),
                 shape(self.work.len(), self.work.capacity()),
-                shape(self.submitted_at.len(), self.submitted_at.capacity()),
                 shape(self.accrual.len(), self.accrual.capacity()),
                 shape(self.due.len(), self.due.capacity()),
-                shape(self.closed_at.len(), self.closed_at.capacity()),
                 shape(self.bucket_of.len(), self.bucket_of.capacity()),
                 shape(self.pos_of.len(), self.pos_of.capacity()),
             ]
         }
+    }
+
+    #[test]
+    fn a_bid_holds_51_bytes_of_columns() {
+        fn elem<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let m = market();
+        let per_bid = elem(&m.price_of)
+            + elem(&m.flags)
+            + elem(&m.work)
+            + elem(&m.accrual)
+            + elem(&m.due)
+            + elem(&m.bucket_of)
+            + elem(&m.pos_of);
+        assert_eq!(m.column_shapes().len(), 7, "a column left out here");
+        assert_eq!(per_bid, 51);
     }
 
     #[test]

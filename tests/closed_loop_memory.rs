@@ -1,11 +1,17 @@
 //! Memory regression for the closed loop: a running-heavy session must
-//! not hold a line item per charged tenant-slot.
+//! not hold a line item per charged tenant-slot, and must stay within a
+//! per-tenant byte budget.
 //!
 //! Every running tenant pays the posted price every slot it runs (§3.2),
 //! one `Charged` event per running tenant-slot. The sessions fold those
 //! charges into one running total per tenant, so peak live heap stays
 //! O(tenants) however long the tenants run. A line-item ledger of the
 //! same session would need more than the bound asserted here on its own.
+//!
+//! The budget holds the session to the bytes it needs at its peak: the
+//! tenant columns, one bid in the market's seven 51-byte columns per
+//! tenant, a bounded submission queue, and the report rows, built after
+//! the market is dropped.
 //!
 //! The counting allocator sees every allocation in the process, so this
 //! file holds a single test.
@@ -70,6 +76,10 @@ const TENANTS: usize = 20_000;
 /// Peak live heap a session may add over what was live before it.
 const BOUND_BYTES: usize = 16 << 20;
 
+/// Peak live heap per tenant: 217 bytes measured (4,347,986 for the
+/// session below), plus 10% headroom.
+const BUDGET_PER_TENANT: usize = 239;
+
 #[test]
 fn running_heavy_session_holds_no_per_charge_ledger() {
     let cfg = ClosedLoopConfig {
@@ -102,5 +112,11 @@ fn running_heavy_session_holds_no_per_charge_ledger() {
         peak < BOUND_BYTES,
         "peak live heap {peak} bytes over a {BOUND_BYTES}-byte bound \
          ({charged} charged tenant-slots)"
+    );
+    let per_tenant = peak / TENANTS;
+    assert!(
+        per_tenant <= BUDGET_PER_TENANT,
+        "peak live heap {per_tenant} bytes per tenant over a \
+         {BUDGET_PER_TENANT}-byte budget ({peak} bytes for {TENANTS} tenants)"
     );
 }
