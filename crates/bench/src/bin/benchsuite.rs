@@ -1,10 +1,12 @@
 //! The statistical benchmark suite behind `BENCH_*.json`.
 //!
 //! Runs the named benchmarks that make up the repository's performance
-//! trajectory — the price-model kernels (optimized vs brute-force rescan),
-//! the market auction step (including the bid-book at 100k/1M bids against
-//! the retained `sim::naive` scan), the bidding strategies, the fig3/table3
-//! experiment replays, and the wakeup-fleet closed loop up to 1M tenants
+//! trajectory — the price-model kernels (optimized vs brute-force rescan)
+//! and MLE fits, the market auction step (including the bid-book at
+//! 100k/1M bids against the retained `sim::naive` scan) and the Eq. 4
+//! queue recursion, the bidding strategies and MapReduce planner, the
+//! fig3/table3 experiment replays and the MapReduce scheduler, and the
+//! wakeup-fleet closed loop up to 1M tenants
 //! (against the retained `closedloop::dense` per-slot fleet) — and writes
 //! the results as a `BENCH_<rev>.json` report for `benchdiff` to compare
 //! against the committed `BENCH_baseline.json`.
@@ -26,17 +28,20 @@ use spotbid_bench::experiments::{fig3, table3};
 use spotbid_bench::suite;
 use spotbid_bench::timing::{fmt_ns, git_rev, Harness};
 use spotbid_core::price_model::{EmpiricalPrices, PriceModel};
-use spotbid_core::{onetime, persistent, JobSpec};
+use spotbid_core::{mapreduce, onetime, persistent, JobSpec};
 use spotbid_market::provider::optimal_price;
 use spotbid_market::provider::ProviderPolicy;
+use spotbid_market::queue::QueueSim;
 use spotbid_market::sim::{naive, BidKind, BidRequest, SpotMarket, Supply, WorkModel};
 use spotbid_market::units::{Hours, Price};
 use spotbid_market::MarketParams;
+use spotbid_numerics::dist::{ContinuousDist, Exponential, Pareto};
 use spotbid_numerics::empirical::brute;
+use spotbid_numerics::fit::{mle_exponential, mle_pareto};
 use spotbid_numerics::rng::Rng;
-use spotbid_trace::catalog;
 use spotbid_trace::history::TWO_MONTHS_SLOTS;
 use spotbid_trace::synthetic::{generate, SyntheticConfig};
+use spotbid_trace::{analyze, catalog};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -105,6 +110,18 @@ fn price_model_benches(h: &mut Harness) {
         brute::sum_below(black_box(&sorted), black_box(probes[i])) / sorted.len() as f64
     });
     g.bench("bid_candidates/10k", || black_box(&model).bid_candidates());
+
+    // The Figure 3 fitting pipeline's MLE kernels over two months of
+    // 5-minute samples.
+    let mut rng = Rng::seed_from_u64(1);
+    let pareto = Pareto::new(0.01, 5.0).unwrap().sample_n(&mut rng, 17_568);
+    let exponential = Exponential::new(0.001).unwrap().sample_n(&mut rng, 17_568);
+    g.bench("mle_pareto/two_months", || {
+        mle_pareto(black_box(&pareto), Some(0.01)).unwrap()
+    });
+    g.bench("mle_exponential/two_months", || {
+        mle_exponential(black_box(&exponential)).unwrap()
+    });
 
     // The headline the original optimization work is judged by: optimized
     // kernels vs the O(n) rescan at 10k samples.
@@ -245,6 +262,13 @@ fn market_benches(h: &mut Harness) {
     g.bench("optimal_price", || {
         d = (d + 17.0) % 5000.0;
         optimal_price(black_box(&params), black_box(d))
+    });
+
+    // The Eq. 4 flow-level queue recursion over 10k slots.
+    let queue = QueueSim::new(params);
+    let arrivals: Vec<f64> = (0..10_000).map(|i| 1.0 + (i % 7) as f64 * 0.1).collect();
+    g.bench("queue_recursion/10k_slots", || {
+        queue.run(black_box(10.0), arrivals.iter().copied())
     });
 
     // A steady-state market: 1000 persistent bids at the cap with
@@ -608,12 +632,21 @@ fn market_multi_benches(h: &mut Harness) {
 }
 
 fn strategy_benches(h: &mut Harness) {
-    let inst = catalog::by_name("c3.4xlarge").unwrap();
-    let cfg = SyntheticConfig::for_instance(&inst);
-    let hist = generate(&cfg, TWO_MONTHS_SLOTS, &mut Rng::seed_from_u64(1)).unwrap();
-    let model = EmpiricalPrices::from_history_with_cap(&hist, inst.on_demand).unwrap();
+    let two_months = |name: &str, seed: u64| {
+        let inst = catalog::by_name(name).unwrap();
+        let cfg = SyntheticConfig::for_instance(&inst);
+        let hist = generate(&cfg, TWO_MONTHS_SLOTS, &mut Rng::seed_from_u64(seed)).unwrap();
+        EmpiricalPrices::from_history_with_cap(&hist, inst.on_demand).unwrap()
+    };
+    let model = two_months("c3.4xlarge", 1);
+    let master = two_months("m3.xlarge", 2);
     let j1 = JobSpec::builder(1.0).build().unwrap();
     let j30 = JobSpec::builder(1.0).recovery_secs(30.0).build().unwrap();
+    let mr = JobSpec::builder(1.0)
+        .recovery_secs(30.0)
+        .overhead_secs(60.0)
+        .build()
+        .unwrap();
     let mut g = h.group("strategy");
     g.bench("onetime_bid/two_months", || {
         onetime::optimal_bid(black_box(&model), black_box(&j1)).unwrap()
@@ -621,12 +654,60 @@ fn strategy_benches(h: &mut Harness) {
     g.bench("persistent_bid/two_months", || {
         persistent::optimal_bid(black_box(&model), black_box(&j30)).unwrap()
     });
+    g.bench("persistent_bid_psi/two_months", || {
+        persistent::optimal_bid_psi(black_box(&model), black_box(&j30))
+    });
+    g.bench("mapreduce_plan/two_months", || {
+        mapreduce::plan(black_box(&master), black_box(&model), black_box(&mr), 32).unwrap()
+    });
 }
 
 fn replay_benches(h: &mut Harness) {
+    use spotbid_mapred::schedule::{simulate, Availability, Phase, ScheduleConfig, TaskSpec};
+
     let mut g = h.group("replay");
     g.bench("table3/5_instances", || black_box(table3::run(0x7AB3)));
     g.bench("fig3/4_panels", || black_box(fig3::run(0xF163, 24)));
+
+    // One Figure 3 panel's Pareto fit on its own, over a 24-bin histogram.
+    let (inst, paper) = catalog::figure3_instances().into_iter().next().unwrap();
+    let cfg = SyntheticConfig::for_instance(&inst);
+    let hist = generate(&cfg, 17_568, &mut Rng::seed_from_u64(3)).unwrap();
+    let (centers, dens) = analyze::price_histogram(&hist, 24).unwrap();
+    let (lo, hi) = (hist.min_price().as_f64(), hist.max_price().as_f64());
+    g.bench("fig3_pareto_fit/24_bins", || {
+        fig3::fit_family(
+            fig3::ArrivalFamily::Pareto,
+            inst.on_demand.as_f64(),
+            black_box(lo),
+            hi,
+            &centers,
+            &dens,
+            &paper,
+        )
+    });
+
+    // The MapReduce scheduler: 48 map and 16 reduce tasks on 8 slaves that
+    // all go down every 17th slot.
+    let tasks: Vec<TaskSpec> = (0..64)
+        .map(|i| TaskSpec {
+            id: i,
+            phase: if i < 48 { Phase::Map } else { Phase::Reduce },
+            duration: Hours::from_minutes(7.0),
+        })
+        .collect();
+    let cfg = ScheduleConfig {
+        slot: Hours::from_minutes(5.0),
+        recovery: Hours::from_secs(30.0),
+        max_slots: 10_000,
+        speculative: false,
+    };
+    g.bench("mapreduce_schedule/64_tasks_8_slaves", || {
+        simulate(black_box(&tasks), &cfg, |t| Availability {
+            master: true,
+            slaves: vec![t % 17 != 0; 8],
+        })
+    });
 }
 
 fn closed_loop_config(warmup: usize, horizon: usize) -> spotbid_engine::ClosedLoopConfig {

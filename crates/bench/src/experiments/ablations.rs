@@ -362,7 +362,7 @@ pub fn risk_curve(seed: u64, trials: usize) -> Vec<(f64, f64, f64)> {
             // isolates the bid effect.
             let costs: Vec<f64> = spotbid_exec::par_trials(seed, trials, |_, trng| {
                 let h = generate(&cfg, 3000, trng).unwrap();
-                let out = spotbid_client::runtime::run_job(
+                let out = spotbid_engine::run_job(
                     &h,
                     spotbid_core::BidDecision::Spot {
                         price: Price::new(bid),

@@ -8,9 +8,9 @@
 //! job is replayed against the day, and the per-slot timeline (price,
 //! bid, state) is returned for plotting.
 
-use spotbid_client::runtime::{run_job, RunStatus};
 use spotbid_core::price_model::EmpiricalPrices;
 use spotbid_core::{persistent, BidDecision, JobSpec};
+use spotbid_engine::{run_job, RunStatus};
 use spotbid_numerics::rng::Rng;
 use spotbid_trace::catalog;
 use spotbid_trace::history::TWO_MONTHS_SLOTS;

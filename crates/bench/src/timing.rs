@@ -1,7 +1,7 @@
 //! Statistical wall-clock benchmark harness.
 //!
 //! The container this workspace builds in has no access to external
-//! crates, so the benches use this dependency-free substitute for a
+//! crates, so `benchsuite` uses this dependency-free substitute for a
 //! benchmarking framework. Beyond the original eyeball-grade
 //! min/median/mean printout, the harness now supports named benchmark
 //! groups, batched sampling for nanosecond-scale kernels, outlier
@@ -463,40 +463,6 @@ impl Group<'_> {
             .record(format!("{}/{id}", self.name), &stats, self.items);
         stats
     }
-
-    /// As [`bench`](Self::bench), but rebuilds the routine's input with
-    /// `setup` before every timed call; setup cost is excluded. Batching is
-    /// disabled (each sample is one invocation), so this suits routines of
-    /// microsecond scale and up.
-    pub fn bench_with_setup<S, T>(
-        &mut self,
-        id: &str,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-    ) -> BenchStats {
-        let warm_start = Instant::now();
-        loop {
-            black_box(routine(setup()));
-            if warm_start.elapsed() >= self.harness.warmup_budget {
-                break;
-            }
-        }
-        let mut samples = Vec::new();
-        let start = Instant::now();
-        loop {
-            let input = setup();
-            let t0 = Instant::now();
-            black_box(routine(input));
-            samples.push(t0.elapsed().as_nanos() as f64);
-            if start.elapsed() >= self.harness.measure_budget || samples.len() >= MAX_SAMPLES {
-                break;
-            }
-        }
-        let stats = stats_from_samples(samples, 1);
-        self.harness
-            .record(format!("{}/{id}", self.name), &stats, self.items);
-        stats
-    }
 }
 
 /// Warm-up, batch-size calibration, and batched measurement. Returns the
@@ -537,60 +503,13 @@ fn measure<T>(warmup: Duration, budget: Duration, f: &mut impl FnMut() -> T) -> 
     (samples, batch)
 }
 
-/// Times `f` and prints a one-line summary under an anonymous group.
-///
-/// Legacy entry point kept for the cargo-bench targets; uses the
-/// environment-configured budget and reports through the statistical
-/// pipeline.
-pub fn bench_function<T>(name: &str, f: impl FnMut() -> T) {
-    Harness::from_env().group("bench").bench(name, f);
-}
-
-/// As [`bench_function`], but rebuilds the routine's input with `setup`
-/// before every timed call (the setup cost is excluded from the timing).
-pub fn bench_with_setup<S, T>(name: &str, setup: impl FnMut() -> S, routine: impl FnMut(S) -> T) {
-    Harness::from_env()
-        .group("bench")
-        .bench_with_setup(name, setup, routine);
-}
-
 /// Runs `f` once, prints its wall-clock time to stderr, and returns its
 /// output. Every experiment binary wraps its `run` call in this so each
 /// invocation doubles as a coarse timing sample.
-///
-/// When `SPOTBID_BENCH_OUT` names a file, a single-iteration
-/// `experiment/<name>` row is merged into it (replacing any previous row of
-/// the same name), so experiment timings can join the `BENCH_*.json`
-/// trajectory.
 pub fn time_experiment<T>(name: &str, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let out = f();
-    let elapsed = t0.elapsed();
-    eprintln!("[timing] {name}: {}", fmt_duration(elapsed));
-    if let Ok(path) = std::env::var("SPOTBID_BENCH_OUT") {
-        if !path.trim().is_empty() {
-            let path = std::path::PathBuf::from(path);
-            let ns = elapsed.as_nanos() as f64;
-            let row = BenchResult {
-                bench: format!("experiment/{name}"),
-                median_ns: ns,
-                p95_ns: ns,
-                mad_ns: 0.0,
-                iters: 1,
-                threads: spotbid_exec::thread_count(),
-                git_rev: git_rev(),
-                rustc: rustc_version(),
-                cpus: logical_cpus(),
-                items_per_sec: None,
-            };
-            let mut report = read_report(&path).unwrap_or_default();
-            report.retain(|r| r.bench != row.bench);
-            report.push(row);
-            if let Err(e) = write_report(&path, &report) {
-                eprintln!("[timing] could not update {}: {e}", path.display());
-            }
-        }
-    }
+    eprintln!("[timing] {name}: {}", fmt_duration(t0.elapsed()));
     out
 }
 
@@ -625,11 +544,8 @@ mod tests {
         assert!(calls > 0);
         assert!(stats.iters > 0);
         assert!(stats.median_ns >= 0.0);
-        h.group("t")
-            .bench_with_setup("trivial_setup", || 3u64, |x| x * 2);
-        assert_eq!(h.results().len(), 2);
+        assert_eq!(h.results().len(), 1);
         assert_eq!(h.results()[0].bench, "t/trivial");
-        assert!(h.result("t/trivial_setup").is_some());
         assert!(h.result("t/nope").is_none());
     }
 
@@ -641,10 +557,6 @@ mod tests {
         let stats = h.group("z").bench("one_shot", || 42u64);
         assert!(stats.samples >= 1);
         assert!(stats.iters >= 1);
-        let stats = h
-            .group("z")
-            .bench_with_setup("one_shot_setup", || 1u64, |x| x + 1);
-        assert!(stats.samples >= 1);
     }
 
     #[test]
@@ -775,8 +687,6 @@ mod tests {
 
     #[test]
     fn time_experiment_passes_value_through() {
-        // No SPOTBID_BENCH_OUT manipulation here (env is process-global);
-        // the merge path is covered by the benchsuite integration test.
         let v = time_experiment("unit_test", || 7 * 6);
         assert_eq!(v, 42);
     }

@@ -1,12 +1,12 @@
 //! The bidding client of Figure 1: strategy + price history in, bid out,
 //! job driven to completion against the future price series.
 
-use crate::runtime::{self, JobOutcome};
 use crate::ClientError;
 use spotbid_core::price_model::EmpiricalPrices;
 use spotbid_core::{
     onetime, persistent, BidDecision, BidRecommendation, BiddingStrategy, CoreError, JobSpec,
 };
+use spotbid_engine::{run_job, run_job_with_fallback, JobOutcome};
 use spotbid_market::units::Price;
 use spotbid_trace::SpotPriceHistory;
 
@@ -86,9 +86,9 @@ impl SpotClient {
             .map_err(ClientError::Core)?;
         let prediction = self.predict(&past, job)?;
         let outcome = if fallback {
-            runtime::run_job_with_fallback(&future, decision, job, tag, self.on_demand)?
+            run_job_with_fallback(&future, decision, job, tag, self.on_demand)?
         } else {
-            runtime::run_job(&future, decision, job, tag)?
+            run_job(&future, decision, job, tag)?
         };
         Ok(TrialResult {
             decision,
@@ -122,7 +122,7 @@ impl SpotClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::RunStatus;
+    use spotbid_engine::RunStatus;
     use spotbid_numerics::rng::Rng;
     use spotbid_trace::catalog;
     use spotbid_trace::synthetic::{generate, SyntheticConfig};

@@ -11,7 +11,7 @@
 //! - each instance-hour is charged at the spot price in force when the
 //!   hour *began*.
 //!
-//! The workspace's default accounting (`runtime`/`billing`) charges
+//! The workspace's default accounting (`spotbid_engine::run_job`) charges
 //! per-slot — the model the paper's analysis uses. This module rebills a
 //! finished run under the hourly rules so experiments can report both and
 //! quantify the gap (small for multi-hour jobs, visible for short ones).
@@ -177,8 +177,8 @@ pub type HourlyItem = LineItem;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_job, RunStatus};
     use spotbid_core::{BidDecision, JobSpec};
+    use spotbid_engine::{run_job, RunStatus};
     use spotbid_market::units::Price;
     use spotbid_trace::history::default_slot_len;
 

@@ -1,12 +1,12 @@
 //! # spotbid-client
 //!
-//! The user-side client of *How to Bid the Cloud* (Figure 1): a price
-//! monitor that maintains the empirical spot-price distribution, a job
-//! monitor tracking interruptions and recovery, a billing ledger standing
-//! in for the paper's AWS bills, a trace-replay runtime implementing the
-//! EC2 spot rules, and an experiment harness that repeats trials the way
-//! §7 does — plus EC2's actual 2014 hourly billing rules
-//! ([`hourly`]): partial hours forgiven on provider interruption, charged
+//! The user-side client of *How to Bid the Cloud* (Figure 1):
+//! [`SpotClient`] resolves a bidding strategy against the price history
+//! before a decision slot and replays the job over the rest through
+//! `spotbid_engine::run_job`, which applies the EC2 spot rules of §3.2
+//! and keeps the job monitor and billing ledger. [`experiment`] repeats
+//! trials the way §7 does, and [`hourly`] applies EC2's actual 2014 hourly
+//! billing rules: partial hours forgiven on provider interruption, charged
 //! in full on user termination.
 //!
 //! ## Example
@@ -30,11 +30,9 @@
 pub mod client;
 pub mod experiment;
 pub mod hourly;
-pub mod runtime;
 
 pub use client::{SpotClient, TrialResult};
 pub use experiment::{ExperimentConfig, ExperimentResult};
-pub use runtime::{JobOutcome, MarketView, RecoveryPolicy, RunStatus};
 
 use std::fmt;
 

@@ -1,10 +1,10 @@
-//! Randomized tests of the client runtime's accounting invariants,
+//! Randomized tests of the trace-replay runtime's accounting invariants,
 //! driven by the workspace's seeded PRNG so every run is exactly
 //! reproducible.
 
-use spotbid_client::runtime::{run_job, RunStatus};
 use spotbid_core::{BidDecision, JobSpec};
 use spotbid_engine::job_monitor::{JobMonitor, JobState};
+use spotbid_engine::{run_job, RunStatus};
 use spotbid_market::units::{Hours, Price};
 use spotbid_numerics::rng::Rng;
 use spotbid_trace::history::default_slot_len;

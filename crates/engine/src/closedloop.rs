@@ -44,6 +44,14 @@ use spotbid_market::units::{Cost, Hours, Price};
 pub mod dense;
 pub mod portfolio;
 
+/// Tenants per reserved `RngStreams` substream: stream `2 + k` belongs to
+/// the `k`-th block of 64 tenants (streams 0 and 1 drive the market and
+/// the background arrivals), so a single-market session's on-demand churn
+/// draws from stream `2 + ⌈N/64⌉`. No tenant draws from its block's
+/// stream; the reservation fixes where the on-demand stream sits, and with
+/// it every finite-supply digest.
+pub(crate) const TENANTS_PER_STREAM: usize = 64;
+
 /// Configuration of one closed-loop session.
 #[derive(Debug, Clone, Copy)]
 pub struct ClosedLoopConfig {
@@ -257,7 +265,7 @@ fn run(
     let single = SingleMarket {
         od_arrivals: cfg.od_arrivals,
         od_departure: cfg.od_departure,
-        od_stream: 2 + strategies.len().div_ceil(dense::SHARD_SIZE) as u64,
+        od_stream: 2 + strategies.len().div_ceil(TENANTS_PER_STREAM) as u64,
     };
     let tenants = strategies
         .iter()

@@ -18,7 +18,7 @@
 //! event order, and results are identical to the legacy
 //! one-driver-per-tenant loop at any thread count.
 
-use super::{ClosedLoopConfig, ClosedLoopReport, LoopFaults, TenantOutcome};
+use super::{ClosedLoopConfig, ClosedLoopReport, LoopFaults, TenantOutcome, TENANTS_PER_STREAM};
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver, Kernel};
@@ -73,7 +73,7 @@ impl ClosedLoopSource {
         let od_rng = match cfg.supply {
             Supply::Unbounded => None,
             Supply::Finite { .. } => {
-                Some(streams.stream(2 + n_tenants.div_ceil(SHARD_SIZE) as u64))
+                Some(streams.stream(2 + n_tenants.div_ceil(TENANTS_PER_STREAM) as u64))
             }
         };
         ClosedLoopSource {
@@ -471,12 +471,6 @@ impl TenantBidder {
         DriverStatus::Active
     }
 }
-
-/// Tenants per decision shard: [`RngStreams`] substream `2 + shard` is
-/// reserved for the shard's 64 tenants (0 and 1 belong to the market and
-/// the background process). Current strategies draw nothing from it; the
-/// on-demand churn's stream is the first after the shards'.
-pub(super) const SHARD_SIZE: usize = 64;
 
 /// Every tenant as one kernel driver. Each slot the tenants that must
 /// (re-)bid decide and submit in ascending tenant order, so bid ids

@@ -335,12 +335,12 @@ mod tests {
 
     /// A toy two-market source that records the per-market demand vector
     /// it was quoted with.
-    struct TwoMarketSource {
+    struct TwoMarketFeed {
         slots: u64,
         seen: Vec<Vec<usize>>,
     }
 
-    impl PriceSource for TwoMarketSource {
+    impl PriceSource for TwoMarketFeed {
         type Quote = u64;
 
         fn markets(&self) -> usize {
@@ -363,7 +363,7 @@ mod tests {
     /// Demands one unit from every market; never finishes.
     struct SplitDriver;
 
-    impl JobDriver<TwoMarketSource> for SplitDriver {
+    impl JobDriver<TwoMarketFeed> for SplitDriver {
         fn demand_in(&self, _market: usize) -> usize {
             1
         }
@@ -382,7 +382,7 @@ mod tests {
     /// finishes.
     struct HomeDriver;
 
-    impl JobDriver<TwoMarketSource> for HomeDriver {
+    impl JobDriver<TwoMarketFeed> for HomeDriver {
         fn on_slot(
             &mut self,
             _slot: u64,
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn multi_market_source_sees_per_market_demand() {
-        let src = TwoMarketSource {
+        let src = TwoMarketFeed {
             slots: 2,
             seen: Vec::new(),
         };

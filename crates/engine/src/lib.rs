@@ -1,26 +1,25 @@
 //! # spotbid-engine
 //!
 //! The discrete-time simulation kernel beneath every slot loop in the
-//! workspace. Before this crate existed the repository had three disjoint
-//! drivers — `market::SpotMarket::step` (the provider-side Figure-2 state
-//! machine), `client::runtime::run_job*` (per-job replay over a price
-//! trace), and `mapred::spot::run_on_spot` (its own loop over elapsed
-//! slots). They now share one substrate:
+//! workspace. Single-job trace replay ([`single`]: `run_job*`), MapReduce
+//! clusters (`mapred::spot`) and the multi-tenant closed loops share one
+//! substrate:
 //!
 //! - [`clock::SimClock`] — the slot counter every session advances;
 //! - [`source::PriceSource`] — where each slot's market signal comes from
-//!   (trace replay, a degraded [`source::MarketView`], or the live
-//!   Section-4 equilibrium market);
+//!   (trace replay, a degraded [`source::MarketView`], or a closed loop's
+//!   endogenous market);
 //! - [`kernel::JobDriver`] — a per-tenant component advanced one slot at a
 //!   time (single spot jobs, MapReduce clusters, closed-loop bidders);
 //! - [`observer::Observer`] — pluggable hooks fed the append-only
 //!   [`event::Event`] stream (billing ledger, event log).
 //!
-//! The client and MapReduce runtimes are thin adapters over this kernel
-//! (bit-identical to their pre-kernel implementations — see the parity
-//! tests in `tests/`), and [`closedloop`] adds the capability none of the
-//! old loops had: N strategy-driven bidders submitting into one endogenous
-//! market whose posted price responds to their bids.
+//! The replay and MapReduce sessions are bit-identical to their pre-kernel
+//! implementations (see the parity tests in `tests/`), and [`closedloop`]
+//! adds what none of the old loops had: N strategy-driven bidders
+//! submitting into one endogenous market whose posted price responds to
+//! their bids. The Section-4 market itself steps through
+//! `spotbid_market::sim::SpotMarket`.
 
 #![warn(missing_docs)]
 
@@ -32,7 +31,6 @@ pub mod event;
 pub mod job_monitor;
 pub mod kernel;
 pub mod observer;
-pub mod session;
 pub mod single;
 pub mod source;
 
@@ -50,7 +48,6 @@ pub use closedloop::{
 pub use event::Event;
 pub use kernel::{DriverStatus, JobDriver, Kernel, StopReason};
 pub use observer::{BillingObserver, EventLog, Observer};
-pub use session::run_market;
 pub use single::{
     run_job, run_job_resilient, run_job_with_fallback, JobOutcome, RecoveryPolicy, RunStatus,
 };

@@ -33,30 +33,19 @@ pub trait Observer {
 }
 
 /// Folds [`Event::Charged`] items into a [`Bill`]; ignores everything else.
+///
+/// Every charge is validated, so a pathological item (NaN, infinite or
+/// negative price or duration) is refused with [`EngineError::Billing`]
+/// and the session stops — as `Bill::try_charge` refuses it.
 #[derive(Debug, Clone, Default)]
 pub struct BillingObserver {
     bill: Bill,
-    validate: bool,
 }
 
 impl BillingObserver {
-    /// A billing observer that validates every charge, refusing
-    /// pathological items with [`EngineError::Billing`] (use on paths fed
-    /// by untrusted or fault-injected data — mirrors `Bill::try_charge`).
-    pub fn validated() -> Self {
-        BillingObserver {
-            bill: Bill::new(),
-            validate: true,
-        }
-    }
-
-    /// A billing observer that panics on pathological charges (mirrors
-    /// `Bill::charge` — internal misuse, not survivable input).
-    pub fn unvalidated() -> Self {
-        BillingObserver {
-            bill: Bill::new(),
-            validate: false,
-        }
+    /// A billing observer with an empty bill.
+    pub fn new() -> Self {
+        BillingObserver::default()
     }
 
     /// The accumulated bill so far.
@@ -73,11 +62,7 @@ impl BillingObserver {
 impl Observer for BillingObserver {
     fn on_event(&mut self, event: &Event) -> Result<(), EngineError> {
         if let Event::Charged { item } = event {
-            if self.validate {
-                self.bill.try_charge(*item)?;
-            } else {
-                self.bill.charge(*item);
-            }
+            self.bill.try_charge(*item)?;
         }
         Ok(())
     }
@@ -200,7 +185,7 @@ mod tests {
 
     #[test]
     fn billing_observer_folds_charges() {
-        let mut obs = BillingObserver::validated();
+        let mut obs = BillingObserver::new();
         obs.on_event(&Event::PricePosted {
             slot: 0,
             price: Price::new(0.04),
@@ -215,21 +200,12 @@ mod tests {
 
     #[test]
     fn validated_observer_refuses_nan_charge() {
-        let mut obs = BillingObserver::validated();
+        let mut obs = BillingObserver::new();
         let r = obs.on_event(&Event::Charged {
             item: item(f64::NAN),
         });
         assert!(matches!(r, Err(EngineError::Billing { .. })));
         assert!(obs.bill().items().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "pathological")]
-    fn unvalidated_observer_panics_on_nan_charge() {
-        let mut obs = BillingObserver::unvalidated();
-        let _ = obs.on_event(&Event::Charged {
-            item: item(f64::NAN),
-        });
     }
 
     /// A charge with an awkward magnitude: prices spanning nine decades

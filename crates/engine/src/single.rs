@@ -8,11 +8,13 @@
 //! after starting (and are rejected outright if the first slot's price is
 //! above the bid); persistent requests ride out interruptions.
 //!
-//! These free functions are the engine-side implementations behind
-//! `spotbid_client::runtime::{run_job, run_job_with_fallback,
-//! run_job_resilient}`; the client re-exports them as thin adapters. The
-//! parity tests in `tests/` prove the kernel-driven form is bit-identical
-//! to the pre-kernel hand-rolled loops.
+//! [`run_job`], [`run_job_with_fallback`] and [`run_job_resilient`] are
+//! the workspace's one implementation of this replay: the client, the
+//! experiment binaries and the fault suite call them directly. Every
+//! charge is validated, so a pathological price is an
+//! [`EngineError::Billing`], never a panic or a corrupt bill. The parity
+//! tests in `tests/` prove the kernel-driven form is bit-identical to the
+//! pre-kernel hand-rolled loops.
 
 use crate::billing::{Bill, LineItem, UsageKind};
 use crate::event::Event;
@@ -293,18 +295,9 @@ impl<S: PriceSource<Quote = SlotPrice>> JobDriver<S> for SpotJobDriver {
 }
 
 /// An on-demand run: the whole job at `price`, no spot involvement.
-fn on_demand_outcome(
-    price: Price,
-    job: &JobSpec,
-    tag: u32,
-    validated: bool,
-) -> Result<JobOutcome, EngineError> {
+fn on_demand_outcome(price: Price, job: &JobSpec, tag: u32) -> Result<JobOutcome, EngineError> {
     let mut bill = Bill::new();
-    if validated {
-        bill.try_charge_on_demand(0, price, job.execution, tag)?;
-    } else {
-        bill.charge_on_demand(0, price, job.execution, tag);
-    }
+    bill.try_charge_on_demand(0, price, job.execution, tag)?;
     Ok(JobOutcome {
         status: RunStatus::OnDemand,
         completion_time: job.execution,
@@ -328,17 +321,35 @@ fn run_spot_session<M: MarketView + ?Sized>(
     job: &JobSpec,
     tag: u32,
     policy: RecoveryPolicy,
-    validated: bool,
 ) -> Result<JobOutcome, EngineError> {
     let mut driver = SpotJobDriver::new(*job, bid, persistent, policy, tag);
-    let mut billing = if validated {
-        BillingObserver::validated()
-    } else {
-        BillingObserver::unvalidated()
-    };
+    let mut billing = BillingObserver::new();
     let mut kernel = Kernel::new(job.slot, ViewSource::new(view));
     kernel.run(&mut [&mut driver], &mut [&mut billing], None)?;
     Ok(driver.into_outcome(billing.into_bill()))
+}
+
+/// Finishes a run that ended without completing on an on-demand instance
+/// at `price`: the remaining work, plus one recovery replay if the job had
+/// started, charged at `slot` (the first slot after the spot portion).
+fn finish_on_demand(
+    mut out: JobOutcome,
+    job: &JobSpec,
+    tag: u32,
+    slot: u64,
+    price: Price,
+    status: RunStatus,
+) -> Result<JobOutcome, EngineError> {
+    let started = out.running_time > Hours::ZERO;
+    let fallback_work = out.remaining_work + if started { job.recovery } else { Hours::ZERO };
+    out.bill
+        .try_charge_on_demand(slot, price, fallback_work, tag)?;
+    out.status = status;
+    out.completion_time += fallback_work;
+    out.running_time += fallback_work;
+    out.cost = out.bill.total();
+    out.remaining_work = Hours::ZERO;
+    Ok(out)
 }
 
 /// Runs a job against `future` starting at its first slot, under the given
@@ -347,7 +358,8 @@ fn run_spot_session<M: MarketView + ?Sized>(
 ///
 /// # Errors
 ///
-/// [`EngineError::Core`] for invalid jobs.
+/// [`EngineError::Core`] for invalid jobs, [`EngineError::Billing`] for a
+/// pathological on-demand price.
 pub fn run_job(
     future: &SpotPriceHistory,
     decision: BidDecision,
@@ -356,7 +368,7 @@ pub fn run_job(
 ) -> Result<JobOutcome, EngineError> {
     job.validate()?;
     match decision {
-        BidDecision::OnDemand { price } => on_demand_outcome(price, job, tag, false),
+        BidDecision::OnDemand { price } => on_demand_outcome(price, job, tag),
         BidDecision::Spot { price, persistent } => {
             // A clean history never has outages or reclamations, so the
             // default fault budgets are inert and this is the plain §3.2
@@ -368,7 +380,6 @@ pub fn run_job(
                 job,
                 tag,
                 RecoveryPolicy::default(),
-                false,
             )
         }
     }
@@ -381,7 +392,8 @@ pub fn run_job(
 ///
 /// # Errors
 ///
-/// Same contract as [`run_job`].
+/// Same contract as [`run_job`]; a pathological `on_demand` price is an
+/// [`EngineError::Billing`] once the fallback charges it.
 pub fn run_job_with_fallback(
     future: &SpotPriceHistory,
     decision: BidDecision,
@@ -389,24 +401,18 @@ pub fn run_job_with_fallback(
     tag: u32,
     on_demand: Price,
 ) -> Result<JobOutcome, EngineError> {
-    let mut out = run_job(future, decision, job, tag)?;
+    let out = run_job(future, decision, job, tag)?;
     if out.completed() {
         return Ok(out);
     }
-    let started = out.running_time > Hours::ZERO;
-    let fallback_work = out.remaining_work + if started { job.recovery } else { Hours::ZERO };
-    out.bill.charge_on_demand(
-        future.len() as u64, // after the spot portion
-        on_demand,
-        fallback_work,
+    finish_on_demand(
+        out,
+        job,
         tag,
-    );
-    out.status = RunStatus::CompletedWithFallback;
-    out.completion_time += fallback_work;
-    out.running_time += fallback_work;
-    out.cost = out.bill.total();
-    out.remaining_work = Hours::ZERO;
-    Ok(out)
+        future.len() as u64,
+        on_demand,
+        RunStatus::CompletedWithFallback,
+    )
 }
 
 /// Runs a job against a possibly-faulty [`MarketView`] under a
@@ -431,9 +437,8 @@ pub fn run_job_with_fallback(
 ///   on-demand (finishing `remaining_work`, plus one recovery replay if
 ///   the job had started), mirroring [`run_job_with_fallback`].
 ///
-/// All charges go through the validated billing path, so a view that
-/// manufactures pathological prices yields [`EngineError::Billing`], never
-/// a corrupt bill.
+/// As everywhere in this module, a view that manufactures pathological
+/// prices yields [`EngineError::Billing`], never a corrupt bill.
 ///
 /// # Errors
 ///
@@ -448,25 +453,21 @@ pub fn run_job_resilient<M: MarketView>(
 ) -> Result<JobOutcome, EngineError> {
     job.validate()?;
     let (bid, persistent) = match decision {
-        BidDecision::OnDemand { price } => return on_demand_outcome(price, job, tag, true),
+        BidDecision::OnDemand { price } => return on_demand_outcome(price, job, tag),
         BidDecision::Spot { price, persistent } => (price, persistent),
     };
-    let mut out = run_spot_session(view, bid, persistent, job, tag, *policy, true)?;
-    if !out.completed() && out.status != RunStatus::FeedLost {
-        if let Some(od) = policy.on_demand_fallback {
-            let started = out.running_time > Hours::ZERO;
-            let fallback_work =
-                out.remaining_work + if started { job.recovery } else { Hours::ZERO };
-            out.bill
-                .try_charge_on_demand(view.len() as u64, od, fallback_work, tag)?;
-            out.status = RunStatus::DegradedToOnDemand;
-            out.completion_time += fallback_work;
-            out.running_time += fallback_work;
-            out.cost = out.bill.total();
-            out.remaining_work = Hours::ZERO;
-        }
+    let out = run_spot_session(view, bid, persistent, job, tag, *policy)?;
+    match policy.on_demand_fallback {
+        Some(od) if !out.completed() && out.status != RunStatus::FeedLost => finish_on_demand(
+            out,
+            job,
+            tag,
+            view.len() as u64,
+            od,
+            RunStatus::DegradedToOnDemand,
+        ),
+        _ => Ok(out),
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -508,12 +509,14 @@ mod tests {
         .unwrap();
         assert_eq!(out.status, RunStatus::OnDemand);
         assert!((out.cost.as_f64() - 0.35).abs() < 1e-12);
-        assert_eq!(out.bid, None);
+        assert_eq!(out.completion_time, Hours::new(1.0));
         assert!(out.completed());
+        assert_eq!(out.bid, None);
     }
 
     #[test]
     fn smooth_spot_run_charges_spot_prices() {
+        // 15-minute job, prices below the bid throughout.
         let h = hist(&[0.03, 0.04, 0.05, 0.06]);
         let j = job(0.25, 30.0);
         let out = run_job(&h, spot(0.10, true), &j, 0).unwrap();
@@ -521,6 +524,35 @@ mod tests {
         assert_eq!(out.interruptions, 0);
         let expected = (0.03 + 0.04 + 0.05) / 12.0;
         assert!((out.cost.as_f64() - expected).abs() < 1e-12, "{}", out.cost);
+        assert!((out.completion_time.as_f64() - 0.25).abs() < 1e-9);
+        assert!(out.completed());
+    }
+
+    #[test]
+    fn persistent_rides_out_interruption() {
+        // Price spikes above the bid for two slots mid-job.
+        let h = hist(&[0.03, 0.20, 0.20, 0.03, 0.03, 0.03, 0.03]);
+        let j = job(0.25, 60.0); // 15 min work + 1 min recovery per interrupt
+        let out = run_job(&h, spot(0.10, true), &j, 0).unwrap();
+        assert_eq!(out.status, RunStatus::Completed);
+        assert_eq!(out.interruptions, 1);
+        // Work: 5 min (slot 0) + [1 min recovery + 4 min work] + 5 min +
+        // 1 min → total on-instance 16 min.
+        assert!((out.running_time.as_minutes() - 16.0).abs() < 1e-9);
+        assert!((out.idle_time.as_minutes() - 10.0).abs() < 1e-9);
+        // Only charged while running, at the (cheap) spot price.
+        assert!(out.cost.as_f64() < 0.03 * (17.0 / 60.0));
+    }
+
+    #[test]
+    fn onetime_terminated_by_spike() {
+        let h = hist(&[0.03, 0.20, 0.03, 0.03]);
+        let j = job(0.25, 0.0);
+        let out = run_job(&h, spot(0.10, false), &j, 0).unwrap();
+        assert_eq!(out.status, RunStatus::TerminatedEarly);
+        assert!(!out.completed());
+        // Paid for the one slot it ran.
+        assert!((out.cost.as_f64() - 0.03 / 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -530,16 +562,105 @@ mod tests {
         let out = run_job(&h, spot(0.10, false), &j, 0).unwrap();
         assert_eq!(out.status, RunStatus::TerminatedEarly);
         assert_eq!(out.cost, Cost::ZERO);
+        assert_eq!(out.interruptions, 0);
+    }
+
+    #[test]
+    fn persistent_waits_for_price_to_fall() {
+        let h = hist(&[0.20, 0.20, 0.03, 0.03]);
+        let j = job(0.1, 0.0); // 6 minutes
+        let out = run_job(&h, spot(0.10, true), &j, 0).unwrap();
+        assert_eq!(out.status, RunStatus::Completed);
+        assert_eq!(
+            out.interruptions, 0,
+            "pre-start waiting is not interruption"
+        );
+        assert!((out.idle_time.as_minutes() - 10.0).abs() < 1e-9);
+        // 6 minutes of usage at 0.03.
+        assert!((out.cost.as_f64() - 0.03 * 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn history_exhaustion_reported() {
+        let h = hist(&[0.03, 0.03]);
+        let j = job(1.0, 0.0); // needs 12 slots
+        let out = run_job(&h, spot(0.10, true), &j, 0).unwrap();
+        assert_eq!(out.status, RunStatus::HistoryExhausted);
+        assert!(!out.completed());
+        assert!(out.running_time.as_minutes() > 0.0);
     }
 
     #[test]
     fn fallback_completes_terminated_onetime() {
+        // Spot spike terminates the one-time bid 5 minutes in; the
+        // remaining 10 minutes (plus a recovery replay) run on demand.
         let h = hist(&[0.03, 0.20, 0.20]);
+        let j = job(0.25, 60.0);
+        let od = Price::new(0.35);
+        let out = run_job_with_fallback(&h, spot(0.10, false), &j, 0, od).unwrap();
+        assert_eq!(out.status, RunStatus::CompletedWithFallback);
+        assert!(out.completed());
+        assert_eq!(out.remaining_work, Hours::ZERO);
+        // Cost: 5 min of spot at 0.03 + (10 min work + 1 min recovery) OD.
+        let expect = 0.03 * (5.0 / 60.0) + 0.35 * (11.0 / 60.0);
+        assert!((out.cost.as_f64() - expect).abs() < 1e-12, "{}", out.cost);
+        // Still far cheaper than all-on-demand for the whole job? Not
+        // necessarily — but never more than OD for work actually re-run.
+        assert!(out.cost.as_f64() < 0.35 * 0.25 + 0.35 / 60.0 + 1e-12);
+    }
+
+    #[test]
+    fn fallback_noop_when_spot_completes() {
+        let h = hist(&[0.03, 0.03, 0.03, 0.03]);
+        let j = job(0.25, 30.0);
+        let a = run_job(&h, spot(0.10, true), &j, 0).unwrap();
+        let b = run_job_with_fallback(&h, spot(0.10, true), &j, 0, Price::new(0.35)).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fallback_on_rejected_bid_pays_pure_on_demand() {
+        let h = hist(&[0.20]);
         let j = job(0.25, 60.0);
         let out = run_job_with_fallback(&h, spot(0.10, false), &j, 0, Price::new(0.35)).unwrap();
         assert_eq!(out.status, RunStatus::CompletedWithFallback);
-        let expect = 0.03 * (5.0 / 60.0) + 0.35 * (11.0 / 60.0);
-        assert!((out.cost.as_f64() - expect).abs() < 1e-12, "{}", out.cost);
+        // Never started: no recovery surcharge, the full job on demand.
+        assert!((out.cost.as_f64() - 0.35 * 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pathological_on_demand_prices_are_billing_errors() {
+        let nan = Price::new(f64::NAN);
+        let h = hist(&[0.03, 0.20, 0.20]);
+        let j = job(0.25, 60.0);
+        let r = run_job(&h, BidDecision::OnDemand { price: nan }, &j, 0);
+        assert!(matches!(r, Err(EngineError::Billing { .. })), "{r:?}");
+        // The one-time bid is terminated by the spike, so the fallback
+        // charges the NaN price for the remaining work.
+        let r = run_job_with_fallback(&h, spot(0.10, false), &j, 0, nan);
+        assert!(matches!(r, Err(EngineError::Billing { .. })), "{r:?}");
+        // A run that completes on spot never charges its fallback price.
+        let clean = hist(&[0.03; 4]);
+        assert!(run_job_with_fallback(&clean, spot(0.10, true), &j, 0, nan).is_ok());
+    }
+
+    #[test]
+    fn bid_equal_to_price_is_accepted() {
+        // §3.2: bids at or above the spot price run.
+        let h = hist(&[0.10, 0.10]);
+        let j = job(0.1, 0.0);
+        let out = run_job(&h, spot(0.10, true), &j, 0).unwrap();
+        assert_eq!(out.status, RunStatus::Completed);
+    }
+
+    #[test]
+    fn final_partial_slot_charged_pro_rata() {
+        let h = hist(&[0.06, 0.06]);
+        let j = job(0.1, 0.0); // 6 minutes: 5 + 1
+        let out = run_job(&h, spot(0.10, true), &j, 0).unwrap();
+        let expected = 0.06 * 0.1; // 6 minutes at $0.06/h
+        assert!((out.cost.as_f64() - expected).abs() < 1e-12);
+        assert_eq!(out.bill.items().len(), 2);
     }
 
     #[test]
@@ -565,14 +686,226 @@ mod tests {
         );
     }
 
+    /// Scripted faulty market for resilient-runtime tests.
+    struct FaultView {
+        truth: Vec<Price>,
+        observed: Vec<Option<Price>>,
+        reclaim: Vec<bool>,
+    }
+
+    impl FaultView {
+        fn clean(prices: &[f64]) -> Self {
+            FaultView {
+                truth: prices.iter().map(|&p| Price::new(p)).collect(),
+                observed: prices.iter().map(|&p| Some(Price::new(p))).collect(),
+                reclaim: vec![false; prices.len()],
+            }
+        }
+    }
+
+    impl MarketView for FaultView {
+        fn len(&self) -> usize {
+            self.truth.len()
+        }
+        fn observed_price(&self, slot: usize) -> Option<Price> {
+            self.observed[slot]
+        }
+        fn true_price(&self, slot: usize) -> Price {
+            self.truth[slot]
+        }
+        fn reclaimed(&self, slot: usize) -> bool {
+            self.reclaim[slot]
+        }
+    }
+
+    fn no_fallback() -> RecoveryPolicy {
+        RecoveryPolicy::default()
+    }
+
     #[test]
-    fn resilient_equals_plain_on_clean_history() {
-        let h = hist(&[0.03, 0.20, 0.20, 0.03, 0.03, 0.03, 0.03]);
+    fn resilient_matches_run_job_on_clean_feed() {
+        // Bit-exact parity with the plain runtime on a fault-free view,
+        // across every scenario class the plain tests exercise.
+        let scenarios: [(&[f64], BidDecision, f64, f64); 6] = [
+            (&[0.03, 0.04, 0.05, 0.06], spot(0.10, true), 0.25, 30.0),
+            (
+                &[0.03, 0.20, 0.20, 0.03, 0.03, 0.03, 0.03],
+                spot(0.10, true),
+                0.25,
+                60.0,
+            ),
+            (&[0.03, 0.20, 0.03, 0.03], spot(0.10, false), 0.25, 0.0),
+            (&[0.20, 0.03], spot(0.10, false), 0.25, 0.0),
+            (&[0.20, 0.20, 0.03, 0.03], spot(0.10, true), 0.1, 0.0),
+            (&[0.03, 0.03], spot(0.10, true), 1.0, 0.0),
+        ];
+        for (prices, decision, ts, tr) in scenarios {
+            let h = hist(prices);
+            let j = job(ts, tr);
+            let plain = run_job(&h, decision, &j, 0).unwrap();
+            let resilient = run_job_resilient(&h, decision, &j, 0, &no_fallback()).unwrap();
+            assert_eq!(plain, resilient, "diverged on {prices:?}");
+            assert_eq!(resilient.reclamations, 0);
+            assert_eq!(resilient.feed_outages, 0);
+        }
+        // On-demand decisions too.
+        let h = hist(&[0.05]);
+        let j = job(1.0, 0.0);
+        let d = BidDecision::OnDemand {
+            price: Price::new(0.35),
+        };
+        assert_eq!(
+            run_job(&h, d, &j, 0).unwrap(),
+            run_job_resilient(&h, d, &j, 0, &no_fallback()).unwrap()
+        );
+    }
+
+    #[test]
+    fn reclamation_interrupts_despite_low_price() {
+        let mut v = FaultView::clean(&[0.03; 8]);
+        v.reclaim[1] = true;
+        let j = job(0.25, 60.0); // 15 min work, 1 min recovery
+        let out = run_job_resilient(&v, spot(0.10, true), &j, 0, &no_fallback()).unwrap();
+        assert_eq!(out.status, RunStatus::Completed);
+        assert_eq!(out.reclamations, 1);
+        assert_eq!(out.interruptions, 1, "reclaim counts as an interruption");
+        // Same shape as a price-spike interruption: 16 min on-instance.
+        assert!((out.running_time.as_minutes() - 16.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn too_many_reclaims_degrades_with_fallback() {
+        // Reclaim every other slot forever; max_reclaims = 1.
+        let n = 40;
+        let mut v = FaultView::clean(&[0.03; 40]);
+        for i in 0..n {
+            v.reclaim[i] = i % 2 == 1;
+        }
+        let policy = RecoveryPolicy {
+            max_reclaims: 1,
+            on_demand_fallback: Some(Price::new(0.35)),
+            ..RecoveryPolicy::default()
+        };
+        let j = job(1.0, 60.0);
+        let out = run_job_resilient(&v, spot(0.10, true), &j, 0, &policy).unwrap();
+        assert_eq!(out.status, RunStatus::DegradedToOnDemand);
+        assert!(out.completed());
+        assert_eq!(out.remaining_work, Hours::ZERO);
+        assert_eq!(out.reclamations, 2, "abandons spot past the budget");
+        assert!(out.cost.as_f64() > 0.0 && out.cost.as_f64().is_finite());
+    }
+
+    #[test]
+    fn feed_outage_is_ridden_out_within_budget() {
+        let mut v = FaultView::clean(&[0.03; 8]);
+        v.observed[1] = None;
+        v.observed[2] = None;
+        let j = job(0.25, 0.0);
+        let out = run_job_resilient(&v, spot(0.10, true), &j, 0, &no_fallback()).unwrap();
+        // The provider honours the standing persistent request during the
+        // blind slots; the run completes and the outage is just counted.
+        assert_eq!(out.status, RunStatus::Completed);
+        assert_eq!(out.feed_outages, 2);
+        assert_eq!(out.interruptions, 0);
+    }
+
+    #[test]
+    fn long_feed_outage_is_feed_lost_without_fallback() {
+        let mut v = FaultView::clean(&[0.03; 12]);
+        for i in 1..8 {
+            v.observed[i] = None;
+        }
+        let policy = RecoveryPolicy {
+            max_feed_outage_slots: 2,
+            ..RecoveryPolicy::default()
+        };
+        let j = job(1.0, 0.0);
+        let out = run_job_resilient(&v, spot(0.10, true), &j, 0, &policy).unwrap();
+        assert_eq!(out.status, RunStatus::FeedLost);
+        assert!(!out.completed());
+        assert_eq!(out.feed_outages, 3, "stops at the budget, not the end");
+        assert!(out.remaining_work > Hours::ZERO);
+    }
+
+    /// A policy derived from a reconnect-backoff schedule behaves exactly
+    /// like the equivalent fixed budget: `max_retries` scheduled reconnect
+    /// attempts ⇔ `max_retries` tolerated outage slots. The wall-clock
+    /// delay sequence itself is pinned in `spotbid_numerics::backoff`.
+    #[test]
+    fn backoff_derived_policy_matches_fixed_budget() {
+        let cfg = BackoffConfig {
+            max_retries: 2,
+            ..BackoffConfig::default()
+        };
+        let policy = RecoveryPolicy::from_backoff(&cfg);
+        assert_eq!(policy.max_feed_outage_slots, 2);
+        let mut v = FaultView::clean(&[0.03; 12]);
+        for i in 1..8 {
+            v.observed[i] = None;
+        }
+        let j = job(1.0, 0.0);
+        let out = run_job_resilient(&v, spot(0.10, true), &j, 0, &policy).unwrap();
+        let fixed = RecoveryPolicy {
+            max_feed_outage_slots: 2,
+            ..RecoveryPolicy::default()
+        };
+        let out_fixed = run_job_resilient(&v, spot(0.10, true), &j, 0, &fixed).unwrap();
+        assert_eq!(out, out_fixed);
+        assert_eq!(out.status, RunStatus::FeedLost);
+        assert_eq!(out.feed_outages, 3, "budget exhausted on the attempt after");
+    }
+
+    #[test]
+    fn long_feed_outage_degrades_with_fallback() {
+        let mut v = FaultView::clean(&[0.03; 12]);
+        for i in 1..12 {
+            v.observed[i] = None;
+        }
+        let policy = RecoveryPolicy {
+            max_feed_outage_slots: 2,
+            on_demand_fallback: Some(Price::new(0.35)),
+            ..RecoveryPolicy::default()
+        };
+        let j = job(1.0, 60.0);
+        let out = run_job_resilient(&v, spot(0.10, true), &j, 0, &policy).unwrap();
+        assert_eq!(out.status, RunStatus::DegradedToOnDemand);
+        assert!(out.completed());
+        // Runs through the first two blind slots (the provider honours the
+        // standing request): 15 min on spot, then 45 min work + 1 min
+        // recovery on demand.
+        let expect = 3.0 * 0.03 / 12.0 + 0.35 * (46.0 / 60.0);
+        assert!((out.cost.as_f64() - expect).abs() < 1e-12, "{}", out.cost);
+    }
+
+    #[test]
+    fn stale_observed_spike_pauses_persistent_client() {
+        // Truth stays cheap, but the client *sees* a spike in slot 1
+        // (e.g. a delayed observation of an old price).
+        let mut v = FaultView::clean(&[0.03; 8]);
+        v.observed[1] = Some(Price::new(0.50));
         let j = job(0.25, 60.0);
-        let plain = run_job(&h, spot(0.10, true), &j, 0).unwrap();
-        let resilient =
-            run_job_resilient(&h, spot(0.10, true), &j, 0, &RecoveryPolicy::default()).unwrap();
-        assert_eq!(plain, resilient);
+        let out = run_job_resilient(&v, spot(0.10, true), &j, 0, &no_fallback()).unwrap();
+        assert_eq!(out.status, RunStatus::Completed);
+        assert_eq!(out.interruptions, 1, "prudent self-pause on the spike");
+        // One-time requests trust the provider only: no self-pause.
+        let j = job(0.25, 0.0);
+        let out = run_job_resilient(&v, spot(0.10, false), &j, 0, &no_fallback()).unwrap();
+        assert_eq!(out.status, RunStatus::Completed);
+        assert_eq!(out.interruptions, 0);
+    }
+
+    #[test]
+    fn resilient_refuses_pathological_view_prices() {
+        // A view that manufactures a negative *true* price (which any bid
+        // beats, so the slot is accepted and charged) must surface a typed
+        // billing error, not a silently absurd bill. A NaN truth fails the
+        // acceptance comparison and simply idles the slot.
+        let mut v = FaultView::clean(&[0.03; 4]);
+        v.truth[1] = Price::new(-0.5);
+        v.observed[1] = Some(Price::new(0.03));
+        let j = job(0.25, 0.0);
+        let err = run_job_resilient(&v, spot(0.10, true), &j, 0, &no_fallback());
+        assert!(matches!(err, Err(EngineError::Billing { .. })), "{err:?}");
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Bit-for-bit parity of the kernel-backed runtimes against frozen copies
 //! of the pre-kernel implementations.
 //!
-//! The `legacy` module below is the pre-refactor `spotbid_client::runtime`
-//! replay loop, copied verbatim (modulo the billing/monitor types now
+//! The `legacy` module below is the pre-kernel replay loop from
+//! `spotbid-client`, copied verbatim (modulo the billing/monitor types now
 //! living in this crate) and never to be edited again: it is the ground
 //! truth the kernel inversion must reproduce exactly — same statuses, same
 //! line items, same monitor timings — across randomized traces, fault
-//! scripts, and job shapes. The market-session half asserts the same for
-//! `run_market` against `SpotMarket::run` (same reports, same RNG draws),
-//! and the adapter half pins `spotbid_client::runtime` to the engine.
+//! scripts, and job shapes.
 
 use spotbid_core::{BidDecision, JobSpec};
 use spotbid_engine::{EngineError, MarketView, RecoveryPolicy, RunStatus};
@@ -447,72 +445,6 @@ fn resilient_error_parity_on_pathological_views() {
         (Err(e_new), Err(e_old)) => assert_eq!(e_new.to_string(), e_old.to_string()),
         (a, b) => panic!("divergent results: {a:?} vs {b:?}"),
     }
-}
-
-#[test]
-fn market_session_matches_plain_run_on_random_books() {
-    use spotbid_market::params::MarketParams;
-    use spotbid_market::sim::{BidKind, BidRequest, SpotMarket, WorkModel};
-
-    for seed in 0..20u64 {
-        let params = MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.02).unwrap();
-        let mut plain_market = SpotMarket::new(params, Hours::from_minutes(5.0));
-        let mut kernel_market = SpotMarket::new(params, Hours::from_minutes(5.0));
-        let mut book_rng = Rng::seed_from_u64(0xABCD ^ seed);
-        for _ in 0..book_rng.poisson(6.0) + 1 {
-            let request = BidRequest {
-                price: Price::new(book_rng.range_f64(0.02, 0.35)),
-                kind: if book_rng.chance(0.5) {
-                    BidKind::Persistent
-                } else {
-                    BidKind::OneTime
-                },
-                work: if book_rng.chance(0.5) {
-                    WorkModel::Geometric
-                } else {
-                    WorkModel::FixedSlots(book_rng.poisson(4.0) as u32 + 1)
-                },
-            };
-            plain_market.submit(request);
-            kernel_market.submit(request);
-        }
-        let mut rng_plain = Rng::seed_from_u64(seed);
-        let mut rng_kernel = Rng::seed_from_u64(seed);
-        let plain = plain_market.run(120, &mut rng_plain);
-        let kernel =
-            spotbid_engine::run_market(&mut kernel_market, 120, &mut rng_kernel, &mut []).unwrap();
-        assert_eq!(plain, kernel, "seed {seed}");
-        assert_eq!(plain_market.records(), kernel_market.records());
-        assert_eq!(rng_plain.next_u64(), rng_kernel.next_u64(), "RNG diverged");
-    }
-}
-
-#[test]
-fn client_adapters_delegate_to_engine() {
-    // The client crate's public runtime is now a shim; its results must be
-    // the engine's results, type-for-type.
-    let mut rng = Rng::seed_from_u64(99);
-    let h = history(&random_prices(&mut rng, 50));
-    let job = JobSpec::builder(0.5).recovery_secs(60.0).build().unwrap();
-    let decision = BidDecision::Spot {
-        price: Price::new(0.10),
-        persistent: true,
-    };
-    let via_client = spotbid_client::runtime::run_job(&h, decision, &job, 0).unwrap();
-    let via_engine = spotbid_engine::run_job(&h, decision, &job, 0).unwrap();
-    assert_eq!(via_client, via_engine);
-    let via_client = spotbid_client::runtime::run_job_resilient(
-        &h,
-        decision,
-        &job,
-        0,
-        &RecoveryPolicy::default(),
-    )
-    .unwrap();
-    let via_engine =
-        spotbid_engine::run_job_resilient(&h, decision, &job, 0, &RecoveryPolicy::default())
-            .unwrap();
-    assert_eq!(via_client, via_engine);
 }
 
 #[test]

@@ -109,8 +109,8 @@ fn ten_k_tenants_identical_digests_at_1_and_4_threads() {
 
 #[test]
 fn small_fleet_matches_itself_across_thread_counts() {
-    // Sub-shard population (needy < SHARD_SIZE): the single-shard path
-    // must be just as thread-invariant.
+    // A population smaller than one 64-tenant stream block must be just
+    // as thread-invariant.
     let strategies = strategies(17);
     let cfg = config();
     let a = with_threads(1, || run_closed_loop(&strategies, &cfg, 42).unwrap());

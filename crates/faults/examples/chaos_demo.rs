@@ -6,9 +6,8 @@
 //! cargo run -p spotbid-faults --example chaos_demo
 //! ```
 
-use spotbid_client::runtime::{run_job, run_job_resilient};
-use spotbid_client::{JobOutcome, RecoveryPolicy};
 use spotbid_core::{BidDecision, JobSpec};
+use spotbid_engine::{run_job, run_job_resilient, JobOutcome, RecoveryPolicy};
 use spotbid_faults::{corrupt_records, FaultConfig, FaultSchedule, FaultyMarket};
 use spotbid_numerics::rng::Rng;
 use spotbid_trace::catalog;

@@ -1,9 +1,9 @@
 //! Fault-injected views of a spot market: a degraded [`MarketView`] for
-//! the resilient client runtime, and corrupted raw record feeds for the
+//! the resilient replay (`spotbid_engine::run_job_resilient`), and corrupted raw record feeds for the
 //! validating trace ingest.
 
 use crate::schedule::FaultSchedule;
-use spotbid_client::MarketView;
+use spotbid_engine::MarketView;
 use spotbid_market::units::Price;
 use spotbid_trace::{RawRecord, SpotPriceHistory};
 

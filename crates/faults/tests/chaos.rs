@@ -7,12 +7,11 @@
 //! The base fault seed is pinned via `SPOTBID_FAULT_SEED` in CI so the
 //! 1-thread and 4-thread chaos-smoke runs exercise the same schedules.
 
-use spotbid_client::runtime::{run_job, run_job_resilient};
-use spotbid_client::{JobOutcome, RecoveryPolicy, RunStatus};
 use spotbid_core::checkpoint::{replay_once_faulty, CheckpointSpec};
 use spotbid_core::price_model::EmpiricalPrices;
 use spotbid_core::{BidDecision, JobSpec};
 use spotbid_engine::job_monitor::{JobMonitor, JobState};
+use spotbid_engine::{run_job, run_job_resilient, JobOutcome, RecoveryPolicy, RunStatus};
 use spotbid_exec::{par_trials, with_threads};
 use spotbid_faults::{
     chaos_availability, checkpoint_fault_rng, checkpoint_faults, corrupt_records, FaultConfig,

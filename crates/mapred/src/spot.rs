@@ -208,7 +208,7 @@ fn run_cluster<S: PriceSource<Quote = ClusterQuote>>(
     source: S,
 ) -> Result<(ScheduleOutcome, Bill), MapRedError> {
     let mut driver = ClusterDriver::new(tasks, cfg, pricing, m);
-    let mut billing = BillingObserver::unvalidated();
+    let mut billing = BillingObserver::new();
     let mut kernel = Kernel::new(cfg.slot, source);
     kernel
         .run(
@@ -463,6 +463,18 @@ mod tests {
         p.m = 0;
         assert!(run_on_spot(&corpus, &p, &job, &m_future, &s_future).is_err());
         assert!(run_on_demand(&corpus, 0, &job, Price::new(0.1), Price::new(0.1)).is_err());
+    }
+
+    #[test]
+    fn pathological_on_demand_price_is_an_error() {
+        let corpus =
+            Corpus::generate(&CorpusConfig::default(), &mut Rng::seed_from_u64(5)).unwrap();
+        let job = JobSpec::builder(1.0).build().unwrap();
+        let r = run_on_demand(&corpus, 4, &job, Price::new(f64::NAN), Price::new(0.84));
+        match r {
+            Err(MapRedError::InvalidConfig { what }) => assert!(what.contains("billing"), "{what}"),
+            other => panic!("expected a billing error, got {other:?}"),
+        }
     }
 
     #[test]

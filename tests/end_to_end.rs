@@ -3,9 +3,9 @@
 //! user would drive it.
 
 use spotbid::client::experiment::{run_single_instance, ExperimentConfig};
-use spotbid::client::runtime::{run_job, RunStatus};
 use spotbid::core::price_model::EmpiricalPrices;
 use spotbid::core::{onetime, persistent, BidDecision, BiddingStrategy, JobSpec, PriceModel};
+use spotbid::engine::{run_job, RunStatus};
 use spotbid::numerics::rng::Rng;
 use spotbid::trace::{analyze, catalog, synthetic};
 

@@ -3,9 +3,9 @@
 //! the Section 5 bidding pipeline, closing the provider→user loop that
 //! the paper keeps separate (its users consume exogenous EC2 prices).
 
-use spotbid::client::runtime::{run_job, run_job_with_fallback, RunStatus};
 use spotbid::core::price_model::EmpiricalPrices;
 use spotbid::core::{onetime, persistent, BidDecision, JobSpec, PriceModel};
+use spotbid::engine::{run_job, run_job_with_fallback, RunStatus};
 use spotbid::market::sim::{BidKind, BidRequest, SpotMarket, WorkModel};
 use spotbid::market::units::{Hours, Price};
 use spotbid::market::MarketParams;
