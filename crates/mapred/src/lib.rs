@@ -27,6 +27,7 @@ pub use schedule::{ScheduleOutcome, ScheduleStatus};
 pub use spot::MapReduceOutcome;
 pub use wordcount::WordCount;
 
+use spotbid_engine::EngineError;
 use std::fmt;
 
 /// Errors produced by the MapReduce substrate.
@@ -37,17 +38,34 @@ pub enum MapRedError {
         /// Description of the problem.
         what: String,
     },
+    /// The simulation kernel driving the cluster session failed, e.g. its
+    /// billing ledger refused a pathological charge.
+    Engine(EngineError),
 }
 
 impl fmt::Display for MapRedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MapRedError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
+            MapRedError::Engine(e) => write!(f, "cluster session failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for MapRedError {}
+impl std::error::Error for MapRedError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            MapRedError::InvalidConfig { .. } => None,
+            MapRedError::Engine(e) => Some(e),
+        }
+    }
+}
+
+impl From<EngineError> for MapRedError {
+    fn from(e: EngineError) -> Self {
+        MapRedError::Engine(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -59,5 +77,17 @@ mod tests {
         assert!(e.to_string().contains("invalid configuration"));
         fn assert_error<E: std::error::Error>(_: &E) {}
         assert_error(&e);
+    }
+
+    #[test]
+    fn kernel_errors_stay_typed() {
+        let inner = EngineError::Billing { what: "NaN".into() };
+        let e = MapRedError::from(inner.clone());
+        assert_eq!(e, MapRedError::Engine(inner.clone()));
+        assert_eq!(e.to_string(), format!("cluster session failed: {inner}"));
+        let source = std::error::Error::source(&e).expect("the kernel error");
+        assert_eq!(source.to_string(), inner.to_string());
+        let config = MapRedError::InvalidConfig { what: "x".into() };
+        assert!(std::error::Error::source(&config).is_none());
     }
 }

@@ -210,15 +210,11 @@ fn run_cluster<S: PriceSource<Quote = ClusterQuote>>(
     let mut driver = ClusterDriver::new(tasks, cfg, pricing, m);
     let mut billing = BillingObserver::new();
     let mut kernel = Kernel::new(cfg.slot, source);
-    kernel
-        .run(
-            &mut [&mut driver],
-            &mut [&mut billing],
-            Some(cfg.max_slots as u64),
-        )
-        .map_err(|e| MapRedError::InvalidConfig {
-            what: format!("cluster session failed: {e}"),
-        })?;
+    kernel.run(
+        &mut [&mut driver],
+        &mut [&mut billing],
+        Some(cfg.max_slots as u64),
+    )?;
     Ok((driver.into_outcome(), billing.into_bill()))
 }
 
@@ -228,7 +224,8 @@ fn run_cluster<S: PriceSource<Quote = ClusterQuote>>(
 /// # Errors
 ///
 /// [`MapRedError::InvalidConfig`] when the futures are shorter than a
-/// slot or the plan is degenerate.
+/// slot or the plan is degenerate; [`MapRedError::Engine`] when the
+/// kernel refuses the session, e.g. a pathological price.
 pub fn run_on_spot(
     corpus: &Corpus,
     plan: &MapReducePlan,
@@ -269,7 +266,9 @@ pub fn run_on_spot(
 ///
 /// # Errors
 ///
-/// [`MapRedError::InvalidConfig`] for a degenerate slave count.
+/// [`MapRedError::InvalidConfig`] for a degenerate slave count;
+/// [`MapRedError::Engine`] when the kernel refuses the session, e.g. a
+/// NaN or negative price.
 pub fn run_on_demand(
     corpus: &Corpus,
     m: u32,
@@ -472,7 +471,7 @@ mod tests {
         let job = JobSpec::builder(1.0).build().unwrap();
         let r = run_on_demand(&corpus, 4, &job, Price::new(f64::NAN), Price::new(0.84));
         match r {
-            Err(MapRedError::InvalidConfig { what }) => assert!(what.contains("billing"), "{what}"),
+            Err(MapRedError::Engine(EngineError::Billing { .. })) => {}
             other => panic!("expected a billing error, got {other:?}"),
         }
     }

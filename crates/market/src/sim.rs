@@ -367,9 +367,9 @@ impl Calendar {
 
     /// Appends to `out` every running bid due at slot `t` (unsorted),
     /// after refiling the mid and far entries whose window opens at `t`.
-    /// Reads `due` only for bids flagged [`F_RUNNING`]: a closed bid's
-    /// word holds its closing slot.
-    fn pop(&mut self, t: u64, flags: &mut [u8], due: &[u64], out: &mut Vec<u32>) {
+    /// Reads `due` only for bids flagged [`F_RUNNING`], every one of which
+    /// holds a run entry.
+    fn pop(&mut self, t: u64, flags: &mut [u8], due: Dues<'_>, out: &mut Vec<u32>) {
         if t % SPAN == 0 {
             if t % (SPAN * SPAN) == 0 {
                 // Refiled in place: most far runners stay far.
@@ -379,10 +379,10 @@ impl Calendar {
                     if flags[iu] & F_RUNNING == 0 {
                         flags[iu] &= !F_FILED;
                         false
-                    } else if due[iu] / SPAN - t / SPAN >= SPAN {
+                    } else if due.of(iu) / SPAN - t / SPAN >= SPAN {
                         true
                     } else {
-                        self.file(i, due[iu], t);
+                        self.file(i, due.of(iu), t);
                         false
                     }
                 });
@@ -410,18 +410,18 @@ impl Calendar {
         list: &mut Vec<u32>,
         t: u64,
         flags: &mut [u8],
-        due: &[u64],
+        due: Dues<'_>,
         out: &mut Vec<u32>,
     ) {
         for &i in list.iter() {
             let iu = i as usize;
             if flags[iu] & F_RUNNING == 0 {
                 flags[iu] &= !F_FILED;
-            } else if due[iu] == t {
+            } else if due.of(iu) == t {
                 flags[iu] &= !F_FILED;
                 out.push(i);
             } else {
-                self.file(i, due[iu], t);
+                self.file(i, due.of(iu), t);
             }
         }
         list.clear();
@@ -432,6 +432,21 @@ impl Calendar {
     fn len(&self) -> usize {
         let lists = |w: &[Vec<u32>]| w.iter().map(Vec::len).sum::<usize>();
         lists(&self.near) + lists(&self.mid) + self.far.len()
+    }
+}
+
+/// The calendar's read-through view of the bids' due slots: a bid's
+/// `due` word lives in its run entry.
+#[derive(Clone, Copy)]
+struct Dues<'a> {
+    run_of: &'a [u32],
+    runs: &'a [Run],
+}
+
+impl Dues<'_> {
+    /// Bid `iu`'s due word; it must hold a run entry.
+    fn of(&self, iu: usize) -> u64 {
+        self.runs[self.run_of[iu] as usize].due
     }
 }
 
@@ -683,8 +698,9 @@ fn memo_slot(start: u64, since: u64, end: u64, legs: u64) -> usize {
 ///
 /// - [`step`](Self::step) costs O(events + boundary-bucket + running
 ///   geometric bids) instead of O(open bids);
-/// - each bid lives once, as one entry per struct-of-arrays column; a
-///   [`BidRecord`] is built from the columns on read;
+/// - each bid lives once, as one entry per struct-of-arrays column plus,
+///   once it has launched, one run-table entry; a [`BidRecord`] is built
+///   from them on read;
 /// - charges accrue lazily, so [`record`](Self::record) and
 ///   [`records`](Self::records) take `&mut self` (they settle the accrual
 ///   before building);
@@ -705,20 +721,21 @@ pub struct SpotMarket {
     flags: Vec<u8>,
     /// Slots of work of a fixed-work bid (0 for geometric work).
     work: Vec<u32>,
-    /// Running streak and settled accounting.
-    accrual: Vec<Accrual>,
-    /// One slot per bid, read by its flags: while a fixed-work bid runs,
-    /// its scheduled finish slot; once [`F_OPEN`] is clear, the slot it
-    /// left the system; otherwise unused.
-    due: Vec<u64>,
+    /// The bid's entry in [`runs`](Self::runs), or [`NO_RUN`] until it
+    /// first launches (or closes after its submission slot unlaunched).
+    run_of: Vec<u32>,
     /// The bid's price bucket.
     bucket_of: Vec<u16>,
-    /// Position within its current bucket list (pending or running).
+    /// Position in its bucket's running list, valid while the bid runs
+    /// (a launch writes it; pending lists keep no positions).
     pos_of: Vec<u32>,
     /// `(first id, slot)` for every run of bids submitted in one slot,
     /// ascending: a bid was submitted in the slot of the last run whose
     /// first id is at or below its own.
     arrivals: Vec<(u32, u64)>,
+    /// Run state of every bid that has launched, in first-launch order:
+    /// a bid that never runs carries none.
+    runs: Vec<Run>,
 
     // ---- the book ----
     buckets: Vec<Bucket>,
@@ -790,13 +807,14 @@ pub struct SpotMarket {
     report_pool: Vec<Vec<BidId>>,
 }
 
-/// A bid's running streak and settled accounting: what a settlement
-/// reads and writes, and the count an interruption bumps right after
-/// settling. One 24-byte entry, so a capacity pass that settles victims
-/// scattered over the book misses the cache once per victim, not once
-/// per field.
+/// A launched bid's run state: its running streak and settled
+/// accounting (what a settlement reads and writes, and the count an
+/// interruption bumps right after settling) and its due word. One 32-byte
+/// entry, pushed at the bid's first launch, so a capacity pass that
+/// settles victims scattered over the book misses the cache once per
+/// victim, not once per field.
 #[derive(Debug, Clone, Copy)]
-struct Accrual {
+struct Run {
     /// First slot of the current running streak (valid while running);
     /// charges for `[run_since, now)` are accrued but not yet settled.
     run_since: u64,
@@ -806,15 +824,24 @@ struct Accrual {
     slots_run: u32,
     /// Interruptions suffered (running → not running).
     interruptions: u32,
+    /// Read by the bid's flags: while it runs fixed work, its scheduled
+    /// finish slot; once [`F_OPEN`] is clear, the slot it left the system;
+    /// otherwise unused.
+    due: u64,
 }
 
-/// A new bid's [`Accrual`].
-const NO_ACCRUAL: Accrual = Accrual {
+/// A first launch's [`Run`], and the run state a record shows for a bid
+/// that holds none.
+const FRESH_RUN: Run = Run {
     run_since: 0,
     charged: Cost::ZERO,
     slots_run: 0,
     interruptions: 0,
+    due: 0,
 };
+
+/// [`SpotMarket::run_of`]'s entry for a bid that holds no [`Run`].
+const NO_RUN: u32 = u32::MAX;
 
 /// The `F_*` bits a new bid starts with.
 fn initial_flags(request: &BidRequest) -> u8 {
@@ -899,11 +926,11 @@ impl SpotMarket {
             price_of: Vec::new(),
             flags: Vec::new(),
             work: Vec::new(),
-            accrual: Vec::new(),
-            due: Vec::new(),
+            run_of: Vec::new(),
             bucket_of: Vec::new(),
             pos_of: Vec::new(),
             arrivals: Vec::new(),
+            runs: Vec::new(),
             buckets: vec![Bucket::default(); BUCKETS],
             grid: BucketGrid::new(&params),
             arrived: 0,
@@ -960,8 +987,7 @@ impl SpotMarket {
         reserve_pow2(&mut self.price_of, n);
         reserve_pow2(&mut self.flags, n);
         reserve_pow2(&mut self.work, n);
-        reserve_pow2(&mut self.accrual, n);
-        reserve_pow2(&mut self.due, n);
+        reserve_pow2(&mut self.run_of, n);
         reserve_pow2(&mut self.bucket_of, n);
         reserve_pow2(&mut self.pos_of, n);
     }
@@ -974,8 +1000,7 @@ impl SpotMarket {
         self.price_of.push(price);
         self.flags.push(initial_flags(&request));
         self.work.push(work_slots(&request));
-        self.accrual.push(NO_ACCRUAL);
-        self.due.push(0);
+        self.run_of.push(NO_RUN);
         self.bucket_of.push(self.grid.index(price) as u16);
         self.pos_of.push(0);
         self.open_count += 1;
@@ -1010,8 +1035,7 @@ impl SpotMarket {
         self.work.extend(requests.iter().map(work_slots));
         self.bucket_of
             .extend(requests.iter().map(|r| grid.index(r.price.as_f64()) as u16));
-        self.accrual.resize(len, NO_ACCRUAL);
-        self.due.resize(len, 0);
+        self.run_of.resize(len, NO_RUN);
         self.pos_of.resize(len, 0);
         self.open_count += n;
         if n > 0 {
@@ -1045,8 +1069,17 @@ impl SpotMarket {
     }
 
     /// Bid `iu`'s columns as a [`BidRecord`] (settled up to `run_since`).
+    /// A closed bid without a run entry closed in its submission slot.
     fn build_record(&self, iu: usize) -> BidRecord {
         let f = self.flags[iu];
+        let submitted_at = self.submitted_at(iu);
+        let (run, closed_at) = match self.run_of[iu] {
+            NO_RUN => (&FRESH_RUN, submitted_at),
+            r => {
+                let run = &self.runs[r as usize];
+                (run, run.due)
+            }
+        };
         let phase = if f & F_RUNNING != 0 {
             BidPhase::Running
         } else if f & F_OPEN != 0 {
@@ -1072,11 +1105,11 @@ impl SpotMarket {
                 },
             },
             phase,
-            submitted_at: self.submitted_at(iu),
-            slots_run: self.accrual[iu].slots_run,
-            charged: self.accrual[iu].charged,
-            interruptions: self.accrual[iu].interruptions,
-            closed_at: (f & F_OPEN == 0).then_some(self.due[iu]),
+            submitted_at,
+            slots_run: run.slots_run,
+            charged: run.charged,
+            interruptions: run.interruptions,
+            closed_at: (f & F_OPEN == 0).then_some(closed_at),
         }
     }
 
@@ -1252,7 +1285,6 @@ impl SpotMarket {
                             if self.price_of[i as usize] >= pf {
                                 self.parked.push(i);
                             } else {
-                                self.pos_of[i as usize] = w as u32;
                                 list[w] = i;
                                 w += 1;
                             }
@@ -1305,7 +1337,6 @@ impl SpotMarket {
                         if self.price_of[i as usize] >= pf {
                             started.push(i);
                         } else {
-                            self.pos_of[i as usize] = w as u32;
                             list[w] = i;
                             w += 1;
                         }
@@ -1346,14 +1377,8 @@ impl SpotMarket {
         // precede incoming ids, so the per-category appends below stay
         // sorted.
         for &i in &rejected {
-            let iu = i as usize;
-            self.flags[iu] &= !F_RUNNING;
-            self.running_count -= 1;
-            debug_assert!(t > 0, "no residents can exist before the first step");
-            self.settle(iu, t - 1);
-            self.accrual[iu].interruptions += 1;
-            report.interrupted.push(BidId(u64::from(i)));
-            if self.flags[iu] & F_PERSISTENT == 0 {
+            self.interrupt(i, report);
+            if self.flags[i as usize] & F_PERSISTENT == 0 {
                 self.terminate(i, report);
             } else if reclaiming {
                 // Re-pended by the outage; its price may be ≥ pf, so it
@@ -1425,11 +1450,7 @@ impl SpotMarket {
                         // A running instance reclaimed for the pool.
                         reclaims += 1;
                         self.remove_running(i);
-                        self.flags[iu] &= !F_RUNNING;
-                        self.running_count -= 1;
-                        self.settle(iu, t - 1);
-                        self.accrual[iu].interruptions += 1;
-                        report.interrupted.push(BidId(u64::from(i)));
+                        self.interrupt(i, report);
                     } else {
                         // A would-be starter: never launched this slot.
                         fresh_evictions += 1;
@@ -1480,19 +1501,22 @@ impl SpotMarket {
             });
         }
 
-        // 4. Launch the slot's winners: start the running streak, schedule
+        // 4. Launch the slot's winners: give a first launch its run entry
+        // (a restart reuses it), start the running streak, schedule
         // fixed-work finishes on the calendar, enroll geometric bids for
         // the draw pass.
         self.running_count += started.len() as u32;
         for &i in &started {
             let iu = i as usize;
             self.flags[iu] |= F_RUNNING;
-            self.accrual[iu].run_since = t;
             let b = self.bucket_of[iu] as usize;
             self.pos_of[iu] = self.buckets[b].running.len() as u32;
             self.buckets[b].running.push(i);
             report.started.push(BidId(u64::from(i)));
-            if self.flags[iu] & F_GEOMETRIC != 0 {
+            let (geometric, work) = (self.flags[iu] & F_GEOMETRIC != 0, self.work[iu]);
+            let run = self.run_entry(iu);
+            run.run_since = t;
+            if geometric {
                 geo_in.push(i);
             } else {
                 // Settled at (re)start, so `slots_run` is exact here; a
@@ -1501,9 +1525,9 @@ impl SpotMarket {
                 // `slots_run >= n` checked after the increment.
                 // A restarted bid keeps the entry of an earlier launch,
                 // which comes due no later than this one.
-                let rem = self.work[iu].saturating_sub(self.accrual[iu].slots_run);
+                let rem = work.saturating_sub(run.slots_run);
                 let due = t + u64::from(rem.saturating_sub(1));
-                self.due[iu] = due;
+                run.due = due;
                 if self.flags[iu] & F_FILED == 0 {
                     self.flags[iu] |= F_FILED;
                     self.calendar.file(i, due, t);
@@ -1557,13 +1581,16 @@ impl SpotMarket {
         // requirement this slot, the running bids with `due == t`.
         let mut fin_fixed = std::mem::take(&mut self.sc_fin_fixed);
         fin_fixed.clear();
-        self.calendar
-            .pop(t, &mut self.flags, &self.due, &mut fin_fixed);
+        let dues = Dues {
+            run_of: &self.run_of,
+            runs: &self.runs,
+        };
+        self.calendar.pop(t, &mut self.flags, dues, &mut fin_fixed);
         fin_fixed.sort_unstable();
         for &i in &fin_fixed {
             self.finish(i);
             let iu = i as usize;
-            debug_assert!(self.accrual[iu].slots_run >= self.work[iu]);
+            debug_assert!(self.runs[self.run_of[iu] as usize].slots_run >= self.work[iu]);
         }
 
         // 7. Finished = id-merge of the geometric and fixed finish sets.
@@ -1668,17 +1695,20 @@ impl SpotMarket {
 
     /// Appends a bid to its bucket's pending list.
     fn push_pending(&mut self, i: u32) {
-        let iu = i as usize;
-        let b = self.bucket_of[iu] as usize;
-        self.pos_of[iu] = self.buckets[b].pending.len() as u32;
+        let b = self.bucket_of[i as usize] as usize;
         self.buckets[b].pending.push(i);
     }
 
     /// Closes an open, not running bid unfinished this slot and reports it
-    /// terminated.
+    /// terminated. A bid that never launched and closes in its submission
+    /// slot needs no run entry to show it; one that closes later (a
+    /// one-time arrival parked by an outage, terminated at its re-auction)
+    /// takes one to hold its closing slot.
     fn terminate(&mut self, i: u32, report: &mut SlotReport) {
         let iu = i as usize;
-        self.due[iu] = self.t;
+        if self.run_of[iu] != NO_RUN || !self.submitted_now(iu) {
+            self.run_entry(iu).due = self.t;
+        }
         self.flags[iu] &= !F_OPEN;
         self.open_count -= 1;
         report.terminated.push(BidId(u64::from(i)));
@@ -1688,12 +1718,39 @@ impl SpotMarket {
     /// through this slot.
     fn finish(&mut self, i: u32) {
         let iu = i as usize;
-        self.settle(iu, self.t);
-        self.due[iu] = self.t;
+        self.settle(iu, self.t).due = self.t;
         self.flags[iu] = (self.flags[iu] & !(F_RUNNING | F_OPEN)) | F_FINISHED;
         self.running_count -= 1;
         self.remove_running(i);
         self.open_count -= 1;
+    }
+
+    /// Stops running bid `i` at the end of the last slot: settles its
+    /// streak through that slot, counts the interruption and reports it.
+    fn interrupt(&mut self, i: u32, report: &mut SlotReport) {
+        let iu = i as usize;
+        self.flags[iu] &= !F_RUNNING;
+        self.running_count -= 1;
+        debug_assert!(self.t > 0, "no residents can exist before the first step");
+        self.settle(iu, self.t - 1).interruptions += 1;
+        report.interrupted.push(BidId(u64::from(i)));
+    }
+
+    /// Bid `iu`'s run entry, pushed fresh if it holds none.
+    fn run_entry(&mut self, iu: usize) -> &mut Run {
+        if self.run_of[iu] == NO_RUN {
+            self.run_of[iu] = self.runs.len() as u32;
+            self.runs.push(FRESH_RUN);
+        }
+        &mut self.runs[self.run_of[iu] as usize]
+    }
+
+    /// Bid `iu` was submitted in the current slot: it lies in the last
+    /// arrival run, and that run opened this slot.
+    fn submitted_now(&self, iu: usize) -> bool {
+        self.arrivals
+            .last()
+            .is_some_and(|&(first, slot)| slot == self.t && iu >= first as usize)
     }
 
     /// Removes a bid from its bucket's running list (swap-remove with
@@ -1713,17 +1770,18 @@ impl SpotMarket {
     /// Settles the lazy charge accrual for slots `[run_since, end]`: the
     /// same `charged += price_u × slot_len` sequence, in the same
     /// chronological order, as the naive per-slot loop — so the float sums
-    /// are bit-identical (the memo returns the fold's own bits).
-    fn settle(&mut self, iu: usize, end: u64) {
-        let a = &mut self.accrual[iu];
-        if a.run_since > end {
-            return;
+    /// are bit-identical (the memo returns the fold's own bits). Returns
+    /// the bid's run entry, which a running bid always holds.
+    fn settle(&mut self, iu: usize, end: u64) -> &mut Run {
+        let a = &mut self.runs[self.run_of[iu] as usize];
+        if a.run_since <= end {
+            a.charged =
+                self.slot_charge
+                    .settle(a.charged, a.run_since, end + 1, std::iter::once(0));
+            a.slots_run += (end - a.run_since + 1) as u32;
+            a.run_since = end + 1;
         }
-        a.charged = self
-            .slot_charge
-            .settle(a.charged, a.run_since, end + 1, std::iter::once(0));
-        a.slots_run += (end - a.run_since + 1) as u32;
-        a.run_since = end + 1;
+        a
     }
 
     /// Settles a single bid's accrual up to the last completed slot.
@@ -2382,14 +2440,13 @@ mod tests {
     impl SpotMarket {
         /// `(len, capacity)` of every bid column [`SpotMarket::reserve`]
         /// grows.
-        fn column_shapes(&self) -> [(usize, usize); 7] {
+        fn column_shapes(&self) -> [(usize, usize); 6] {
             let shape = |len, cap| (len, cap);
             [
                 shape(self.price_of.len(), self.price_of.capacity()),
                 shape(self.flags.len(), self.flags.capacity()),
                 shape(self.work.len(), self.work.capacity()),
-                shape(self.accrual.len(), self.accrual.capacity()),
-                shape(self.due.len(), self.due.capacity()),
+                shape(self.run_of.len(), self.run_of.capacity()),
                 shape(self.bucket_of.len(), self.bucket_of.capacity()),
                 shape(self.pos_of.len(), self.pos_of.capacity()),
             ]
@@ -2397,7 +2454,7 @@ mod tests {
     }
 
     #[test]
-    fn a_bid_holds_51_bytes_of_columns() {
+    fn a_bid_holds_23_bytes_of_columns() {
         fn elem<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
@@ -2405,12 +2462,95 @@ mod tests {
         let per_bid = elem(&m.price_of)
             + elem(&m.flags)
             + elem(&m.work)
-            + elem(&m.accrual)
-            + elem(&m.due)
+            + elem(&m.run_of)
             + elem(&m.bucket_of)
             + elem(&m.pos_of);
-        assert_eq!(m.column_shapes().len(), 7, "a column left out here");
-        assert_eq!(per_bid, 51);
+        assert_eq!(m.column_shapes().len(), 6, "a column left out here");
+        assert_eq!(per_bid, 23);
+        assert_eq!(elem(&m.runs), 32, "a launched bid's run entry");
+    }
+
+    #[test]
+    fn a_losing_one_time_bid_holds_no_run_entry() {
+        let mut m = market();
+        let mut rng = Rng::seed_from_u64(31);
+        m.run(3, &mut rng);
+        let id = m.submit(bid(0.02, BidKind::OneTime, 1));
+        let rep = m.step(&mut rng);
+        assert_eq!(rep.terminated, vec![id]);
+        assert_eq!(m.run_of[id.0 as usize], NO_RUN);
+        assert!(m.runs.is_empty());
+        let rec = m.record(id).unwrap();
+        assert_eq!(rec.phase, BidPhase::Terminated);
+        assert_eq!(rec.submitted_at, 3);
+        assert_eq!(rec.closed_at, Some(rec.submitted_at));
+        assert_eq!((rec.slots_run, rec.interruptions), (0, 0));
+        assert_eq!(rec.charged, Cost::ZERO);
+    }
+
+    #[test]
+    fn an_outage_arrival_closes_at_its_re_auction() {
+        // Submitted into a reclamation slot, the one-time bid parks and
+        // loses its re-auction a slot later: it never launches, but its
+        // record must show the later slot it closed in.
+        let mut m = market();
+        let mut rng = Rng::seed_from_u64(32);
+        m.run(2, &mut rng);
+        let id = m.submit(bid(0.02, BidKind::OneTime, 1));
+        m.reclaim_next_slot();
+        let outage = m.step(&mut rng);
+        assert!(outage.terminated.is_empty());
+        let rep = m.step(&mut rng);
+        assert_eq!(rep.t, 3);
+        assert_eq!(rep.terminated, vec![id]);
+        assert_ne!(m.run_of[id.0 as usize], NO_RUN, "holds its closing slot");
+        let rec = m.record(id).unwrap();
+        assert_eq!(rec.phase, BidPhase::Terminated);
+        assert_eq!(rec.submitted_at, 2);
+        assert_eq!(rec.closed_at, Some(3));
+        assert_eq!((rec.slots_run, rec.interruptions), (0, 0));
+        assert_eq!(rec.charged, Cost::ZERO);
+    }
+
+    #[test]
+    fn a_pending_persistent_bid_holds_no_run_entry() {
+        let mut m = market();
+        let mut rng = Rng::seed_from_u64(33);
+        let low = m.submit(bid(0.03, BidKind::Persistent, 5));
+        let high = m.submit(bid(0.35, BidKind::Persistent, 1_000));
+        for _ in 0..200 {
+            let rep = m.step(&mut rng);
+            assert!(!rep.started.contains(&low));
+            m.recycle(rep);
+        }
+        assert_eq!(m.run_of[low.0 as usize], NO_RUN);
+        assert_eq!(m.runs.len(), 1, "only the running bid holds an entry");
+        let rec = m.record(low).unwrap();
+        assert_eq!(rec.phase, BidPhase::Pending);
+        assert_eq!((rec.slots_run, rec.closed_at), (0, None));
+        assert_eq!(m.record(high).unwrap().slots_run, 200);
+    }
+
+    #[test]
+    fn a_closed_bid_keeps_its_record() {
+        // Later launches push more entries and later slots settle other
+        // bids; neither touches a closed bid's record.
+        let mut m = market();
+        let mut rng = Rng::seed_from_u64(34);
+        let id = m.submit(bid(0.35, BidKind::OneTime, 3));
+        let reps = m.run(3, &mut rng);
+        assert_eq!(reps[2].finished, vec![id]);
+        let rec = m.record(id).unwrap();
+        assert_eq!(rec.closed_at, Some(2));
+        assert_eq!(rec.slots_run, 3);
+        for s in 0..40u32 {
+            m.submit(bid(0.34, BidKind::Persistent, 1 + s % 4));
+            m.submit(bid(0.2 + f64::from(s % 7) * 0.02, BidKind::OneTime, 2));
+            let rep = m.step(&mut rng);
+            m.recycle(rep);
+            assert_eq!(m.record(id).unwrap(), rec, "slot {}", m.now());
+        }
+        assert!(m.runs.len() > 40, "later bids launched");
     }
 
     #[test]

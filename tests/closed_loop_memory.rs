@@ -9,9 +9,10 @@
 //! same session would need more than the bound asserted here on its own.
 //!
 //! The budget holds the session to the bytes it needs at its peak: the
-//! tenant columns, one bid in the market's seven 51-byte columns per
-//! tenant, a bounded submission queue, and the report rows, built after
-//! the market is dropped.
+//! tenant columns, one bid per tenant (23 bytes in the market's six
+//! columns plus a 32-byte run entry, since every tenant's bid runs), a
+//! bounded submission queue, and the report rows, built after the
+//! market is dropped.
 //!
 //! The counting allocator sees every allocation in the process, so this
 //! file holds a single test.
@@ -77,7 +78,9 @@ const TENANTS: usize = 20_000;
 const BOUND_BYTES: usize = 16 << 20;
 
 /// Peak live heap per tenant: 217 bytes measured (4,347,986 for the
-/// session below), plus 10% headroom.
+/// session below) when every bid carried its run state in its columns,
+/// plus 10% headroom. With the run table it reads 223 bytes (4,479,058):
+/// a book in which every bid launches pays 4 bytes per bid for the index.
 const BUDGET_PER_TENANT: usize = 239;
 
 #[test]
