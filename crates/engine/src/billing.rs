@@ -273,11 +273,6 @@ impl Bill {
     pub fn total_duration(&self) -> Hours {
         self.items.iter().map(|i| i.duration).sum()
     }
-
-    /// Merges another bill into this one.
-    pub fn absorb(&mut self, other: Bill) {
-        self.items.extend(other.items);
-    }
 }
 
 #[cfg(test)]
@@ -341,17 +336,6 @@ mod tests {
         assert_eq!(b.total(), Cost::ZERO);
         assert_eq!(b.total_duration(), Hours::ZERO);
         assert!(b.items().is_empty());
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = Bill::new();
-        a.charge_spot(0, Price::new(0.04), Hours::from_minutes(5.0), 0);
-        let mut b = Bill::new();
-        b.charge_spot(1, Price::new(0.05), Hours::from_minutes(5.0), 1);
-        a.absorb(b);
-        assert_eq!(a.items().len(), 2);
-        assert!((a.total().as_f64() - 0.09 / 12.0).abs() < 1e-12);
     }
 
     #[test]

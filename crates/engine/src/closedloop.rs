@@ -194,7 +194,8 @@ pub(crate) fn spot_charge(slot: u64, price: Price, slot_len: Hours) -> Result<()
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy lists, zero warmup or
-/// horizon, a non-finite arrival rate, or finite supply of capacity 0;
+/// horizon, a non-finite arrival rate or more expected background bids than
+/// the market's `u32` bid ids hold, or finite supply of capacity 0;
 /// [`EngineError::Core`] if a strategy fails to resolve.
 pub fn run_closed_loop(
     strategies: &[BiddingStrategy],

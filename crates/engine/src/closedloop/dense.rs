@@ -21,7 +21,7 @@
 use super::{ClosedLoopConfig, ClosedLoopReport, LoopFaults, TenantOutcome, TENANTS_PER_STREAM};
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
-use crate::kernel::{DriverStatus, JobDriver, Kernel};
+use crate::kernel::{self, DriverStatus, JobDriver};
 use crate::observer::{CostTotals, EventLog, Observer};
 use crate::source::PriceSource;
 use crate::EngineError;
@@ -160,7 +160,7 @@ impl ClosedLoopSource {
 impl PriceSource for ClosedLoopSource {
     type Quote = SlotReport;
 
-    fn post(&mut self, _slot: u64, _demand: usize) -> Option<SlotReport> {
+    fn post(&mut self, _slot: u64) -> Option<SlotReport> {
         Some(self.advance())
     }
 
@@ -496,10 +496,6 @@ impl TenantFleet {
 }
 
 impl JobDriver<ClosedLoopSource> for TenantFleet {
-    fn demand(&self) -> usize {
-        self.done.iter().filter(|&&d| !d).count()
-    }
-
     fn before_slot(
         &mut self,
         slot: u64,
@@ -579,18 +575,15 @@ fn run_dense(
         .collect();
     let mut fleet = TenantFleet::new(tenants);
     let mut costs = CostTotals::new(strategies.len());
-    {
-        let mut kernel = Kernel::new(cfg.slot_len, source);
-        let horizon = Some(cfg.horizon_slots as u64);
-        match log {
-            Some(l) => kernel.run(
-                &mut [&mut fleet],
-                &mut [&mut costs as &mut dyn Observer, l],
-                horizon,
-            )?,
-            None => kernel.run(&mut [&mut fleet], &mut [&mut costs], horizon)?,
-        };
-        source = kernel.into_source();
+    let horizon = Some(cfg.horizon_slots as u64);
+    match log {
+        Some(l) => kernel::run(
+            &mut source,
+            &mut fleet,
+            &mut [&mut costs as &mut dyn Observer, l],
+            horizon,
+        )?,
+        None => kernel::run(&mut source, &mut fleet, &mut [&mut costs], horizon)?,
     }
 
     let finals = fleet.tenants.iter().map(|t| TenantFinal {

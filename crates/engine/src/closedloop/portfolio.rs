@@ -68,7 +68,7 @@ pub use wakeup::PortfolioFleetStats;
 use super::LoopFaults;
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
-use crate::kernel::{JobDriver, Kernel};
+use crate::kernel::{self, JobDriver};
 use crate::observer::{CostTotals, EventLog, Observer};
 use crate::source::PriceSource;
 use crate::EngineError;
@@ -328,17 +328,7 @@ impl PortfolioSource {
 impl PriceSource for PortfolioSource {
     type Quote = Vec<SlotReport>;
 
-    fn markets(&self) -> usize {
-        self.set.len()
-    }
-
-    fn post(&mut self, slot: u64, _demand: usize) -> Option<Vec<SlotReport>> {
-        self.post_many(slot, &[])
-    }
-
-    fn post_many(&mut self, _slot: u64, _demands: &[usize]) -> Option<Vec<SlotReport>> {
-        // Demand moves prices through the bids actually in each book, not
-        // through the kernel's aggregate (same as the single-market loop).
+    fn post(&mut self, _slot: u64) -> Option<Vec<SlotReport>> {
         let mut reports = self
             .spare
             .take()
@@ -396,6 +386,16 @@ fn validate(
     let bad = |r: f64| !r.is_finite() || r < 0.0;
     if bad(cfg.shared_arrivals) || cfg.markets.iter().any(|m| bad(m.idio_arrivals)) {
         return invalid("arrival rates must be finite and ≥ 0".into());
+    }
+    // Every background arrival takes a market bid id, and the ids are u32.
+    let slots = (cfg.warmup_slots + cfg.horizon_slots) as f64;
+    for (i, m) in cfg.markets.iter().enumerate() {
+        let expected = (cfg.shared_arrivals + m.idio_arrivals) * slots;
+        if expected > f64::from(u32::MAX) {
+            return invalid(format!(
+                "market {i} expects {expected:e} background bids, more than its u32 bid ids hold"
+            ));
+        }
     }
     if let Some(s) = single {
         if bad(s.od_arrivals) {
@@ -498,24 +498,21 @@ fn run_session<F: SessionFleet>(
     let mut fleet = make_fleet();
     // A fleet without its own totals is billed by folding its events.
     let mut event_costs = fleet.costs().is_none().then(|| CostTotals::new(tenants));
-    let (posted, provider) = {
-        let mut kernel = Kernel::new(cfg.slot_len, source);
-        let horizon = Some(cfg.horizon_slots as u64);
-        let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2);
-        if let Some(folded) = event_costs.as_mut() {
-            observers.push(folded);
-        }
-        if let Some(l) = log {
-            observers.push(l);
-        }
-        kernel.run(&mut [&mut fleet], &mut observers, horizon)?;
-        // Only the prices and the provider telemetry outlive the loop:
-        // the markets and their bid books are dropped here.
-        let source = kernel.into_source();
-        let set = &source.set;
-        let provider = (0..set.len()).map(|m| set.provider_report(m)).collect();
-        (source.posted, provider)
-    };
+    let horizon = Some(cfg.horizon_slots as u64);
+    let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(2);
+    if let Some(folded) = event_costs.as_mut() {
+        observers.push(folded);
+    }
+    if let Some(l) = log {
+        observers.push(l);
+    }
+    kernel::run(&mut source, &mut fleet, &mut observers, horizon)?;
+    // Only the prices and the provider telemetry outlive the loop: the
+    // markets and their bid books are dropped here.
+    let set = &source.set;
+    let provider = (0..set.len()).map(|m| set.provider_report(m)).collect();
+    let posted = std::mem::take(&mut source.posted);
+    drop(source);
     fleet.close();
     let costs = match (event_costs, fleet.costs()) {
         (Some(folded), _) => folded,
@@ -641,7 +638,8 @@ fn portfolio_report<F: SessionFleet>(
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy or market lists, zero
-/// warmup or horizon, non-finite arrival rates, a finite market of
+/// warmup or horizon, non-finite arrival rates or more expected background
+/// bids in a market than its `u32` bid ids hold, a finite market of
 /// capacity 0, or a fault-plan/market count mismatch;
 /// [`EngineError::Core`] if a strategy fails to resolve.
 pub fn run_portfolio_loop(
@@ -886,6 +884,24 @@ mod tests {
         bad.markets[1].supply = Supply::Finite {
             capacity: 0,
             policy: ProviderPolicy::StaticSplit { reserved: 0 },
+        };
+        assert!(matches!(
+            run_portfolio_loop(&strats, &bad, 1),
+            Err(EngineError::InvalidConfig { .. })
+        ));
+        // Background arrivals whose expected count over the session
+        // overflows a member market's u32 bid ids, shared or idiosyncratic.
+        let slots = (cfg.warmup_slots + cfg.horizon_slots) as f64;
+        let rate = f64::from(u32::MAX) / slots;
+        let mut bad = cfg.clone();
+        bad.markets[1].idio_arrivals = rate * 1.01;
+        assert!(matches!(
+            run_portfolio_loop(&strats, &bad, 1),
+            Err(EngineError::InvalidConfig { .. })
+        ));
+        let bad = PortfolioLoopConfig {
+            shared_arrivals: rate,
+            ..cfg.clone()
         };
         assert!(matches!(
             run_portfolio_loop(&strats, &bad, 1),

@@ -94,7 +94,6 @@ impl PortfolioTenant {
         job: &JobSpec,
         slot: u64,
         source: &mut PortfolioSource,
-        live: &mut [u32],
         emit: &mut dyn FnMut(Event),
     ) {
         for leg in &plan.legs {
@@ -143,7 +142,6 @@ impl PortfolioTenant {
                         ran: 0,
                         running: false,
                     });
-                    live[leg.market] += 1;
                     self.pending -= assigned;
                     emit(Event::BidSubmitted {
                         slot,
@@ -176,7 +174,6 @@ impl PortfolioTenant {
         reports: &[SlotReport],
         job: &JobSpec,
         max_resubmissions: u32,
-        live: &mut [u32],
         emit: &mut dyn FnMut(Event),
     ) -> DriverStatus {
         if self.done_pending {
@@ -223,7 +220,6 @@ impl PortfolioTenant {
                 leg.running = false;
             }
             if finished {
-                live[leg.market as usize] -= 1;
                 self.legs.remove(k);
                 continue;
             }
@@ -233,7 +229,6 @@ impl PortfolioTenant {
                     tenant: self.tag,
                 });
                 let lost = u64::from(leg.assigned - leg.ran);
-                live[leg.market as usize] -= 1;
                 self.legs.remove(k);
                 self.pending += lost;
                 if self.resubmissions < max_resubmissions {
@@ -278,15 +273,12 @@ struct PortfolioFleet {
     job: JobSpec,
     on_demand: Price,
     max_resubmissions: u32,
-    /// Live spot legs per market (the kernel's per-market demand signal).
-    live: Vec<u32>,
     /// Scratch: indices of tenants that must (re-)plan this slot.
     needy: Vec<u32>,
 }
 
 impl PortfolioFleet {
     fn new(tenants: Vec<PortfolioTenant>, cfg: &PortfolioLoopConfig) -> Self {
-        let m = cfg.markets.len();
         let done = vec![false; tenants.len()];
         PortfolioFleet {
             tenants,
@@ -294,21 +286,12 @@ impl PortfolioFleet {
             job: cfg.job,
             on_demand: cfg.on_demand,
             max_resubmissions: cfg.max_resubmissions,
-            live: vec![0; m],
             needy: Vec::new(),
         }
     }
 }
 
 impl JobDriver<PortfolioSource> for PortfolioFleet {
-    fn demand(&self) -> usize {
-        self.live.iter().map(|&n| n as usize).sum()
-    }
-
-    fn demand_in(&self, market: usize) -> usize {
-        self.live[market] as usize
-    }
-
     fn before_slot(
         &mut self,
         slot: u64,
@@ -337,7 +320,7 @@ impl JobDriver<PortfolioSource> for PortfolioFleet {
                 .strategy
                 .decide(&histories, &job, on_demand)
                 .map_err(EngineError::Core)?;
-            t.apply_plan(&plan, &job, slot, source, &mut self.live, emit);
+            t.apply_plan(&plan, &job, slot, source, emit);
         }
         Ok(())
     }
@@ -353,14 +336,8 @@ impl JobDriver<PortfolioSource> for PortfolioFleet {
             if self.done[i] {
                 continue;
             }
-            let status = self.tenants[i].slot_update(
-                slot,
-                reports,
-                &self.job,
-                self.max_resubmissions,
-                &mut self.live,
-                emit,
-            );
+            let status =
+                self.tenants[i].slot_update(slot, reports, &self.job, self.max_resubmissions, emit);
             if status == DriverStatus::Done {
                 self.done[i] = true;
             } else {

@@ -418,8 +418,6 @@ pub(in crate::closedloop) struct Fleet {
     needy: Vec<u32>,
     /// Tenants not yet [`T_DONE`].
     active: usize,
-    /// Live spot legs per market (the kernel's per-market demand signal).
-    live: Vec<u32>,
     pub(in crate::closedloop) stats: PortfolioFleetStats,
 
     // Scratch (steady state allocates nothing per slot).
@@ -480,7 +478,6 @@ impl Fleet {
             fresh: Vec::new(),
             needy: (0..n as u32).collect(),
             active: n,
-            live: vec![0; m],
             stats: PortfolioFleetStats {
                 swept: vec![0; m],
                 ..PortfolioFleetStats::default()
@@ -688,7 +685,6 @@ impl Fleet {
             work: WorkModel::FixedSlots(assigned),
         });
         set_owner(&mut self.owners[m], id, t);
-        self.live[m] += 1;
         let leg = Leg {
             market: m as u32,
             bid: u32::try_from(id).expect("market bid ids fit in u32"),
@@ -826,7 +822,6 @@ impl Fleet {
             events.emit(|| Event::Rejected { slot, tenant: t });
             self.lose(t, f, leg.left);
         }
-        self.live[m] -= 1;
         false
     }
 
@@ -974,14 +969,6 @@ impl Fleet {
 }
 
 impl JobDriver<PortfolioSource> for Fleet {
-    fn demand(&self) -> usize {
-        self.live.iter().map(|&n| n as usize).sum()
-    }
-
-    fn demand_in(&self, market: usize) -> usize {
-        self.live[market] as usize
-    }
-
     fn before_slot(
         &mut self,
         slot: u64,

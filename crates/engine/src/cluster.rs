@@ -56,7 +56,7 @@ impl<'a> DualTraceSource<'a> {
 impl PriceSource for DualTraceSource<'_> {
     type Quote = ClusterQuote;
 
-    fn post(&mut self, slot: u64, _demand: usize) -> Option<ClusterQuote> {
+    fn post(&mut self, slot: u64) -> Option<ClusterQuote> {
         let i = slot as usize;
         if i >= self.horizon {
             return None;
@@ -87,7 +87,7 @@ pub struct ConstantClusterSource {
 impl PriceSource for ConstantClusterSource {
     type Quote = ClusterQuote;
 
-    fn post(&mut self, _slot: u64, _demand: usize) -> Option<ClusterQuote> {
+    fn post(&mut self, _slot: u64) -> Option<ClusterQuote> {
         Some(ClusterQuote {
             master: Some(self.master),
             slave: Some(self.slave),
@@ -160,10 +160,10 @@ mod tests {
         let s = history(&[0.03, 0.04]);
         let mut src = DualTraceSource::new(&m, &s);
         assert_eq!(src.horizon(), 2);
-        let q = src.post(0, 1).unwrap();
+        let q = src.post(0).unwrap();
         assert_eq!(q.master, Some(Price::new(0.10)));
         assert_eq!(q.slave, Some(Price::new(0.03)));
-        assert!(src.post(2, 1).is_none());
+        assert!(src.post(2).is_none());
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
             master: Price::new(0.266),
             slave: Price::new(0.84),
         };
-        let q = src.post(1_000_000, 33).unwrap();
+        let q = src.post(1_000_000).unwrap();
         assert_eq!(q.master, Some(Price::new(0.266)));
         assert_eq!(q.slave, Some(Price::new(0.84)));
     }

@@ -3,14 +3,13 @@
 //! The discrete-time simulation kernel beneath every slot loop in the
 //! workspace. Single-job trace replay ([`single`]: `run_job*`), MapReduce
 //! clusters (`mapred::spot`) and the multi-tenant closed loops share one
-//! substrate:
+//! substrate, the slot loop [`kernel::run`], over:
 //!
-//! - [`clock::SimClock`] — the slot counter every session advances;
 //! - [`source::PriceSource`] — where each slot's market signal comes from
 //!   (trace replay, a degraded [`source::MarketView`], or a closed loop's
 //!   endogenous market);
-//! - [`kernel::JobDriver`] — a per-tenant component advanced one slot at a
-//!   time (single spot jobs, MapReduce clusters, closed-loop bidders);
+//! - [`kernel::JobDriver`] — the component advanced one slot at a time (a
+//!   single spot job, a MapReduce cluster, a closed loop's tenant fleet);
 //! - [`observer::Observer`] — pluggable hooks fed the append-only
 //!   [`event::Event`] stream (billing ledger, event log).
 //!
@@ -24,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod billing;
-pub mod clock;
 pub mod closedloop;
 pub mod cluster;
 pub mod event;
@@ -35,7 +33,6 @@ pub mod single;
 pub mod source;
 
 pub use billing::{Bill, LineItem, UsageKind};
-pub use clock::SimClock;
 pub use closedloop::portfolio::{
     run_portfolio_loop, run_portfolio_loop_logged, run_portfolio_loop_with_stats,
     PortfolioFleetStats, PortfolioLoopConfig, PortfolioMarket, PortfolioReport,
@@ -46,7 +43,7 @@ pub use closedloop::{
     ClosedLoopReport, FleetStats, LoopFaults, TenantOutcome,
 };
 pub use event::Event;
-pub use kernel::{DriverStatus, JobDriver, Kernel, StopReason};
+pub use kernel::{DriverStatus, JobDriver};
 pub use observer::{BillingObserver, EventLog, Observer};
 pub use single::{
     run_job, run_job_resilient, run_job_with_fallback, JobOutcome, RecoveryPolicy, RunStatus,

@@ -19,7 +19,7 @@
 use crate::billing::{Bill, LineItem, UsageKind};
 use crate::event::Event;
 use crate::job_monitor::{JobMonitor, JobState};
-use crate::kernel::{DriverStatus, JobDriver, Kernel};
+use crate::kernel::{self, DriverStatus, JobDriver};
 use crate::observer::BillingObserver;
 use crate::source::{MarketView, PriceSource, SlotPrice, ViewSource};
 use crate::EngineError;
@@ -324,8 +324,12 @@ fn run_spot_session<M: MarketView + ?Sized>(
 ) -> Result<JobOutcome, EngineError> {
     let mut driver = SpotJobDriver::new(*job, bid, persistent, policy, tag);
     let mut billing = BillingObserver::new();
-    let mut kernel = Kernel::new(job.slot, ViewSource::new(view));
-    kernel.run(&mut [&mut driver], &mut [&mut billing], None)?;
+    kernel::run(
+        &mut ViewSource::new(view),
+        &mut driver,
+        &mut [&mut billing],
+        None,
+    )?;
     Ok(driver.into_outcome(billing.into_bill()))
 }
 
@@ -916,10 +920,7 @@ mod tests {
         let mut driver =
             SpotJobDriver::new(j, Price::new(0.10), true, RecoveryPolicy::default(), 5);
         let mut log = EventLog::new();
-        let mut kernel = Kernel::new(j.slot, ViewSource::new(&h));
-        kernel
-            .run(&mut [&mut driver], &mut [&mut log], None)
-            .unwrap();
+        kernel::run(&mut ViewSource::new(&h), &mut driver, &mut [&mut log], None).unwrap();
         let kinds: Vec<&Event> = log
             .events()
             .iter()

@@ -1,8 +1,8 @@
 //! Price sources: where each slot's market signal comes from.
 //!
 //! A [`PriceSource`] is the kernel's supply side. Each slot the kernel asks
-//! it to `post` a quote given the aggregate demand; `None` means the source
-//! is exhausted (end of trace) and the session stops. The quote type is
+//! it to `post` the slot's quote; `None` means the source is exhausted (end
+//! of trace) and the session stops. The quote type is
 //! source-specific — a degraded per-slot view for trace replay
 //! ([`SlotPrice`]), a full `SlotReport` for the live Section-4 market —
 //! so drivers are written against the quote they understand.
@@ -74,48 +74,30 @@ pub struct SlotPrice {
 
 /// The supply side of a kernel session.
 ///
-/// A source quotes one or more markets per slot. Single-market sources —
-/// the historical case — implement [`PriceSource::post`] and inherit
-/// `markets() == 1`; multi-market sources (a `MarketSet` of instance
-/// types × zones) report their M and implement
-/// [`PriceSource::post_many`], receiving per-market demand. The kernel
-/// only takes the `post_many` path when `markets() > 1`, so promoting the
-/// trait left every existing source bit-identical.
+/// Replayed sources ignore the bidders entirely (price-takers, §5–7);
+/// the closed loops' endogenous markets price on the bids actually in
+/// their books (Eq. 3's L(t)), which the driver submits in `before_slot`.
 pub trait PriceSource {
     /// What the source posts each slot.
     type Quote;
 
-    /// Number of markets this source quotes each slot. Defaults to 1;
-    /// multi-market sources override.
-    fn markets(&self) -> usize {
-        1
-    }
-
-    /// Posts the quote for `slot` given the aggregate `demand` (number of
-    /// active drivers). `None` ends the session (source exhausted).
-    fn post(&mut self, slot: u64, demand: usize) -> Option<Self::Quote>;
-
-    /// Posts the quote for `slot` given per-market demand (`demands[m]`
-    /// is the capacity wanted from market `m`). The default folds the
-    /// vector back into [`PriceSource::post`]; sources with
-    /// `markets() > 1` should override.
-    fn post_many(&mut self, slot: u64, demands: &[usize]) -> Option<Self::Quote> {
-        self.post(slot, demands.iter().sum())
-    }
+    /// Posts the quote for `slot`. `None` ends the session (source
+    /// exhausted).
+    fn post(&mut self, slot: u64) -> Option<Self::Quote>;
 
     /// Emits the market-wide events describing a posted quote (e.g.
-    /// [`Event::PricePosted`]). Called once per slot, before any driver
-    /// sees the quote.
+    /// [`Event::PricePosted`]). Called once per slot, before the driver sees
+    /// the quote.
     fn quote_events(&self, _slot: u64, _quote: &Self::Quote, _emit: &mut dyn FnMut(Event)) {}
 
-    /// Takes a fully-consumed quote back after every driver has seen it,
+    /// Takes a fully-consumed quote back after the driver has seen it,
     /// so arena-backed sources (the live market's `SlotReport` buffers)
     /// can reuse its allocations next slot. The default drops it.
     fn reclaim(&mut self, _quote: Self::Quote) {}
 }
 
 /// Adapts any [`MarketView`] into a [`PriceSource`] replaying it slot by
-/// slot. Demand does not move the price — replayed bidders are
+/// slot. Bids do not move the price — replayed bidders are
 /// price-takers, exactly as in the paper's Sections 5–7.
 #[derive(Debug)]
 pub struct ViewSource<'a, M: MarketView + ?Sized> {
@@ -137,7 +119,7 @@ impl<'a, M: MarketView + ?Sized> ViewSource<'a, M> {
 impl<M: MarketView + ?Sized> PriceSource for ViewSource<'_, M> {
     type Quote = SlotPrice;
 
-    fn post(&mut self, slot: u64, _demand: usize) -> Option<SlotPrice> {
+    fn post(&mut self, slot: u64) -> Option<SlotPrice> {
         let i = slot as usize;
         if i >= self.view.len() {
             return None;
@@ -184,12 +166,12 @@ mod tests {
     fn view_source_replays_then_exhausts() {
         let h = history(&[0.04, 0.05]);
         let mut src = ViewSource::new(&h);
-        let q = src.post(0, 1).unwrap();
+        let q = src.post(0).unwrap();
         assert_eq!(q.truth, Price::new(0.04));
         assert_eq!(q.observed, Some(Price::new(0.04)));
         assert!(!q.reclaimed);
-        assert!(src.post(1, 99).is_some(), "demand must not affect replay");
-        assert!(src.post(2, 1).is_none(), "past the trace end");
+        assert!(src.post(1).is_some());
+        assert!(src.post(2).is_none(), "past the trace end");
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! the slot's spot price, and the word-count result is checked against the
 //! sequential reference execution.
 //!
-//! Since the kernel refactor both entry points run through
-//! `spotbid-engine`: a private `ClusterDriver` advances the resumable
-//! [`ScheduleSim`] one kernel slot at a time, deriving availability from
-//! the slot's [`ClusterQuote`], and bills through the kernel's event
-//! stream via [`cluster_slot_events`] — the one shared helper that
-//! replaced this module's two hand-rolled billing loops (spot and
-//! on-demand differed only in where prices came from and whether nodes
-//! could be down).
+//! Both entry points run one `spotbid_engine::kernel::run` session: a
+//! private `ClusterDriver` advances the resumable [`ScheduleSim`] one
+//! kernel slot at a time against a [`DualTraceSource`] (spot) or a
+//! [`ConstantClusterSource`] (on demand), deriving availability from the
+//! slot's [`ClusterQuote`], and bills through the kernel's event stream
+//! via [`cluster_slot_events`] — the one shared helper that replaced this
+//! module's two hand-rolled billing loops (spot and on-demand differed
+//! only in where prices came from and whether nodes could be down).
 
 use crate::corpus::Corpus;
 use crate::engine::{run_local, shard};
@@ -29,7 +29,7 @@ use spotbid_engine::cluster::{
     cluster_slot_events, ClusterQuote, ConstantClusterSource, DualTraceSource,
 };
 use spotbid_engine::{
-    Bill, BillingObserver, DriverStatus, EngineError, Event, JobDriver, Kernel, PriceSource,
+    kernel, Bill, BillingObserver, DriverStatus, EngineError, Event, JobDriver, PriceSource,
     UsageKind,
 };
 use spotbid_market::units::{Cost, Hours, Price};
@@ -117,7 +117,7 @@ enum ClusterPricing {
     OnDemand,
 }
 
-/// Kernel driver for a master/slave cluster: one [`ScheduleSim`] step per
+/// The kernel driver of a master/slave cluster: one [`ScheduleSim`] step per
 /// kernel slot, availability derived from the slot's quote, billing
 /// emitted as `Event::Charged` through [`cluster_slot_events`].
 struct ClusterDriver {
@@ -205,13 +205,13 @@ fn run_cluster<S: PriceSource<Quote = ClusterQuote>>(
     cfg: &ScheduleConfig,
     pricing: ClusterPricing,
     m: u32,
-    source: S,
+    mut source: S,
 ) -> Result<(ScheduleOutcome, Bill), MapRedError> {
     let mut driver = ClusterDriver::new(tasks, cfg, pricing, m);
     let mut billing = BillingObserver::new();
-    let mut kernel = Kernel::new(cfg.slot, source);
-    kernel.run(
-        &mut [&mut driver],
+    kernel::run(
+        &mut source,
+        &mut driver,
         &mut [&mut billing],
         Some(cfg.max_slots as u64),
     )?;

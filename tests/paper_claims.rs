@@ -4,7 +4,10 @@
 
 use spotbid::core::mapreduce;
 use spotbid::core::price_model::EmpiricalPrices;
-use spotbid::core::{persistent, JobSpec};
+use spotbid::core::{onetime, persistent, JobSpec};
+use spotbid::market::sim::{BidKind, BidRequest, SpotMarket, WorkModel};
+use spotbid::market::units::{Hours, Price};
+use spotbid::market::MarketParams;
 use spotbid::numerics::rng::Rng;
 use spotbid::trace::{catalog, synthetic};
 use spotbid_bench::experiments::{stability, table3};
@@ -112,4 +115,125 @@ fn interruptibility_bound_separates_feasible_jobs() {
         "heavy job must bid into the top decile, got F = {}",
         heavy_rec.acceptance_prob
     );
+}
+
+/// One empirical price model per catalog instance and seed 1–8: a month
+/// of synthetic five-minute prices capped at the instance's on-demand
+/// price.
+fn catalog_models() -> Vec<(String, u64, EmpiricalPrices)> {
+    let mut models = Vec::new();
+    for inst in catalog::catalog() {
+        let cfg = synthetic::SyntheticConfig::for_instance(&inst);
+        for seed in 1..=8 {
+            let h = synthetic::generate(&cfg, 8_640, &mut Rng::seed_from_u64(seed)).unwrap();
+            let model = EmpiricalPrices::from_history_with_cap(&h, inst.on_demand).unwrap();
+            models.push((inst.name.to_string(), seed, model));
+        }
+    }
+    models
+}
+
+#[test]
+fn proposition4_one_time_bid_never_rises_with_the_slot_length() {
+    // Eq. 11 bids the 1 − t_k/t_s quantile: a longer slot needs fewer
+    // uninterrupted slots, so the bid can only fall.
+    let slot_minutes = [1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0];
+    for (name, seed, model) in catalog_models() {
+        let bids: Vec<Price> = slot_minutes
+            .iter()
+            .map(|&m| {
+                let job = JobSpec::builder(2.0)
+                    .slot(Hours::from_minutes(m))
+                    .build()
+                    .unwrap();
+                onetime::optimal_bid(&model, &job).unwrap().price
+            })
+            .collect();
+        for (w, pair) in bids.windows(2).enumerate() {
+            assert!(
+                pair[1] <= pair[0],
+                "{name} seed {seed}: t_k {} min bids {:?}, {} min bids {:?}",
+                slot_minutes[w],
+                pair[0],
+                slot_minutes[w + 1],
+                pair[1]
+            );
+        }
+    }
+}
+
+#[test]
+fn proposition5_persistent_bid_never_falls_with_the_recovery_time() {
+    // Eq. 16: a longer recovery makes each interruption dearer, so the
+    // optimal persistent bid can only rise.
+    let recovery_secs = [1.0, 5.0, 10.0, 30.0, 60.0, 100.0, 200.0];
+    for (name, seed, model) in catalog_models() {
+        let bids: Vec<Price> = recovery_secs
+            .iter()
+            .map(|&tr| {
+                let job = JobSpec::builder(2.0).recovery_secs(tr).build().unwrap();
+                persistent::optimal_bid(&model, &job).unwrap().price
+            })
+            .collect();
+        for (w, pair) in bids.windows(2).enumerate() {
+            assert!(
+                pair[0] <= pair[1],
+                "{name} seed {seed}: t_r {} s bids {:?}, {} s bids {:?}",
+                recovery_secs[w],
+                pair[0],
+                recovery_secs[w + 1],
+                pair[1]
+            );
+        }
+    }
+}
+
+#[test]
+fn eq4_one_slot_acceptance_and_finishes_match_the_queue_model() {
+    // From a fresh pool of n one-time bids uniform on [π_min, π̄], one
+    // step of the bid-level market accepts Binomial(n, (π̄ − π*)/(π̄ −
+    // π_min)) of them, and the geometric work finishes Binomial(accepted,
+    // θ) in the same slot — Eq. 4's acceptance and departure terms. Only
+    // this one-slot identity holds: over many slots Eq. 4 is a
+    // mean-field recursion the bid-level market does not follow.
+    let params = MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.1).unwrap();
+    let (lo, hi) = (params.pi_min.as_f64(), params.pi_bar.as_f64());
+    let trials = 200u64;
+    for (n, seed) in [(50usize, 0xE4_0050u64), (500, 0xE4_0500), (5000, 0xE4_5000)] {
+        let (mut started, mut finished) = (0usize, 0usize);
+        let mut price = None;
+        for k in 0..trials {
+            let mut rng = Rng::seed_from_u64(seed + k);
+            let mut market = SpotMarket::new(params, Hours::from_minutes(5.0));
+            for _ in 0..n {
+                market.submit(BidRequest {
+                    price: Price::new(rng.range_f64(lo, hi)),
+                    kind: BidKind::OneTime,
+                    work: WorkModel::Geometric,
+                });
+            }
+            let report = market.step(&mut rng);
+            assert_eq!(report.demand, n);
+            // π* depends on L(t) = n alone, so every trial posts it.
+            assert_eq!(*price.get_or_insert(report.price), report.price);
+            started += report.started.len();
+            finished += report.finished.len();
+        }
+        let pi = price.unwrap().as_f64();
+        let accept = (hi - pi) / (hi - lo);
+        let draws = (n as u64 * trials) as f64;
+        let sd = (draws * accept * (1.0 - accept)).sqrt();
+        let expected = draws * accept;
+        assert!(
+            (started as f64 - expected).abs() <= 4.0 * sd,
+            "n {n}: {started} started, expected {expected:.1} ± {sd:.1} at π* {pi}"
+        );
+        let theta = params.theta;
+        let sd = (started as f64 * theta * (1.0 - theta)).sqrt();
+        let expected = started as f64 * theta;
+        assert!(
+            (finished as f64 - expected).abs() <= 4.0 * sd,
+            "n {n}: {finished} finished of {started} started, expected {expected:.1} ± {sd:.1}"
+        );
+    }
 }
