@@ -334,8 +334,7 @@ fn market_scale_benches(h: &mut Harness) {
     }
     let mut rng = Rng::seed_from_u64(0x5CA1E);
     // Absorb the initial 100k-bid first auction before timing steady state.
-    let first = market.step(&mut rng);
-    market.recycle(first);
+    let mut report = market.step(&mut rng);
     let mut next = 100_000usize;
     h.group("market_scale")
         .throughput_items(100_000)
@@ -344,9 +343,8 @@ fn market_scale_benches(h: &mut Harness) {
                 market.submit(churn_bid(&params, next));
                 next += 1;
             }
-            let report = market.step(&mut rng);
-            let report = black_box(report);
-            market.recycle(report);
+            market.step_into(&mut rng, &mut report);
+            black_box(&report);
         });
 
     // The retained naive scan on the identical workload.
@@ -397,8 +395,7 @@ fn market_scale_benches(h: &mut Harness) {
         market.submit(standing_bid(&params, i));
     }
     let mut rng = Rng::seed_from_u64(0x5CA1E);
-    let first = market.step(&mut rng);
-    market.recycle(first);
+    let mut report = market.step(&mut rng);
     let mut next = 1_000_000usize;
     h.group("market_scale")
         .throughput_items(1_000_000)
@@ -407,9 +404,8 @@ fn market_scale_benches(h: &mut Harness) {
                 market.submit(churn_bid(&params, next));
                 next += 1;
             }
-            let report = market.step(&mut rng);
-            let report = black_box(report);
-            market.recycle(report);
+            market.step_into(&mut rng, &mut report);
+            black_box(&report);
         });
 }
 
@@ -437,8 +433,7 @@ fn market_provider_benches(h: &mut Harness) {
         market.submit(standing_bid(&params, i));
     }
     let mut rng = Rng::seed_from_u64(0x5CA1E);
-    let first = market.step(&mut rng);
-    market.recycle(first);
+    let mut report = market.step(&mut rng);
     let mut next = 100_000usize;
     h.group("market_provider").throughput_items(100_000).bench(
         "finite_step/100k_bids_8k_servers",
@@ -447,9 +442,8 @@ fn market_provider_benches(h: &mut Harness) {
                 market.submit(churn_bid(&params, next));
                 next += 1;
             }
-            let report = market.step(&mut rng);
-            let report = black_box(report);
-            market.recycle(report);
+            market.step_into(&mut rng, &mut report);
+            black_box(&report);
         },
     );
 
@@ -469,8 +463,7 @@ fn market_provider_benches(h: &mut Harness) {
         market.submit(storm_bid(i));
     }
     let mut rng = Rng::seed_from_u64(0x5CA1E);
-    let first = market.step(&mut rng);
-    market.recycle(first);
+    let mut report = market.step(&mut rng);
     let mut tick = 0u32;
     h.group("market_provider").throughput_items(20_000).bench(
         "reclaim_storm_step/20k_bids_4k_servers",
@@ -481,9 +474,8 @@ fn market_provider_benches(h: &mut Harness) {
                 market.release_on_demand(2048);
             }
             tick += 1;
-            let report = market.step(&mut rng);
-            let report = black_box(report);
-            market.recycle(report);
+            market.step_into(&mut rng, &mut report);
+            black_box(&report);
         },
     );
 }

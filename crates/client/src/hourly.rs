@@ -17,7 +17,7 @@
 //! quantify the gap (small for multi-hour jobs, visible for short ones).
 
 use crate::ClientError;
-use spotbid_engine::{Bill, LineItem, UsageKind};
+use spotbid_engine::{Bill, UsageKind};
 use spotbid_market::units::Hours;
 use spotbid_trace::SpotPriceHistory;
 
@@ -142,7 +142,7 @@ pub fn hourly_bill(
             let price = prices
                 .price_at_slot(anchor as usize)
                 .expect("bounds checked");
-            bill.charge_spot(anchor, price, Hours::new(1.0), tag);
+            bill.try_charge_spot(anchor, price, Hours::new(1.0), tag)?;
         }
         if partial > 0 && s.end == SessionEnd::UserTerminated {
             // Charged as a full hour at the partial hour's opening price.
@@ -150,7 +150,7 @@ pub fn hourly_bill(
             let price = prices
                 .price_at_slot(anchor as usize)
                 .expect("bounds checked");
-            bill.charge_spot(anchor, price, Hours::new(1.0), tag);
+            bill.try_charge_spot(anchor, price, Hours::new(1.0), tag)?;
         }
         // Partial hour after a provider interruption: free.
     }
@@ -170,9 +170,6 @@ pub fn rebill_hourly(
 ) -> Result<Bill, ClientError> {
     hourly_bill(&sessions_from_bill(per_slot, completed), prices, tag)
 }
-
-/// Keeps `LineItem` reachable from the docs of this module.
-pub type HourlyItem = LineItem;
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,6 @@
 //! re-exports these types unchanged.
 
 use crate::EngineError;
-use spotbid_json::{FromJson, Json, JsonError, ToJson};
 use spotbid_market::units::{Cost, Hours, Price};
 
 /// What a line item pays for.
@@ -19,28 +18,6 @@ pub enum UsageKind {
     Spot,
     /// On-demand usage, charged at the on-demand price.
     OnDemand,
-}
-
-impl ToJson for UsageKind {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                UsageKind::Spot => "Spot",
-                UsageKind::OnDemand => "OnDemand",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl FromJson for UsageKind {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str()? {
-            "Spot" => Ok(UsageKind::Spot),
-            "OnDemand" => Ok(UsageKind::OnDemand),
-            other => Err(JsonError::new(format!("unknown usage kind `{other}`"))),
-        }
-    }
 }
 
 /// One charge: a duration of usage at a price.
@@ -92,51 +69,10 @@ impl LineItem {
     }
 }
 
-impl ToJson for LineItem {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            [
-                ("slot".to_owned(), self.slot.to_json()),
-                ("price".to_owned(), self.price.to_json()),
-                ("duration".to_owned(), self.duration.to_json()),
-                ("kind".to_owned(), self.kind.to_json()),
-                ("tag".to_owned(), self.tag.to_json()),
-            ]
-            .into(),
-        )
-    }
-}
-
-impl FromJson for LineItem {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(LineItem {
-            slot: u64::from_json(v.field("slot")?)?,
-            price: Price::from_json(v.field("price")?)?,
-            duration: Hours::from_json(v.field("duration")?)?,
-            kind: UsageKind::from_json(v.field("kind")?)?,
-            tag: u32::from_json(v.field("tag")?)?,
-        })
-    }
-}
-
 /// An accumulating bill.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bill {
     items: Vec<LineItem>,
-}
-
-impl ToJson for Bill {
-    fn to_json(&self) -> Json {
-        Json::Obj([("items".to_owned(), self.items.to_json())].into())
-    }
-}
-
-impl FromJson for Bill {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Bill {
-            items: Vec::from_json(v.field("items")?)?,
-        })
-    }
 }
 
 impl Bill {
@@ -155,17 +91,6 @@ impl Bill {
         item.validate()?;
         self.items.push(item);
         Ok(())
-    }
-
-    /// Records a charge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pathological item (NaN/negative price or duration) —
-    /// internal misuse, not survivable input. Paths fed by untrusted or
-    /// fault-injected data must use [`Bill::try_charge`] instead.
-    pub fn charge(&mut self, item: LineItem) {
-        self.try_charge(item).expect("pathological line item");
     }
 
     /// Validated convenience: records spot usage.
@@ -208,20 +133,6 @@ impl Bill {
             kind: UsageKind::OnDemand,
             tag,
         })
-    }
-
-    /// Convenience: records spot usage (panicking on pathological input,
-    /// like [`Bill::charge`]).
-    pub fn charge_spot(&mut self, slot: u64, price: Price, duration: Hours, tag: u32) {
-        self.try_charge_spot(slot, price, duration, tag)
-            .expect("pathological spot charge");
-    }
-
-    /// Convenience: records on-demand usage (panicking on pathological
-    /// input, like [`Bill::charge`]).
-    pub fn charge_on_demand(&mut self, slot: u64, price: Price, duration: Hours, tag: u32) {
-        self.try_charge_on_demand(slot, price, duration, tag)
-            .expect("pathological on-demand charge");
     }
 
     /// All line items, in charge order.
@@ -283,9 +194,10 @@ mod tests {
     fn totals_and_breakdowns() {
         let mut b = Bill::new();
         let slot = Hours::from_minutes(5.0);
-        b.charge_spot(0, Price::new(0.036), slot, 0);
-        b.charge_spot(1, Price::new(0.048), slot, 1);
-        b.charge_on_demand(2, Price::new(0.350), Hours::new(1.0), 0);
+        b.try_charge_spot(0, Price::new(0.036), slot, 0).unwrap();
+        b.try_charge_spot(1, Price::new(0.048), slot, 1).unwrap();
+        b.try_charge_on_demand(2, Price::new(0.350), Hours::new(1.0), 0)
+            .unwrap();
         let expected = 0.036 / 12.0 + 0.048 / 12.0 + 0.35;
         assert!((b.total().as_f64() - expected).abs() < 1e-12);
         assert!(
@@ -305,18 +217,20 @@ mod tests {
         let slot = Hours::from_minutes(5.0);
         for i in 0..200u32 {
             let tag = i % 7;
-            b.charge_spot(
+            b.try_charge_spot(
                 u64::from(i),
                 Price::new(0.01 + f64::from(i) * 0.003_7),
                 slot,
                 tag,
-            );
+            )
+            .unwrap();
             if i % 3 == 0 {
-                b.charge_on_demand(u64::from(i), Price::new(0.35), Hours::new(0.1), tag);
+                b.try_charge_on_demand(u64::from(i), Price::new(0.35), Hours::new(0.1), tag)
+                    .unwrap();
             }
         }
         // One out-of-range tag: ignored by the vectorized pass.
-        b.charge_spot(999, Price::new(0.2), slot, 7);
+        b.try_charge_spot(999, Price::new(0.2), slot, 7).unwrap();
         let totals = b.totals_by_tag(7);
         assert_eq!(totals.len(), 7);
         for (tag, total) in totals.iter().enumerate() {
@@ -341,7 +255,8 @@ mod tests {
     #[test]
     fn pathological_charges_are_refused() {
         let mut b = Bill::new();
-        b.charge_spot(0, Price::new(0.04), Hours::from_minutes(5.0), 0);
+        b.try_charge_spot(0, Price::new(0.04), Hours::from_minutes(5.0), 0)
+            .unwrap();
         let before = b.clone();
         for (price, duration) in [
             (f64::NAN, 0.1),
@@ -366,13 +281,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pathological")]
-    fn infallible_charge_panics_on_nan() {
-        let mut b = Bill::new();
-        b.charge_spot(0, Price::new(f64::NAN), Hours::new(0.1), 0);
-    }
-
-    #[test]
     fn accrual_keeps_totals_monotone_and_finite() {
         let mut b = Bill::new();
         let mut prev = Cost::ZERO;
@@ -389,15 +297,5 @@ mod tests {
             assert!(t >= prev, "total regressed at item {i}");
             prev = t;
         }
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut b = Bill::new();
-        b.charge_spot(3, Price::new(0.04), Hours::from_minutes(5.0), 7);
-        let s = spotbid_json::encode(&b);
-        let back: Bill = spotbid_json::decode(&s).unwrap();
-        assert_eq!(b, back);
-        assert!(s.contains(r#""kind":"Spot""#), "{s}");
     }
 }

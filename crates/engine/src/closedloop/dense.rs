@@ -57,6 +57,8 @@ struct ClosedLoopSource {
     /// The prices that reached the tenants' feed (gap slots omitted).
     observed: Vec<Price>,
     faults: Option<LoopFaults>,
+    /// The report the next slot refills: the last one handed back.
+    spare: SlotReport,
 }
 
 impl ClosedLoopSource {
@@ -88,6 +90,7 @@ impl ClosedLoopSource {
             posted: Vec::new(),
             observed: Vec::new(),
             faults: faults.cloned(),
+            spare: SlotReport::empty(),
         }
     }
 
@@ -131,7 +134,8 @@ impl ClosedLoopSource {
                 work: WorkModel::Geometric,
             });
         }
-        let report = self.market.step(&mut self.market_rng);
+        let mut report = std::mem::replace(&mut self.spare, SlotReport::empty());
+        self.market.step_into(&mut self.market_rng, &mut report);
         self.posted.push(report.price);
         if !gap {
             self.observed.push(report.price);
@@ -141,8 +145,7 @@ impl ClosedLoopSource {
 
     fn warmup(&mut self, slots: usize) {
         for _ in 0..slots {
-            let report = self.advance();
-            self.market.recycle(report);
+            self.spare = self.advance();
         }
     }
 
@@ -172,9 +175,9 @@ impl PriceSource for ClosedLoopSource {
     }
 
     fn reclaim(&mut self, quote: SlotReport) {
-        // Return the spent report's buffers to the market's arena, so the
+        // Keep the spent report for the next slot to refill, so the
         // closed loop steps without per-slot event allocation.
-        self.market.recycle(quote);
+        self.spare = quote;
     }
 }
 

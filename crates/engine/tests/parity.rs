@@ -34,7 +34,8 @@ mod legacy {
         match decision {
             BidDecision::OnDemand { price } => {
                 let mut bill = Bill::new();
-                bill.charge_on_demand(0, price, job.execution, tag);
+                bill.try_charge_on_demand(0, price, job.execution, tag)
+                    .unwrap();
                 Ok(JobOutcome {
                     status: RunStatus::OnDemand,
                     completion_time: job.execution,
@@ -79,7 +80,8 @@ mod legacy {
             }
             let event = monitor.advance(accepted);
             if event.used > Hours::ZERO {
-                bill.charge_spot(slot as u64, spot, event.used, tag);
+                bill.try_charge_spot(slot as u64, spot, event.used, tag)
+                    .unwrap();
             }
             if event.finished {
                 status = RunStatus::Completed;
@@ -115,7 +117,8 @@ mod legacy {
         let started = out.running_time > Hours::ZERO;
         let fallback_work = out.remaining_work + if started { job.recovery } else { Hours::ZERO };
         out.bill
-            .charge_on_demand(future.len() as u64, on_demand, fallback_work, tag);
+            .try_charge_on_demand(future.len() as u64, on_demand, fallback_work, tag)
+            .unwrap();
         out.status = RunStatus::CompletedWithFallback;
         out.completion_time += fallback_work;
         out.running_time += fallback_work;

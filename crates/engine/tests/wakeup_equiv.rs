@@ -8,9 +8,10 @@
 //! thread count. These tests drive both fleets over the four threshold
 //! regimes of `market/tests/bidbook_equiv.rs` — uniform, clustered,
 //! exact-bucket-boundary, out-of-range — plus fault plans with feed gaps
-//! and capacity reclamations. The recycled-report arena path is always on
-//! in the closed loop (the kernel hands every spent `SlotReport` back via
-//! `PriceSource::reclaim`), so every run here exercises it.
+//! and capacity reclamations. Both loops refill a report they hold every
+//! slot (the kernel hands each spent `SlotReport` back via
+//! `PriceSource::reclaim`, and the next `step_into` reuses its buffers),
+//! so every run here exercises that path.
 //!
 //! Two wakeup invariants are also checked directly against the wakeup
 //! fleet's own event stream, independent of the oracle:

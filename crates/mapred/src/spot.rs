@@ -17,7 +17,7 @@
 //! only in where prices came from and whether nodes could be down).
 
 use crate::corpus::Corpus;
-use crate::engine::{run_local, shard};
+use crate::engine::run_local;
 use crate::schedule::{
     Availability, Phase, ScheduleConfig, ScheduleOutcome, ScheduleSim, ScheduleStatus, TaskSpec,
 };
@@ -310,7 +310,6 @@ fn finish(
     let distributed = run_local(&WordCount, &docs, n_map, m as usize);
     let reference = run_local(&WordCount, &docs, 1, 1);
     let result_correct = distributed == reference;
-    let _ = shard(docs.len(), n_map); // sharding is what run_local applies
     Ok(MapReduceOutcome {
         status: outcome.status,
         completion_time: outcome.completion_time,
@@ -502,13 +501,17 @@ mod tests {
         for t in 0..outcome.slots_elapsed {
             if outcome.master_up.get(t).copied().unwrap_or(false) {
                 if let Some(price) = m_future.price_at_slot(t) {
-                    legacy.charge_spot(t as u64, price, job.slot, MASTER_TAG);
+                    legacy
+                        .try_charge_spot(t as u64, price, job.slot, MASTER_TAG)
+                        .unwrap();
                 }
             }
             let n = outcome.slaves_up.get(t).copied().unwrap_or(0);
             if n > 0 {
                 if let Some(price) = s_future.price_at_slot(t) {
-                    legacy.charge_spot(t as u64, price * n as f64, job.slot, SLAVE_TAG);
+                    legacy
+                        .try_charge_spot(t as u64, price * n as f64, job.slot, SLAVE_TAG)
+                        .unwrap();
                 }
             }
         }
@@ -552,8 +555,12 @@ mod tests {
             run_cluster(&tasks, &cfg, ClusterPricing::OnDemand, p.m, source).unwrap();
         let mut legacy = Bill::new();
         for t in 0..outcome.slots_elapsed {
-            legacy.charge_on_demand(t as u64, master_od, job.slot, MASTER_TAG);
-            legacy.charge_on_demand(t as u64, slave_od * p.m as f64, job.slot, SLAVE_TAG);
+            legacy
+                .try_charge_on_demand(t as u64, master_od, job.slot, MASTER_TAG)
+                .unwrap();
+            legacy
+                .try_charge_on_demand(t as u64, slave_od * p.m as f64, job.slot, SLAVE_TAG)
+                .unwrap();
         }
         assert_eq!(bill, legacy);
     }

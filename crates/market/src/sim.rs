@@ -33,12 +33,14 @@
 //! setting — are simulated against a price *trace* by `spotbid-client`.
 
 use crate::params::MarketParams;
-use crate::provider::{clearing_price, optimal_price, ProviderPolicy};
+use crate::provider::ProviderPolicy;
 use crate::units::{Cost, Hours, Price};
+use pool::{Pool, SpotCounts};
 use spotbid_numerics::rng::Rng;
 use std::ops::Range;
 
 pub mod naive;
+mod pool;
 
 /// The server pool behind a market (DESIGN.md §5i).
 ///
@@ -48,9 +50,10 @@ pub mod naive;
 /// between the spot book and an on-demand pool: on-demand admissions
 /// ([`SpotMarket::request_on_demand`]) reserve servers first, the spot
 /// auction clears the remainder (the posted price is the *maximum* of the
-/// Eq. 3 revenue price and [`clearing_price`] at the spot share, so slack
-/// capacity reproduces Eq. 3 exactly), and when the winners outnumber the
-/// spot share the provider reclaims the lowest-bid instances.
+/// Eq. 3 revenue price and [`clearing_price`](crate::provider::clearing_price)
+/// at the spot share, so slack capacity reproduces Eq. 3 exactly), and when
+/// the winners outnumber the spot share the provider reclaims the lowest-bid
+/// instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Supply {
     /// Every accepted bid runs (the historical Eq. 3 path).
@@ -122,41 +125,6 @@ pub struct ProviderReport {
     pub mean_utilization: f64,
     /// Highest posted spot price.
     pub peak_price: Price,
-}
-
-/// Folds a per-slot provider log into its cumulative report.
-pub(crate) fn aggregate_provider(capacity: u32, log: &[ProviderSlot]) -> ProviderReport {
-    let mut report = ProviderReport {
-        capacity,
-        slots: log.len() as u64,
-        spot_revenue: Cost::ZERO,
-        od_revenue: Cost::ZERO,
-        reclaims: 0,
-        fresh_evictions: 0,
-        parked_restarts: 0,
-        od_admissions: 0,
-        od_rejections: 0,
-        mean_utilization: 0.0,
-        peak_price: Price::ZERO,
-    };
-    let mut busy = 0.0f64;
-    for slot in log {
-        report.spot_revenue += slot.spot_revenue;
-        report.od_revenue += slot.od_revenue;
-        report.reclaims += u64::from(slot.reclaims);
-        report.fresh_evictions += u64::from(slot.fresh_evictions);
-        report.parked_restarts += u64::from(slot.parked_restarts);
-        report.od_admissions += u64::from(slot.od_admitted);
-        report.od_rejections += u64::from(slot.od_rejected);
-        busy += f64::from(slot.spot_running + slot.od_active);
-        if slot.price > report.peak_price {
-            report.peak_price = slot.price;
-        }
-    }
-    if capacity > 0 && !log.is_empty() {
-        report.mean_utilization = busy / (f64::from(capacity) * log.len() as f64);
-    }
-    report
 }
 
 /// The reclaim ordering contract (DESIGN.md §5i): when capacity binds, the
@@ -304,9 +272,6 @@ const F_GEOMETRIC: u8 = 1 << 3;
 /// and obeys the resident invariants (pending ⇒ bid < posted price,
 /// running ⇒ bid ≥ posted price).
 const F_RESIDENT: u8 = 1 << 4;
-/// Transient mark on a would-be starter evicted by the capacity pass
-/// (cleared while filtering the start set the same slot).
-const F_EVICT: u8 = 1 << 5;
 /// Closed by finishing its work (a closed bid without it terminated).
 const F_FINISHED: u8 = 1 << 6;
 /// Holds the one entry the finish [`Calendar`] keeps for it.
@@ -367,9 +332,15 @@ impl Calendar {
 
     /// Appends to `out` every running bid due at slot `t` (unsorted),
     /// after refiling the mid and far entries whose window opens at `t`.
-    /// Reads `due` only for bids flagged [`F_RUNNING`], every one of which
-    /// holds a run entry.
-    fn pop(&mut self, t: u64, flags: &mut [u8], due: Dues<'_>, out: &mut Vec<u32>) {
+    /// `due(iu)` is bid `iu`'s due word, read only for bids flagged
+    /// [`F_RUNNING`], every one of which holds a run entry.
+    fn pop(
+        &mut self,
+        t: u64,
+        flags: &mut [u8],
+        due: impl Fn(usize) -> u64 + Copy,
+        out: &mut Vec<u32>,
+    ) {
         if t % SPAN == 0 {
             if t % (SPAN * SPAN) == 0 {
                 // Refiled in place: most far runners stay far.
@@ -379,10 +350,10 @@ impl Calendar {
                     if flags[iu] & F_RUNNING == 0 {
                         flags[iu] &= !F_FILED;
                         false
-                    } else if due.of(iu) / SPAN - t / SPAN >= SPAN {
+                    } else if due(iu) / SPAN - t / SPAN >= SPAN {
                         true
                     } else {
-                        self.file(i, due.of(iu), t);
+                        self.file(i, due(iu), t);
                         false
                     }
                 });
@@ -410,18 +381,18 @@ impl Calendar {
         list: &mut Vec<u32>,
         t: u64,
         flags: &mut [u8],
-        due: Dues<'_>,
+        due: impl Fn(usize) -> u64 + Copy,
         out: &mut Vec<u32>,
     ) {
         for &i in list.iter() {
             let iu = i as usize;
             if flags[iu] & F_RUNNING == 0 {
                 flags[iu] &= !F_FILED;
-            } else if due.of(iu) == t {
+            } else if due(iu) == t {
                 flags[iu] &= !F_FILED;
                 out.push(i);
             } else {
-                self.file(i, due.of(iu), t);
+                self.file(i, due(iu), t);
             }
         }
         list.clear();
@@ -432,21 +403,6 @@ impl Calendar {
     fn len(&self) -> usize {
         let lists = |w: &[Vec<u32>]| w.iter().map(Vec::len).sum::<usize>();
         lists(&self.near) + lists(&self.mid) + self.far.len()
-    }
-}
-
-/// The calendar's read-through view of the bids' due slots: a bid's
-/// `due` word lives in its run entry.
-#[derive(Clone, Copy)]
-struct Dues<'a> {
-    run_of: &'a [u32],
-    runs: &'a [Run],
-}
-
-impl Dues<'_> {
-    /// Bid `iu`'s due word; it must hold a run entry.
-    fn of(&self, iu: usize) -> u64 {
-        self.runs[self.run_of[iu] as usize].due
     }
 }
 
@@ -706,23 +662,53 @@ fn memo_slot(start: u64, since: u64, end: u64, legs: u64) -> usize {
 ///   before building);
 /// - [`submit_batch`](Self::submit_batch) enters a whole wave column by
 ///   column;
-/// - [`step_into`](Self::step_into)/[`recycle`](Self::recycle) let a
-///   driving loop reuse `SlotReport` buffers arena-style.
+/// - [`step_into`](Self::step_into) refills a report the caller holds, so
+///   a driving loop that keeps one steps without per-slot allocation.
 #[derive(Debug, Clone)]
 pub struct SpotMarket {
-    params: MarketParams,
-    slot_len: Hours,
-    t: u64,
+    /// The bids: their columns, run state and price buckets.
+    book: Book,
+    /// Fixed-work finish calendar: an entry for every running fixed-work
+    /// bid, visited no later than its due slot, and at most one per bid.
+    calendar: Calendar,
+    /// The server pool: on-demand instances, the price rule and the
+    /// provider ledger.
+    pool: Pool,
+    /// Open bids displaced by a capacity reclamation (plus arrivals during
+    /// one): they are exempt from the resident price invariants, so they
+    /// sit outside the bucket lists and face an individual first-auction
+    /// pass on the next normal slot.
+    parked: Vec<u32>,
+    /// Running geometric bids, ascending by id — the per-slot RNG draw
+    /// order (one `chance(θ)` each, matching the naive submission-order
+    /// scan).
+    geo_run: Vec<u32>,
+    /// Last posted price (`+∞` before the first step, when no residents
+    /// exist); crossings `[min(prev,new), max(prev,new))` bound the
+    /// buckets a slot must visit.
+    prev_price: f64,
+    /// The next step is a capacity reclamation (set by
+    /// [`reclaim_next_slot`](Self::reclaim_next_slot)).
+    reclaim_next: bool,
+    /// The step's working lists.
+    scratch: Scratch,
+}
 
-    // ---- the bid columns, indexed by bid id ----
+/// The bids of one market: the struct-of-arrays columns indexed by bid
+/// id, their run state, the price buckets over them and the counts a
+/// step keeps.
+#[derive(Debug, Clone)]
+struct Book {
+    /// Current slot index (number of completed steps).
+    t: u64,
     /// Bid price as a raw f64 (the per-bid accept/reject operand).
     price_of: Vec<f64>,
     /// `F_*` state bits: kind, work model and phase.
     flags: Vec<u8>,
     /// Slots of work of a fixed-work bid (0 for geometric work).
     work: Vec<u32>,
-    /// The bid's entry in [`runs`](Self::runs), or [`NO_RUN`] until it
-    /// first launches (or closes after its submission slot unlaunched).
+    /// The bid's entry in the run table, or [`NO_RUN`] until it first
+    /// launches (or closes after its submission slot unlaunched).
     run_of: Vec<u32>,
     /// The bid's price bucket.
     bucket_of: Vec<u16>,
@@ -733,78 +719,70 @@ pub struct SpotMarket {
     /// ascending: a bid was submitted in the slot of the last run whose
     /// first id is at or below its own.
     arrivals: Vec<(u32, u64)>,
-    /// Run state of every bid that has launched, in first-launch order:
-    /// a bid that never runs carries none.
-    runs: Vec<Run>,
-
-    // ---- the book ----
+    /// Run state of the launched bids and the charges it settles from.
+    settlement: Settlement,
     buckets: Vec<Bucket>,
     grid: BucketGrid,
     /// Ids below this have faced their first auction (or parked for it);
     /// the bids submitted since the last step are the contiguous range
-    /// from here to [`submitted`](Self::submitted), in id order.
+    /// from here to `price_of.len()`, in id order.
     arrived: u32,
     /// Incrementally-maintained demand `L(t)` (open bids).
     open_count: usize,
-    /// Last posted price (`+∞` before the first step, when no residents
-    /// exist); crossings `[min(prev,new), max(prev,new))` bound the
-    /// buckets a slot must visit.
-    prev_price: f64,
-    /// `price_t × slot_len` for every completed slot: the replay table
-    /// that settles lazy charges in the same order, with the same
-    /// floating-point operands, as the naive per-slot accrual.
-    slot_charge: ChargeTable,
-    /// Running geometric bids, ascending by id — the per-slot RNG draw
-    /// order (one `chance(θ)` each, matching the naive submission-order
-    /// scan).
-    geo_run: Vec<u32>,
-    /// Fixed-work finish calendar: an entry for every running fixed-work
-    /// bid, visited no later than its due slot, and at most one per bid.
-    calendar: Calendar,
-    /// Open bids displaced by a capacity reclamation (plus arrivals during
-    /// one): they are exempt from the resident price invariants, so they
-    /// sit outside the bucket lists and face an individual first-auction
-    /// pass on the next normal slot.
-    parked: Vec<u32>,
     /// Bids currently running — the summed length of the bucket running
     /// lists between steps. Lets the finite-supply capacity pass skip its
     /// victim selection when the carried runners plus this slot's winners
     /// already fit under the spot share.
     running_count: u32,
-    /// The next step is a capacity reclamation (set by
-    /// [`reclaim_next_slot`](Self::reclaim_next_slot)).
-    reclaim_next: bool,
+}
 
-    // ---- finite-supply provider state (inert under `Unbounded`) ----
-    /// The server pool behind the market.
-    supply: Supply,
-    /// Currently admitted on-demand instances.
-    od_active: u32,
-    /// On-demand admissions since the last step (folded into the next
-    /// [`ProviderSlot`]).
-    od_admit_pending: u32,
-    /// On-demand rejections since the last step.
-    od_reject_pending: u32,
-    /// Per-slot provider accounting (finite supply only).
-    provider_log: Vec<ProviderSlot>,
+/// The settlement table: the run state of every bid that has launched,
+/// in first-launch order (a bid that never runs carries none), and the
+/// per-slot charges their running streaks settle from.
+#[derive(Debug, Clone)]
+struct Settlement {
+    runs: Vec<Run>,
+    /// `price_t × slot_len` for every completed slot: the replay table
+    /// that settles lazy charges in the same order, with the same
+    /// floating-point operands, as the naive per-slot accrual.
+    charges: ChargeTable,
+}
 
-    // ---- arenas ----
-    sc_started: Vec<u32>,
+/// A step's working lists, cleared at the start of each step (the
+/// victim lists by their own pass).
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// This slot's auction winners, pending the capacity pass.
+    started: Vec<u32>,
+    /// Running bids outbid (or reclaimed) this slot.
+    rejected: Vec<u32>,
     /// The capacity pass's victims (see [`select_victims`]).
-    sc_victims: Vec<u32>,
+    victims: Vec<u32>,
     /// Per-bucket starter counts for [`select_victims`]: `BUCKETS` zeros
     /// between uses, allocated by the first capacity pass that evicts.
-    sc_bucket_count: Vec<u32>,
-    sc_rejected: Vec<u32>,
-    sc_geo_in: Vec<u32>,
-    sc_geo_next: Vec<u32>,
-    sc_fin_geo: Vec<u32>,
-    sc_fin_fixed: Vec<u32>,
-    /// Parked bids that won their individual re-auction this slot (phase
-    /// 1b), pending the capacity pass: survivors count as
+    bucket_count: Vec<u32>,
+    /// Geometric bids launched this slot.
+    geo_in: Vec<u32>,
+    /// Next slot's `geo_run`, built by the draw pass.
+    geo_next: Vec<u32>,
+    fin_geo: Vec<u32>,
+    fin_fixed: Vec<u32>,
+    /// Parked bids that won their individual re-auction this slot,
+    /// pending the capacity pass: survivors count as
     /// [`ProviderSlot::parked_restarts`].
-    sc_parked_started: Vec<u32>,
-    report_pool: Vec<Vec<BidId>>,
+    parked_started: Vec<u32>,
+}
+
+impl Scratch {
+    fn clear(&mut self) {
+        self.started.clear();
+        self.rejected.clear();
+        self.geo_in.clear();
+        self.geo_next.clear();
+        self.fin_geo.clear();
+        self.fin_fixed.clear();
+        self.parked_started.clear();
+    }
 }
 
 /// A launched bid's run state: its running streak and settled
@@ -840,7 +818,7 @@ const FRESH_RUN: Run = Run {
     due: 0,
 };
 
-/// [`SpotMarket::run_of`]'s entry for a bid that holds no [`Run`].
+/// [`Book::run_of`]'s entry for a bid that holds no [`Run`].
 const NO_RUN: u32 = u32::MAX;
 
 /// The `F_*` bits a new bid starts with.
@@ -860,6 +838,21 @@ fn work_slots(request: &BidRequest) -> u32 {
     match request.work {
         WorkModel::FixedSlots(n) => n,
         WorkModel::Geometric => 0,
+    }
+}
+
+/// Calls `f` on every id of two ascending, disjoint lists, in ascending
+/// order.
+fn merged(a: &[u32], b: &[u32], mut f: impl FnMut(u32)) {
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() || y < b.len() {
+        if y == b.len() || (x < a.len() && a[x] < b[y]) {
+            f(a[x]);
+            x += 1;
+        } else {
+            f(b[y]);
+            y += 1;
+        }
     }
 }
 
@@ -920,60 +913,49 @@ impl SpotMarket {
     /// Creates an empty market backed by the given [`Supply`].
     pub fn with_supply(params: MarketParams, slot_len: Hours, supply: Supply) -> Self {
         SpotMarket {
-            params,
-            slot_len,
-            t: 0,
-            price_of: Vec::new(),
-            flags: Vec::new(),
-            work: Vec::new(),
-            run_of: Vec::new(),
-            bucket_of: Vec::new(),
-            pos_of: Vec::new(),
-            arrivals: Vec::new(),
-            runs: Vec::new(),
-            buckets: vec![Bucket::default(); BUCKETS],
-            grid: BucketGrid::new(&params),
-            arrived: 0,
-            open_count: 0,
-            prev_price: f64::INFINITY,
-            slot_charge: ChargeTable::new(1),
-            geo_run: Vec::new(),
+            book: Book {
+                t: 0,
+                price_of: Vec::new(),
+                flags: Vec::new(),
+                work: Vec::new(),
+                run_of: Vec::new(),
+                bucket_of: Vec::new(),
+                pos_of: Vec::new(),
+                arrivals: Vec::new(),
+                settlement: Settlement {
+                    runs: Vec::new(),
+                    charges: ChargeTable::new(1),
+                },
+                buckets: vec![Bucket::default(); BUCKETS],
+                grid: BucketGrid::new(&params),
+                arrived: 0,
+                open_count: 0,
+                running_count: 0,
+            },
             calendar: Calendar::new(),
+            pool: Pool::new(params, slot_len, supply),
             parked: Vec::new(),
-            running_count: 0,
+            geo_run: Vec::new(),
+            prev_price: f64::INFINITY,
             reclaim_next: false,
-            supply,
-            od_active: 0,
-            od_admit_pending: 0,
-            od_reject_pending: 0,
-            provider_log: Vec::new(),
-            sc_started: Vec::new(),
-            sc_victims: Vec::new(),
-            sc_bucket_count: Vec::new(),
-            sc_rejected: Vec::new(),
-            sc_geo_in: Vec::new(),
-            sc_geo_next: Vec::new(),
-            sc_fin_geo: Vec::new(),
-            sc_fin_fixed: Vec::new(),
-            sc_parked_started: Vec::new(),
-            report_pool: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
     /// The market parameters.
     pub fn params(&self) -> &MarketParams {
-        &self.params
+        self.pool.params()
     }
 
     /// Current slot index (number of completed steps).
     pub fn now(&self) -> u64 {
-        self.t
+        self.book.t
     }
 
     /// Bids submitted so far: the next [`submit`](Self::submit) returns
     /// `BidId(submitted())`.
     pub fn submitted(&self) -> usize {
-        self.price_of.len()
+        self.book.price_of.len()
     }
 
     /// Makes room in every bid column for `n` more submissions at once,
@@ -984,36 +966,30 @@ impl SpotMarket {
     /// is unchanged: ids, records and reports are the same with or without
     /// it.
     pub fn reserve(&mut self, n: usize) {
-        reserve_pow2(&mut self.price_of, n);
-        reserve_pow2(&mut self.flags, n);
-        reserve_pow2(&mut self.work, n);
-        reserve_pow2(&mut self.run_of, n);
-        reserve_pow2(&mut self.bucket_of, n);
-        reserve_pow2(&mut self.pos_of, n);
+        let b = &mut self.book;
+        reserve_pow2(&mut b.price_of, n);
+        reserve_pow2(&mut b.flags, n);
+        reserve_pow2(&mut b.work, n);
+        reserve_pow2(&mut b.run_of, n);
+        reserve_pow2(&mut b.bucket_of, n);
+        reserve_pow2(&mut b.pos_of, n);
     }
 
     /// Submits a bid; it competes from the next [`step`](Self::step) on.
     pub fn submit(&mut self, request: BidRequest) -> BidId {
         let id = self.submitted();
         assert!(id < u32::MAX as usize, "bid-book index space exhausted");
+        let b = &mut self.book;
         let price = request.price.as_f64();
-        self.price_of.push(price);
-        self.flags.push(initial_flags(&request));
-        self.work.push(work_slots(&request));
-        self.run_of.push(NO_RUN);
-        self.bucket_of.push(self.grid.index(price) as u16);
-        self.pos_of.push(0);
-        self.open_count += 1;
-        self.note_arrivals(id);
+        b.price_of.push(price);
+        b.flags.push(initial_flags(&request));
+        b.work.push(work_slots(&request));
+        b.run_of.push(NO_RUN);
+        b.bucket_of.push(b.grid.index(price) as u16);
+        b.pos_of.push(0);
+        b.open_count += 1;
+        b.note_arrivals(id);
         BidId(id as u64)
-    }
-
-    /// Opens a run of arrivals at bid `first` unless the current slot's
-    /// run is already open.
-    fn note_arrivals(&mut self, first: usize) {
-        if self.arrivals.last().is_none_or(|&(_, slot)| slot != self.t) {
-            self.arrivals.push((first as u32, self.t));
-        }
     }
 
     /// Submits a wave of bids at once, filling each column in one pass.
@@ -1028,18 +1004,18 @@ impl SpotMarket {
         );
         self.reserve(n);
         let len = first + n;
-        let grid = &self.grid;
-        self.price_of
-            .extend(requests.iter().map(|r| r.price.as_f64()));
-        self.flags.extend(requests.iter().map(initial_flags));
-        self.work.extend(requests.iter().map(work_slots));
-        self.bucket_of
+        let b = &mut self.book;
+        let grid = &b.grid;
+        b.price_of.extend(requests.iter().map(|r| r.price.as_f64()));
+        b.flags.extend(requests.iter().map(initial_flags));
+        b.work.extend(requests.iter().map(work_slots));
+        b.bucket_of
             .extend(requests.iter().map(|r| grid.index(r.price.as_f64()) as u16));
-        self.run_of.resize(len, NO_RUN);
-        self.pos_of.resize(len, 0);
-        self.open_count += n;
+        b.run_of.resize(len, NO_RUN);
+        b.pos_of.resize(len, 0);
+        b.open_count += n;
         if n > 0 {
-            self.note_arrivals(first);
+            b.note_arrivals(first);
         }
         first as u64..len as u64
     }
@@ -1053,19 +1029,257 @@ impl SpotMarket {
         if i >= self.submitted() {
             return None;
         }
-        self.sync_one(i);
-        Some(self.build_record(i))
+        self.book.sync_one(i);
+        Some(self.book.build_record(i))
     }
 
     /// All bid records (submitted order), built from the columns after
     /// every running bid's lazy charge accrual is settled.
     pub fn records(&mut self) -> Vec<BidRecord> {
-        for i in 0..self.submitted() {
-            self.sync_one(i);
+        let n = self.submitted();
+        for i in 0..n {
+            self.book.sync_one(i);
         }
-        (0..self.submitted())
-            .map(|i| self.build_record(i))
-            .collect()
+        (0..n).map(|i| self.book.build_record(i)).collect()
+    }
+
+    /// Number of bids still pending or running.
+    pub fn open_bids(&self) -> usize {
+        self.book.open_count
+    }
+
+    /// Marks the next [`step`](Self::step) as a bid-independent capacity
+    /// reclamation (the fault-injection hook): the provider still posts the
+    /// slot's price, but takes every instance back instead of auctioning.
+    /// All running bids are interrupted — persistent ones return to pending
+    /// and re-compete from the following slot, one-time ones exit
+    /// unfinished — while pending bids and fresh arrivals simply wait the
+    /// outage out. Nothing runs, so nothing is charged and no departure
+    /// randomness is drawn. Bit-identical to
+    /// [`naive::SpotMarket::reclaim_next_slot`].
+    pub fn reclaim_next_slot(&mut self) {
+        self.reclaim_next = true;
+    }
+
+    /// Currently admitted on-demand instances (0 under unbounded supply).
+    pub fn od_active(&self) -> u32 {
+        self.pool.od_active()
+    }
+
+    /// Servers the spot book will clear against next slot, or `None` under
+    /// unbounded supply.
+    pub fn spot_capacity(&self) -> Option<u32> {
+        self.pool.spot_capacity()
+    }
+
+    /// Requests `n` on-demand instances from the pool, returning how many
+    /// were admitted. Admissions take effect immediately: the next slot's
+    /// spot share shrinks by what the policy charges against it, and a
+    /// [`Supply::Finite`] market bills each active instance `π̄ × slot_len`
+    /// per slot in its [`ProviderSlot`] log. Unbounded supply admits
+    /// everything and records nothing.
+    pub fn request_on_demand(&mut self, n: u32) -> u32 {
+        self.pool.request(n)
+    }
+
+    /// Releases `n` active on-demand instances back to the pool
+    /// (saturating; a no-op under unbounded supply).
+    pub fn release_on_demand(&mut self, n: u32) {
+        self.pool.release(n);
+    }
+
+    /// The per-slot provider accounting log (empty under unbounded
+    /// supply).
+    pub fn provider_slots(&self) -> &[ProviderSlot] {
+        self.pool.ledger()
+    }
+
+    /// Cumulative provider accounting, or `None` under unbounded supply.
+    pub fn provider_report(&self) -> Option<ProviderReport> {
+        self.pool.report()
+    }
+
+    /// Advances one slot: runs the auction, interrupts/launches instances,
+    /// progresses work, and charges running bids.
+    pub fn step(&mut self, rng: &mut Rng) -> SlotReport {
+        let mut report = SlotReport::empty();
+        self.step_into(rng, &mut report);
+        report
+    }
+
+    /// As [`step`](Self::step), but refilling a report the caller holds:
+    /// its event buffers are cleared and reused, so a loop that keeps one
+    /// report steps without per-slot allocation.
+    pub fn step_into(&mut self, rng: &mut Rng, report: &mut SlotReport) {
+        let SpotMarket {
+            book,
+            calendar,
+            pool,
+            parked,
+            geo_run,
+            prev_price,
+            reclaim_next,
+            scratch: s,
+        } = self;
+        let t = book.t;
+        let price = pool.price(book.open_count);
+        let pf = price.as_f64();
+        report.t = t;
+        report.demand = book.open_count;
+        report.price = price;
+        report.started.clear();
+        report.interrupted.clear();
+        report.finished.clear();
+        report.terminated.clear();
+        report.evicted.clear();
+        debug_assert_eq!(book.settlement.charges.slots(), t);
+        book.settlement.charges.push(price * pool.slot_len());
+        s.clear();
+        let reclaiming = std::mem::take(reclaim_next);
+
+        // 1. Crossing scan (a reclamation takes every runner instead).
+        book.cross(*prev_price, pf, reclaiming, s, parked);
+
+        // 1b. Individual auctions for parked bids — non-empty only on the
+        // first normal slot after a reclamation (or, under finite supply,
+        // after a capacity eviction). After a reclamation the running book
+        // is empty, so `rejected` is empty here and the report's terminated
+        // order stays globally id-sorted: parked ids (pushed now,
+        // ascending) all precede this slot's incoming ids. Under finite
+        // supply `rejected` can be non-empty — capacity eviction only
+        // parks persistent bids (which emit nothing here), and the repair
+        // sort in phase 3b restores id order whenever it runs.
+        if !reclaiming && !parked.is_empty() {
+            debug_assert!(s.rejected.is_empty() || pool.spot_capacity().is_some());
+            parked.sort_unstable();
+            for &i in parked.iter() {
+                if book.first_auction(i, pf, &mut s.started, report) {
+                    s.parked_started.push(i);
+                }
+            }
+            parked.clear();
+        }
+        s.started.sort_unstable();
+        s.rejected.sort_unstable();
+
+        // 2. Outbid running residents: interruption for all, exit for
+        // one-time. Report order is id order — and resident ids all
+        // precede incoming ids, so the per-category appends below stay
+        // sorted.
+        for &i in &s.rejected {
+            book.interrupt(i, report);
+            if book.flags[i as usize] & F_PERSISTENT == 0 {
+                book.terminate(i, report);
+            } else if reclaiming {
+                // Re-pended by the outage; its price may be ≥ pf, so it
+                // waits outside the buckets for its re-auction.
+                parked.push(i);
+            } else {
+                book.push_pending(i);
+            }
+        }
+
+        // 3. First auction for bids submitted since the last step, in id
+        // order. Winners join the start set; persistent losers become
+        // pending residents; one-time losers exit immediately. During a
+        // reclamation there is no auction to face: arrivals park and wait.
+        let incoming = book.arrived..book.price_of.len() as u32;
+        book.arrived = incoming.end;
+        if reclaiming {
+            parked.extend(incoming);
+        } else {
+            for i in incoming {
+                book.first_auction(i, pf, &mut s.started, report);
+            }
+        }
+
+        // 3b. Capacity enforcement (finite supply only): when the carried
+        // runners plus this slot's winners exceed the spot share, the
+        // provider reclaims the excess. Otherwise no eviction is possible
+        // and the victim selection is skipped, keeping quiet finite-supply
+        // slots O(1) like their unbounded counterparts. An outage slot
+        // has no candidates at all: step 1 dumped every runner and step 2
+        // settled them, so `running_count` is 0 and the auction never ran
+        // (`started` is empty).
+        if let Some(spot_cap) = pool.spot_capacity() {
+            let carried = book.running_count as usize + s.started.len();
+            debug_assert!(!reclaiming || carried == 0);
+            let mut spot = if carried > spot_cap as usize {
+                book.evict(carried - spot_cap as usize, pf, s, parked, report)
+            } else {
+                SpotCounts::default()
+            };
+            spot.running = carried.min(spot_cap as usize) as u32;
+            spot.parked_restarts = s
+                .parked_started
+                .iter()
+                .filter(|&&i| s.started.binary_search(&i).is_ok())
+                .count() as u32;
+            pool.close_slot(t, price, spot);
+        }
+
+        // 4. Launch the slot's winners.
+        book.running_count += s.started.len() as u32;
+        for &i in &s.started {
+            book.launch(i, calendar, &mut s.geo_in, report);
+        }
+
+        // 5. Geometric draw pass: one `chance(θ)` per accepted geometric
+        // bid, ascending by id — bit-identical to the naive submission-
+        // order scan. `geo_run` carries last slot's survivors (entries
+        // interrupted or terminated above are skipped and dropped);
+        // `geo_in` carries this slot's starts; both are sorted and
+        // disjoint, so a merge preserves the global draw order.
+        let theta = pool.params().theta;
+        merged(geo_run, &s.geo_in, |i| {
+            if book.flags[i as usize] & F_RUNNING == 0 {
+                return; // went stale this slot (interrupted/terminated)
+            }
+            if rng.chance(theta) {
+                book.finish(i);
+                s.fin_geo.push(i);
+            } else {
+                s.geo_next.push(i);
+            }
+        });
+        std::mem::swap(geo_run, &mut s.geo_next);
+
+        // 6. Calendar pop: fixed-work bids whose streak reaches its work
+        // requirement this slot, the running bids with `due == t`.
+        let (run_of, runs) = (&book.run_of, &book.settlement.runs);
+        let due = |iu: usize| runs[run_of[iu] as usize].due;
+        calendar.pop(t, &mut book.flags, due, &mut s.fin_fixed);
+        s.fin_fixed.sort_unstable();
+        for &i in &s.fin_fixed {
+            book.finish(i);
+            let iu = i as usize;
+            debug_assert!(
+                book.settlement.runs[book.run_of[iu] as usize].slots_run >= book.work[iu]
+            );
+        }
+
+        // 7. Finished = id-merge of the geometric and fixed finish sets.
+        merged(&s.fin_geo, &s.fin_fixed, |i| {
+            report.finished.push(BidId(u64::from(i)));
+        });
+
+        *prev_price = pf;
+        book.t += 1;
+    }
+
+    /// Runs `n` slots, returning every report.
+    pub fn run(&mut self, n: usize, rng: &mut Rng) -> Vec<SlotReport> {
+        (0..n).map(|_| self.step(rng)).collect()
+    }
+}
+
+impl Book {
+    /// Opens a run of arrivals at bid `first` unless the current slot's
+    /// run is already open.
+    fn note_arrivals(&mut self, first: usize) {
+        if self.arrivals.last().is_none_or(|&(_, slot)| slot != self.t) {
+            self.arrivals.push((first as u32, self.t));
+        }
     }
 
     /// Bid `iu`'s columns as a [`BidRecord`] (settled up to `run_since`).
@@ -1076,7 +1290,7 @@ impl SpotMarket {
         let (run, closed_at) = match self.run_of[iu] {
             NO_RUN => (&FRESH_RUN, submitted_at),
             r => {
-                let run = &self.runs[r as usize];
+                let run = &self.settlement.runs[r as usize];
                 (run, run.due)
             }
         };
@@ -1121,550 +1335,63 @@ impl SpotMarket {
         self.arrivals[run - 1].1
     }
 
-    /// Number of bids still pending or running.
-    pub fn open_bids(&self) -> usize {
-        self.open_count
-    }
-
-    /// Marks the next [`step`](Self::step) as a bid-independent capacity
-    /// reclamation (the fault-injection hook): the provider still posts the
-    /// slot's price, but takes every instance back instead of auctioning.
-    /// All running bids are interrupted — persistent ones return to pending
-    /// and re-compete from the following slot, one-time ones exit
-    /// unfinished — while pending bids and fresh arrivals simply wait the
-    /// outage out. Nothing runs, so nothing is charged and no departure
-    /// randomness is drawn. Bit-identical to
-    /// [`naive::SpotMarket::reclaim_next_slot`].
-    pub fn reclaim_next_slot(&mut self) {
-        self.reclaim_next = true;
-    }
-
-    /// The server pool behind this market.
-    pub fn supply(&self) -> Supply {
-        self.supply
-    }
-
-    /// Currently admitted on-demand instances (0 under unbounded supply).
-    pub fn od_active(&self) -> u32 {
-        self.od_active
-    }
-
-    /// Servers the spot book will clear against next slot, or `None` under
-    /// unbounded supply.
-    pub fn spot_capacity(&self) -> Option<u32> {
-        match self.supply {
-            Supply::Unbounded => None,
-            Supply::Finite { capacity, policy } => {
-                Some(policy.spot_capacity(capacity, self.od_active))
-            }
-        }
-    }
-
-    /// Requests `n` on-demand instances from the pool, returning how many
-    /// were admitted. Admissions take effect immediately: the next slot's
-    /// spot share shrinks by what the policy charges against it, and a
-    /// [`Supply::Finite`] market bills each active instance `π̄ × slot_len`
-    /// per slot in its [`ProviderSlot`] log. Unbounded supply admits
-    /// everything and records nothing.
-    pub fn request_on_demand(&mut self, n: u32) -> u32 {
-        match self.supply {
-            Supply::Unbounded => n,
-            Supply::Finite { capacity, policy } => {
-                let limit = policy.od_limit(capacity);
-                let admitted = n.min(limit.saturating_sub(self.od_active));
-                self.od_active += admitted;
-                self.od_admit_pending += admitted;
-                self.od_reject_pending += n - admitted;
-                admitted
-            }
-        }
-    }
-
-    /// Releases `n` active on-demand instances back to the pool
-    /// (saturating; a no-op under unbounded supply).
-    pub fn release_on_demand(&mut self, n: u32) {
-        self.od_active = self.od_active.saturating_sub(n);
-    }
-
-    /// The per-slot provider accounting log (empty under unbounded
-    /// supply).
-    pub fn provider_slots(&self) -> &[ProviderSlot] {
-        &self.provider_log
-    }
-
-    /// Cumulative provider accounting, or `None` under unbounded supply.
-    pub fn provider_report(&self) -> Option<ProviderReport> {
-        match self.supply {
-            Supply::Unbounded => None,
-            Supply::Finite { capacity, .. } => {
-                Some(aggregate_provider(capacity, &self.provider_log))
-            }
-        }
-    }
-
-    /// Advances one slot: runs the auction, interrupts/launches instances,
-    /// progresses work, and charges running bids.
-    pub fn step(&mut self, rng: &mut Rng) -> SlotReport {
-        let mut report = self.fresh_report();
-        self.step_into(rng, &mut report);
-        report
-    }
-
-    /// As [`step`](Self::step), but filling a caller-provided report whose
-    /// event buffers are reused (arena-style). Pair with
-    /// [`recycle`](Self::recycle) to step a long-lived market without
-    /// per-slot allocation.
-    pub fn step_into(&mut self, rng: &mut Rng, report: &mut SlotReport) {
-        let t = self.t;
-        report.t = t;
-        report.demand = self.open_count;
-        report.started.clear();
-        report.interrupted.clear();
-        report.finished.clear();
-        report.terminated.clear();
-        report.evicted.clear();
-
-        let price = match self.supply {
-            Supply::Unbounded => optimal_price(&self.params, self.open_count as f64),
-            Supply::Finite { capacity, policy } => {
-                // The spot share clears via the capacity price when it
-                // binds; slack capacity reproduces Eq. 3 exactly (`max`
-                // returns the revenue price's own float).
-                let cap = policy.spot_capacity(capacity, self.od_active);
-                let revenue = optimal_price(&self.params, self.open_count as f64);
-                let clearing = clearing_price(&self.params, self.open_count as f64, f64::from(cap));
-                if clearing > revenue {
-                    clearing
-                } else {
-                    revenue
-                }
-            }
-        };
-        report.price = price;
-        let pf = price.as_f64();
-        debug_assert_eq!(self.slot_charge.slots(), t);
-        self.slot_charge.push(price * self.slot_len);
-
-        let mut started = std::mem::take(&mut self.sc_started);
-        let mut rejected = std::mem::take(&mut self.sc_rejected);
-        let mut geo_in = std::mem::take(&mut self.sc_geo_in);
-        started.clear();
-        rejected.clear();
-        geo_in.clear();
-
-        // 1. Crossing scan over the resident book. Residents obey the
-        // price invariants w.r.t. the previous posted price `pp`, so the
-        // only state changes live in buckets overlapping
-        // [min(pp, pf), max(pp, pf)); buckets strictly inside the interval
-        // flip wholesale, the boundary bucket is compared per bid.
-        //
-        // A reclamation slot replaces the scan: every running bid is
-        // rejected regardless of price, and the pending residents a price
-        // fall would have started are parked instead (they must wait the
-        // outage out, but price < pf breaks the pending invariant, so they
-        // leave the bucket lists until their individual auction next slot).
-        let pp = self.prev_price;
-        let reclaiming = std::mem::take(&mut self.reclaim_next);
+    /// Step 1, the crossing scan from the previous posted price `pp` to
+    /// `pf`. Residents obey the price invariants w.r.t. `pp`, so the only
+    /// state changes live in buckets overlapping `[min(pp, pf), max(pp,
+    /// pf))`: buckets strictly inside the interval flip wholesale, the
+    /// boundary bucket is compared bid by bid. A price rise outbids the
+    /// runners below `pf` (into `rejected`); a fall starts the pending
+    /// bids at or above it (into `started`). (`pp` is +∞ only before the
+    /// first step, when every bucket is empty.)
+    ///
+    /// A reclamation replaces the rise: every running bid is rejected
+    /// regardless of price. Its fall parks instead of starting: those
+    /// bids must wait the outage out, but price ≥ pf breaks the pending
+    /// invariant, so they leave the bucket lists until their individual
+    /// auction next slot.
+    fn cross(
+        &mut self,
+        pp: f64,
+        pf: f64,
+        reclaiming: bool,
+        s: &mut Scratch,
+        parked: &mut Vec<u32>,
+    ) {
+        let price_of = &self.price_of;
         if reclaiming {
             for bucket in &mut self.buckets {
-                rejected.extend_from_slice(&bucket.running);
-                bucket.running.clear();
-            }
-            if pf < pp {
-                let k_lo = self.grid.index(pf);
-                let k_hi = self.grid.index(pp);
-                for b in k_lo..=k_hi {
-                    let mut list = std::mem::take(&mut self.buckets[b].pending);
-                    if b > k_lo {
-                        self.parked.extend_from_slice(&list);
-                        list.clear();
-                    } else {
-                        let mut w = 0usize;
-                        for r in 0..list.len() {
-                            let i = list[r];
-                            if self.price_of[i as usize] >= pf {
-                                self.parked.push(i);
-                            } else {
-                                list[w] = i;
-                                w += 1;
-                            }
-                        }
-                        list.truncate(w);
-                    }
-                    self.buckets[b].pending = list;
-                }
+                s.rejected.append(&mut bucket.running);
             }
         } else if pf > pp {
-            // Price rose: running bids in [pp, pf) are outbid.
-            let k_lo = self.grid.index(pp);
-            let k_hi = self.grid.index(pf);
-            for b in k_lo..=k_hi {
-                let mut list = std::mem::take(&mut self.buckets[b].running);
-                if b < k_hi {
-                    rejected.extend_from_slice(&list);
-                    list.clear();
-                } else {
-                    let mut w = 0usize;
-                    for r in 0..list.len() {
-                        let i = list[r];
-                        if self.price_of[i as usize] >= pf {
-                            self.pos_of[i as usize] = w as u32;
-                            list[w] = i;
-                            w += 1;
-                        } else {
-                            rejected.push(i);
-                        }
-                    }
-                    list.truncate(w);
+            let hi = self.grid.index(pf);
+            for b in self.grid.index(pp)..hi {
+                s.rejected.append(&mut self.buckets[b].running);
+            }
+            let list = &mut self.buckets[hi].running;
+            list.retain(|&i| {
+                let keep = price_of[i as usize] >= pf;
+                if !keep {
+                    s.rejected.push(i);
                 }
-                self.buckets[b].running = list;
-            }
-        } else if pf < pp {
-            // Price fell: pending bids in [pf, pp) win their auction.
-            // (`pp` is +∞ only before the first step, when every bucket is
-            // empty — the scan is then a no-op walk.)
-            let k_lo = self.grid.index(pf);
-            let k_hi = self.grid.index(pp);
-            for b in k_lo..=k_hi {
-                let mut list = std::mem::take(&mut self.buckets[b].pending);
-                if b > k_lo {
-                    started.extend_from_slice(&list);
-                    list.clear();
-                } else {
-                    let mut w = 0usize;
-                    for r in 0..list.len() {
-                        let i = list[r];
-                        if self.price_of[i as usize] >= pf {
-                            started.push(i);
-                        } else {
-                            list[w] = i;
-                            w += 1;
-                        }
-                    }
-                    list.truncate(w);
-                }
-                self.buckets[b].pending = list;
-            }
-        }
-
-        // 1b. Individual auctions for parked bids — non-empty only on the
-        // first normal slot after a reclamation (or, under finite supply,
-        // after a capacity eviction). After a reclamation the running book
-        // is empty, so `rejected` is empty here and the report's terminated
-        // order stays globally id-sorted: parked ids (pushed now,
-        // ascending) all precede this slot's incoming ids. Under finite
-        // supply `rejected` can be non-empty — capacity eviction only
-        // parks persistent bids (which emit nothing here), and the repair
-        // sort in phase 3b restores id order whenever it runs.
-        self.sc_parked_started.clear();
-        if !reclaiming && !self.parked.is_empty() {
-            debug_assert!(rejected.is_empty() || self.supply != Supply::Unbounded);
-            let mut parked = std::mem::take(&mut self.parked);
-            parked.sort_unstable();
-            for &i in &parked {
-                if self.first_auction(i, pf, &mut started, report) {
-                    self.sc_parked_started.push(i);
-                }
-            }
-            parked.clear();
-            self.parked = parked;
-        }
-        started.sort_unstable();
-        rejected.sort_unstable();
-
-        // 2. Outbid running residents: interruption for all, exit for
-        // one-time. Report order is id order — and resident ids all
-        // precede incoming ids, so the per-category appends below stay
-        // sorted.
-        for &i in &rejected {
-            self.interrupt(i, report);
-            if self.flags[i as usize] & F_PERSISTENT == 0 {
-                self.terminate(i, report);
-            } else if reclaiming {
-                // Re-pended by the outage; its price may be ≥ pf, so it
-                // waits outside the buckets for its re-auction.
-                self.parked.push(i);
-            } else {
-                self.push_pending(i);
-            }
-        }
-
-        // 3. First auction for bids submitted since the last step, in id
-        // order. Winners join the start set; persistent losers become
-        // pending residents; one-time losers exit immediately. During a
-        // reclamation there is no auction to face: arrivals park and wait.
-        let incoming = self.arrived..self.submitted() as u32;
-        self.arrived = incoming.end;
-        if reclaiming {
-            self.parked.extend(incoming);
-        } else {
-            for i in incoming {
-                self.first_auction(i, pf, &mut started, report);
-            }
-        }
-
-        // 3b. Capacity enforcement (finite supply only): if the carried
-        // runners plus this slot's winners exceed the spot share, the
-        // provider reclaims the excess — lowest bid first, newest first
-        // among equal bids (`victim_order`, the §5i reclaim contract).
-        // Carried victims are interrupted like a price crossing (settled
-        // through the previous slot, persistent ones park for an
-        // individual re-auction, one-time ones exit); would-be starters
-        // are returned unlaunched (no start event — persistent park,
-        // one-time exit). `select_victims` hands the victims over in id
-        // order: which bids go is fixed by `victim_order`, and nothing the
-        // pass writes depends on the order it visits them in (bucket-list
-        // positions are internal, `parked` is sorted before use). So
-        // `evicted` comes out id-sorted, and `interrupted`/`terminated`
-        // only need their two sorted runs merged.
-        if let Supply::Finite { capacity, policy } = self.supply {
-            let spot_cap = policy.spot_capacity(capacity, self.od_active);
-            // When the carried runners plus this slot's winners already
-            // fit under the spot share no eviction is possible and the
-            // victim selection is skipped, keeping quiet finite-supply
-            // slots O(1) like their unbounded counterparts. An outage slot
-            // has no candidates at all: step 1 dumped every runner and
-            // step 2 settled them, so `running_count` is 0 and the auction
-            // never ran (`started` is empty).
-            let carried = self.running_count as usize + started.len();
-            debug_assert!(!reclaiming || carried == 0);
-            let spot_running = carried.min(spot_cap as usize) as u32;
-            let mut reclaims = 0u32;
-            let mut fresh_evictions = 0u32;
-            if carried > spot_cap as usize {
-                let mut victims = std::mem::take(&mut self.sc_victims);
-                select_victims(
-                    &self.buckets,
-                    &started,
-                    &self.price_of,
-                    &self.bucket_of,
-                    self.grid.index(pf),
-                    carried - spot_cap as usize,
-                    &mut self.sc_bucket_count,
-                    &mut victims,
-                );
-                for &i in &victims {
-                    let iu = i as usize;
-                    report.evicted.push(BidId(u64::from(i)));
-                    if self.flags[iu] & F_RUNNING != 0 {
-                        // A running instance reclaimed for the pool.
-                        reclaims += 1;
-                        self.remove_running(i);
-                        self.interrupt(i, report);
-                    } else {
-                        // A would-be starter: never launched this slot.
-                        fresh_evictions += 1;
-                        self.flags[iu] |= F_EVICT;
-                    }
-                    if self.flags[iu] & F_PERSISTENT != 0 {
-                        self.parked.push(i);
-                    } else {
-                        self.terminate(i, report);
-                    }
-                }
-                let mut w = 0usize;
-                for r in 0..started.len() {
-                    let i = started[r];
-                    if self.flags[i as usize] & F_EVICT != 0 {
-                        self.flags[i as usize] &= !F_EVICT;
-                    } else {
-                        started[w] = i;
-                        w += 1;
-                    }
-                }
-                started.truncate(w);
-                report.interrupted.sort_unstable();
-                report.terminated.sort_unstable();
-                debug_assert!(report.evicted.windows(2).all(|w| w[0] < w[1]));
-                self.sc_victims = victims;
-            }
-            let parked_restarts = self
-                .sc_parked_started
-                .iter()
-                .filter(|&&i| started.binary_search(&i).is_ok())
-                .count() as u32;
-            let spot_revenue = (price * self.slot_len) * f64::from(spot_running);
-            let od_revenue = (self.params.pi_bar * self.slot_len) * f64::from(self.od_active);
-            self.provider_log.push(ProviderSlot {
-                t,
-                price,
-                spot_capacity: spot_cap,
-                spot_running,
-                od_active: self.od_active,
-                reclaims,
-                fresh_evictions,
-                parked_restarts,
-                od_admitted: std::mem::take(&mut self.od_admit_pending),
-                od_rejected: std::mem::take(&mut self.od_reject_pending),
-                spot_revenue,
-                od_revenue,
+                keep
             });
-        }
-
-        // 4. Launch the slot's winners: give a first launch its run entry
-        // (a restart reuses it), start the running streak, schedule
-        // fixed-work finishes on the calendar, enroll geometric bids for
-        // the draw pass.
-        self.running_count += started.len() as u32;
-        for &i in &started {
-            let iu = i as usize;
-            self.flags[iu] |= F_RUNNING;
-            let b = self.bucket_of[iu] as usize;
-            self.pos_of[iu] = self.buckets[b].running.len() as u32;
-            self.buckets[b].running.push(i);
-            report.started.push(BidId(u64::from(i)));
-            let (geometric, work) = (self.flags[iu] & F_GEOMETRIC != 0, self.work[iu]);
-            let run = self.run_entry(iu);
-            run.run_since = t;
-            if geometric {
-                geo_in.push(i);
-            } else {
-                // Settled at (re)start, so `slots_run` is exact here; a
-                // zero-slot request still occupies (and is charged for)
-                // the slot it is accepted in, matching the naive rule
-                // `slots_run >= n` checked after the increment.
-                // A restarted bid keeps the entry of an earlier launch,
-                // which comes due no later than this one.
-                let rem = work.saturating_sub(run.slots_run);
-                let due = t + u64::from(rem.saturating_sub(1));
-                run.due = due;
-                if self.flags[iu] & F_FILED == 0 {
-                    self.flags[iu] |= F_FILED;
-                    self.calendar.file(i, due, t);
-                }
+            for (p, &i) in list.iter().enumerate() {
+                self.pos_of[i as usize] = p as u32;
             }
         }
-
-        // 5. Geometric draw pass: one `chance(θ)` per accepted geometric
-        // bid, ascending by id — bit-identical to the naive submission-
-        // order scan. `geo_run` carries last slot's survivors (entries
-        // interrupted or terminated above are skipped and dropped);
-        // `geo_in` carries this slot's starts; both are sorted and
-        // disjoint, so a linear merge preserves the global draw order.
-        let mut gr = std::mem::take(&mut self.geo_run);
-        let mut gnext = std::mem::take(&mut self.sc_geo_next);
-        let mut fin_geo = std::mem::take(&mut self.sc_fin_geo);
-        gnext.clear();
-        fin_geo.clear();
-        let (mut a, mut b) = (0usize, 0usize);
-        loop {
-            let from_old = match (gr.get(a), geo_in.get(b)) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(&x), Some(&y)) => x < y,
-            };
-            let i = if from_old {
-                let i = gr[a];
-                a += 1;
-                if self.flags[i as usize] & F_RUNNING == 0 {
-                    continue; // went stale this slot (interrupted/terminated)
+        if pf < pp {
+            let out = if reclaiming { parked } else { &mut s.started };
+            let lo = self.grid.index(pf);
+            self.buckets[lo].pending.retain(|&i| {
+                let wins = price_of[i as usize] >= pf;
+                if wins {
+                    out.push(i);
                 }
-                i
-            } else {
-                let i = geo_in[b];
-                b += 1;
-                i
-            };
-            if rng.chance(self.params.theta) {
-                self.finish(i);
-                fin_geo.push(i);
-            } else {
-                gnext.push(i);
+                !wins
+            });
+            for b in lo + 1..=self.grid.index(pp) {
+                out.append(&mut self.buckets[b].pending);
             }
-        }
-        self.geo_run = gnext;
-        gr.clear();
-        self.sc_geo_next = gr;
-
-        // 6. Calendar pop: fixed-work bids whose streak reaches its work
-        // requirement this slot, the running bids with `due == t`.
-        let mut fin_fixed = std::mem::take(&mut self.sc_fin_fixed);
-        fin_fixed.clear();
-        let dues = Dues {
-            run_of: &self.run_of,
-            runs: &self.runs,
-        };
-        self.calendar.pop(t, &mut self.flags, dues, &mut fin_fixed);
-        fin_fixed.sort_unstable();
-        for &i in &fin_fixed {
-            self.finish(i);
-            let iu = i as usize;
-            debug_assert!(self.runs[self.run_of[iu] as usize].slots_run >= self.work[iu]);
-        }
-
-        // 7. Finished = id-merge of the geometric and fixed finish sets.
-        let (mut a, mut b) = (0usize, 0usize);
-        loop {
-            let from_geo = match (fin_geo.get(a), fin_fixed.get(b)) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(&x), Some(&y)) => x < y,
-            };
-            let i = if from_geo {
-                a += 1;
-                fin_geo[a - 1]
-            } else {
-                b += 1;
-                fin_fixed[b - 1]
-            };
-            report.finished.push(BidId(u64::from(i)));
-        }
-
-        self.sc_started = started;
-        self.sc_rejected = rejected;
-        self.sc_geo_in = geo_in;
-        self.sc_fin_geo = fin_geo;
-        self.sc_fin_fixed = fin_fixed;
-        self.prev_price = pf;
-        self.t += 1;
-    }
-
-    /// Runs `n` slots, returning every report.
-    pub fn run(&mut self, n: usize, rng: &mut Rng) -> Vec<SlotReport> {
-        (0..n).map(|_| self.step(rng)).collect()
-    }
-
-    /// Returns a consumed report's event buffers to the arena so the next
-    /// [`step`](Self::step)/[`step_into`](Self::step_into) reuses them.
-    pub fn recycle(&mut self, report: SlotReport) {
-        let SlotReport {
-            mut started,
-            mut interrupted,
-            mut finished,
-            mut terminated,
-            mut evicted,
-            ..
-        } = report;
-        started.clear();
-        interrupted.clear();
-        finished.clear();
-        terminated.clear();
-        evicted.clear();
-        self.report_pool.push(started);
-        self.report_pool.push(interrupted);
-        self.report_pool.push(finished);
-        self.report_pool.push(terminated);
-        self.report_pool.push(evicted);
-    }
-
-    fn fresh_report(&mut self) -> SlotReport {
-        let mut take = || self.report_pool.pop().unwrap_or_default();
-        let started = take();
-        let interrupted = take();
-        let finished = take();
-        let terminated = take();
-        let evicted = take();
-        SlotReport {
-            t: 0,
-            demand: 0,
-            price: Price::ZERO,
-            started,
-            interrupted,
-            finished,
-            terminated,
-            evicted,
         }
     }
 
@@ -1693,6 +1420,105 @@ impl SpotMarket {
         false
     }
 
+    /// Step 3b's evictions: the provider reclaims the `k` lowest of the
+    /// carried runners and this slot's winners — lowest bid first, newest
+    /// first among equal bids (`victim_order`, the §5i reclaim contract).
+    /// Carried victims are interrupted like a price crossing (settled
+    /// through the previous slot, persistent ones park for an individual
+    /// re-auction, one-time ones exit); would-be starters are returned
+    /// unlaunched (no start event — persistent park, one-time exit).
+    /// `select_victims` hands the victims over in id order: which bids go
+    /// is fixed by `victim_order`, and nothing the pass writes depends on
+    /// the order it visits them in (bucket-list positions are internal,
+    /// `parked` is sorted before use). So `evicted` comes out id-sorted,
+    /// and `interrupted`/`terminated` only need their two sorted runs
+    /// merged. Returns the reclaims and the fresh evictions.
+    fn evict(
+        &mut self,
+        k: usize,
+        pf: f64,
+        s: &mut Scratch,
+        parked: &mut Vec<u32>,
+        report: &mut SlotReport,
+    ) -> SpotCounts {
+        select_victims(
+            &self.buckets,
+            &s.started,
+            &self.price_of,
+            &self.bucket_of,
+            self.grid.index(pf),
+            k,
+            &mut s.bucket_count,
+            &mut s.victims,
+        );
+        let mut spot = SpotCounts::default();
+        for &i in &s.victims {
+            report.evicted.push(BidId(u64::from(i)));
+            if self.flags[i as usize] & F_RUNNING != 0 {
+                // A running instance reclaimed for the pool.
+                spot.reclaims += 1;
+                self.remove_running(i);
+                self.interrupt(i, report);
+            } else {
+                // A would-be starter: never launched this slot.
+                spot.fresh_evictions += 1;
+            }
+            if self.flags[i as usize] & F_PERSISTENT != 0 {
+                parked.push(i);
+            } else {
+                self.terminate(i, report);
+            }
+        }
+        // Both lists ascend, so one pass drops the fresh victims.
+        let mut victims = s.victims.iter().peekable();
+        s.started.retain(|i| {
+            while victims.next_if(|&v| v < i).is_some() {}
+            victims.next_if_eq(&i).is_none()
+        });
+        report.interrupted.sort_unstable();
+        report.terminated.sort_unstable();
+        debug_assert!(report.evicted.windows(2).all(|w| w[0] < w[1]));
+        spot
+    }
+
+    /// Step 4 for winner `i`: puts it in its bucket's running list, gives
+    /// a first launch its run entry (a restart reuses it), starts the
+    /// running streak, and schedules a fixed-work finish on the calendar
+    /// or enrolls a geometric bid for the draw pass.
+    fn launch(
+        &mut self,
+        i: u32,
+        calendar: &mut Calendar,
+        geo_in: &mut Vec<u32>,
+        report: &mut SlotReport,
+    ) {
+        let (iu, t) = (i as usize, self.t);
+        self.flags[iu] |= F_RUNNING;
+        let b = self.bucket_of[iu] as usize;
+        self.pos_of[iu] = self.buckets[b].running.len() as u32;
+        self.buckets[b].running.push(i);
+        report.started.push(BidId(u64::from(i)));
+        let run = self.settlement.entry(&mut self.run_of[iu]);
+        run.run_since = t;
+        if self.flags[iu] & F_GEOMETRIC != 0 {
+            geo_in.push(i);
+        } else {
+            // Settled at (re)start, so `slots_run` is exact here; a
+            // zero-slot request still occupies (and is charged for)
+            // the slot it is accepted in, matching the naive rule
+            // `slots_run >= n` checked after the increment.
+            // A restarted bid keeps the entry of an earlier launch,
+            // which comes due no later than this one.
+            let rem = self.work[iu].saturating_sub(run.slots_run);
+            let due = t + u64::from(rem.saturating_sub(1));
+            run.due = due;
+            if self.flags[iu] & F_FILED == 0 {
+                self.flags[iu] |= F_FILED;
+                calendar.file(i, due, t);
+            }
+        }
+    }
+
     /// Appends a bid to its bucket's pending list.
     fn push_pending(&mut self, i: u32) {
         let b = self.bucket_of[i as usize] as usize;
@@ -1707,7 +1533,7 @@ impl SpotMarket {
     fn terminate(&mut self, i: u32, report: &mut SlotReport) {
         let iu = i as usize;
         if self.run_of[iu] != NO_RUN || !self.submitted_now(iu) {
-            self.run_entry(iu).due = self.t;
+            self.settlement.entry(&mut self.run_of[iu]).due = self.t;
         }
         self.flags[iu] &= !F_OPEN;
         self.open_count -= 1;
@@ -1718,7 +1544,7 @@ impl SpotMarket {
     /// through this slot.
     fn finish(&mut self, i: u32) {
         let iu = i as usize;
-        self.settle(iu, self.t).due = self.t;
+        self.settlement.settle(self.run_of[iu], self.t).due = self.t;
         self.flags[iu] = (self.flags[iu] & !(F_RUNNING | F_OPEN)) | F_FINISHED;
         self.running_count -= 1;
         self.remove_running(i);
@@ -1732,17 +1558,10 @@ impl SpotMarket {
         self.flags[iu] &= !F_RUNNING;
         self.running_count -= 1;
         debug_assert!(self.t > 0, "no residents can exist before the first step");
-        self.settle(iu, self.t - 1).interruptions += 1;
+        self.settlement
+            .settle(self.run_of[iu], self.t - 1)
+            .interruptions += 1;
         report.interrupted.push(BidId(u64::from(i)));
-    }
-
-    /// Bid `iu`'s run entry, pushed fresh if it holds none.
-    fn run_entry(&mut self, iu: usize) -> &mut Run {
-        if self.run_of[iu] == NO_RUN {
-            self.run_of[iu] = self.runs.len() as u32;
-            self.runs.push(FRESH_RUN);
-        }
-        &mut self.runs[self.run_of[iu] as usize]
     }
 
     /// Bid `iu` was submitted in the current slot: it lies in the last
@@ -1767,28 +1586,40 @@ impl SpotMarket {
         }
     }
 
-    /// Settles the lazy charge accrual for slots `[run_since, end]`: the
-    /// same `charged += price_u × slot_len` sequence, in the same
+    /// Settles a single bid's accrual up to the last completed slot.
+    fn sync_one(&mut self, iu: usize) {
+        if self.flags[iu] & F_RUNNING != 0 && self.t > 0 {
+            self.settlement.settle(self.run_of[iu], self.t - 1);
+        }
+    }
+}
+
+impl Settlement {
+    /// The run entry `run_of` points at, pushed fresh (and `run_of`
+    /// pointed at it) if it holds none.
+    fn entry(&mut self, run_of: &mut u32) -> &mut Run {
+        if *run_of == NO_RUN {
+            *run_of = self.runs.len() as u32;
+            self.runs.push(FRESH_RUN);
+        }
+        &mut self.runs[*run_of as usize]
+    }
+
+    /// Settles run `r`'s lazy charge accrual for slots `[run_since, end]`:
+    /// the same `charged += price_u × slot_len` sequence, in the same
     /// chronological order, as the naive per-slot loop — so the float sums
     /// are bit-identical (the memo returns the fold's own bits). Returns
-    /// the bid's run entry, which a running bid always holds.
-    fn settle(&mut self, iu: usize, end: u64) -> &mut Run {
-        let a = &mut self.runs[self.run_of[iu] as usize];
+    /// the run entry, which a running bid always holds.
+    fn settle(&mut self, r: u32, end: u64) -> &mut Run {
+        let a = &mut self.runs[r as usize];
         if a.run_since <= end {
-            a.charged =
-                self.slot_charge
-                    .settle(a.charged, a.run_since, end + 1, std::iter::once(0));
+            a.charged = self
+                .charges
+                .settle(a.charged, a.run_since, end + 1, std::iter::once(0));
             a.slots_run += (end - a.run_since + 1) as u32;
             a.run_since = end + 1;
         }
         a
-    }
-
-    /// Settles a single bid's accrual up to the last completed slot.
-    fn sync_one(&mut self, iu: usize) {
-        if self.flags[iu] & F_RUNNING != 0 && self.t > 0 {
-            self.settle(iu, self.t - 1);
-        }
     }
 }
 
@@ -1941,7 +1772,8 @@ mod tests {
 
     #[test]
     fn recycled_reports_do_not_change_results() {
-        // step_into over recycled buffers must match fresh step() output.
+        // step_into over one report reused across slots must match fresh
+        // step() output.
         let mut m1 = market();
         let mut m2 = market();
         let mut r1 = Rng::seed_from_u64(9);
@@ -1956,7 +1788,6 @@ mod tests {
             let fresh = m1.step(&mut r1);
             m2.step_into(&mut r2, &mut arena);
             assert_eq!(fresh, arena);
-            m1.recycle(fresh);
         }
         assert_eq!(m1.records(), m2.records());
     }
@@ -2170,14 +2001,17 @@ mod tests {
         rng: &mut Rng,
     ) -> (u16, bool, usize) {
         let m = market();
-        let bucket_of: Vec<u16> = prices.iter().map(|&p| m.grid.index(p) as u16).collect();
+        let bucket_of: Vec<u16> = prices
+            .iter()
+            .map(|&p| m.book.grid.index(p) as u16)
+            .collect();
         let lowest = prices.iter().copied().fold(f64::INFINITY, f64::min);
         let posted = match rng.range_usize(3) {
             0 => lowest,
             1 => rng.range_f64(lowest - 0.05, lowest),
             _ => -1.0,
         };
-        let floor = m.grid.index(posted);
+        let floor = m.book.grid.index(posted);
         let mut buckets = vec![Bucket::default(); BUCKETS];
         let mut starters = Vec::new();
         for i in 0..prices.len() as u32 {
@@ -2317,6 +2151,7 @@ mod tests {
             m.submit(bid(ladder(i), BidKind::Persistent, u32::MAX));
         }
         let (mut restarts, mut worst) = (0usize, 0usize);
+        let mut report = SlotReport::empty();
         for s in 0..20_000u32 {
             let depart = (0..m.od_active()).filter(|_| g.chance(0.1)).count() as u32;
             m.release_on_demand(depart);
@@ -2328,7 +2163,7 @@ mod tests {
                     work: WorkModel::Geometric,
                 });
             }
-            let report = m.step(&mut rng);
+            m.step_into(&mut rng, &mut report);
             if s > 0 {
                 restarts += report
                     .started
@@ -2336,11 +2171,10 @@ mod tests {
                     .filter(|id| id.0 < u64::from(STANDING))
                     .count();
             }
-            m.recycle(report);
             worst = worst.max(m.calendar.len());
         }
         let open_fixed = (0..STANDING as usize)
-            .filter(|&i| m.flags[i] & F_OPEN != 0)
+            .filter(|&i| m.book.flags[i] & F_OPEN != 0)
             .count();
         assert_eq!(open_fixed, STANDING as usize, "standing bids never close");
         assert!(
@@ -2442,13 +2276,14 @@ mod tests {
         /// grows.
         fn column_shapes(&self) -> [(usize, usize); 6] {
             let shape = |len, cap| (len, cap);
+            let b = &self.book;
             [
-                shape(self.price_of.len(), self.price_of.capacity()),
-                shape(self.flags.len(), self.flags.capacity()),
-                shape(self.work.len(), self.work.capacity()),
-                shape(self.run_of.len(), self.run_of.capacity()),
-                shape(self.bucket_of.len(), self.bucket_of.capacity()),
-                shape(self.pos_of.len(), self.pos_of.capacity()),
+                shape(b.price_of.len(), b.price_of.capacity()),
+                shape(b.flags.len(), b.flags.capacity()),
+                shape(b.work.len(), b.work.capacity()),
+                shape(b.run_of.len(), b.run_of.capacity()),
+                shape(b.bucket_of.len(), b.bucket_of.capacity()),
+                shape(b.pos_of.len(), b.pos_of.capacity()),
             ]
         }
     }
@@ -2459,15 +2294,16 @@ mod tests {
             std::mem::size_of::<T>()
         }
         let m = market();
-        let per_bid = elem(&m.price_of)
-            + elem(&m.flags)
-            + elem(&m.work)
-            + elem(&m.run_of)
-            + elem(&m.bucket_of)
-            + elem(&m.pos_of);
+        let b = &m.book;
+        let per_bid = elem(&b.price_of)
+            + elem(&b.flags)
+            + elem(&b.work)
+            + elem(&b.run_of)
+            + elem(&b.bucket_of)
+            + elem(&b.pos_of);
         assert_eq!(m.column_shapes().len(), 6, "a column left out here");
         assert_eq!(per_bid, 23);
-        assert_eq!(elem(&m.runs), 32, "a launched bid's run entry");
+        assert_eq!(elem(&b.settlement.runs), 32, "a launched bid's run entry");
     }
 
     #[test]
@@ -2478,8 +2314,8 @@ mod tests {
         let id = m.submit(bid(0.02, BidKind::OneTime, 1));
         let rep = m.step(&mut rng);
         assert_eq!(rep.terminated, vec![id]);
-        assert_eq!(m.run_of[id.0 as usize], NO_RUN);
-        assert!(m.runs.is_empty());
+        assert_eq!(m.book.run_of[id.0 as usize], NO_RUN);
+        assert!(m.book.settlement.runs.is_empty());
         let rec = m.record(id).unwrap();
         assert_eq!(rec.phase, BidPhase::Terminated);
         assert_eq!(rec.submitted_at, 3);
@@ -2503,7 +2339,10 @@ mod tests {
         let rep = m.step(&mut rng);
         assert_eq!(rep.t, 3);
         assert_eq!(rep.terminated, vec![id]);
-        assert_ne!(m.run_of[id.0 as usize], NO_RUN, "holds its closing slot");
+        assert_ne!(
+            m.book.run_of[id.0 as usize], NO_RUN,
+            "holds its closing slot"
+        );
         let rec = m.record(id).unwrap();
         assert_eq!(rec.phase, BidPhase::Terminated);
         assert_eq!(rec.submitted_at, 2);
@@ -2521,10 +2360,13 @@ mod tests {
         for _ in 0..200 {
             let rep = m.step(&mut rng);
             assert!(!rep.started.contains(&low));
-            m.recycle(rep);
         }
-        assert_eq!(m.run_of[low.0 as usize], NO_RUN);
-        assert_eq!(m.runs.len(), 1, "only the running bid holds an entry");
+        assert_eq!(m.book.run_of[low.0 as usize], NO_RUN);
+        assert_eq!(
+            m.book.settlement.runs.len(),
+            1,
+            "only the running bid holds an entry"
+        );
         let rec = m.record(low).unwrap();
         assert_eq!(rec.phase, BidPhase::Pending);
         assert_eq!((rec.slots_run, rec.closed_at), (0, None));
@@ -2546,11 +2388,10 @@ mod tests {
         for s in 0..40u32 {
             m.submit(bid(0.34, BidKind::Persistent, 1 + s % 4));
             m.submit(bid(0.2 + f64::from(s % 7) * 0.02, BidKind::OneTime, 2));
-            let rep = m.step(&mut rng);
-            m.recycle(rep);
+            m.step(&mut rng);
             assert_eq!(m.record(id).unwrap(), rec, "slot {}", m.now());
         }
-        assert!(m.runs.len() > 40, "later bids launched");
+        assert!(m.book.settlement.runs.len() > 40, "later bids launched");
     }
 
     #[test]
@@ -2607,8 +2448,6 @@ mod tests {
                 }
                 let (x, y) = (plain.step(&mut ra), reserved.step(&mut rb));
                 assert_eq!(x, y, "round {round}, slot {slot}");
-                plain.recycle(x);
-                reserved.recycle(y);
             }
             assert_eq!(plain.records(), reserved.records(), "round {round}");
             assert_eq!(plain.provider_slots(), reserved.provider_slots());

@@ -14,13 +14,18 @@
 //! randomized equivalence suite (`tests/bidbook_equiv.rs`) holds the two
 //! implementations against each other across seeds, bid mixes, and price
 //! regimes.
+//!
+//! The provider side is not duplicated here: the on-demand pool, the
+//! posted-price rule and the provider ledger are the same crate-private
+//! `Pool` the bid-book holds (DESIGN.md §5i). The auction, the eviction
+//! order, the charging and the spot-side counts are this market's own.
 
+use super::pool::{Pool, SpotCounts};
 use super::{
-    aggregate_provider, victim_order, BidId, BidKind, BidPhase, BidRecord, BidRequest,
-    ProviderReport, ProviderSlot, SlotReport, Supply, WorkModel,
+    victim_order, BidId, BidKind, BidPhase, BidRecord, BidRequest, ProviderReport, ProviderSlot,
+    SlotReport, Supply, WorkModel,
 };
 use crate::params::MarketParams;
-use crate::provider::{clearing_price, optimal_price};
 use crate::units::{Cost, Hours};
 use spotbid_numerics::rng::Rng;
 
@@ -28,8 +33,9 @@ use spotbid_numerics::rng::Rng;
 /// reference implementation.
 #[derive(Debug, Clone)]
 pub struct SpotMarket {
-    params: MarketParams,
-    slot_len: Hours,
+    /// The server pool: on-demand instances, the price rule and the
+    /// provider ledger (shared with the bid-book).
+    pool: Pool,
     t: u64,
     records: Vec<BidRecord>,
     /// Indices into `records` of bids still in the system.
@@ -47,16 +53,6 @@ pub struct SpotMarket {
     /// The next step is a capacity reclamation (set by
     /// [`reclaim_next_slot`](Self::reclaim_next_slot)).
     reclaim_next: bool,
-    /// The supply model (unbounded Eq. 3 or a finite provider).
-    supply: Supply,
-    /// On-demand instances currently holding servers (finite supply only).
-    od_active: u32,
-    /// On-demand admissions since the last slot (drained into the log).
-    od_admit_pending: u32,
-    /// On-demand rejections since the last slot (drained into the log).
-    od_reject_pending: u32,
-    /// Per-slot provider telemetry (finite supply only).
-    provider_log: Vec<ProviderSlot>,
 }
 
 impl SpotMarket {
@@ -68,81 +64,44 @@ impl SpotMarket {
     /// Creates an empty market under the given supply model.
     pub fn with_supply(params: MarketParams, slot_len: Hours, supply: Supply) -> Self {
         SpotMarket {
-            params,
-            slot_len,
+            pool: Pool::new(params, slot_len, supply),
             t: 0,
             records: Vec::new(),
             open: Vec::new(),
             parked: Vec::new(),
             scratch: Vec::new(),
             reclaim_next: false,
-            supply,
-            od_active: 0,
-            od_admit_pending: 0,
-            od_reject_pending: 0,
-            provider_log: Vec::new(),
         }
-    }
-
-    /// The supply model this market prices against.
-    pub fn supply(&self) -> Supply {
-        self.supply
     }
 
     /// On-demand instances currently holding servers.
     pub fn od_active(&self) -> u32 {
-        self.od_active
-    }
-
-    /// Servers currently available to the spot auction (`None` when
-    /// supply is unbounded).
-    pub fn spot_capacity(&self) -> Option<u32> {
-        match self.supply {
-            Supply::Unbounded => None,
-            Supply::Finite { capacity, policy } => {
-                Some(policy.spot_capacity(capacity, self.od_active))
-            }
-        }
+        self.pool.od_active()
     }
 
     /// Requests `n` on-demand instances; returns how many were admitted.
     pub fn request_on_demand(&mut self, n: u32) -> u32 {
-        match self.supply {
-            Supply::Unbounded => n,
-            Supply::Finite { capacity, policy } => {
-                let limit = policy.od_limit(capacity);
-                let admitted = n.min(limit.saturating_sub(self.od_active));
-                self.od_active += admitted;
-                self.od_admit_pending += admitted;
-                self.od_reject_pending += n - admitted;
-                admitted
-            }
-        }
+        self.pool.request(n)
     }
 
     /// Releases `n` on-demand instances back to the pool.
     pub fn release_on_demand(&mut self, n: u32) {
-        self.od_active = self.od_active.saturating_sub(n);
+        self.pool.release(n);
     }
 
     /// Per-slot provider telemetry (empty under unbounded supply).
     pub fn provider_slots(&self) -> &[ProviderSlot] {
-        &self.provider_log
+        self.pool.ledger()
     }
 
     /// Aggregated provider report (`None` under unbounded supply).
     pub fn provider_report(&self) -> Option<ProviderReport> {
-        match self.supply {
-            Supply::Unbounded => None,
-            Supply::Finite { capacity, .. } => {
-                Some(aggregate_provider(capacity, &self.provider_log))
-            }
-        }
+        self.pool.report()
     }
 
     /// The market parameters.
     pub fn params(&self) -> &MarketParams {
-        &self.params
+        self.pool.params()
     }
 
     /// Current slot index (number of completed steps).
@@ -205,22 +164,7 @@ impl SpotMarket {
         // bids, running instances re-asserting their bids, and new
         // arrivals) — the L(t) of Eq. 4.
         let demand = self.open.len();
-        let price = match self.supply {
-            Supply::Unbounded => optimal_price(&self.params, demand as f64),
-            Supply::Finite { capacity, policy } => {
-                // Spot clears what on-demand has not reserved. With slack
-                // capacity the clearing price sits below the revenue price
-                // and `max` reproduces Eq. 3's exact float.
-                let cap = policy.spot_capacity(capacity, self.od_active);
-                let revenue = optimal_price(&self.params, demand as f64);
-                let clearing = clearing_price(&self.params, demand as f64, f64::from(cap));
-                if clearing > revenue {
-                    clearing
-                } else {
-                    revenue
-                }
-            }
-        };
+        let price = self.pool.price(demand);
 
         let mut report = SlotReport {
             t,
@@ -270,24 +214,9 @@ impl SpotMarket {
                 }
             }
             self.scratch = std::mem::replace(&mut self.open, still_open);
-            if let Supply::Finite { capacity, policy } = self.supply {
-                // An outage slot runs nothing: the provider logs an idle
-                // spot side so the telemetry stays one entry per slot.
-                self.provider_log.push(ProviderSlot {
-                    t,
-                    price,
-                    spot_capacity: policy.spot_capacity(capacity, self.od_active),
-                    spot_running: 0,
-                    od_active: self.od_active,
-                    reclaims: 0,
-                    fresh_evictions: 0,
-                    parked_restarts: 0,
-                    od_admitted: std::mem::take(&mut self.od_admit_pending),
-                    od_rejected: std::mem::take(&mut self.od_reject_pending),
-                    spot_revenue: Cost::ZERO,
-                    od_revenue: (self.params.pi_bar * self.slot_len) * f64::from(self.od_active),
-                });
-            }
+            // An outage slot runs nothing: the provider logs an idle spot
+            // side so the telemetry stays one entry per slot.
+            self.pool.close_slot(t, price, SpotCounts::default());
             self.t += 1;
             return report;
         }
@@ -298,9 +227,7 @@ impl SpotMarket {
         // Victims are the lowest-bid accepted bids, newest first among
         // equal bids (`victim_order`, the §5i reclaim ordering contract).
         let mut victims: Vec<usize> = Vec::new();
-        let mut spot_cap = u32::MAX;
-        if let Supply::Finite { capacity, policy } = self.supply {
-            spot_cap = policy.spot_capacity(capacity, self.od_active);
+        if let Some(spot_cap) = self.pool.spot_capacity() {
             let mut accepted: Vec<usize> = self
                 .open
                 .iter()
@@ -325,10 +252,7 @@ impl SpotMarket {
                     .extend(victims.iter().map(|&idx| self.records[idx].id));
             }
         }
-        let mut spot_running = 0u32;
-        let mut reclaims = 0u32;
-        let mut fresh_evictions = 0u32;
-        let mut parked_restarts = 0u32;
+        let mut spot = SpotCounts::default();
         for &idx in &self.open {
             let accepted = self.records[idx].request.price >= price;
             let was_running = self.records[idx].phase == BidPhase::Running;
@@ -341,7 +265,7 @@ impl SpotMarket {
                 // like a price crossing; a would-be starter is quietly
                 // returned without ever launching.
                 if was_running {
-                    reclaims += 1;
+                    spot.reclaims += 1;
                     rec.interruptions += 1;
                     report.interrupted.push(rec.id);
                     match rec.request.kind {
@@ -359,7 +283,7 @@ impl SpotMarket {
                         }
                     }
                 } else {
-                    fresh_evictions += 1;
+                    spot.fresh_evictions += 1;
                     match rec.request.kind {
                         BidKind::OneTime => {
                             rec.phase = BidPhase::Terminated;
@@ -377,16 +301,16 @@ impl SpotMarket {
                     rec.phase = BidPhase::Running;
                     report.started.push(rec.id);
                     if was_parked {
-                        parked_restarts += 1;
+                        spot.parked_restarts += 1;
                     }
                 }
-                spot_running += 1;
+                spot.running += 1;
                 // Run for this slot: charge at the spot price.
                 rec.slots_run += 1;
-                rec.charged += price * self.slot_len;
+                rec.charged += price * self.pool.slot_len();
                 let done = match rec.request.work {
                     WorkModel::FixedSlots(n) => rec.slots_run >= n,
-                    WorkModel::Geometric => rng.chance(self.params.theta),
+                    WorkModel::Geometric => rng.chance(self.pool.params().theta),
                 };
                 if done {
                     rec.phase = BidPhase::Finished;
@@ -424,24 +348,7 @@ impl SpotMarket {
         // Swap the survivor list in and keep the old vector as next slot's
         // scratch, so steady-state stepping reuses both allocations.
         self.scratch = std::mem::replace(&mut self.open, still_open);
-        if let Supply::Finite { .. } = self.supply {
-            let spot_revenue = (price * self.slot_len) * f64::from(spot_running);
-            let od_revenue = (self.params.pi_bar * self.slot_len) * f64::from(self.od_active);
-            self.provider_log.push(ProviderSlot {
-                t,
-                price,
-                spot_capacity: spot_cap,
-                spot_running,
-                od_active: self.od_active,
-                reclaims,
-                fresh_evictions,
-                parked_restarts,
-                od_admitted: std::mem::take(&mut self.od_admit_pending),
-                od_rejected: std::mem::take(&mut self.od_reject_pending),
-                spot_revenue,
-                od_revenue,
-            });
-        }
+        self.pool.close_slot(t, price, spot);
         self.t += 1;
         report
     }

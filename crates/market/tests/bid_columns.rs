@@ -65,8 +65,6 @@ fn wave_size(g: &mut Rng, slot: usize) -> usize {
 fn step_both(a: &mut SpotMarket, b: &mut SpotMarket, ra: &mut Rng, rb: &mut Rng, what: &str) {
     let (x, y) = (a.step(ra), b.step(rb));
     assert_eq!(x, y, "{what}");
-    a.recycle(x);
-    b.recycle(y);
 }
 
 /// One random session: `plain` submits bid by bid, `batched` one batch
@@ -118,8 +116,6 @@ fn batch_session(seed: u64, supply: Supply) -> usize {
         // Persistent runners interrupted by an outage park until the
         // next normal slot (one-time ones are terminated too).
         parked = reclaim && x.interrupted.len() > x.terminated.len();
-        plain.recycle(x);
-        batched.recycle(y);
         if slot % 8 == 0 {
             assert_eq!(
                 plain.records(),
@@ -274,7 +270,6 @@ fn records_reconcile_with_the_report_stream() {
             }
             note_closed(&mut seen, &report.finished, &report, BidPhase::Finished);
             note_closed(&mut seen, &report.terminated, &report, BidPhase::Terminated);
-            m.recycle(report);
 
             let records = m.records();
             assert_eq!(records.len(), seen.len());

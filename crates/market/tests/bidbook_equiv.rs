@@ -10,7 +10,7 @@
 //! ones: prices on exact bucket boundaries, below the price floor, above
 //! the cap, zero-slot jobs, and mid-run submission bursts.
 
-use spotbid_market::provider::ProviderPolicy;
+use spotbid_market::provider::{optimal_price, ProviderPolicy};
 use spotbid_market::sim::{
     naive, BidId, BidKind, BidRequest, SlotReport, SpotMarket, Supply, WorkModel,
 };
@@ -57,6 +57,13 @@ fn clustered_price(p: &MarketParams, rng: &mut Rng) -> Price {
 fn boundary_price(p: &MarketParams, rng: &mut Rng) -> Price {
     let k = rng.range_f64(0.0, BUCKETS + 1.0).floor().min(BUCKETS);
     Price::new(p.pi_min.as_f64() + k * (p.spread().as_f64() / BUCKETS))
+}
+
+/// Eq. 3's price at a demand of 1–400: these bids tie the posted price
+/// exactly on every slot whose demand matches, where the accept rule's
+/// `>=` decides.
+fn posted_price(p: &MarketParams, rng: &mut Rng) -> Price {
+    optimal_price(p, (1 + rng.range_usize(400)) as f64)
 }
 
 /// Out-of-range prices: below the floor (never accepted) and above the
@@ -263,6 +270,15 @@ fn equivalent_on_exact_bucket_boundaries() {
 }
 
 #[test]
+fn equivalent_on_exact_posted_prices() {
+    for seed in [101u64, 103, 0x7E5] {
+        run_equivalence(seed, posted_price, 250, 100, 0.6);
+        run_equivalence_reclaiming(seed, posted_price, 200, 100, 0.5, 0.05);
+        run_equivalence_supply(seed, posted_price, 250, 100, 0.6, 0.0, finite(64, 32), 0.3);
+    }
+}
+
+#[test]
 fn equivalent_under_out_of_range_prices() {
     for seed in [23u64, 29, 31] {
         run_equivalence(seed, extreme_price, 200, 90, 0.6);
@@ -462,7 +478,8 @@ fn run_matches_stepwise_and_naive() {
 
 #[test]
 fn recycled_arena_path_matches_naive() {
-    // step_into + recycle (the engine's arena path) against the oracle.
+    // step_into on one report reused across slots (the engine's arena
+    // path) against the oracle.
     let p = params();
     let (mut book, mut base) = pair(p);
     let mut sub = Rng::seed_from_u64(123);
@@ -478,8 +495,6 @@ fn recycled_arena_path_matches_naive() {
         book.step_into(&mut rb, &mut arena);
         let expect = base.step(&mut rn);
         assert_eq!(arena, expect, "slot {s}");
-        let done = std::mem::replace(&mut arena, SlotReport::empty());
-        book.recycle(done);
     }
     assert_eq!(book.records(), base.records());
 }

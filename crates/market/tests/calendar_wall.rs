@@ -123,7 +123,6 @@ fn session(
             base.provider_slots().last(),
             "seed {seed} slot {s}"
         );
-        book.recycle(x);
     }
     let records = book.records();
     assert_eq!(records, base.records(), "seed {seed} final records");

@@ -13,7 +13,7 @@
 //! file holds a single test.
 
 use spotbid::market::provider::ProviderPolicy;
-use spotbid::market::sim::{BidId, BidKind, BidRequest, SpotMarket, WorkModel};
+use spotbid::market::sim::{BidId, BidKind, BidRequest, SlotReport, SpotMarket, WorkModel};
 use spotbid::market::units::{Hours, Price};
 use spotbid::market::{MarketParams, Supply};
 use spotbid::numerics::rng::Rng;
@@ -114,6 +114,7 @@ fn a_pending_book_carries_no_run_state() {
             work: WorkModel::FixedSlots(u32::MAX),
         });
     }
+    let mut report = SlotReport::empty();
     for _ in 0..SLOTS {
         let depart = (0..m.od_active())
             .filter(|_| inputs.chance(OD_DEPARTURE))
@@ -127,8 +128,7 @@ fn a_pending_book_carries_no_run_state() {
                 work: WorkModel::Geometric,
             });
         }
-        let report = m.step(&mut rng);
-        m.recycle(report);
+        m.step_into(&mut rng, &mut report);
     }
     let peak = PEAK.load(Ordering::Relaxed) - before;
 
