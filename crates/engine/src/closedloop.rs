@@ -528,7 +528,7 @@ mod tests {
                         _ => running.clone(),
                     };
                     for m in ran {
-                        eager.add(t, charges.at(slot, m));
+                        eager.totals_mut()[t as usize] += charges.at(slot, m);
                     }
                 }
 
@@ -536,11 +536,11 @@ mod tests {
                 // the wake slot itself; the session end settles the rest.
                 let (mut since, mut running) = (0, Vec::new());
                 for (w, ran, keeps) in &st.wakes {
-                    let total = lazy.total_mut(t);
+                    let total = &mut lazy.totals_mut()[t as usize];
                     *total = charges.settle(*total, since, *w, running.iter().copied());
                     carried += (*w - since) * running.len() as u64;
                     for m in markets_of(ran) {
-                        lazy.add(t, charges.at(*w, m));
+                        lazy.totals_mut()[t as usize] += charges.at(*w, m);
                     }
                     if *w == 0 && !ran.is_empty() {
                         from_zero += 1;
@@ -551,7 +551,7 @@ mod tests {
                 if !running.is_empty() && since < slots {
                     open_at_end += 1;
                 }
-                let total = lazy.total_mut(t);
+                let total = &mut lazy.totals_mut()[t as usize];
                 *total = charges.settle(*total, since, slots, running.iter().copied());
             }
             let (e, l) = (eager.into_totals(), lazy.into_totals());

@@ -459,8 +459,8 @@ pub(super) trait SessionFleet: JobDriver<PortfolioSource> {
     /// events).
     fn close(&mut self) {}
 
-    /// Every tenant's state at the session end, in tag order.
-    fn finals(&self) -> impl ExactSizeIterator<Item = TenantFinal<'_>> + '_;
+    /// Tenant `tag`'s state at the session end.
+    fn tenant_final(&self, tag: u32) -> TenantFinal<'_>;
 }
 
 /// A session run to its end: the fleet, every tenant's cost total, and
@@ -468,6 +468,7 @@ pub(super) trait SessionFleet: JobDriver<PortfolioSource> {
 /// provider telemetry. The markets themselves, with every bid column, are
 /// dropped before the report rows are built.
 pub(super) struct Session<F> {
+    tenants: u32,
     costs: CostTotals,
     pub(super) fleet: F,
     /// Per market, every posted price in slot order.
@@ -519,6 +520,7 @@ fn run_session<F: SessionFleet>(
         (None, own) => std::mem::replace(own.expect("billed by itself"), CostTotals::new(0)),
     };
     Ok(Session {
+        tenants: tenants as u32,
         fleet,
         posted,
         provider,
@@ -539,12 +541,12 @@ impl<F: SessionFleet> Session<F> {
         row: impl Fn(TenantFinal<'_>, Cost, f64) -> R,
     ) -> Result<(Vec<R>, usize, f64), EngineError> {
         let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-        let finals = self.fleet.finals();
-        let mut rows = Vec::with_capacity(finals.len());
+        let mut rows = Vec::with_capacity(self.tenants as usize);
         // `Iterator::sum` over the rows' savings, in row order, from the
         // same neutral element.
         let (mut completed, mut savings_sum) = (0, -0.0);
-        for t in finals {
+        for tag in 0..self.tenants {
+            let t = self.fleet.tenant_final(tag);
             if !t.completed && t.remaining > Hours::ZERO {
                 self.costs.try_charge(&LineItem {
                     slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,

@@ -357,9 +357,9 @@ impl SessionFleet for PortfolioFleet {
         None
     }
 
-    fn finals(&self) -> impl ExactSizeIterator<Item = TenantFinal<'_>> + '_ {
-        let job = &self.job;
-        self.tenants.iter().map(move |t| TenantFinal {
+    fn tenant_final(&self, tag: u32) -> TenantFinal<'_> {
+        let t = &self.tenants[tag as usize];
+        TenantFinal {
             tag: t.tag,
             strategy: &t.strategy,
             completed: t.completed,
@@ -369,9 +369,9 @@ impl SessionFleet for PortfolioFleet {
             remaining: if t.completed {
                 Hours::ZERO
             } else {
-                t.remaining_work(job)
+                t.remaining_work(&self.job)
             },
-        })
+        }
     }
 }
 

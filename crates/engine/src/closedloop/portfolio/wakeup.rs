@@ -36,7 +36,11 @@
 //! through a queue of at most [`QUEUE`] bids flushed as one batch (a
 //! batch gives the ids and state the same submissions one by one would),
 //! and wakeups are processed in ascending tenant order with
-//! each tenant's legs in plan order. Bid ids, events, costs and RNG draws
+//! each tenant's legs in plan order. The passes that touch every tenant —
+//! the wave's common plan, the wake set's visits, the close and the
+//! report rows — run as loops over columns borrowed apart from the fleet
+//! and sliced to one length, so a tenant costs one bounds check and no
+//! column header is reloaded through the fleet (DESIGN.md §5j). Bid ids, events, costs and RNG draws
 //! are **bit-identical** to the frozen dense oracles at any
 //! `SPOTBID_THREADS` (`tests/wakeup_equiv.rs`,
 //! `tests/portfolio_wakeup_equiv.rs`); the fleet draws no randomness.
@@ -57,10 +61,8 @@ use spotbid_market::multi::MarketSet;
 use spotbid_market::sim::{
     reserve_pow2, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
 };
-use spotbid_market::units::{Hours, Price};
+use spotbid_market::units::{Cost, Hours, Price};
 use std::cell::OnceCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// `bid` sentinel: no live leg (market ids stay below it), and the slab's
 /// end-of-list link.
@@ -128,17 +130,6 @@ impl<'a> Events<'a> {
     }
 }
 
-/// Records tenant `t` as the owner of bid `id` in a bid-id → tenant
-/// column ([`NIL`]: a background bid).
-fn set_owner(owner: &mut Vec<u32>, id: usize, t: u32) {
-    if owner.len() > id {
-        owner[id] = t;
-    } else {
-        owner.resize(id, NIL);
-        owner.push(t);
-    }
-}
-
 /// Calls `f(tenant, id, bit)` for every tenant bid `report` names, with
 /// the report bit of the list naming it.
 fn for_each_owner(owner: &[u32], report: &SlotReport, mut f: impl FnMut(u32, BidId, u8)) {
@@ -157,35 +148,14 @@ fn for_each_owner(owner: &[u32], report: &SlotReport, mut f: impl FnMut(u32, Bid
     }
 }
 
-/// A multiplicative hasher for the strategy keys. Classifying 50k tenants
-/// through std's SipHash costs about five times as much; the keys are not
-/// attacker-chosen.
-#[derive(Default)]
-struct MulHasher(u64);
-
-impl Hasher for MulHasher {
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best-mixed bits on top; the table
-        // indexes with the low ones.
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0xF135_7AEA_2E62_A9C5);
-    }
-}
-
 /// A portfolio strategy's identity: its variant and its base strategy's
 /// variant, the bits of its parameter, and the bits of its base
 /// strategy's parameter. Two keys are equal exactly when the strategies
 /// are bit-identical.
-fn plan_key(s: &PortfolioStrategy) -> (u64, u64, u64) {
+type PlanKey = (u64, u64, u64);
+
+/// The [`PlanKey`] of `s`.
+fn plan_key(s: &PortfolioStrategy) -> PlanKey {
     let (variant, param, base) = match *s {
         PortfolioStrategy::ZoneFallback { home, base } => (0, home as u64, base),
         PortfolioStrategy::SplitEven { base } => (1, 0, base),
@@ -202,23 +172,68 @@ fn plan_key(s: &PortfolioStrategy) -> (u64, u64, u64) {
     (variant | b0 << 2, param, b1)
 }
 
+/// Where a plan key's probe starts, before the table's mask. The keys are
+/// not attacker-chosen; the multiplies spread every word into the low
+/// bits the mask keeps.
+fn key_hash((a, b, c): PlanKey) -> usize {
+    let h = (a ^ b.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ c;
+    let h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (h ^ h >> 32) as usize
+}
+
 /// A session's strategy classes: one strategy per class of bit-identical
-/// strategies, interned by [`plan_key`].
+/// strategies, numbered in order of first appearance and found through
+/// an open-addressed table of class numbers kept at most half full, each
+/// probe comparing the class's full [`plan_key`].
 #[derive(Default)]
 struct Classes {
     strategies: Vec<PortfolioStrategy>,
-    ids: HashMap<(u64, u64, u64), u32, BuildHasherDefault<MulHasher>>,
+    /// Each class's plan key.
+    keys: Vec<PlanKey>,
+    /// A class per slot ([`NIL`]: empty); a power of two long.
+    table: Vec<u32>,
 }
 
 impl Classes {
     /// The class of `s`, a new one if unseen.
+    #[inline]
     fn intern(&mut self, s: PortfolioStrategy) -> u32 {
-        let next = self.strategies.len() as u32;
-        let c = *self.ids.entry(plan_key(&s)).or_insert(next);
-        if c == next {
-            self.strategies.push(s);
+        let key = plan_key(&s);
+        loop {
+            let mask = self.table.len().wrapping_sub(1);
+            let mut i = key_hash(key) & mask;
+            while let Some(&c) = self.table.get(i) {
+                if c == NIL {
+                    break;
+                }
+                if self.keys[c as usize] == key {
+                    return c;
+                }
+                i = (i + 1) & mask;
+            }
+            if 2 * (self.strategies.len() + 1) <= self.table.len() {
+                let c = self.strategies.len() as u32;
+                self.table[i] = c;
+                self.strategies.push(s);
+                self.keys.push(key);
+                return c;
+            }
+            self.grow();
         }
-        c
+    }
+
+    /// Doubles the table (16 slots at first) and re-files every class.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (2 * self.table.len()).max(16);
+        self.table = vec![NIL; len];
+        for (c, &key) in self.keys.iter().enumerate() {
+            let mut i = key_hash(key) & (len - 1);
+            while self.table[i] != NIL {
+                i = (i + 1) & (len - 1);
+            }
+            self.table[i] = c as u32;
+        }
     }
 }
 
@@ -286,11 +301,9 @@ struct DecisionMemo {
 impl DecisionMemo {
     /// Asks for class `c`'s plan, made by `decide` on the class's first
     /// use. A failed plan is not kept.
+    #[inline]
     fn decide<E>(&mut self, c: u32, decide: impl FnOnce() -> Result<Plan, E>) -> Result<(), E> {
         let c = c as usize;
-        if self.at.len() <= c {
-            self.at.resize(c + 1, 0);
-        }
         if self.at[c] == 0 {
             self.made.push((c as u32, 0, decide()?));
             self.at[c] = self.made.len() as u32;
@@ -299,16 +312,19 @@ impl DecisionMemo {
         Ok(())
     }
 
-    /// Class `c`'s plan; it must have been made since the last clear.
+    /// Class `c`'s plan; it must have been made since the last reset.
+    #[inline]
     fn get(&self, c: u32) -> &Plan {
         &self.made[self.at[c as usize] as usize - 1].2
     }
 
-    /// Forgets every plan (the next slot has a new view).
-    fn clear(&mut self) {
+    /// Forgets every plan (the next slot has a new view) and makes room
+    /// for `classes` classes.
+    fn reset(&mut self, classes: usize) {
         for (c, _, _) in self.made.drain(..) {
             self.at[c as usize] = 0;
         }
+        self.at.resize(classes, 0);
     }
 }
 
@@ -326,6 +342,96 @@ fn lazy_mut<T: Clone>(col: &mut Vec<T>, n: usize, i: usize, default: T) -> &mut 
         col.resize(n, default);
     }
     &mut col[i]
+}
+
+/// The slots a leg planned for `slots` is assigned with `pending` slots
+/// of work still pending: a re-plan covers only the lost work, so each
+/// leg is capped at what is pending (the first plan partitions exactly).
+#[inline]
+fn leg_slots(slots: u64, pending: u32) -> u32 {
+    slots.min(u64::from(pending)).max(1) as u32
+}
+
+/// The market request of a spot leg of `assigned` slots.
+#[inline]
+fn spot_request(price: Price, persistent: bool, assigned: u32) -> BidRequest {
+    BidRequest {
+        price,
+        kind: if persistent {
+            BidKind::Persistent
+        } else {
+            BidKind::OneTime
+        },
+        work: WorkModel::FixedSlots(assigned),
+    }
+}
+
+/// A market's queue of wave bids not yet submitted to it.
+#[derive(Default)]
+struct WaveQueue {
+    /// Room for [`QUEUE`] bids, or for the whole wave when it is smaller;
+    /// the first `queued` are the queue.
+    buf: Vec<BidRequest>,
+    queued: usize,
+    /// The id the market's next wave bid gets.
+    next_id: usize,
+}
+
+/// One market's side of a submission wave, opened for a loop: the
+/// queue's room and the owner column (sized for the wave) borrowed, the
+/// queue's counts held as values until [`close`](Self::close).
+struct Lane<'a> {
+    m: usize,
+    buf: &'a mut [BidRequest],
+    owner: &'a mut [u32],
+    queued: usize,
+    next_id: usize,
+    /// Where `close` leaves `queued` and `next_id`.
+    counts: (&'a mut usize, &'a mut usize),
+}
+
+impl<'a> Lane<'a> {
+    /// Market `m`'s lane, from the fleet's per-market queues and owner
+    /// columns.
+    #[inline(always)]
+    fn open(m: usize, queues: &'a mut [WaveQueue], owners: &'a mut [Vec<u32>]) -> Self {
+        let WaveQueue {
+            buf,
+            queued,
+            next_id,
+        } = &mut queues[m];
+        Lane {
+            m,
+            buf,
+            owner: &mut owners[m],
+            queued: *queued,
+            next_id: *next_id,
+            counts: (queued, next_id),
+        }
+    }
+
+    /// Submits tenant `t`'s `request`: it joins the queue, flushed into
+    /// the market first if full, after the bids the market holds, so it
+    /// gets the id a submission would return now. Returns that id.
+    #[inline(always)]
+    fn submit(&mut self, set: &mut MarketSet, t: u32, request: BidRequest) -> u32 {
+        if self.queued == self.buf.len() {
+            set.submit_batch(self.m, &self.buf[..self.queued]);
+            self.queued = 0;
+        }
+        self.buf[self.queued] = request;
+        self.queued += 1;
+        let id = self.next_id;
+        self.next_id += 1;
+        self.owner[id] = t;
+        u32::try_from(id).expect("market bid ids fit in u32")
+    }
+
+    /// Leaves the queue's counts in the queue.
+    #[inline(always)]
+    fn close(self) {
+        (*self.counts.0, *self.counts.1) = (self.queued, self.next_id);
+    }
 }
 
 /// `f` with `bit` set when `on`, cleared otherwise.
@@ -423,13 +529,13 @@ pub(in crate::closedloop) struct Fleet {
     // Scratch (steady state allocates nothing per slot).
     sc_woken: Vec<u32>,
     sc_order: Vec<u32>,
-    /// Per market: this slot's spot charge fails validation.
-    sc_refused: Vec<bool>,
-    /// Per market: the wave's spot legs.
+    /// Per market: this slot's spot charge, and whether it fails
+    /// validation.
+    sc_charges: Vec<(Cost, bool)>,
+    /// Per market: the wave's spot legs, while the wave is counted.
     sc_spot: Vec<usize>,
-    /// Per market: the wave's latest bids, in tenant order, at most
-    /// [`QUEUE`] of them, not yet submitted.
-    sc_queues: Vec<Vec<BidRequest>>,
+    /// Per market: the wave's queue.
+    sc_queues: Vec<WaveQueue>,
     /// The running legs' markets of the tenant being settled.
     sc_legs: Vec<usize>,
 }
@@ -484,9 +590,9 @@ impl Fleet {
             },
             sc_woken: Vec::new(),
             sc_order: Vec::new(),
-            sc_refused: vec![false; m],
+            sc_charges: vec![(Cost::ZERO, false); m],
             sc_spot: Vec::new(),
-            sc_queues: vec![Vec::new(); m],
+            sc_queues: (0..m).map(|_| WaveQueue::default()).collect(),
             sc_legs: Vec::new(),
         }
     }
@@ -506,7 +612,6 @@ impl Fleet {
 
     /// Appends a new leg to the tenant's legs: into its first-leg columns
     /// when it holds no leg, else at the end of its slab list.
-    #[inline(always)]
     fn push_leg(&mut self, tu: usize, leg: Leg) {
         let head = lazy(&self.next, tu, NIL);
         if self.bid[tu] == NIL && head == NIL {
@@ -539,63 +644,14 @@ impl Fleet {
         }
     }
 
-    /// Charges the running legs their carried slots `[run_since, end)`,
-    /// slot by slot in plan order, and moves `run_since` to `end`; a
-    /// no-op for a tenant not running.
-    #[inline]
-    fn settle(&mut self, t: u32, end: u64) {
-        let tu = t as usize;
-        if self.flags[tu] & T_RUNNING != 0 && self.run_since[tu] != end {
-            self.settle_carried(t, end);
-        }
-    }
-
-    /// [`settle`](Self::settle) for a runner with carried slots.
-    #[inline(never)]
-    fn settle_carried(&mut self, t: u32, end: u64) {
-        let tu = t as usize;
-        let (f, since) = (self.flags[tu], self.run_since[tu]);
-        let n = end - since;
-        if lazy(&self.next, tu, NIL) == NIL {
-            // The first leg is the only one, and it runs.
-            let m = lazy(&self.market, tu, 0) as usize;
-            let total = self.costs.total_mut(t);
-            *total = self.charges.settle(*total, since, end, std::iter::once(m));
-            self.left[tu] = self.left[tu].wrapping_sub(n as u32);
-            self.slots_run[tu] += n;
-            self.run_since[tu] = end;
-            return;
-        }
-        self.sc_legs.clear();
-        if f & T_FIRST_RUNNING != 0 {
-            self.sc_legs.push(lazy(&self.market, tu, 0) as usize);
-            self.left[tu] = self.left[tu].wrapping_sub(n as u32);
-        }
-        let mut k = lazy(&self.next, tu, NIL);
-        while k != NIL {
-            let e = &mut self.slab[k as usize];
-            if e.leg.running {
-                self.sc_legs.push(e.leg.market as usize);
-                e.leg.left = e.leg.left.wrapping_sub(n as u32);
-            }
-            k = e.next;
-        }
-        let total = self.costs.total_mut(t);
-        *total = self
-            .charges
-            .settle(*total, since, end, self.sc_legs.iter().copied());
-        self.slots_run[tu] += n * self.sc_legs.len() as u64;
-        self.run_since[tu] = end;
-    }
-
-    /// Acts on a resolved plan — the dense fleet's `apply_plan` (its
-    /// on-demand charges validated and added here), plus the bid-owner
-    /// columns and the fresh wake.
+    /// Acts on a plan the wave loop leaves to it — the dense fleet's
+    /// `apply_plan` (its on-demand charges validated and added here), plus
+    /// the fresh wake.
     ///
     /// # Errors
     ///
     /// [`EngineError::Billing`] for an invalid on-demand charge.
-    #[inline]
+    #[inline(never)]
     fn apply_plan(
         &mut self,
         t: u32,
@@ -606,99 +662,49 @@ impl Fleet {
     ) -> Result<(), EngineError> {
         let tu = t as usize;
         let mut pending = self.pending[tu];
-        // A re-plan covers only the lost work: each leg is capped at what
-        // is still pending (the first plan partitions exactly).
-        let cap = |slots: u64, pending: u32| slots.min(u64::from(pending)).max(1) as u32;
-        let alone = self.bid[tu] == NIL && lazy(&self.next, tu, NIL) == NIL;
-        match *plan {
-            // The common plan: one spot leg for a tenant holding no leg.
-            Plan::Home {
-                market,
-                slots,
-                decision: BidDecision::Spot { price, persistent },
-            } if alone && pending > 0 => {
-                let assigned = cap(slots, pending);
-                pending -= assigned;
-                let at = (slot, &mut *set);
-                self.submit(t, market, (price, persistent), assigned, at, events);
+        for (m, slots, decision) in plan.legs() {
+            if pending == 0 {
+                break;
             }
-            _ => {
-                for (m, slots, decision) in plan.legs() {
-                    if pending == 0 {
-                        break;
-                    }
-                    let assigned = cap(slots, pending);
-                    pending -= assigned;
-                    match decision {
-                        BidDecision::OnDemand { price } => {
-                            self.buy_on_demand(t, price, assigned, slot, events)?
-                        }
-                        BidDecision::Spot { price, persistent } => {
-                            let at = (slot, &mut *set);
-                            self.submit(t, m, (price, persistent), assigned, at, events)
-                        }
-                    }
+            let assigned = leg_slots(slots, pending);
+            pending -= assigned;
+            match decision {
+                BidDecision::OnDemand { price } => {
+                    self.buy_on_demand(t, price, assigned, slot, events)?
                 }
-                let no_legs = self.bid[tu] == NIL && lazy(&self.next, tu, NIL) == NIL;
-                let f = &mut self.flags[tu];
-                if *f & T_COMPLETED == 0 && pending == 0 && no_legs {
-                    // Everything was covered on demand: the job is done
-                    // before the market even clears.
-                    *f |= T_COMPLETED | T_DONE_PENDING;
-                    events.emit(|| Event::Completed { slot, tenant: t });
+                BidDecision::Spot { price, persistent } => {
+                    let request = spot_request(price, persistent, assigned);
+                    let mut lane = Lane::open(m, &mut self.sc_queues, &mut self.owners);
+                    let bid = lane.submit(set, t, request);
+                    lane.close();
+                    let leg = Leg {
+                        market: m as u32,
+                        bid,
+                        left: assigned,
+                        running: false,
+                        report: 0,
+                    };
+                    self.push_leg(tu, leg);
+                    events.emit(|| Event::BidSubmitted {
+                        slot,
+                        tenant: t,
+                        price,
+                        persistent,
+                    });
                 }
             }
+        }
+        let no_legs = self.bid[tu] == NIL && lazy(&self.next, tu, NIL) == NIL;
+        let f = &mut self.flags[tu];
+        if *f & T_COMPLETED == 0 && pending == 0 && no_legs {
+            // Everything was covered on demand: the job is done before
+            // the market even clears.
+            *f |= T_COMPLETED | T_DONE_PENDING;
+            events.emit(|| Event::Completed { slot, tenant: t });
         }
         self.pending[tu] = pending;
         self.wake[tu] |= W_WOKEN;
-        self.fresh.push(t);
         Ok(())
-    }
-
-    /// Submits tenant `t`'s spot leg of `assigned` slots to market `m`:
-    /// the bid joins the market's queue, flushed into the market first if
-    /// full, after the bids the market holds, so it gets the id a
-    /// submission would return now.
-    #[inline(always)]
-    fn submit(
-        &mut self,
-        t: u32,
-        m: usize,
-        (price, persistent): (Price, bool),
-        assigned: u32,
-        (slot, set): (u64, &mut MarketSet),
-        events: &mut Events<'_>,
-    ) {
-        let queue = &mut self.sc_queues[m];
-        if queue.len() == QUEUE {
-            set.submit_batch(m, queue);
-            queue.clear();
-        }
-        let id = set.market(m).submitted() + queue.len();
-        queue.push(BidRequest {
-            price,
-            kind: if persistent {
-                BidKind::Persistent
-            } else {
-                BidKind::OneTime
-            },
-            work: WorkModel::FixedSlots(assigned),
-        });
-        set_owner(&mut self.owners[m], id, t);
-        let leg = Leg {
-            market: m as u32,
-            bid: u32::try_from(id).expect("market bid ids fit in u32"),
-            left: assigned,
-            running: false,
-            report: 0,
-        };
-        self.push_leg(t as usize, leg);
-        events.emit(|| Event::BidSubmitted {
-            slot,
-            tenant: t,
-            price,
-            persistent,
-        });
     }
 
     /// Charges tenant `t` an on-demand leg of `assigned` slots at `price`.
@@ -738,7 +744,9 @@ impl Fleet {
         Ok(())
     }
 
-    /// Applies each tenant's plan from `memo`, in the order given.
+    /// Applies each tenant's plan from `memo`, in the order given: runs of
+    /// the common plan in [`apply_common`](Self::apply_common), every
+    /// other plan in [`apply_plan`](Self::apply_plan).
     ///
     /// # Errors
     ///
@@ -752,28 +760,335 @@ impl Fleet {
         set: &mut MarketSet,
         events: &mut Events<'_>,
     ) -> Result<(), EngineError> {
-        for &t in tenants {
-            self.apply_plan(t, memo.get(self.class[t as usize]), slot, set, events)?;
+        let mut rest = tenants;
+        while let Some(&t) = rest.first() {
+            let common = self.apply_common(rest, memo, slot, set, events);
+            rest = &rest[common..];
+            if common == 0 {
+                self.apply_plan(t, memo.get(self.class[t as usize]), slot, set, events)?;
+                rest = &rest[1..];
+            }
         }
         Ok(())
+    }
+
+    /// Applies the common plan — one spot leg, for a tenant holding no
+    /// leg — to the leading tenants of `tenants` whose plan it is in the
+    /// first one's market, over the columns borrowed apart; returns how
+    /// many it applied.
+    #[inline(always)]
+    fn apply_common(
+        &mut self,
+        tenants: &[u32],
+        memo: &DecisionMemo,
+        slot: u64,
+        set: &mut MarketSet,
+        events: &mut Events<'_>,
+    ) -> usize {
+        let n = self.tenants();
+        let Fleet {
+            class,
+            pending,
+            bid,
+            left,
+            market,
+            next,
+            wake,
+            owners,
+            sc_queues,
+            ..
+        } = self;
+        // Every tenant column sliced to the one length `n`, so one bounds
+        // check covers a tenant's entries in all of them.
+        let (class, pending, wake) = (&class[..n], &mut pending[..n], &mut wake[..n]);
+        let (bid, left, next) = (&mut bid[..n], &mut left[..n], &next[..]);
+        // Tenant `tu`'s plan, if it is the common one.
+        let common = |tu: usize, pending: &[u32], bid: &[u32]| match *memo.get(class[tu]) {
+            Plan::Home {
+                market,
+                slots,
+                decision: BidDecision::Spot { price, persistent },
+            } if pending[tu] > 0 && bid[tu] == NIL && lazy(next, tu, NIL) == NIL => {
+                Some((market, slots, price, persistent))
+            }
+            _ => None,
+        };
+        let Some((m, ..)) = tenants
+            .first()
+            .and_then(|&t| common(t as usize, pending, bid))
+        else {
+            return 0;
+        };
+        // The first leg's market column, allocated by the first leg
+        // outside market 0.
+        if m != 0 && market.is_empty() {
+            market.resize(n, 0);
+        }
+        let mut market = (!market.is_empty()).then_some(&mut market[..]);
+        let mut lane = Lane::open(m, sc_queues, owners);
+        let mut applied = tenants.len();
+        for (i, &t) in tenants.iter().enumerate() {
+            let tu = t as usize;
+            let Some((_, slots, price, persistent)) =
+                common(tu, pending, bid).filter(|&(mk, ..)| mk == m)
+            else {
+                applied = i;
+                break;
+            };
+            let assigned = leg_slots(slots, pending[tu]);
+            pending[tu] -= assigned;
+            bid[tu] = lane.submit(set, t, spot_request(price, persistent, assigned));
+            left[tu] = assigned;
+            if let Some(market) = market.as_deref_mut() {
+                market[tu] = m as u32;
+            }
+            events.emit(|| Event::BidSubmitted {
+                slot,
+                tenant: t,
+                price,
+                persistent,
+            });
+            wake[tu] |= W_WOKEN;
+        }
+        lane.close();
+        applied
+    }
+
+    /// The state a pass over tenants updates, borrowed apart.
+    #[inline(always)]
+    fn visit(&mut self) -> Visit<'_> {
+        let n = self.tenants();
+        let Fleet {
+            job,
+            max_resubmissions,
+            markets,
+            classes,
+            class,
+            flags,
+            wake,
+            pending,
+            slots_run,
+            interruptions,
+            resubmissions,
+            run_since,
+            bid,
+            left,
+            market,
+            next,
+            slab,
+            free,
+            charges,
+            costs,
+            running,
+            needy,
+            active,
+            sc_legs,
+            ..
+        } = self;
+        // Every eager tenant column sliced to the one length `n`, so one
+        // bounds check covers a tenant's entries in all of them.
+        Visit {
+            slot_len: job.slot,
+            flags: &mut flags[..n],
+            wake: &mut wake[..n],
+            bid: &mut bid[..n],
+            left: &mut left[..n],
+            market,
+            next,
+            slab,
+            free,
+            run_since: &mut run_since[..n],
+            slots_run: &mut slots_run[..n],
+            interruptions: &mut interruptions[..n],
+            pending: &mut pending[..n],
+            totals: &mut costs.totals_mut()[..n],
+            charges,
+            sc_legs,
+            requeue: Requeue {
+                max_resubmissions: *max_resubmissions,
+                markets: *markets,
+                resubmissions: &mut resubmissions[..n],
+                needy,
+                class: &mut class[..n],
+                classes,
+            },
+            running: *running,
+            active: *active,
+            counts: (running, active),
+        }
+    }
+
+    /// Checks the bookkeeping a processed slot leaves, without
+    /// allocating: the running and active counts equal a recount of the
+    /// flags, every live first leg's owner entry names its tenant, no
+    /// tenant flagged running holds no live leg, and the wake column is
+    /// clear. Debug builds run it on every slot the fleet processes;
+    /// release builds compile it out.
+    #[cfg(debug_assertions)]
+    fn audit(&self) {
+        let (mut running, mut active) = (0, 0);
+        for (tu, &f) in self.flags.iter().enumerate() {
+            let (t, b) = (tu as u32, self.bid[tu]);
+            running += usize::from(f & T_RUNNING != 0);
+            active += usize::from(f & T_DONE == 0);
+            assert_eq!(self.wake[tu], 0, "tenant {t}: wake bits outside on_slot");
+            if b != NIL {
+                let m = lazy(&self.market, tu, 0) as usize;
+                let owner = self.owners[m].get(b as usize);
+                assert_eq!(owner, Some(&t), "tenant {t}: bid {b} in market {m}");
+            }
+            let live = b != NIL || lazy(&self.next, tu, NIL) != NIL;
+            assert!(
+                f & T_RUNNING == 0 || live,
+                "tenant {t} runs with no live leg"
+            );
+        }
+        assert_eq!(running, self.running, "running tenants");
+        assert_eq!(active, self.active, "active tenants");
+    }
+
+    fn status(&self) -> DriverStatus {
+        if self.active == 0 {
+            DriverStatus::Done
+        } else {
+            DriverStatus::Active
+        }
+    }
+}
+
+/// A slot's report verdicts as a visit reads them: the slot, each
+/// market's report, and each market's spot charge with whether it is
+/// refused.
+type Verdicts<'r> = (u64, &'r [SlotReport], &'r [(Cost, bool)]);
+
+/// The fleet state one pass over tenants updates — the tenant columns as
+/// slices, the running and active counts as values — borrowed apart from
+/// the rest of the fleet, so the pass keeps them in locals instead of
+/// reloading each column through the fleet. [`end`](Self::end) hands the
+/// counts back.
+struct Visit<'a> {
+    slot_len: Hours,
+    flags: &'a mut [u8],
+    wake: &'a mut [u8],
+    bid: &'a mut [u32],
+    left: &'a mut [u32],
+    market: &'a [u32],
+    next: &'a mut [u32],
+    slab: &'a mut [SlabLeg],
+    free: &'a mut u32,
+    run_since: &'a mut [u64],
+    slots_run: &'a mut [u64],
+    interruptions: &'a mut [u32],
+    pending: &'a mut [u32],
+    totals: &'a mut [Cost],
+    charges: &'a mut ChargeTable,
+    sc_legs: &'a mut Vec<usize>,
+    requeue: Requeue<'a>,
+    running: usize,
+    active: usize,
+    /// Where `end` leaves `running` and `active`.
+    counts: (&'a mut usize, &'a mut usize),
+}
+
+/// What re-queueing a tenant that lost work touches.
+struct Requeue<'a> {
+    max_resubmissions: u32,
+    markets: usize,
+    resubmissions: &'a mut [u32],
+    needy: &'a mut Vec<u32>,
+    class: &'a mut [u32],
+    classes: &'a mut Classes,
+}
+
+impl Requeue<'_> {
+    /// Puts a terminated leg's `lost` work back to tenant `t`'s `pending`
+    /// and, while the resubmission budget lasts, queues the tenant's
+    /// re-plan, moving a zone-fallback home to the next market (a new
+    /// strategy class).
+    #[inline(never)]
+    fn lose(&mut self, t: u32, f: &mut u8, pending: &mut u32, lost: u32) {
+        let tu = t as usize;
+        *pending += lost;
+        if self.resubmissions[tu] >= self.max_resubmissions {
+            *f |= T_GAVE_UP;
+            return;
+        }
+        self.resubmissions[tu] += 1;
+        // Several legs may terminate in one slot: queue the tenant once.
+        if *f & T_NEEDS_SUBMIT == 0 {
+            *f |= T_NEEDS_SUBMIT;
+            self.needy.push(t);
+        }
+        let c = self.class[tu] as usize;
+        if let PortfolioStrategy::ZoneFallback { home, base } = self.classes.strategies[c] {
+            let next = (home + 1) % self.markets;
+            if next != home {
+                let rotated = PortfolioStrategy::ZoneFallback { home: next, base };
+                self.class[tu] = self.classes.intern(rotated);
+            }
+        }
+    }
+}
+
+impl Visit<'_> {
+    /// Hands the running and active counts back to the fleet.
+    fn end(self) {
+        (*self.counts.0, *self.counts.1) = (self.running, self.active);
+    }
+
+    /// Charges the running legs their carried slots `[run_since, end)`,
+    /// slot by slot in plan order, and moves `run_since` to `end`; a
+    /// no-op for a tenant not running.
+    #[inline(always)]
+    fn settle(&mut self, t: u32, end: u64) {
+        let tu = t as usize;
+        let (f, since) = (self.flags[tu], self.run_since[tu]);
+        if f & T_RUNNING == 0 || since == end {
+            return;
+        }
+        let n = end - since;
+        let total = &mut self.totals[tu];
+        let head = lazy(self.next, tu, NIL);
+        if head == NIL {
+            // The first leg is the only one, and it runs.
+            let m = lazy(self.market, tu, 0) as usize;
+            *total = self.charges.settle(*total, since, end, std::iter::once(m));
+            self.left[tu] = self.left[tu].wrapping_sub(n as u32);
+            self.slots_run[tu] += n;
+        } else {
+            self.sc_legs.clear();
+            if f & T_FIRST_RUNNING != 0 {
+                self.sc_legs.push(lazy(self.market, tu, 0) as usize);
+                self.left[tu] = self.left[tu].wrapping_sub(n as u32);
+            }
+            let mut k = head;
+            while k != NIL {
+                let e = &mut self.slab[k as usize];
+                if e.leg.running {
+                    self.sc_legs.push(e.leg.market as usize);
+                    e.leg.left = e.leg.left.wrapping_sub(n as u32);
+                }
+                k = e.next;
+            }
+            let legs = self.sc_legs.iter().copied();
+            *total = self.charges.settle(*total, since, end, legs);
+            self.slots_run[tu] += n * self.sc_legs.len() as u64;
+        }
+        self.run_since[tu] = end;
     }
 
     /// Advances one leg of tenant `t`, whose flags are `f`, against its
     /// market's report — the dense fleet's per-leg update, its verdict
     /// read from (and cleared in) the leg's report bits and a slot it ran
     /// charged to the tenant's total. The first leg that ran in a
-    /// `refused` market leaves its billing error in `refusal`. Returns
+    /// refused market leaves its billing error in `refusal`. Returns
     /// whether the leg is still live.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn update_leg(
         &mut self,
-        t: u32,
-        f: &mut u8,
+        (t, f): (u32, &mut u8),
         leg: &mut Leg,
-        slot: u64,
-        reports: &[SlotReport],
-        refused: &[bool],
+        (slot, reports, charges): Verdicts<'_>,
         refusal: &mut Option<EngineError>,
         events: &mut Events<'_>,
     ) -> bool {
@@ -797,7 +1112,8 @@ impl Fleet {
             // (§3.2); mirror the market's accrual in the tenant's total.
             leg.left = leg.left.wrapping_sub(1);
             self.slots_run[tu] += 1;
-            let (price, duration) = (reports[m].price, self.job.slot);
+            let (charge, refused) = charges[m];
+            let (price, duration) = (reports[m].price, self.slot_len);
             events.emit(|| Event::Charged {
                 item: LineItem {
                     slot,
@@ -807,8 +1123,8 @@ impl Fleet {
                     tag: t,
                 },
             });
-            self.costs.add(t, self.charges.at(slot, m));
-            if refused[m] && refusal.is_none() {
+            self.totals[tu] += charge;
+            if refused && refusal.is_none() {
                 *refusal = spot_charge(slot, price, duration).err();
             }
         }
@@ -820,55 +1136,27 @@ impl Fleet {
         }
         if !finished {
             events.emit(|| Event::Rejected { slot, tenant: t });
-            self.lose(t, f, leg.left);
+            self.requeue.lose(t, f, &mut self.pending[tu], leg.left);
         }
         false
-    }
-
-    /// Puts a terminated leg's `lost` work back to pending and, while the
-    /// resubmission budget lasts, queues the tenant's re-plan, moving a
-    /// zone-fallback home to the next market (a new strategy class).
-    #[inline(never)]
-    fn lose(&mut self, t: u32, f: &mut u8, lost: u32) {
-        let tu = t as usize;
-        self.pending[tu] += lost;
-        if self.resubmissions[tu] >= self.max_resubmissions {
-            *f |= T_GAVE_UP;
-            return;
-        }
-        self.resubmissions[tu] += 1;
-        // Several legs may terminate in one slot: queue the tenant once.
-        if *f & T_NEEDS_SUBMIT == 0 {
-            *f |= T_NEEDS_SUBMIT;
-            self.needy.push(t);
-        }
-        let c = self.class[tu] as usize;
-        if let PortfolioStrategy::ZoneFallback { home, base } = self.classes.strategies[c] {
-            let next = (home + 1) % self.markets;
-            if next != home {
-                let rotated = PortfolioStrategy::ZoneFallback { home: next, base };
-                self.class[tu] = self.classes.intern(rotated);
-            }
-        }
     }
 
     /// Advances one visited tenant, after settling its carried running
     /// slots, against every market's report, its legs in plan order — the
     /// dense fleet's `slot_update` over columns, with the running count
     /// kept and a tenant done for the session flagged [`T_DONE`].
+    #[inline(always)]
     fn update_tenant(
         &mut self,
         t: u32,
-        slot: u64,
-        reports: &[SlotReport],
-        refused: &[bool],
+        at: Verdicts<'_>,
         refusal: &mut Option<EngineError>,
         events: &mut Events<'_>,
     ) {
-        let tu = t as usize;
+        let (tu, slot) = (t as usize, at.0);
         let bits = std::mem::take(&mut self.wake[tu]);
         let mut f = self.flags[tu];
-        let head = lazy(&self.next, tu, NIL);
+        let head = lazy(self.next, tu, NIL);
         if f & T_DONE != 0 {
             return;
         }
@@ -888,13 +1176,13 @@ impl Fleet {
             let mut running = false;
             if self.bid[tu] != NIL {
                 let mut leg = Leg {
-                    market: lazy(&self.market, tu, 0),
+                    market: lazy(self.market, tu, 0),
                     bid: self.bid[tu],
                     left: self.left[tu],
                     running: f & T_FIRST_RUNNING != 0,
                     report: bits & !W_WOKEN,
                 };
-                if self.update_leg(t, &mut f, &mut leg, slot, reports, refused, refusal, events) {
+                if self.update_leg((t, &mut f), &mut leg, at, refusal, events) {
                     (self.left[tu], running) = (leg.left, leg.running);
                 } else {
                     self.bid[tu] = NIL;
@@ -902,13 +1190,12 @@ impl Fleet {
                 f = with_bit(f, T_FIRST_RUNNING, running);
             }
             if head != NIL {
-                let at = (slot, reports, refused);
-                running |= self.update_slab_legs(t, &mut f, at, refusal, events);
+                running |= self.update_slab_legs((t, &mut f), at, refusal, events);
             }
             let was_running = f & T_RUNNING != 0;
             f = with_bit(f, T_RUNNING, running);
             self.running = self.running + usize::from(running) - usize::from(was_running);
-            let no_legs = self.bid[tu] == NIL && lazy(&self.next, tu, NIL) == NIL;
+            let no_legs = self.bid[tu] == NIL && lazy(self.next, tu, NIL) == NIL;
             if f & T_COMPLETED == 0 && no_legs && self.pending[tu] == 0 {
                 f |= T_COMPLETED;
                 events.emit(|| Event::Completed { slot, tenant: t });
@@ -928,12 +1215,11 @@ impl Fleet {
     /// [`update_tenant`](Self::update_tenant) does its first; a first leg
     /// that is gone leaves its columns empty until the tenant holds no
     /// leg. Returns whether any of them runs.
-    #[inline(never)]
+    #[inline(always)]
     fn update_slab_legs(
         &mut self,
-        t: u32,
-        f: &mut u8,
-        (slot, reports, refused): (u64, &[SlotReport], &[bool]),
+        (t, f): (u32, &mut u8),
+        at: Verdicts<'_>,
         refusal: &mut Option<EngineError>,
         events: &mut Events<'_>,
     ) -> bool {
@@ -941,7 +1227,7 @@ impl Fleet {
         let (mut running, mut prev, mut k) = (false, NIL, self.next[tu]);
         while k != NIL {
             let SlabLeg { mut leg, next } = self.slab[k as usize];
-            if self.update_leg(t, f, &mut leg, slot, reports, refused, refusal, events) {
+            if self.update_leg((t, &mut *f), &mut leg, at, refusal, events) {
                 running |= leg.running;
                 self.slab[k as usize].leg = leg;
                 prev = k;
@@ -951,20 +1237,12 @@ impl Fleet {
                 } else {
                     self.slab[prev as usize].next = next;
                 }
-                self.slab[k as usize].next = self.free;
-                self.free = k;
+                self.slab[k as usize].next = *self.free;
+                *self.free = k;
             }
             k = next;
         }
         running
-    }
-
-    fn status(&self) -> DriverStatus {
-        if self.active == 0 {
-            DriverStatus::Done
-        } else {
-            DriverStatus::Active
-        }
     }
 }
 
@@ -1002,7 +1280,7 @@ impl JobDriver<PortfolioSource> for Fleet {
         let portfolio = OnceCell::new();
         let portfolio = || portfolio.get_or_init(|| PortfolioView::new(&histories, od));
         let job = self.job;
-        self.memo.clear();
+        self.memo.reset(self.classes.strategies.len());
         let (mut decided, mut failure) = (0, None);
         for &t in &needy {
             let c = self.class[t as usize];
@@ -1015,7 +1293,8 @@ impl JobDriver<PortfolioSource> for Fleet {
             decided += 1;
         }
         // The wave's spot legs grow each market's owner and bid columns
-        // once; the wave's ids follow every bid its market holds.
+        // once and size its queue; the wave's ids follow every bid its
+        // market holds.
         self.sc_spot.clear();
         self.sc_spot.resize(self.markets, 0);
         for (_, uses, plan) in &self.memo.made {
@@ -1025,16 +1304,26 @@ impl JobDriver<PortfolioSource> for Fleet {
                 }
             }
         }
-        for (m, &n) in self.sc_spot.iter().enumerate() {
+        for (m, &spot) in self.sc_spot.iter().enumerate() {
             let market = source.set.market_mut(m);
-            let owners = &mut self.owners[m];
-            reserve_pow2(
-                owners,
-                (market.submitted() + n).saturating_sub(owners.len()),
-            );
-            market.reserve(n);
+            let (first, owner) = (market.submitted(), &mut self.owners[m]);
+            let len = first + spot;
+            reserve_pow2(owner, len.saturating_sub(owner.len()));
+            if owner.len() < len {
+                owner.resize(len, NIL);
+            }
+            market.reserve(spot);
+            let queue = &mut self.sc_queues[m];
+            let room = spot.min(QUEUE);
+            if queue.buf.len() < room {
+                queue.buf.resize(room, spot_request(Price::ZERO, false, 0));
+            }
+            queue.next_id = first;
         }
+        // Every tenant planned is applied, in this order, or the session
+        // ends with the apply's error.
         reserve_pow2(&mut self.fresh, decided);
+        self.fresh.extend_from_slice(&needy[..decided]);
         // Serial, ordered apply: bid ids and events come out as if each
         // tenant had planned and submitted in turn; the legs enter each
         // market in batches of up to `QUEUE` (an apply error ends the
@@ -1045,8 +1334,8 @@ impl JobDriver<PortfolioSource> for Fleet {
         self.memo = memo;
         applied?;
         for (m, queue) in self.sc_queues.iter_mut().enumerate() {
-            source.set.submit_batch(m, queue);
-            queue.clear();
+            source.set.submit_batch(m, &queue.buf[..queue.queued]);
+            queue.queued = 0;
         }
         if let Some(e) = failure {
             return Err(EngineError::Core(e));
@@ -1073,11 +1362,12 @@ impl JobDriver<PortfolioSource> for Fleet {
         let mut woken = std::mem::take(&mut self.sc_woken);
         woken.clear();
         std::mem::swap(&mut woken, &mut self.fresh);
-        let (bid, market, next) = (&self.bid, &self.market, &self.next);
-        let (wake, slab) = (&mut self.wake, &mut self.slab);
+        let n = self.tenants();
+        let (bid, market, next) = (&self.bid[..n], &self.market[..], &self.next[..]);
+        let (wake, slab) = (&mut self.wake[..n], &mut self.slab[..]);
         for (m, report) in reports.iter().enumerate() {
             let mut swept = 0;
-            for_each_owner(&self.owners[m], report, |t, id, bit| {
+            for_each_owner(&self.owners[m][..], report, |t, id, bit| {
                 swept += 1;
                 let tu = t as usize;
                 let w = &mut wake[tu];
@@ -1112,17 +1402,21 @@ impl JobDriver<PortfolioSource> for Fleet {
         }
 
         // Ascending tenant order, the dense scan order (the fresh and
-        // per-list runs arrive mostly ascending). Carried runners join
-        // when their `Charged` events are wanted, or when a market's spot
-        // charge is invalid: the refusal is the first such charge's.
-        woken.sort();
+        // per-list runs arrive mostly ascending, often wholly). Carried
+        // runners join when their `Charged` events are wanted, or when a
+        // market's spot charge is invalid: the refusal is the first such
+        // charge's.
+        if !woken.is_sorted() {
+            woken.sort_unstable();
+        }
         self.stats.woken += woken.len() as u64;
-        let mut refused = std::mem::take(&mut self.sc_refused);
-        for (r, report) in refused.iter_mut().zip(reports) {
-            *r = spot_charge(slot, report.price, self.job.slot).is_err();
+        let mut verdicts = std::mem::take(&mut self.sc_charges);
+        for (m, (charge, refused)) in verdicts.iter_mut().enumerate() {
+            *charge = self.charges.at(slot, m);
+            *refused = spot_charge(slot, reports[m].price, self.job.slot).is_err();
         }
         let mut order = std::mem::take(&mut self.sc_order);
-        let visit = if self.logged || refused.contains(&true) {
+        let visit = if self.logged || verdicts.iter().any(|&(_, refused)| refused) {
             order.clear();
             let mut woken = woken.iter().copied().peekable();
             for t in 0..self.tenants() as u32 {
@@ -1136,10 +1430,14 @@ impl JobDriver<PortfolioSource> for Fleet {
         };
         let mut refusal = None;
         let mut events = Events::new(emit, self.logged);
+        let mut pass = self.visit();
         for &t in visit {
-            self.update_tenant(t, slot, reports, &refused, &mut refusal, &mut events);
+            pass.update_tenant(t, (slot, reports, &verdicts), &mut refusal, &mut events);
         }
-        (self.sc_woken, self.sc_order, self.sc_refused) = (woken, order, refused);
+        pass.end();
+        (self.sc_woken, self.sc_order, self.sc_charges) = (woken, order, verdicts);
+        #[cfg(debug_assertions)]
+        self.audit();
         match refusal {
             Some(e) => Err(e),
             None => Ok(self.status()),
@@ -1155,29 +1453,34 @@ impl SessionFleet for Fleet {
     fn close(&mut self) {
         // Tenants still running at the session end owe their carried
         // slots.
-        let end = self.charges.slots();
-        for t in 0..self.tenants() as u32 {
-            self.settle(t, end);
+        let (end, n) = (self.charges.slots(), self.tenants() as u32);
+        let mut pass = self.visit();
+        for t in 0..n {
+            pass.settle(t, end);
         }
+        pass.end();
     }
 
-    fn finals(&self) -> impl ExactSizeIterator<Item = TenantFinal<'_>> + '_ {
-        (0..self.tenants()).map(|tu| {
-            let completed = self.flags[tu] & T_COMPLETED != 0;
-            TenantFinal {
-                tag: tu as u32,
-                strategy: &self.classes.strategies[self.class[tu] as usize],
-                completed,
-                spot_slots: self.slots_run[tu],
-                interruptions: self.interruptions[tu],
-                resubmissions: self.resubmissions[tu],
-                remaining: if completed {
-                    Hours::ZERO
-                } else {
-                    self.remaining_work(tu)
-                },
-            }
-        })
+    #[inline(always)]
+    fn tenant_final(&self, tag: u32) -> TenantFinal<'_> {
+        // Every column sliced to the one length `n`: a caller's loop over
+        // the tags hoists the slicing, and one bounds check covers a
+        // tenant's entries in all of them.
+        let (tu, n) = (tag as usize, self.tenants());
+        let completed = self.flags[..n][tu] & T_COMPLETED != 0;
+        TenantFinal {
+            tag,
+            strategy: &self.classes.strategies[self.class[..n][tu] as usize],
+            completed,
+            spot_slots: self.slots_run[..n][tu],
+            interruptions: self.interruptions[..n][tu],
+            resubmissions: self.resubmissions[..n][tu],
+            remaining: if completed {
+                Hours::ZERO
+            } else {
+                self.remaining_work(tu)
+            },
+        }
     }
 }
 
@@ -1200,6 +1503,58 @@ pub(in crate::closedloop) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn home(base: BiddingStrategy) -> PortfolioStrategy {
+        PortfolioStrategy::ZoneFallback { home: 0, base }
+    }
+
+    fn fixed(p: f64) -> PortfolioStrategy {
+        home(BiddingStrategy::FixedBid(Price::new(p)))
+    }
+
+    #[test]
+    fn interning_is_exact_and_numbers_classes_in_order() {
+        let mut classes = Classes::default();
+        let percentile = |bits| home(BiddingStrategy::Percentile(f64::from_bits(bits)));
+        let (nan_a, nan_b) = (
+            percentile(0x7FF8_0000_0000_0001),
+            percentile(0x7FF8_0000_0000_0002),
+        );
+        let first = [fixed(0.25), fixed(0.0), fixed(-0.0), nan_a, nan_b];
+        let ids: Vec<u32> = first.iter().map(|&s| classes.intern(s)).collect();
+        // Bit-identical strategies share a class; signed zeros and NaN
+        // payloads are different bits, so different classes.
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        assert_eq!(classes.intern(fixed(0.25)), 0);
+        assert_eq!(classes.intern(percentile(0x7FF8_0000_0000_0002)), 4);
+        assert_eq!(classes.strategies.len(), 5);
+        // The numbering survives the table's growth.
+        let more: Vec<u32> = (0..40)
+            .map(|k| classes.intern(fixed(1.0 + f64::from(k))))
+            .collect();
+        assert_eq!(more, (5..45).collect::<Vec<_>>());
+        assert_eq!(classes.intern(fixed(-0.0)), 2);
+        assert_eq!(classes.intern(nan_a), 3);
+    }
+
+    #[test]
+    fn keys_filed_in_one_slot_keep_their_own_classes() {
+        // Two strategies whose keys start their probe in the same slot
+        // of the first table.
+        let slot = |p: f64| key_hash(plan_key(&fixed(p))) & 15;
+        let a = 0.05;
+        let b = (1..10_000)
+            .map(|k| 0.05 + f64::from(k) * 1e-4)
+            .find(|&b| slot(b) == slot(a))
+            .expect("a colliding key");
+        let mut classes = Classes::default();
+        assert_eq!(classes.intern(fixed(a)), 0);
+        assert_eq!(classes.intern(fixed(b)), 1);
+        for _ in 0..3 {
+            assert_eq!((classes.intern(fixed(b)), classes.intern(fixed(a))), (1, 0));
+        }
+        assert_eq!(classes.table.len(), 16);
+    }
 
     #[test]
     fn unlogged_fleets_build_no_events() {

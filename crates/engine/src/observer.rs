@@ -104,20 +104,15 @@ impl CostTotals {
         Ok(())
     }
 
-    /// Adds an amount whose charge was already validated to `tag`'s total
-    /// (the lazy settlement of spot charges validated once per slot).
-    pub(crate) fn add(&mut self, tag: u32, amount: Cost) {
-        self.totals[tag as usize] += amount;
-    }
-
     /// `tag`'s total so far.
     pub(crate) fn total(&self, tag: u32) -> Cost {
         self.totals[tag as usize]
     }
 
-    /// `tag`'s total, for lazy settlement to fold charges into.
-    pub(crate) fn total_mut(&mut self, tag: u32) -> &mut Cost {
-        &mut self.totals[tag as usize]
+    /// Every total, indexed by tag, for lazy settlement to fold charges
+    /// into.
+    pub(crate) fn totals_mut(&mut self) -> &mut [Cost] {
+        &mut self.totals
     }
 
     /// Consumes the accumulator, returning the totals indexed by tag.

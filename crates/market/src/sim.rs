@@ -1399,6 +1399,7 @@ impl Book {
     /// or a parked bid's re-auction: it becomes a resident, and a winner
     /// joins `started` (returning true), a persistent loser pends in its
     /// bucket and a one-time loser exits.
+    #[inline(always)]
     fn first_auction(
         &mut self,
         i: u32,

@@ -27,6 +27,13 @@
 //! single-market dense oracle: a single-market bidder is a one-market
 //! zone-fallback portfolio, clean and under faults.
 //!
+//! The unlogged wave tests hold the wave loop the way the end-to-end
+//! benchmark runs it, unlogged: the benchmark's 97-cycle tenant mix, and a
+//! mix that alternates, tenant by tenant, lone spot tenants on the common
+//! plan with tenants the general apply arm takes (on-demand bidders,
+//! one-time bidders re-planning after termination, and two-market
+//! zone-fallback bidders at home in the second market).
+//!
 //! The staggered-cohort tests hold the settlement memo: a reclamation
 //! outage plus resubmissions makes the tenants finishing in one slot
 //! settle streaks of different starts from different totals, interleaved
@@ -699,6 +706,119 @@ fn one_market_portfolio_matches_the_single_market_dense_oracle() {
         assert!(
             oracle.tenants.iter().any(|t| t.resubmissions > 0) && oracle.completed > 0,
             "a vacuous session (faults: {faulted})"
+        );
+    }
+}
+
+/// The end-to-end benchmark's tenant mix: a 97-cycle of one optimal
+/// persistent bidder, one 90th-percentile bidder and 95 fixed bids on a
+/// 13-rung ladder.
+fn benchmark_mix(n: usize, phase: usize) -> Vec<BiddingStrategy> {
+    (0..n)
+        .map(|i| match i % 97 {
+            0 => BiddingStrategy::OptimalPersistent,
+            1 => BiddingStrategy::Percentile(0.90),
+            _ => BiddingStrategy::FixedBid(Price::new(0.05 + ((i + phase) % 13) as f64 * 0.023)),
+        })
+        .collect()
+}
+
+#[test]
+fn unlogged_benchmark_mix_matches_the_dense_oracle() {
+    // The benchmark's market and job: 4-hour jobs of 48 slots, so the
+    // horizon holds the wave, the cohort that finishes in one slot and
+    // the restarts after it.
+    let cfg = ClosedLoopConfig {
+        params: MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.05).unwrap(),
+        job: JobSpec::builder(4.0).recovery_secs(60.0).build().unwrap(),
+        warmup_slots: 20,
+        horizon_slots: 80,
+        max_resubmissions: 4,
+        ..single_config()
+    };
+    for (phase, seed) in [(0, 0xE2E_0001), (7, 0xE2E_0002)] {
+        let strats = benchmark_mix(97 * 20, phase);
+        let (fast, stats) = run_closed_loop_with_stats(&strats, &cfg, seed, None).unwrap();
+        let oracle = dense::run_closed_loop(&strats, &cfg, seed).unwrap();
+        assert_eq!(fast, oracle, "report diverged (phase {phase})");
+        // The wave's cohort finishes in the horizon, and the ladder's low
+        // rungs never run and pay the on-demand fallback.
+        let finished = fast.tenants.iter().filter(|t| t.completed).count();
+        assert!(
+            finished > 0 && finished < strats.len() && stats.woken > 0,
+            "a vacuous session (phase {phase}): {finished} completed"
+        );
+    }
+}
+
+/// Lone spot tenants on the common plan (even tags) alternating with
+/// tenants the general apply arm takes or that switch market (odd tags).
+fn interleaved_arms(n: usize) -> Vec<PortfolioStrategy> {
+    (0..n)
+        .map(|i| {
+            let ladder = BiddingStrategy::FixedBid(Price::new(0.03 + (i % 13) as f64 * 0.025));
+            if i % 2 == 0 {
+                return PortfolioStrategy::ZoneFallback {
+                    home: 0,
+                    base: ladder,
+                };
+            }
+            match (i / 2) % 3 {
+                0 => PortfolioStrategy::ZoneFallback {
+                    home: 0,
+                    base: BiddingStrategy::OnDemand,
+                },
+                1 => PortfolioStrategy::ZoneFallback {
+                    home: 0,
+                    base: BiddingStrategy::OptimalOneTime,
+                },
+                _ => PortfolioStrategy::ZoneFallback {
+                    home: 1,
+                    base: ladder,
+                },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn unlogged_general_arm_tenants_interleaved_with_lone_spot_tenants_match_the_dense_oracle() {
+    let cfg = PortfolioLoopConfig {
+        markets: portfolio_config().markets.into_iter().take(2).collect(),
+        ..portfolio_config()
+    };
+    let strats = interleaved_arms(1_200);
+    let total = cfg.warmup_slots + cfg.horizon_slots;
+    // Reclamations in market 0 terminate one-time legs, whose tenants
+    // re-plan, and move zone-fallback homes between the two markets.
+    let reclaim = LoopFaults {
+        gap: Vec::new(),
+        reclaim: (0..total)
+            .map(|s| s > cfg.warmup_slots && s % 9 == 4)
+            .collect(),
+    };
+    let faults = [reclaim, LoopFaults::default()];
+    for plan in [None, Some(&faults[..])] {
+        let seed = 0x1A_7E4F;
+        let (fast, _) = run_portfolio_loop_with_stats(&strats, &cfg, seed, plan).unwrap();
+        let (oracle, _) =
+            portfolio::dense::run_portfolio_loop_logged(&strats, &cfg, seed, plan).unwrap();
+        let faulted = plan.is_some();
+        assert_eq!(fast, oracle, "report diverged (faults: {faulted})");
+        let replanned = oracle.tenants.iter().any(|t| t.resubmissions > 0);
+        let second_home = oracle
+            .tenants
+            .iter()
+            .enumerate()
+            .any(|(i, t)| i % 2 == 1 && (i / 2) % 3 == 2 && t.spot_slots > 0);
+        let bought = oracle
+            .tenants
+            .iter()
+            .any(|t| t.completed && t.spot_slots == 0);
+        assert!(
+            replanned && second_home && bought,
+            "a vacuous mix (faults: {faulted}): re-plans {replanned}, \
+             market-1 runs {second_home}, on-demand {bought}"
         );
     }
 }

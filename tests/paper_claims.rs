@@ -237,3 +237,79 @@ fn eq4_one_slot_acceptance_and_finishes_match_the_queue_model() {
         );
     }
 }
+
+/// The bid-level market under a stationary arrival stream: each slot
+/// brings Poisson(λ) bids of `kind`, priced uniformly on [π_min, π̄], with
+/// geometric work (θ = 0.1). Returns, over the second half of `slots`:
+/// the mean reported demand L(t), the acceptance share a = (π̄ − π*) /
+/// (π̄ − π_min) at the mean posted price π*, and the open count's growth
+/// per slot.
+fn queue_law(lambda: f64, kind: BidKind, slots: usize, seed: u64) -> (f64, f64, f64) {
+    let params = MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.1).unwrap();
+    let (lo, hi) = (params.pi_min.as_f64(), params.pi_bar.as_f64());
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut market = SpotMarket::new(params, Hours::from_minutes(5.0));
+    let half = slots / 2;
+    let (mut demand, mut price, mut open_at_half) = (0.0, 0.0, 0);
+    for slot in 0..slots {
+        for _ in 0..rng.poisson(lambda) {
+            market.submit(BidRequest {
+                price: Price::new(rng.range_f64(lo, hi)),
+                kind,
+                work: WorkModel::Geometric,
+            });
+        }
+        let report = market.step(&mut rng);
+        if slot == half {
+            open_at_half = report.demand;
+        }
+        if slot >= half {
+            demand += report.demand as f64;
+            price += report.price.as_f64();
+        }
+    }
+    let open_at_end = market.step(&mut rng).demand;
+    let n = (slots - half) as f64;
+    let accept = (hi - price / n) / (hi - lo);
+    let growth = (open_at_end as f64 - open_at_half as f64) / n;
+    (demand / n, accept, growth)
+}
+
+#[test]
+fn one_time_bids_follow_the_bid_level_law_not_eq4() {
+    // A one-time arrival starts with probability a and a runner finishes
+    // with probability θ each slot, its start slot included, so the
+    // running count settles at aλ(1 − θ)/θ and the reported demand at
+    // λ(1 + a(1 − θ)/θ). Eq. 4 redraws every waiting bid's price each slot
+    // instead: its fixed point λ/(θa) is about three times the market's.
+    let theta = 0.1;
+    for (lambda, seed) in [(5.0, 7), (50.0, 7), (50.0, 8)] {
+        let (demand, a, _) = queue_law(lambda, BidKind::OneTime, 3_000, seed);
+        let law = lambda * (1.0 + a * (1.0 - theta) / theta);
+        assert!(
+            (demand / law - 1.0).abs() < 0.03,
+            "λ {lambda}, seed {seed}: L {demand:.1} against the bid-level law {law:.1}"
+        );
+        let eq4 = lambda / (theta * a);
+        assert!(
+            eq4 > 2.5 * demand,
+            "λ {lambda}, seed {seed}: Eq. 4's fixed point {eq4:.1} against L {demand:.1}"
+        );
+    }
+}
+
+#[test]
+fn persistent_bids_below_the_price_pile_up() {
+    // A persistent bid below the posted price is never served and never
+    // leaves, so the open count grows by λ(1 − a) a slot: the bid-level
+    // market has no bounded queue for persistent bids (Prop. 1 is a claim
+    // about the flow-level queue).
+    for (lambda, seed) in [(5.0, 7), (50.0, 7), (50.0, 8)] {
+        let (_, a, growth) = queue_law(lambda, BidKind::Persistent, 3_000, seed);
+        let law = lambda * (1.0 - a);
+        assert!(
+            (growth / law - 1.0).abs() < 0.03,
+            "λ {lambda}, seed {seed}: growth {growth:.3} a slot against λ(1 − a) = {law:.3}"
+        );
+    }
+}
