@@ -194,8 +194,9 @@ pub(crate) fn spot_charge(slot: u64, price: Price, slot_len: Hours) -> Result<()
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy lists, zero warmup or
-/// horizon, a non-finite arrival rate or more expected background bids than
-/// the market's `u32` bid ids hold, or finite supply of capacity 0;
+/// horizon, more warmup plus horizon slots than `u32` holds, a non-finite
+/// arrival rate or more expected background bids than the market's `u32`
+/// bid ids hold, or finite supply of capacity 0;
 /// [`EngineError::Core`] if a strategy fails to resolve.
 pub fn run_closed_loop(
     strategies: &[BiddingStrategy],
@@ -449,6 +450,25 @@ mod tests {
             ..cfg
         };
         assert!(run_closed_loop(&[BiddingStrategy::OnDemand], &bad, 1).is_err());
+        // Sessions whose slots overflow the fleet's u32 slot counters, or
+        // usize itself, with no background arrivals to refuse them first.
+        let max = u32::MAX as usize;
+        for (warmup_slots, horizon_slots) in [(1, max), (max, 1), (usize::MAX, 1), (1, usize::MAX)]
+        {
+            let bad = ClosedLoopConfig {
+                warmup_slots,
+                horizon_slots,
+                background_arrivals: 0.0,
+                ..cfg
+            };
+            assert!(
+                matches!(
+                    run_closed_loop(&[BiddingStrategy::OnDemand], &bad, 1),
+                    Err(EngineError::InvalidConfig { .. })
+                ),
+                "{warmup_slots} + {horizon_slots} slots"
+            );
+        }
     }
 
     /// One tenant's legs (markets in plan order) under a random wake

@@ -383,6 +383,16 @@ fn validate(
     if cfg.warmup_slots == 0 || cfg.horizon_slots == 0 {
         return invalid("warmup_slots and horizon_slots must be ≥ 1".into());
     }
+    // The fleet keeps a tenant's slot counters in u32: the slot a running
+    // streak began is below the session's slot count, and its spot slots
+    // are at most the job's slots (checked below).
+    let total = cfg.warmup_slots.checked_add(cfg.horizon_slots);
+    if total.is_none_or(|slots| u32::try_from(slots).is_err()) {
+        return invalid(format!(
+            "warmup_slots {} + horizon_slots {} must fit the fleet's u32 slot counters",
+            cfg.warmup_slots, cfg.horizon_slots
+        ));
+    }
     let bad = |r: f64| !r.is_finite() || r < 0.0;
     if bad(cfg.shared_arrivals) || cfg.markets.iter().any(|m| bad(m.idio_arrivals)) {
         return invalid("arrival rates must be finite and ≥ 0".into());
@@ -418,7 +428,9 @@ fn validate(
         return invalid("job slot length must equal the market slot length".into());
     }
     if u32::try_from(cfg.job.slots_needed()).is_err() {
-        return invalid("a job's slots must fit the market's u32 work model".into());
+        return invalid(
+            "a job's slots must fit the market's u32 work model and spot slot counts".into(),
+        );
     }
     if let Some(f) = faults {
         if f.len() != cfg.markets.len() {
@@ -640,7 +652,8 @@ fn portfolio_report<F: SessionFleet>(
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy or market lists, zero
-/// warmup or horizon, non-finite arrival rates or more expected background
+/// warmup or horizon, more warmup plus horizon slots than `u32` holds,
+/// non-finite arrival rates or more expected background
 /// bids in a market than its `u32` bid ids hold, a finite market of
 /// capacity 0, or a fault-plan/market count mismatch;
 /// [`EngineError::Core`] if a strategy fails to resolve.
@@ -909,5 +922,27 @@ mod tests {
             run_portfolio_loop(&strats, &bad, 1),
             Err(EngineError::InvalidConfig { .. })
         ));
+        // Sessions whose slots overflow the fleet's u32 slot counters, or
+        // usize itself, with no background arrivals to refuse them first.
+        let quiet = |warmup_slots, horizon_slots| {
+            let mut bad = PortfolioLoopConfig {
+                warmup_slots,
+                horizon_slots,
+                shared_arrivals: 0.0,
+                ..cfg.clone()
+            };
+            bad.markets.iter_mut().for_each(|m| m.idio_arrivals = 0.0);
+            run_portfolio_loop(&strats, &bad, 1)
+        };
+        let max = u32::MAX as usize;
+        for (warmup, horizon) in [(1, max), (max, 1), (usize::MAX, 1), (1, usize::MAX)] {
+            assert!(
+                matches!(
+                    quiet(warmup, horizon),
+                    Err(EngineError::InvalidConfig { .. })
+                ),
+                "{warmup} + {horizon} slots"
+            );
+        }
     }
 }

@@ -79,7 +79,7 @@ const T_DONE: u8 = 1 << 0;
 const T_COMPLETED: u8 = 1 << 1;
 /// Completed at plan time: reports done at its next wake.
 const T_DONE_PENDING: u8 = 1 << 2;
-/// Queued in `needy` for a (re-)plan next `before_slot`.
+/// Listed in `needy` for a (re-)plan next `before_slot`.
 const T_NEEDS_SUBMIT: u8 = 1 << 3;
 /// Lost work whose resubmission budget ran out is abandoned.
 const T_GAVE_UP: u8 = 1 << 4;
@@ -488,12 +488,16 @@ pub(in crate::closedloop) struct Fleet {
     wake: Vec<u8>,
     /// Slots of work awaiting (re-)submission.
     pending: Vec<u32>,
-    /// Spot slots run, summed across legs.
-    slots_run: Vec<u64>,
+    /// Spot slots run, summed across legs: at most the job's slots, which
+    /// `validate` holds to `u32` (a leg runs at most the slots it was
+    /// assigned, and the legs' assignments partition the job's slots
+    /// still owed).
+    slots_run: Vec<u32>,
     interruptions: Vec<u32>,
     resubmissions: Vec<u32>,
-    /// First slot not yet charged to the running legs.
-    run_since: Vec<u64>,
+    /// First slot not yet charged to the running legs: at most the
+    /// session's slot count, which `validate` holds to `u32`.
+    run_since: Vec<u32>,
     /// On-demand work bought (allocated on first use).
     od_bought: Vec<Hours>,
     /// The first leg's bid id, [`NIL`] when the tenant's first-leg slot
@@ -518,16 +522,19 @@ pub(in crate::closedloop) struct Fleet {
     costs: CostTotals,
     /// Tenants flagged [`T_RUNNING`].
     running: usize,
-    /// Tenants whose plan was applied this `before_slot`.
-    fresh: Vec<u32>,
-    /// Tenants queued to (re-)plan at the next `before_slot`.
+    /// The fleet's one tenant list, ascending. Between slots it holds the
+    /// tenants queued to (re-)plan at the next `before_slot`; the wave
+    /// leaves there the tenants whose plan it applied, and `on_slot`
+    /// appends the reports' owners to make the slot's wake set, which its
+    /// visit overwrites in place with the tenants it re-queues.
     needy: Vec<u32>,
     /// Tenants not yet [`T_DONE`].
     active: usize,
     pub(in crate::closedloop) stats: PortfolioFleetStats,
 
     // Scratch (steady state allocates nothing per slot).
-    sc_woken: Vec<u32>,
+    /// A logged or refused slot's visit order: the wake set and every
+    /// carried runner, ascending.
     sc_order: Vec<u32>,
     /// Per market: this slot's spot charge, and whether it fails
     /// validation.
@@ -581,14 +588,12 @@ impl Fleet {
             charges: ChargeTable::new(m),
             costs: CostTotals::new(n),
             running: 0,
-            fresh: Vec::new(),
             needy: (0..n as u32).collect(),
             active: n,
             stats: PortfolioFleetStats {
                 swept: vec![0; m],
                 ..PortfolioFleetStats::default()
             },
-            sc_woken: Vec::new(),
             sc_order: Vec::new(),
             sc_charges: vec![(Cost::ZERO, false); m],
             sc_spot: Vec::new(),
@@ -605,7 +610,7 @@ impl Fleet {
     /// work bought.
     fn remaining_work(&self, tu: usize) -> Hours {
         (self.job.execution
-            - self.job.slot * self.slots_run[tu] as f64
+            - self.job.slot * f64::from(self.slots_run[tu])
             - lazy(&self.od_bought, tu, Hours::ZERO))
         .max(Hours::ZERO)
     }
@@ -909,6 +914,7 @@ impl Fleet {
                 markets: *markets,
                 resubmissions: &mut resubmissions[..n],
                 needy,
+                queued: 0,
                 class: &mut class[..n],
                 classes,
             },
@@ -921,17 +927,22 @@ impl Fleet {
     /// Checks the bookkeeping a processed slot leaves, without
     /// allocating: the running and active counts equal a recount of the
     /// flags, every live first leg's owner entry names its tenant, no
-    /// tenant flagged running holds no live leg, and the wake column is
-    /// clear. Debug builds run it on every slot the fleet processes;
-    /// release builds compile it out.
+    /// tenant flagged running holds no live leg, no tenant has run more
+    /// spot slots than its job has, every listed tenant is flagged to
+    /// re-plan, in ascending order, and the wake column is clear. Debug
+    /// builds run it on every slot the fleet processes; release builds
+    /// compile it out.
     #[cfg(debug_assertions)]
     fn audit(&self) {
         let (mut running, mut active) = (0, 0);
+        let slots_needed = self.job.slots_needed();
         for (tu, &f) in self.flags.iter().enumerate() {
             let (t, b) = (tu as u32, self.bid[tu]);
             running += usize::from(f & T_RUNNING != 0);
             active += usize::from(f & T_DONE == 0);
             assert_eq!(self.wake[tu], 0, "tenant {t}: wake bits outside on_slot");
+            let ran = u64::from(self.slots_run[tu]);
+            assert!(ran <= slots_needed, "tenant {t}: {ran} spot slots");
             if b != NIL {
                 let m = lazy(&self.market, tu, 0) as usize;
                 let owner = self.owners[m].get(b as usize);
@@ -945,6 +956,11 @@ impl Fleet {
         }
         assert_eq!(running, self.running, "running tenants");
         assert_eq!(active, self.active, "active tenants");
+        assert!(self.needy.is_sorted(), "the re-plan queue is ascending");
+        for &t in &self.needy {
+            let f = self.flags[t as usize];
+            assert_ne!(f & T_NEEDS_SUBMIT, 0, "tenant {t} queued unflagged");
+        }
     }
 
     fn status(&self) -> DriverStatus {
@@ -959,7 +975,7 @@ impl Fleet {
 /// A slot's report verdicts as a visit reads them: the slot, each
 /// market's report, and each market's spot charge with whether it is
 /// refused.
-type Verdicts<'r> = (u64, &'r [SlotReport], &'r [(Cost, bool)]);
+type Verdicts<'r> = (u32, &'r [SlotReport], &'r [(Cost, bool)]);
 
 /// The fleet state one pass over tenants updates — the tenant columns as
 /// slices, the running and active counts as values — borrowed apart from
@@ -976,8 +992,8 @@ struct Visit<'a> {
     next: &'a mut [u32],
     slab: &'a mut [SlabLeg],
     free: &'a mut u32,
-    run_since: &'a mut [u64],
-    slots_run: &'a mut [u64],
+    run_since: &'a mut [u32],
+    slots_run: &'a mut [u32],
     interruptions: &'a mut [u32],
     pending: &'a mut [u32],
     totals: &'a mut [Cost],
@@ -995,7 +1011,11 @@ struct Requeue<'a> {
     max_resubmissions: u32,
     markets: usize,
     resubmissions: &'a mut [u32],
+    /// The fleet's tenant list, rewritten from its start: its first
+    /// `queued` entries are the tenants the pass re-queued, each written
+    /// over an entry the pass has already read, or pushed at the end.
     needy: &'a mut Vec<u32>,
+    queued: usize,
     class: &'a mut [u32],
     classes: &'a mut Classes,
 }
@@ -1017,7 +1037,11 @@ impl Requeue<'_> {
         // Several legs may terminate in one slot: queue the tenant once.
         if *f & T_NEEDS_SUBMIT == 0 {
             *f |= T_NEEDS_SUBMIT;
-            self.needy.push(t);
+            match self.needy.get_mut(self.queued) {
+                Some(slot) => *slot = t,
+                None => self.needy.push(t),
+            }
+            self.queued += 1;
         }
         let c = self.class[tu] as usize;
         if let PortfolioStrategy::ZoneFallback { home, base } = self.classes.strategies[c] {
@@ -1031,48 +1055,54 @@ impl Requeue<'_> {
 }
 
 impl Visit<'_> {
-    /// Hands the running and active counts back to the fleet.
+    /// Hands the running and active counts back to the fleet and cuts its
+    /// tenant list to the queue.
     fn end(self) {
         (*self.counts.0, *self.counts.1) = (self.running, self.active);
+        self.requeue.needy.truncate(self.requeue.queued);
     }
 
     /// Charges the running legs their carried slots `[run_since, end)`,
     /// slot by slot in plan order, and moves `run_since` to `end`; a
     /// no-op for a tenant not running.
     #[inline(always)]
-    fn settle(&mut self, t: u32, end: u64) {
+    fn settle(&mut self, t: u32, end: u32) {
         let tu = t as usize;
         let (f, since) = (self.flags[tu], self.run_since[tu]);
         if f & T_RUNNING == 0 || since == end {
             return;
         }
         let n = end - since;
+        let (from, to) = (u64::from(since), u64::from(end));
         let total = &mut self.totals[tu];
         let head = lazy(self.next, tu, NIL);
         if head == NIL {
             // The first leg is the only one, and it runs.
             let m = lazy(self.market, tu, 0) as usize;
-            *total = self.charges.settle(*total, since, end, std::iter::once(m));
-            self.left[tu] = self.left[tu].wrapping_sub(n as u32);
+            *total = self.charges.settle(*total, from, to, std::iter::once(m));
+            self.left[tu] = self.left[tu].wrapping_sub(n);
             self.slots_run[tu] += n;
         } else {
             self.sc_legs.clear();
+            let mut ran = 0;
             if f & T_FIRST_RUNNING != 0 {
                 self.sc_legs.push(lazy(self.market, tu, 0) as usize);
-                self.left[tu] = self.left[tu].wrapping_sub(n as u32);
+                self.left[tu] = self.left[tu].wrapping_sub(n);
+                ran += n;
             }
             let mut k = head;
             while k != NIL {
                 let e = &mut self.slab[k as usize];
                 if e.leg.running {
                     self.sc_legs.push(e.leg.market as usize);
-                    e.leg.left = e.leg.left.wrapping_sub(n as u32);
+                    e.leg.left = e.leg.left.wrapping_sub(n);
+                    ran += n;
                 }
                 k = e.next;
             }
             let legs = self.sc_legs.iter().copied();
-            *total = self.charges.settle(*total, since, end, legs);
-            self.slots_run[tu] += n * self.sc_legs.len() as u64;
+            *total = self.charges.settle(*total, from, to, legs);
+            self.slots_run[tu] += ran;
         }
         self.run_since[tu] = end;
     }
@@ -1092,7 +1122,7 @@ impl Visit<'_> {
         refusal: &mut Option<EngineError>,
         events: &mut Events<'_>,
     ) -> bool {
-        let (tu, m) = (t as usize, leg.market as usize);
+        let (tu, m, slot) = (t as usize, leg.market as usize, u64::from(slot));
         let bits = std::mem::take(&mut leg.report);
         let started = bits & R_STARTED != 0;
         let interrupted = bits & R_INTERRUPTED != 0;
@@ -1153,7 +1183,7 @@ impl Visit<'_> {
         refusal: &mut Option<EngineError>,
         events: &mut Events<'_>,
     ) {
-        let (tu, slot) = (t as usize, at.0);
+        let (tu, now) = (t as usize, at.0);
         let bits = std::mem::take(&mut self.wake[tu]);
         let mut f = self.flags[tu];
         let head = lazy(self.next, tu, NIL);
@@ -1161,7 +1191,7 @@ impl Visit<'_> {
             return;
         }
         if f & T_RUNNING != 0 {
-            self.settle(t, slot);
+            self.settle(t, now);
         } else if bits & !W_WOKEN == 0
             && f & T_DONE_PENDING == 0
             && self.bid[tu] != NIL
@@ -1170,7 +1200,7 @@ impl Visit<'_> {
             // One live leg, neither running nor named: nothing changes.
             return;
         }
-        self.run_since[tu] = slot + 1;
+        self.run_since[tu] = now + 1;
         let mut done = f & T_DONE_PENDING != 0;
         if !done {
             let mut running = false;
@@ -1198,6 +1228,7 @@ impl Visit<'_> {
             let no_legs = self.bid[tu] == NIL && lazy(self.next, tu, NIL) == NIL;
             if f & T_COMPLETED == 0 && no_legs && self.pending[tu] == 0 {
                 f |= T_COMPLETED;
+                let slot = u64::from(now);
                 events.emit(|| Event::Completed { slot, tenant: t });
                 done = true;
             } else {
@@ -1253,7 +1284,6 @@ impl JobDriver<PortfolioSource> for Fleet {
         source: &mut PortfolioSource,
         emit: &mut dyn FnMut(Event),
     ) -> Result<(), EngineError> {
-        self.fresh.clear();
         // The queue holds exactly the tenants the dense fleets' scan would
         // select (queued ascending, drained every slot), filtered by their
         // `!done && needs_submit && !done_pending` guard.
@@ -1320,10 +1350,6 @@ impl JobDriver<PortfolioSource> for Fleet {
             }
             queue.next_id = first;
         }
-        // Every tenant planned is applied, in this order, or the session
-        // ends with the apply's error.
-        reserve_pow2(&mut self.fresh, decided);
-        self.fresh.extend_from_slice(&needy[..decided]);
         // Serial, ordered apply: bid ids and events come out as if each
         // tenant had planned and submitted in turn; the legs enter each
         // market in batches of up to `QUEUE` (an apply error ends the
@@ -1340,7 +1366,8 @@ impl JobDriver<PortfolioSource> for Fleet {
         if let Some(e) = failure {
             return Err(EngineError::Core(e));
         }
-        needy.clear();
+        // Every tenant listed was applied: the list opens the slot's wake
+        // set.
         self.needy = needy;
         Ok(())
     }
@@ -1357,12 +1384,11 @@ impl JobDriver<PortfolioSource> for Fleet {
             self.charges.push(report.price * self.job.slot);
         }
 
-        // The wake set: fresh plans, then every market's report owners,
-        // each tenant once; a live leg's report bits go to the leg.
-        let mut woken = std::mem::take(&mut self.sc_woken);
-        woken.clear();
-        std::mem::swap(&mut woken, &mut self.fresh);
+        // The wake set: the tenants the wave applied, which `before_slot`
+        // leaves in the list, then every market's report owners, each
+        // tenant once; a live leg's report bits go to the leg.
         let n = self.tenants();
+        let woken = &mut self.needy;
         let (bid, market, next) = (&self.bid[..n], &self.market[..], &self.next[..]);
         let (wake, slab) = (&mut self.wake[..n], &mut self.slab[..]);
         for (m, report) in reports.iter().enumerate() {
@@ -1397,7 +1423,6 @@ impl JobDriver<PortfolioSource> for Fleet {
             // Nothing named, planned or running: the dense fleets would
             // have walked every tenant and changed nothing.
             self.stats.skipped_slots += 1;
-            self.sc_woken = woken;
             return Ok(self.status());
         }
 
@@ -1409,33 +1434,44 @@ impl JobDriver<PortfolioSource> for Fleet {
         if !woken.is_sorted() {
             woken.sort_unstable();
         }
-        self.stats.woken += woken.len() as u64;
+        let woken = woken.len();
+        self.stats.woken += woken as u64;
         let mut verdicts = std::mem::take(&mut self.sc_charges);
         for (m, (charge, refused)) in verdicts.iter_mut().enumerate() {
             *charge = self.charges.at(slot, m);
             *refused = spot_charge(slot, reports[m].price, self.job.slot).is_err();
         }
         let mut order = std::mem::take(&mut self.sc_order);
-        let visit = if self.logged || verdicts.iter().any(|&(_, refused)| refused) {
-            order.clear();
-            let mut woken = woken.iter().copied().peekable();
+        order.clear();
+        let ordered = self.logged || verdicts.iter().any(|&(_, refused)| refused);
+        if ordered {
+            let mut woken = self.needy.iter().copied().peekable();
             for t in 0..self.tenants() as u32 {
                 if woken.next_if_eq(&t).is_some() || self.flags[t as usize] & T_RUNNING != 0 {
                     order.push(t);
                 }
             }
-            &order
-        } else {
-            &woken
-        };
+        }
+        let now = u32::try_from(slot).expect("validated: a session's slots fit u32");
+        let at = (now, &reports[..], &verdicts[..]);
         let mut refusal = None;
         let mut events = Events::new(emit, self.logged);
         let mut pass = self.visit();
-        for &t in visit {
-            pass.update_tenant(t, (slot, reports, &verdicts), &mut refusal, &mut events);
+        // A visit queues its tenant at most once, so the pass writes the
+        // list no further than the wake-set entry it reads.
+        if !ordered {
+            for i in 0..woken {
+                debug_assert!(pass.requeue.queued <= i);
+                let t = pass.requeue.needy[i];
+                pass.update_tenant(t, at, &mut refusal, &mut events);
+            }
+        } else {
+            for &t in &order {
+                pass.update_tenant(t, at, &mut refusal, &mut events);
+            }
         }
         pass.end();
-        (self.sc_woken, self.sc_order, self.sc_charges) = (woken, order, verdicts);
+        (self.sc_order, self.sc_charges) = (order, verdicts);
         #[cfg(debug_assertions)]
         self.audit();
         match refusal {
@@ -1452,8 +1488,11 @@ impl SessionFleet for Fleet {
 
     fn close(&mut self) {
         // Tenants still running at the session end owe their carried
-        // slots.
-        let (end, n) = (self.charges.slots(), self.tenants() as u32);
+        // slots; the pass re-queues nothing, and no wave follows to read
+        // the queue it leaves empty.
+        let end =
+            u32::try_from(self.charges.slots()).expect("validated: a session's slots fit u32");
+        let n = self.tenants() as u32;
         let mut pass = self.visit();
         for t in 0..n {
             pass.settle(t, end);
@@ -1472,7 +1511,7 @@ impl SessionFleet for Fleet {
             tag,
             strategy: &self.classes.strategies[self.class[..n][tu] as usize],
             completed,
-            spot_slots: self.slots_run[..n][tu],
+            spot_slots: u64::from(self.slots_run[..n][tu]),
             interruptions: self.interruptions[..n][tu],
             resubmissions: self.resubmissions[..n][tu],
             remaining: if completed {

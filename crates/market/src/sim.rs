@@ -741,7 +741,7 @@ struct Book {
 /// per-slot charges their running streaks settle from.
 #[derive(Debug, Clone)]
 struct Settlement {
-    runs: Vec<Run>,
+    runs: Paged<Run>,
     /// `price_t × slot_len` for every completed slot: the replay table
     /// that settles lazy charges in the same order, with the same
     /// floating-point operands, as the naive per-slot accrual.
@@ -806,6 +806,73 @@ struct Run {
     /// finish slot; once [`F_OPEN`] is clear, the slot it left the system;
     /// otherwise unused.
     due: u64,
+}
+
+/// Entries in one page of a [`Paged`] table.
+const PAGE: usize = 1024;
+
+/// A table that grows by whole pages of [`PAGE`] entries, never by
+/// doubling: it holds at most one page of unused room, and an entry never
+/// moves once pushed, so growing copies nothing.
+#[derive(Debug)]
+struct Paged<T> {
+    /// Every page holds room for exactly [`PAGE`] entries; all but the
+    /// last are full.
+    pages: Vec<Vec<T>>,
+}
+
+impl<T> Paged<T> {
+    fn new() -> Self {
+        Paged { pages: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.pages
+            .last()
+            .map_or(0, |last| (self.pages.len() - 1) * PAGE + last.len())
+    }
+
+    /// Appends `value`, opening a new page when the last one is full.
+    fn push(&mut self, value: T) {
+        match self.pages.last_mut() {
+            Some(last) if last.len() < PAGE => last.push(value),
+            _ => {
+                let mut page = Vec::with_capacity(PAGE);
+                page.push(value);
+                self.pages.push(page);
+            }
+        }
+    }
+}
+
+impl<T: Clone> Clone for Paged<T> {
+    /// Each page of the clone keeps its room for [`PAGE`] entries.
+    fn clone(&self) -> Self {
+        let pages = self.pages.iter().map(|page| {
+            let mut copy = Vec::with_capacity(PAGE);
+            copy.extend_from_slice(page);
+            copy
+        });
+        Paged {
+            pages: pages.collect(),
+        }
+    }
+}
+
+impl<T> std::ops::Index<usize> for Paged<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        &self.pages[i / PAGE][i % PAGE]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Paged<T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.pages[i / PAGE][i % PAGE]
+    }
 }
 
 /// A first launch's [`Run`], and the run state a record shows for a bid
@@ -923,7 +990,7 @@ impl SpotMarket {
                 pos_of: Vec::new(),
                 arrivals: Vec::new(),
                 settlement: Settlement {
-                    runs: Vec::new(),
+                    runs: Paged::new(),
                     charges: ChargeTable::new(1),
                 },
                 buckets: vec![Bucket::default(); BUCKETS],
@@ -2304,7 +2371,7 @@ mod tests {
             + elem(&b.pos_of);
         assert_eq!(m.column_shapes().len(), 6, "a column left out here");
         assert_eq!(per_bid, 23);
-        assert_eq!(elem(&b.settlement.runs), 32, "a launched bid's run entry");
+        assert_eq!(std::mem::size_of::<Run>(), 32, "a launched bid's run entry");
     }
 
     #[test]
@@ -2316,7 +2383,7 @@ mod tests {
         let rep = m.step(&mut rng);
         assert_eq!(rep.terminated, vec![id]);
         assert_eq!(m.book.run_of[id.0 as usize], NO_RUN);
-        assert!(m.book.settlement.runs.is_empty());
+        assert_eq!(m.book.settlement.runs.len(), 0);
         let rec = m.record(id).unwrap();
         assert_eq!(rec.phase, BidPhase::Terminated);
         assert_eq!(rec.submitted_at, 3);
@@ -2393,6 +2460,64 @@ mod tests {
             assert_eq!(m.record(id).unwrap(), rec, "slot {}", m.now());
         }
         assert!(m.book.settlement.runs.len() > 40, "later bids launched");
+    }
+
+    /// The room a paged table holds: every page's capacity.
+    fn paged_room<T>(table: &Paged<T>) -> usize {
+        table.pages.iter().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn a_paged_table_reads_as_a_vec_across_page_boundaries() {
+        let mut g = Rng::seed_from_u64(35);
+        let mut paged = Paged::new();
+        let mut flat = Vec::new();
+        for i in 0..(3 * PAGE + 17) as u64 {
+            paged.push(i);
+            flat.push(i);
+            assert_eq!(paged.len(), flat.len());
+            // Writes land where a Vec's would, on either side of a page
+            // boundary.
+            let k = (g.next_u64() % flat.len() as u64) as usize;
+            let v = g.next_u64();
+            paged[k] = v;
+            flat[k] = v;
+        }
+        for (k, &v) in flat.iter().enumerate() {
+            assert_eq!(paged[k], v, "entry {k}");
+        }
+        let copy = paged.clone();
+        assert_eq!(copy.len(), flat.len());
+        assert_eq!(paged_room(&copy), paged_room(&paged));
+        assert!((0..flat.len()).all(|k| copy[k] == flat[k]));
+    }
+
+    #[test]
+    fn a_paged_table_holds_at_most_one_page_of_room() {
+        let mut paged = Paged::new();
+        assert_eq!(paged_room(&paged), 0);
+        for n in 1..=(4 * PAGE + 1) {
+            paged.push(FRESH_RUN);
+            let room = paged_room(&paged);
+            assert!(
+                room >= n && room <= n + PAGE,
+                "{n} entries in room for {room}"
+            );
+        }
+        assert_eq!(paged.pages.len(), 5);
+    }
+
+    #[test]
+    fn a_paged_entry_keeps_its_address_as_the_table_grows() {
+        let mut paged = Paged::new();
+        let mut at = Vec::new();
+        for i in 0..(3 * PAGE + 5) {
+            paged.push(i as u32);
+            at.push(&paged[i] as *const u32);
+        }
+        for (i, &p) in at.iter().enumerate() {
+            assert_eq!(&paged[i] as *const u32, p, "entry {i} moved");
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! same session would need more than the bound asserted here on its own.
 //!
 //! The budget holds the session to the bytes it needs at its peak: the
-//! tenant columns, one bid per tenant (23 bytes in the market's six
-//! columns plus a 32-byte run entry, since every tenant's bid runs), a
-//! bounded submission queue, and the report rows, built after the
-//! market is dropped.
+//! tenant columns and the fleet's one tenant list, one bid per tenant
+//! (23 bytes in the market's six columns plus a 32-byte run entry, since
+//! every tenant's bid runs, in a table that grows by pages), a bounded
+//! submission queue, and the report rows, built after the market is
+//! dropped.
 //!
 //! The counting allocator sees every allocation in the process, so this
 //! file holds a single test.
@@ -77,11 +78,11 @@ const TENANTS: usize = 20_000;
 /// Peak live heap a session may add over what was live before it.
 const BOUND_BYTES: usize = 16 << 20;
 
-/// Peak live heap per tenant: 217 bytes measured (4,347,986 for the
-/// session below) when every bid carried its run state in its columns,
-/// plus 10% headroom. With the run table it reads 223 bytes (4,479,058):
-/// a book in which every bid launches pays 4 bytes per bid for the index.
-const BUDGET_PER_TENANT: usize = 239;
+/// Peak live heap per tenant: 179 bytes measured (3,584,568 for the
+/// session below), plus 10% headroom. It read 219 bytes (4,399,160) while
+/// the run table grew by doubling, the fleet kept a tenant's slot
+/// counters in 64 bits and its wave and wake lists apart.
+const BUDGET_PER_TENANT: usize = 197;
 
 #[test]
 fn running_heavy_session_holds_no_per_charge_ledger() {
