@@ -193,6 +193,106 @@ pub fn diff(baseline: &[BenchResult], current: &[BenchResult], threshold: f64) -
     DiffReport { rows, threshold }
 }
 
+/// One benchmark's A/B comparison: the change-over-parent median ratio
+/// of every pair of reports that both hold it, in pair order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AbRow {
+    /// Benchmark name (`group/id`).
+    pub bench: String,
+    /// `change / parent` median ratio, one per pair.
+    pub ratios: Vec<f64>,
+}
+
+impl AbRow {
+    /// The median ratio (`None` without pairs).
+    pub fn median(&self) -> Option<f64> {
+        match self.ratios.len() {
+            0 => None,
+            1 => Some(self.ratios[0]),
+            _ => quartiles(&self.ratios).map(|q| q[1]),
+        }
+    }
+
+    /// The ratios' interquartile range (`None` below two pairs).
+    pub fn iqr(&self) -> Option<f64> {
+        quartiles(&self.ratios).map(|q| q[2] - q[0])
+    }
+
+    /// Pairs in which the change read lower than the parent.
+    pub fn lower(&self) -> usize {
+        self.ratios.iter().filter(|&&r| r < 1.0).count()
+    }
+}
+
+/// Compares alternating runs of two builds: `pairs[k]` is the parent's
+/// and the change's report of the `k`-th pair. Rows follow the first
+/// parent report's order, then benchmarks first seen later; a benchmark
+/// missing from one side of a pair contributes no ratio for it. Nothing
+/// is judged: the rows say how far, how consistently and in which
+/// direction each benchmark moved.
+pub fn ab(pairs: &[(Vec<BenchResult>, Vec<BenchResult>)]) -> Vec<AbRow> {
+    let mut rows: Vec<AbRow> = Vec::new();
+    for (parent, change) in pairs {
+        for p in parent {
+            let at = match rows.iter().position(|r| r.bench == p.bench) {
+                Some(at) => at,
+                None => {
+                    rows.push(AbRow {
+                        bench: p.bench.clone(),
+                        ratios: Vec::new(),
+                    });
+                    rows.len() - 1
+                }
+            };
+            if let Some(c) = change.iter().find(|c| c.bench == p.bench) {
+                rows[at].ratios.push(c.median_ns / p.median_ns);
+            }
+        }
+    }
+    rows
+}
+
+/// Renders [`ab`]'s rows as an aligned text table.
+pub fn render_ab(rows: &[AbRow]) -> String {
+    let mut out = format!(
+        "{:<64} {:>5} {:>8} {:>7} {:>6}\n",
+        "bench", "pairs", "median", "IQR", "lower"
+    );
+    let fmt = |v: Option<f64>, f: &dyn Fn(f64) -> String| v.map(f).unwrap_or_else(|| "-".into());
+    for r in rows {
+        out.push_str(&format!(
+            "{:<64} {:>5} {:>8} {:>7} {:>6}\n",
+            r.bench,
+            r.ratios.len(),
+            fmt(r.median(), &|x| format!("{x:.3}x")),
+            fmt(r.iqr(), &|x| format!("{x:.3}")),
+            format!("{}/{}", r.lower(), r.ratios.len()),
+        ));
+    }
+    out
+}
+
+/// First quartile, median and third quartile of `xs`, as Python's
+/// `statistics.quantiles(xs, n=4)` computes them (the exclusive method,
+/// with its clamping) and as EXPERIMENTS.md reports e2ebench pairs;
+/// `None` below two samples.
+fn quartiles(xs: &[f64]) -> Option<[f64; 3]> {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len() as i64;
+    if n < 2 {
+        return None;
+    }
+    let at = |i: i64| {
+        let m = i * (n + 1);
+        let j = (m / 4).clamp(1, n - 1);
+        let delta = (m - j * 4) as f64;
+        let j = j as usize;
+        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+    };
+    Some([at(1), at(2), at(3)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +381,44 @@ mod tests {
         let d = diff(&baseline, &current, 3.0);
         let slow: Vec<&str> = d.regressions().map(|r| r.bench.as_str()).collect();
         assert_eq!(slow, vec!["k/b"]);
+    }
+
+    #[test]
+    fn ab_rows_summarize_the_pairs() {
+        let parent = |x: f64| vec![row("k/a", 100.0), row("k/b", x)];
+        let change = |a: f64| vec![row("k/a", a), row("k/new", 1.0)];
+        let pairs = vec![
+            (parent(10.0), change(90.0)),
+            (parent(10.0), change(80.0)),
+            (parent(10.0), change(110.0)),
+            (parent(10.0), change(95.0)),
+        ];
+        let rows = ab(&pairs);
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        let a = &rows[0];
+        assert_eq!(a.bench, "k/a");
+        assert_eq!(a.ratios, vec![0.9, 0.8, 1.1, 0.95]);
+        assert_eq!(a.lower(), 3);
+        // statistics.quantiles([0.8, 0.9, 0.95, 1.1], n=4):
+        // [0.825, 0.925, 1.0625].
+        assert!((a.median().unwrap() - 0.925).abs() < 1e-12);
+        assert!((a.iqr().unwrap() - 0.2375).abs() < 1e-12);
+        // A benchmark the change dropped has no ratios and no summary.
+        assert_eq!((rows[1].bench.as_str(), rows[1].ratios.len()), ("k/b", 0));
+        assert_eq!((rows[1].median(), rows[1].iqr()), (None, None));
+        let text = render_ab(&rows);
+        assert!(text.contains("0.925x") && text.contains("3/4"), "{text}");
+        assert!(!text.contains("k/new"), "{text}");
+    }
+
+    #[test]
+    fn quartiles_match_the_exclusive_method() {
+        // statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25].
+        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&xs), Some([2.75, 5.5, 8.25]));
+        // statistics.quantiles([3, 1], n=4) == [0.5, 2.0, 3.5].
+        assert_eq!(quartiles(&[3.0, 1.0]), Some([0.5, 2.0, 3.5]));
+        assert_eq!(quartiles(&[1.0]), None);
     }
 
     #[test]

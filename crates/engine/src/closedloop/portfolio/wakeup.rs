@@ -59,7 +59,7 @@ use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
 use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec, PriceView};
 use spotbid_market::multi::MarketSet;
 use spotbid_market::sim::{
-    reserve_pow2, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
+    reserve_column, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
 };
 use spotbid_market::units::{Cost, Hours, Price};
 use std::cell::OnceCell;
@@ -1338,7 +1338,7 @@ impl JobDriver<PortfolioSource> for Fleet {
             let market = source.set.market_mut(m);
             let (first, owner) = (market.submitted(), &mut self.owners[m]);
             let len = first + spot;
-            reserve_pow2(owner, len.saturating_sub(owner.len()));
+            reserve_column(owner, len.saturating_sub(owner.len()));
             if owner.len() < len {
                 owner.resize(len, NIL);
             }

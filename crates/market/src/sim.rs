@@ -487,13 +487,16 @@ fn victim_key(p: f64, i: u32) -> u128 {
     u128::from(rank) << 64 | u128::from(u32::MAX - i)
 }
 
-/// Grows `v` to hold `n` more elements at the power-of-two capacity that
-/// pushing them one by one would double it to; never shrinks it, and
-/// `n = 0` leaves it alone.
-pub fn reserve_pow2<T>(v: &mut Vec<T>, n: usize) {
-    let target = (v.len() + n).next_power_of_two();
-    if n > 0 && v.capacity() < target {
-        v.reserve_exact(target - v.len());
+/// Makes room in bid column `v` for `n` more entries. A column that
+/// already holds them is left alone; a full one grows to
+/// `max(len + n + PAGE, cap + cap / 4)`: a wave keeps one run-table page
+/// of room for the single submissions that follow it, and single
+/// submissions grow it by a quarter, amortized O(1) each without the up
+/// to half-empty column that doubling leaves.
+pub fn reserve_column<T>(v: &mut Vec<T>, n: usize) {
+    let (len, cap) = (v.len(), v.capacity());
+    if cap - len < n {
+        v.reserve_exact((len + n + PAGE).max(cap + cap / 4) - len);
     }
 }
 
@@ -513,6 +516,8 @@ pub fn reserve_pow2<T>(v: &mut Vec<T>, n: usize) {
 #[derive(Debug, Clone)]
 pub struct ChargeTable {
     markets: usize,
+    /// The slot of the first recorded charge (0 outside unit tests).
+    first: u64,
     amounts: Vec<Cost>,
     memo: [Fold; MEMO_SLOTS],
 }
@@ -535,6 +540,7 @@ impl ChargeTable {
     pub fn new(markets: usize) -> Self {
         ChargeTable {
             markets,
+            first: 0,
             amounts: Vec::new(),
             memo: [Fold::default(); MEMO_SLOTS],
         }
@@ -548,12 +554,12 @@ impl ChargeTable {
 
     /// The charge of `slot` in `market`.
     pub fn at(&self, slot: u64, market: usize) -> Cost {
-        self.amounts[slot as usize * self.markets + market]
+        self.amounts[(slot - self.first) as usize * self.markets + market]
     }
 
-    /// Slots recorded so far.
+    /// Slots recorded so far: the slot the next charge is recorded for.
     pub fn slots(&self) -> u64 {
-        (self.amounts.len() / self.markets) as u64
+        self.first + (self.amounts.len() / self.markets) as u64
     }
 
     /// `start` plus the charges of slots `[since, end)`: slot by slot, one
@@ -569,6 +575,7 @@ impl ChargeTable {
         markets: impl Iterator<Item = usize> + Clone,
     ) -> Cost {
         let (table, stride) = (&self.amounts[..], self.markets);
+        let (since, end) = (since - self.first, end - self.first);
         let Some(legs) = pack_legs(markets.clone()) else {
             return fold_charges(table, stride, markets, start, since, end);
         };
@@ -706,13 +713,10 @@ struct Book {
     run_of: Vec<u32>,
     /// The bid's price bucket.
     bucket_of: Vec<u16>,
-    /// Position in its bucket's running list, valid while the bid runs
-    /// (a launch writes it; pending lists keep no positions).
-    pos_of: Vec<u32>,
     /// `(first id, slot)` for every run of bids submitted in one slot,
     /// ascending: a bid was submitted in the slot of the last run whose
     /// first id is at or below its own.
-    arrivals: Vec<(u32, u64)>,
+    arrivals: Vec<(u32, u32)>,
     /// Run state of the launched bids and the charges it settles from.
     settlement: Settlement,
     buckets: Vec<Bucket>,
@@ -728,6 +732,10 @@ struct Book {
     /// victim selection when the carried runners plus this slot's winners
     /// already fit under the spot share.
     running_count: u32,
+    /// Buckets whose running list, or a listed runner's flags, changed
+    /// this step: the lists the step-end audit walks (debug builds).
+    #[cfg(debug_assertions)]
+    touched: [u64; BUCKETS / 64],
 }
 
 /// The settlement table: the run state of every bid that has launched,
@@ -784,15 +792,18 @@ impl Scratch {
 
 /// A launched bid's run state: its running streak and settled
 /// accounting (what a settlement reads and writes, and the count an
-/// interruption bumps right after settling) and its due word. One 32-byte
-/// entry, pushed at the bid's first launch, so a capacity pass that
-/// settles victims scattered over the book misses the cache once per
-/// victim, not once per field.
+/// interruption bumps right after settling), its running-list position
+/// and its due word. One 32-byte entry, pushed at the bid's first launch,
+/// so a capacity pass that settles victims scattered over the book misses
+/// the cache once per victim, not once per field.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     /// First slot of the current running streak (valid while running);
     /// charges for `[run_since, now)` are accrued but not yet settled.
-    run_since: u64,
+    run_since: u32,
+    /// Position in its bucket's running list (valid while running: a
+    /// launch writes it, and every move within the list rewrites it).
+    pos: u32,
     /// Settled charges (the streak since `run_since` excluded).
     charged: Cost,
     /// Settled running slots (the streak since `run_since` excluded).
@@ -876,6 +887,7 @@ impl<T> std::ops::IndexMut<usize> for Paged<T> {
 /// that holds none.
 const FRESH_RUN: Run = Run {
     run_since: 0,
+    pos: 0,
     charged: Cost::ZERO,
     slots_run: 0,
     interruptions: 0,
@@ -984,7 +996,6 @@ impl SpotMarket {
                 work: Vec::new(),
                 run_of: Vec::new(),
                 bucket_of: Vec::new(),
-                pos_of: Vec::new(),
                 arrivals: Vec::new(),
                 settlement: Settlement {
                     runs: Paged::new(),
@@ -995,6 +1006,8 @@ impl SpotMarket {
                 arrived: 0,
                 open_count: 0,
                 running_count: 0,
+                #[cfg(debug_assertions)]
+                touched: [0; BUCKETS / 64],
             },
             calendar: Calendar::new(),
             pool: Pool::new(params, slot_len, supply),
@@ -1023,26 +1036,27 @@ impl SpotMarket {
     }
 
     /// Makes room in every bid column for `n` more submissions at once,
-    /// so a submission wave grows each column once instead of doubling it
-    /// step by step. Each column grows to `(len + n).next_power_of_two()`,
-    /// the capacity doubling would reach anyway; an exact fit would leave
-    /// the next single submission to double the whole column. Behaviour
-    /// is unchanged: ids, records and reports are the same with or without
-    /// it.
+    /// so a submission wave grows each column once. The columns grow
+    /// together, and only when full, by [`reserve_column`]'s rule: to
+    /// `max(len + n + PAGE, cap + cap / 4)`, so the wave leaves one
+    /// run-table page (1,024 rows) of room for the bids submitted after
+    /// it. Behaviour is unchanged: ids, records and reports are the same
+    /// with or without it.
     pub fn reserve(&mut self, n: usize) {
         let b = &mut self.book;
-        reserve_pow2(&mut b.price_of, n);
-        reserve_pow2(&mut b.flags, n);
-        reserve_pow2(&mut b.work, n);
-        reserve_pow2(&mut b.run_of, n);
-        reserve_pow2(&mut b.bucket_of, n);
-        reserve_pow2(&mut b.pos_of, n);
+        reserve_column(&mut b.price_of, n);
+        reserve_column(&mut b.flags, n);
+        reserve_column(&mut b.work, n);
+        reserve_column(&mut b.run_of, n);
+        reserve_column(&mut b.bucket_of, n);
     }
 
     /// Submits a bid; it competes from the next [`step`](Self::step) on.
+    /// A full column grows by a quarter ([`reserve`](Self::reserve)).
     pub fn submit(&mut self, request: BidRequest) -> BidId {
         let id = self.submitted();
         assert!(id < u32::MAX as usize, "bid-book index space exhausted");
+        self.reserve(1);
         let b = &mut self.book;
         let price = request.price.as_f64();
         b.price_of.push(price);
@@ -1050,7 +1064,6 @@ impl SpotMarket {
         b.work.push(work_slots(&request));
         b.run_of.push(NO_RUN);
         b.bucket_of.push(b.grid.index(price) as u16);
-        b.pos_of.push(0);
         b.open_count += 1;
         b.note_arrivals(id);
         BidId(id as u64)
@@ -1076,7 +1089,6 @@ impl SpotMarket {
         b.bucket_of
             .extend(requests.iter().map(|r| grid.index(r.price.as_f64()) as u16));
         b.run_of.resize(len, NO_RUN);
-        b.pos_of.resize(len, 0);
         b.open_count += n;
         if n > 0 {
             b.note_arrivals(first);
@@ -1165,6 +1177,13 @@ impl SpotMarket {
 
     /// Advances one slot: runs the auction, interrupts/launches instances,
     /// progresses work, and charges running bids.
+    ///
+    /// # Panics
+    ///
+    /// With "slot index space exhausted" when the slot to step is
+    /// `u32::MAX`: a market steps at most `u32::MAX` slots, numbered
+    /// `0..u32::MAX`, so that every slot a bid record holds fits its
+    /// 32-bit column.
     pub fn step(&mut self, rng: &mut Rng) -> SlotReport {
         let mut report = SlotReport::empty();
         self.step_into(rng, &mut report);
@@ -1174,6 +1193,11 @@ impl SpotMarket {
     /// As [`step`](Self::step), but refilling a report the caller holds:
     /// its event buffers are cleared and reused, so a loop that keeps one
     /// report steps without per-slot allocation.
+    ///
+    /// # Panics
+    ///
+    /// As [`step`](Self::step): with "slot index space exhausted" when the
+    /// slot to step is `u32::MAX`.
     pub fn step_into(&mut self, rng: &mut Rng, report: &mut SlotReport) {
         let SpotMarket {
             book,
@@ -1186,6 +1210,7 @@ impl SpotMarket {
             scratch: s,
         } = self;
         let t = book.t;
+        assert!(t < u64::from(u32::MAX), "slot index space exhausted");
         let price = pool.price(book.open_count);
         let pf = price.as_f64();
         report.t = t;
@@ -1323,6 +1348,8 @@ impl SpotMarket {
 
         *prev_price = pf;
         book.t += 1;
+        #[cfg(debug_assertions)]
+        book.audit_running();
     }
 
     /// Runs `n` slots, returning every report.
@@ -1335,8 +1362,9 @@ impl Book {
     /// Opens a run of arrivals at bid `first` unless the current slot's
     /// run is already open.
     fn note_arrivals(&mut self, first: usize) {
-        if self.arrivals.last().is_none_or(|&(_, slot)| slot != self.t) {
-            self.arrivals.push((first as u32, self.t));
+        let t = self.t as u32;
+        if self.arrivals.last().is_none_or(|&(_, slot)| slot != t) {
+            self.arrivals.push((first as u32, t));
         }
     }
 
@@ -1390,7 +1418,7 @@ impl Book {
         let run = self
             .arrivals
             .partition_point(|&(first, _)| first as usize <= iu);
-        self.arrivals[run - 1].1
+        u64::from(self.arrivals[run - 1].1)
     }
 
     /// Step 1, the crossing scan from the previous posted price `pp` to
@@ -1415,7 +1443,6 @@ impl Book {
         s: &mut Scratch,
         parked: &mut Vec<u32>,
     ) {
-        let price_of = &self.price_of;
         if reclaiming {
             for bucket in &mut self.buckets {
                 s.rejected.append(&mut bucket.running);
@@ -1425,21 +1452,30 @@ impl Book {
             for b in self.grid.index(pp)..hi {
                 s.rejected.append(&mut self.buckets[b].running);
             }
+            // The boundary bucket keeps its runners at or above `pf` in
+            // order; each one that moves down the list takes its new
+            // position.
+            self.touch(hi);
             let list = &mut self.buckets[hi].running;
-            list.retain(|&i| {
-                let keep = price_of[i as usize] >= pf;
-                if !keep {
+            let runs = &mut self.settlement.runs;
+            let mut kept = 0;
+            for p in 0..list.len() {
+                let i = list[p];
+                if self.price_of[i as usize] < pf {
                     s.rejected.push(i);
+                } else {
+                    if kept < p {
+                        list[kept] = i;
+                        runs[self.run_of[i as usize] as usize].pos = kept as u32;
+                    }
+                    kept += 1;
                 }
-                keep
-            });
-            for (p, &i) in list.iter().enumerate() {
-                self.pos_of[i as usize] = p as u32;
             }
+            list.truncate(kept);
         }
         if pf < pp {
             let out = if reclaiming { parked } else { &mut s.started };
-            let lo = self.grid.index(pf);
+            let (lo, price_of) = (self.grid.index(pf), &self.price_of);
             self.buckets[lo].pending.retain(|&i| {
                 let wins = price_of[i as usize] >= pf;
                 if wins {
@@ -1517,7 +1553,8 @@ impl Book {
             if self.flags[i as usize] & F_RUNNING != 0 {
                 // A running instance reclaimed for the pool.
                 spot.reclaims += 1;
-                self.remove_running(i);
+                let p = self.settlement.runs[self.run_of[i as usize] as usize].pos;
+                self.remove_running(i, p);
                 self.interrupt(i, report);
             } else {
                 // A would-be starter: never launched this slot.
@@ -1554,12 +1591,13 @@ impl Book {
     ) {
         let (iu, t) = (i as usize, self.t);
         self.flags[iu] |= F_RUNNING;
-        let b = self.bucket_of[iu] as usize;
-        self.pos_of[iu] = self.buckets[b].running.len() as u32;
-        self.buckets[b].running.push(i);
-        report.started.push(BidId(u64::from(i)));
+        self.touch(self.bucket_of[iu] as usize);
         let run = self.settlement.entry(&mut self.run_of[iu]);
-        run.run_since = t;
+        let list = &mut self.buckets[self.bucket_of[iu] as usize].running;
+        run.pos = list.len() as u32;
+        list.push(i);
+        report.started.push(BidId(u64::from(i)));
+        run.run_since = t as u32;
         if self.flags[iu] & F_GEOMETRIC != 0 {
             geo_in.push(i);
         } else {
@@ -1603,8 +1641,10 @@ impl Book {
     /// Closes a running bid that finished its work this slot, settled
     /// through this slot.
     fn finish(&mut self, i: u32) {
-        self.settlement.settle(self.run_of[i as usize], self.t).due = self.t;
-        self.close_finished(i);
+        let run = self.settlement.settle(self.run_of[i as usize], self.t);
+        run.due = self.t;
+        let p = run.pos;
+        self.close_finished(i, p);
     }
 
     /// Step 6's visit of filed bid `i` at the current slot: drops the entry
@@ -1622,20 +1662,21 @@ impl Book {
             }
             settle_run(charges, run, self.t);
             debug_assert!(run.slots_run >= self.work[iu]);
+            let p = run.pos;
             finished.push(i);
-            self.close_finished(i);
+            self.close_finished(i, p);
         }
         self.flags[iu] &= !F_FILED;
         None
     }
 
-    /// Closes running bid `i` as finished, its run entry already settled
-    /// and closed at this slot.
-    fn close_finished(&mut self, i: u32) {
+    /// Closes running bid `i`, at position `p` of its running list, as
+    /// finished, its run entry already settled and closed at this slot.
+    fn close_finished(&mut self, i: u32, p: u32) {
         let iu = i as usize;
         self.flags[iu] = (self.flags[iu] & !(F_RUNNING | F_OPEN)) | F_FINISHED;
         self.running_count -= 1;
-        self.remove_running(i);
+        self.remove_running(i, p);
         self.open_count -= 1;
     }
 
@@ -1644,6 +1685,7 @@ impl Book {
     fn interrupt(&mut self, i: u32, report: &mut SlotReport) {
         let iu = i as usize;
         self.flags[iu] &= !F_RUNNING;
+        self.touch(self.bucket_of[iu] as usize);
         self.running_count -= 1;
         debug_assert!(self.t > 0, "no residents can exist before the first step");
         self.settlement
@@ -1703,25 +1745,85 @@ impl Book {
         }
     }
 
+    /// Marks bucket `b`'s running list for the step-end audit (debug
+    /// builds; a no-op otherwise).
+    #[inline(always)]
+    fn touch(&mut self, b: usize) {
+        #[cfg(debug_assertions)]
+        {
+            self.touched[b / 64] |= 1 << (b % 64);
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = b;
+    }
+
+    /// The running lists' audit at the end of a step (debug builds;
+    /// allocates nothing): every id in a running list the step touched is
+    /// flagged running, belongs to that bucket and holds its index there
+    /// as its run entry's `pos`, and the lists hold `running_count` ids in
+    /// all. Every change to a list or to a listed runner's flags marks
+    /// the list, so an untouched list holds what its last audit saw. The
+    /// walk indexes plain slices in a `while` loop, which an unoptimized
+    /// build does without a call.
+    #[cfg(debug_assertions)]
+    fn audit_running(&mut self) {
+        let (flags, bucket_of, run_of) = (&self.flags[..], &self.bucket_of[..], &self.run_of[..]);
+        let (pages, buckets) = (&self.settlement.runs.pages[..], &self.buckets[..]);
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            while *word != 0 {
+                let b = w * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                let list = &buckets[b].running[..];
+                let mut p = 0;
+                while p < list.len() {
+                    let i = list[p] as usize;
+                    let r = run_of[i] as usize;
+                    let pos = pages[r / PAGE].as_slice()[r % PAGE].pos as usize;
+                    assert!(
+                        flags[i] & F_RUNNING != 0 && bucket_of[i] as usize == b && pos == p,
+                        "slot {}: bucket {b}'s running list holds bid {i} at {p}: flags {:#x}, \
+                         bucket {}, position {pos}",
+                        self.t - 1,
+                        flags[i],
+                        bucket_of[i]
+                    );
+                    p += 1;
+                }
+            }
+        }
+        let (mut listed, mut b) = (0, 0);
+        while b < buckets.len() {
+            listed += buckets[b].running.len();
+            b += 1;
+        }
+        assert_eq!(
+            listed,
+            self.running_count as usize,
+            "slot {}: running lists against the running count",
+            self.t - 1
+        );
+    }
+
     /// Bid `iu` was submitted in the current slot: it lies in the last
     /// arrival run, and that run opened this slot.
     fn submitted_now(&self, iu: usize) -> bool {
         self.arrivals
             .last()
-            .is_some_and(|&(first, slot)| slot == self.t && iu >= first as usize)
+            .is_some_and(|&(first, slot)| u64::from(slot) == self.t && iu >= first as usize)
     }
 
-    /// Removes a bid from its bucket's running list (swap-remove with
-    /// position fixup).
-    fn remove_running(&mut self, i: u32) {
-        let iu = i as usize;
-        let b = self.bucket_of[iu] as usize;
-        let p = self.pos_of[iu] as usize;
+    /// Removes running bid `i` from its bucket's running list at `p`, the
+    /// position its run entry holds (read by the caller, which has the
+    /// entry in hand): a swap-remove, and the moved runner's entry takes
+    /// that position.
+    fn remove_running(&mut self, i: u32, p: u32) {
+        let b = self.bucket_of[i as usize] as usize;
+        self.touch(b);
         let list = &mut self.buckets[b].running;
-        debug_assert_eq!(list[p], i);
-        list.swap_remove(p);
-        if p < list.len() {
-            self.pos_of[list[p] as usize] = p as u32;
+        debug_assert_eq!(list[p as usize], i);
+        list.swap_remove(p as usize);
+        if let Some(&moved) = list.get(p as usize) {
+            self.settlement.runs[self.run_of[moved as usize] as usize].pos = p;
         }
     }
 
@@ -1757,11 +1859,13 @@ impl Settlement {
 }
 
 /// [`Settlement::settle`] on a run entry already in hand.
+/// `end` lies below `u32::MAX`, as every slot a market steps does.
 fn settle_run(charges: &mut ChargeTable, a: &mut Run, end: u64) {
-    if a.run_since <= end {
-        a.charged = charges.settle(a.charged, a.run_since, end + 1, std::iter::once(0));
-        a.slots_run += (end - a.run_since + 1) as u32;
-        a.run_since = end + 1;
+    let since = u64::from(a.run_since);
+    if since <= end {
+        a.charged = charges.settle(a.charged, since, end + 1, std::iter::once(0));
+        a.slots_run += (end - since + 1) as u32;
+        a.run_since = (end + 1) as u32;
     }
 }
 
@@ -2462,7 +2566,7 @@ mod tests {
     impl SpotMarket {
         /// `(len, capacity)` of every bid column [`SpotMarket::reserve`]
         /// grows.
-        fn column_shapes(&self) -> [(usize, usize); 6] {
+        fn column_shapes(&self) -> [(usize, usize); 5] {
             let shape = |len, cap| (len, cap);
             let b = &self.book;
             [
@@ -2471,13 +2575,12 @@ mod tests {
                 shape(b.work.len(), b.work.capacity()),
                 shape(b.run_of.len(), b.run_of.capacity()),
                 shape(b.bucket_of.len(), b.bucket_of.capacity()),
-                shape(b.pos_of.len(), b.pos_of.capacity()),
             ]
         }
     }
 
     #[test]
-    fn a_bid_holds_23_bytes_of_columns() {
+    fn a_bid_holds_19_bytes_of_columns() {
         fn elem<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
@@ -2487,11 +2590,95 @@ mod tests {
             + elem(&b.flags)
             + elem(&b.work)
             + elem(&b.run_of)
-            + elem(&b.bucket_of)
-            + elem(&b.pos_of);
-        assert_eq!(m.column_shapes().len(), 6, "a column left out here");
-        assert_eq!(per_bid, 23);
+            + elem(&b.bucket_of);
+        assert_eq!(m.column_shapes().len(), 5, "a column left out here");
+        assert_eq!(per_bid, 19);
         assert_eq!(std::mem::size_of::<Run>(), 32, "a launched bid's run entry");
+    }
+
+    impl SpotMarket {
+        /// Starts a fresh market's clock, and its charge table, at slot
+        /// `t`, for tests of late slots.
+        fn start_at(&mut self, t: u64) {
+            assert!(
+                self.submitted() == 0 && self.now() == 0,
+                "not a fresh market"
+            );
+            self.book.t = t;
+            self.book.settlement.charges.first = t;
+        }
+    }
+
+    /// A fast and a naive market over [`market`]'s parameters, both
+    /// started at slot `u32::MAX - 6`: six slots before the last one a
+    /// market may step.
+    fn markets_near_the_slot_limit() -> (SpotMarket, naive::SpotMarket) {
+        let (mut fast, mut slow) = (
+            market(),
+            naive::SpotMarket::new(*market().params(), Hours::from_minutes(5.0)),
+        );
+        let start = u64::from(u32::MAX) - 6;
+        fast.start_at(start);
+        slow.start_at(start);
+        (fast, slow)
+    }
+
+    #[test]
+    fn bids_near_the_slot_limit_read_back_as_the_naive_records() {
+        // Bids launch, run, are interrupted by a demand surge, resume and
+        // finish in the last six slots a market may step, so every slot a
+        // record holds sits next to `u32::MAX`.
+        let (mut fast, mut slow) = markets_near_the_slot_limit();
+        let (mut ra, mut rb) = (Rng::seed_from_u64(36), Rng::seed_from_u64(36));
+        let submit_both = |fast: &mut SpotMarket, slow: &mut naive::SpotMarket, r: BidRequest| {
+            let id = fast.submit(r);
+            assert_eq!(slow.submit(r), id);
+            id
+        };
+        let victim = submit_both(&mut fast, &mut slow, bid(0.17, BidKind::Persistent, 4));
+        submit_both(&mut fast, &mut slow, bid(0.35, BidKind::OneTime, 2));
+        submit_both(&mut fast, &mut slow, bid(0.03, BidKind::Persistent, 2));
+        submit_both(&mut fast, &mut slow, bid(0.02, BidKind::OneTime, 1));
+        let geometric = BidRequest {
+            work: WorkModel::Geometric,
+            ..bid(0.3, BidKind::Persistent, 0)
+        };
+        submit_both(&mut fast, &mut slow, geometric);
+        for slot in 0..6 {
+            if slot == 1 {
+                // A surge of two-slot bids lifts the price above the victim's.
+                for _ in 0..400 {
+                    submit_both(&mut fast, &mut slow, bid(0.34, BidKind::Persistent, 2));
+                }
+            }
+            if slot == 5 {
+                submit_both(&mut fast, &mut slow, bid(0.35, BidKind::OneTime, 1));
+            }
+            let (x, y) = (fast.step(&mut ra), slow.step(&mut rb));
+            assert_eq!(x, y, "slot {}", x.t);
+        }
+        assert_eq!(fast.now(), u64::from(u32::MAX));
+        let late = submit_both(&mut fast, &mut slow, bid(0.2, BidKind::Persistent, 1));
+        let (records, oracle) = (fast.records(), slow.records());
+        assert_eq!(records, oracle);
+        let v = &records[victim.0 as usize];
+        assert_eq!((v.interruptions, v.slots_run), (1, 4), "{v:?}");
+        assert_eq!(v.closed_at, Some(u64::from(u32::MAX) - 1));
+        assert_eq!(records[late.0 as usize].submitted_at, u64::from(u32::MAX));
+        assert!(records
+            .iter()
+            .any(|r| r.phase == BidPhase::Running && r.slots_run > 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot index space exhausted")]
+    fn a_step_past_the_slot_limit_panics() {
+        let (mut fast, _) = markets_near_the_slot_limit();
+        let mut rng = Rng::seed_from_u64(37);
+        fast.submit(bid(0.35, BidKind::Persistent, 100));
+        fast.run(6, &mut rng);
+        assert_eq!(fast.now(), u64::from(u32::MAX));
+        fast.step(&mut rng);
     }
 
     #[test]
@@ -2640,11 +2827,27 @@ mod tests {
         }
     }
 
+    /// Every bid column of `m` holds at most `max(len + PAGE, len + len /
+    /// 4)` rows, as many as the others.
+    fn assert_snug(m: &SpotMarket) {
+        let shapes = m.column_shapes();
+        let (len, cap) = shapes[0];
+        assert!(
+            cap <= (len + PAGE).max(len + len / 4),
+            "{cap} rows for {len} bids"
+        );
+        assert!(shapes.iter().all(|&s| s == (len, cap)), "{shapes:?}");
+    }
+
     #[test]
     fn reserve_then_submit_matches_submit_only() {
         // Random waves into an unbounded and a finite market: reserving
-        // before each wave changes no id, record or step report, and
-        // grows no column past the power of two doubling would reach.
+        // before each wave changes no id, record or step report. A
+        // reserve grows a column only when the wave does not fit, and
+        // then to at most `max(len + n + PAGE, cap + cap / 4)`. Either
+        // way the columns stay snug (`assert_snug`) after every wave, and
+        // after every single submission into the market that reserves
+        // nothing.
         let mut g = Rng::seed_from_u64(0x02E5_E2FE);
         for round in 0..12u64 {
             let fresh = || {
@@ -2665,12 +2868,16 @@ mod tests {
                 let before = reserved.column_shapes();
                 reserved.reserve(n);
                 for (k, (b, a)) in before.iter().zip(reserved.column_shapes()).enumerate() {
-                    let pow2 = (b.0 + n).next_power_of_two();
+                    let grown = if b.1 - b.0 >= n {
+                        b.1
+                    } else {
+                        (b.0 + n + PAGE).max(b.1 + b.1 / 4)
+                    };
                     assert_eq!(a.0, b.0, "column {k}: reserve changed its length");
                     assert!(a.1 >= b.0 + n, "column {k}: {a:?} cannot hold {n} more");
                     assert!(
-                        a.1 <= b.1.max(pow2),
-                        "column {k}: capacity {} beyond {pow2} (was {})",
+                        a.1 <= grown,
+                        "column {k}: capacity {} beyond {grown} (was {})",
                         a.1,
                         b.1
                     );
@@ -2691,7 +2898,9 @@ mod tests {
                     };
                     assert_eq!(plain.submitted(), reserved.submitted());
                     assert_eq!(plain.submit(request), reserved.submit(request));
+                    assert_snug(&plain);
                 }
+                assert_snug(&reserved);
                 let (x, y) = (plain.step(&mut ra), reserved.step(&mut rb));
                 assert_eq!(x, y, "round {round}, slot {slot}");
             }

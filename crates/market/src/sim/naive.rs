@@ -357,6 +357,13 @@ impl SpotMarket {
     pub fn run(&mut self, n: usize, rng: &mut Rng) -> Vec<SlotReport> {
         (0..n).map(|_| self.step(rng)).collect()
     }
+
+    /// Starts a fresh market's clock at slot `t`, for tests of late slots.
+    #[cfg(test)]
+    pub(super) fn start_at(&mut self, t: u64) {
+        assert!(self.records.is_empty() && self.t == 0, "not a fresh market");
+        self.t = t;
+    }
 }
 
 #[cfg(test)]

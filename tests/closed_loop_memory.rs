@@ -10,7 +10,7 @@
 //!
 //! The budget holds the session to the bytes it needs at its peak: the
 //! tenant columns and the fleet's one tenant list, one bid per tenant
-//! (23 bytes in the market's six columns plus a 32-byte run entry, since
+//! (19 bytes in the market's five columns plus a 32-byte run entry, since
 //! every tenant's bid runs, in a table that grows by pages), a bounded
 //! submission queue, and the report rows, built after the market is
 //! dropped.
@@ -78,11 +78,13 @@ const TENANTS: usize = 20_000;
 /// Peak live heap a session may add over what was live before it.
 const BOUND_BYTES: usize = 16 << 20;
 
-/// Peak live heap per tenant: 179 bytes measured (3,584,568 for the
-/// session below), plus 10% headroom. It read 219 bytes (4,399,160) while
-/// the run table grew by doubling, the fleet kept a tenant's slot
-/// counters in 64 bits and its wave and wake lists apart.
-const BUDGET_PER_TENANT: usize = 197;
+/// Peak live heap per tenant: 159 bytes measured (3,183,817 for the
+/// session below), plus 10% headroom. It read 179 bytes (3,584,568) while
+/// every bid kept a running-list position and the columns grew by
+/// doubling, and 219 bytes (4,399,160) while the run table grew by
+/// doubling too, the fleet kept a tenant's slot counters in 64 bits and
+/// its wave and wake lists apart.
+const BUDGET_PER_TENANT: usize = 175;
 
 #[test]
 fn running_heavy_session_holds_no_per_charge_ledger() {

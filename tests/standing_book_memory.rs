@@ -3,12 +3,12 @@
 //! within a per-bid byte budget.
 //!
 //! Once finite capacity binds (§3.2, Figure 2) most bids of a standing
-//! book sit below the posted price and pend for good. Each bid holds six
-//! columns, 23 bytes; only a bid that has launched adds a 32-byte run
-//! entry (its accrual and due word), in a table that grows by pages of
-//! 1,024 entries. Here about three bids in four never
-//! run, so a layout that gave every bid its run state would need more
-//! than the budget asserted below.
+//! book sit below the posted price and pend for good. Each bid holds five
+//! columns, 19 bytes; only a bid that has launched adds a 32-byte run
+//! entry (its accrual, running-list position and due word), in a table
+//! that grows by pages of 1,024 entries. Here about three bids in four
+//! never run, so a layout that gave every bid its run state would need
+//! more than the budget asserted below.
 //!
 //! The counting allocator sees every allocation in the process, so this
 //! file holds a single test.
@@ -81,11 +81,13 @@ const OD_ARRIVALS: f64 = 200.0;
 /// Per-slot departure probability of each active on-demand instance.
 const OD_DEPARTURE: f64 = 0.1;
 
-/// Peak live heap per bid: 44 bytes measured (2,434,632 for the 54,400
-/// bids below), plus 10% headroom. It read 48 bytes (2,663,624) while the
-/// run table grew by doubling, and giving every bid its run state at
-/// submission reads 73 bytes per bid (3,977,288).
-const BUDGET_PER_BID: usize = 49;
+/// Peak live heap per bid: 37 bytes measured (2,045,877 for the 54,400
+/// bids below), plus 10% headroom. It read 44 bytes (2,434,632) while
+/// every bid kept a running-list position and the columns grew by
+/// doubling, 48 bytes (2,663,624) while the run table grew by doubling
+/// too, and giving every bid its run state at submission reads 73 bytes
+/// per bid (3,977,288).
+const BUDGET_PER_BID: usize = 41;
 
 /// Bid `i` of a golden-ratio ladder over `[π_min, π̄)`.
 fn laddered(p: &MarketParams, i: usize) -> Price {
