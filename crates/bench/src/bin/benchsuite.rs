@@ -22,11 +22,24 @@
 //! the `market_scale`/`engine_scale`/`portfolio_scale` sections under a
 //! tight budget, and `--only engine_scale` / `--only portfolio_scale` at
 //! 1 and 4 workers to smoke the wakeup fleet's population sweeps at both
-//! thread counts.
+//! thread counts. `--section NAME` keeps exactly the section `NAME`.
+//!
+//! ```text
+//! benchsuite --ab PARENT_BIN [--pairs N] [--dir DIR] [--only SUBSTR]
+//! ```
+//!
+//! `--ab` compares this build with a parent build of `benchsuite`: for
+//! each of `N` pairs (default 5) it runs every selected section once in
+//! each build, each run a child process on that one section, the parent
+//! first in odd pairs and this build first in even ones, so drift during
+//! the run reaches both sides alike. A pair's sections are collected in
+//! `DIR/parent-K.json` and `DIR/change-K.json` (default `DIR` is
+//! `.bench_ab`), the files `benchdiff --ab` reads, and the run ends by
+//! printing `benchdiff --ab`'s summary of them.
 
 use spotbid_bench::experiments::{fig3, table3};
-use spotbid_bench::suite;
-use spotbid_bench::timing::{fmt_ns, git_rev, Harness};
+use spotbid_bench::timing::{fmt_ns, git_rev, read_report, write_report, BenchResult, Harness};
+use spotbid_bench::{regress, suite};
 use spotbid_core::price_model::{EmpiricalPrices, PriceModel};
 use spotbid_core::{mapreduce, onetime, persistent, JobSpec};
 use spotbid_market::provider::optimal_price;
@@ -43,7 +56,7 @@ use spotbid_trace::history::TWO_MONTHS_SLOTS;
 use spotbid_trace::synthetic::{generate, SyntheticConfig};
 use spotbid_trace::{analyze, catalog};
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Number of probe prices/probabilities cycled through per query benchmark,
@@ -820,46 +833,12 @@ fn engine_scale_benches(h: &mut Harness) {
     // over 200 market steps, where the 1 h rows above charge a few per
     // tenant.
     let strategies = tenant_mix(50_000);
-    let busy_cfg = spotbid_engine::ClosedLoopConfig {
-        job: JobSpec::builder(4.0).recovery_secs(60.0).build().unwrap(),
-        ..closed_loop_config(20, 180)
-    };
+    let busy_cfg = busy_config(180);
     h.group("engine_scale")
         .throughput_items(50_000)
         .bench("closed_loop_busy/50k_tenants_200_slots", || {
             run_closed_loop(black_box(&strategies), black_box(&busy_cfg), 0x5CA1E).unwrap()
         });
-
-    // The completion slot: the same 4 h job over exactly 48 horizon
-    // slots, so the slot-0 cohort (about half the tenants) finishes in the
-    // session's last slot, where the market and the fleet settle every
-    // finisher's 48 charges. The 47-slot twin stops one slot short (its
-    // runners are settled by the session end instead); the difference is
-    // the completion slot's own cost.
-    let cohort_cfg = |horizon| spotbid_engine::ClosedLoopConfig {
-        horizon_slots: horizon,
-        ..busy_cfg
-    };
-    let (cohort_48, cohort_47) = (cohort_cfg(48), cohort_cfg(47));
-    let cohort = h
-        .group("engine_scale")
-        .throughput_items(50_000)
-        .bench("closed_loop_cohort/50k_tenants_48_slots", || {
-            run_closed_loop(black_box(&strategies), black_box(&cohort_48), 0x5CA1E).unwrap()
-        });
-    let short = h
-        .group("engine_scale")
-        .throughput_items(50_000)
-        .bench("closed_loop_cohort/50k_tenants_47_slots", || {
-            run_closed_loop(black_box(&strategies), black_box(&cohort_47), 0x5CA1E).unwrap()
-        });
-    println!();
-    println!(
-        "completion slot, 50k tenants: {} ({} -> {})",
-        fmt_ns((cohort.median_ns - short.median_ns).max(0.0)),
-        fmt_ns(short.median_ns),
-        fmt_ns(cohort.median_ns)
-    );
 
     // The skip path in isolation: a quiet-slot-dominated session —
     // FixedBid($0.03) sits below the crowded-market price floor, so after
@@ -924,6 +903,48 @@ fn engine_scale_benches(h: &mut Harness) {
         fmt_ns(short_ns),
         fmt_ns(long_ns),
         extra_slots
+    );
+}
+
+/// The running-heavy closed loop of `engine_scale`: a 4 h job (48
+/// five-minute slots) over 20 warm-up and `horizon` slots.
+fn busy_config(horizon: usize) -> spotbid_engine::ClosedLoopConfig {
+    spotbid_engine::ClosedLoopConfig {
+        job: JobSpec::builder(4.0).recovery_secs(60.0).build().unwrap(),
+        ..closed_loop_config(20, horizon)
+    }
+}
+
+/// The completion slot, a section of its own so an A/B can run the two
+/// rows alone (they report in the `engine_scale` group): the busy 4 h job
+/// over exactly 48 horizon slots, so the slot-0 cohort (about half the
+/// tenants) finishes in the session's last slot, where the market and the
+/// fleet settle every finisher's 48 charges. The 47-slot twin stops one
+/// slot short (its runners are settled by the session end instead); the
+/// difference is the completion slot's own cost.
+fn engine_cohort_benches(h: &mut Harness) {
+    use spotbid_engine::run_closed_loop;
+
+    let strategies = tenant_mix(50_000);
+    let (cohort_48, cohort_47) = (busy_config(48), busy_config(47));
+    let cohort = h
+        .group("engine_scale")
+        .throughput_items(50_000)
+        .bench("closed_loop_cohort/50k_tenants_48_slots", || {
+            run_closed_loop(black_box(&strategies), black_box(&cohort_48), 0x5CA1E).unwrap()
+        });
+    let short = h
+        .group("engine_scale")
+        .throughput_items(50_000)
+        .bench("closed_loop_cohort/50k_tenants_47_slots", || {
+            run_closed_loop(black_box(&strategies), black_box(&cohort_47), 0x5CA1E).unwrap()
+        });
+    println!();
+    println!(
+        "completion slot, 50k tenants: {} ({} -> {})",
+        fmt_ns((cohort.median_ns - short.median_ns).max(0.0)),
+        fmt_ns(short.median_ns),
+        fmt_ns(cohort.median_ns)
     );
 }
 
@@ -1085,52 +1106,86 @@ const SECTIONS: &[Section] = &[
     ("replay", replay_benches),
     ("engine", engine_benches),
     ("engine_scale", engine_scale_benches),
+    ("engine_scale_cohort", engine_cohort_benches),
     ("portfolio_scale", portfolio_scale_benches),
 ];
 
 fn main() -> ExitCode {
     let mut out: Option<PathBuf> = None;
     let mut only: Option<String> = None;
+    let mut section: Option<String> = None;
+    let mut parent: Option<PathBuf> = None;
+    let mut pairs = 5usize;
+    let mut dir = PathBuf::from(".bench_ab");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--only" => match args.next() {
-                Some(s) => only = Some(s),
-                None => {
-                    eprintln!("--only requires a section substring");
-                    return ExitCode::from(2);
-                }
-            },
+        let value = match arg.as_str() {
             "--help" | "-h" => {
-                println!("usage: benchsuite [--out PATH] [--only SUBSTR]");
+                println!("usage: benchsuite [--out PATH] [--only SUBSTR | --section NAME]");
+                println!(
+                    "       benchsuite --ab PARENT_BIN [--pairs N] [--dir DIR] [--only SUBSTR]"
+                );
                 println!("  SPOTBID_BENCH_BUDGET_MS sets the per-benchmark budget (default 500)");
                 let names: Vec<&str> = SECTIONS.iter().map(|(n, _)| *n).collect();
                 println!("  sections: {}", names.join(", "));
                 return ExitCode::SUCCESS;
             }
+            "--out" | "--only" | "--section" | "--ab" | "--pairs" | "--dir" => args.next(),
             other => {
                 eprintln!("unknown argument `{other}` (see --help)");
                 return ExitCode::from(2);
             }
+        };
+        let Some(value) = value else {
+            eprintln!("{arg} requires a value");
+            return ExitCode::from(2);
+        };
+        match arg.as_str() {
+            "--out" => out = Some(PathBuf::from(value)),
+            "--only" => only = Some(value),
+            "--section" => section = Some(value),
+            "--ab" => parent = Some(PathBuf::from(value)),
+            "--dir" => dir = PathBuf::from(value),
+            "--pairs" => match value.parse() {
+                Ok(n) if n > 0 => pairs = n,
+                _ => {
+                    eprintln!("--pairs takes a positive count, got `{value}`");
+                    return ExitCode::from(2);
+                }
+            },
+            _ => unreachable!("every flag that takes a value is matched above"),
         }
     }
-    let out = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", git_rev())));
 
-    let selected = match suite::select(SECTIONS, only.as_deref()) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+    let selected = match &section {
+        Some(name) => match SECTIONS.iter().find(|(n, _)| n == name) {
+            Some(found) => vec![found],
+            None => {
+                eprintln!("--section `{name}` is no section (see --help)");
+                return ExitCode::from(2);
+            }
+        },
+        None => match suite::select(SECTIONS, only.as_deref()) {
+            Ok(s) => s,
+            Err(msg) => {
+                eprintln!("{msg}");
+                return ExitCode::from(2);
+            }
+        },
     };
 
+    if let Some(parent) = parent {
+        let names: Vec<&str> = selected.iter().map(|(n, _)| *n).collect();
+        return match ab(&parent, &names, pairs, &dir) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
+
+    let out = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", git_rev())));
     let mut h = Harness::from_env();
     for (name, section) in &selected {
         println!("== {name} ==");
@@ -1151,4 +1206,52 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// `--ab`: runs `sections` in the `parent` build and in this one, section
+/// by section in [`suite::ab_schedule`]'s order, each run a child process
+/// writing one report; collects each pair's reports in `dir` and prints
+/// `benchdiff --ab`'s summary of them.
+fn ab(parent: &Path, sections: &[&str], pairs: usize, dir: &Path) -> Result<(), String> {
+    let change = std::env::current_exe().map_err(|e| format!("this build's path: {e}"))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut reports: Vec<(Vec<BenchResult>, Vec<BenchResult>)> = Vec::new();
+    for (pair, name, side) in suite::ab_schedule(pairs, sections) {
+        let (bin, label) = match side {
+            suite::Side::Parent => (parent, "parent"),
+            suite::Side::Change => (change.as_path(), "change"),
+        };
+        let part = dir.join(format!("{label}-{pair}-{name}.json"));
+        println!("== pair {pair}, {label}: {name} ==");
+        let status = std::process::Command::new(bin)
+            .args(["--section", name, "--out"])
+            .arg(&part)
+            .status()
+            .map_err(|e| format!("{}: {e}", bin.display()))?;
+        if !status.success() {
+            return Err(format!("{} --section {name}: {status}", bin.display()));
+        }
+        let rows = read_report(&part).map_err(|e| format!("{}: {e}", part.display()))?;
+        std::fs::remove_file(&part).map_err(|e| format!("{}: {e}", part.display()))?;
+        if reports.len() < pair {
+            reports.push((Vec::new(), Vec::new()));
+        }
+        let (p, c) = &mut reports[pair - 1];
+        match side {
+            suite::Side::Parent => p.extend(rows),
+            suite::Side::Change => c.extend(rows),
+        }
+    }
+    let mut files = Vec::new();
+    for (k, (p, c)) in reports.iter().enumerate() {
+        for (label, rows) in [("parent", p), ("change", c)] {
+            let path = dir.join(format!("{label}-{}.json", k + 1));
+            write_report(&path, rows).map_err(|e| format!("{}: {e}", path.display()))?;
+            files.push(path.display().to_string());
+        }
+    }
+    println!();
+    println!("benchdiff --ab {}", files.join(" "));
+    print!("{}", regress::render_ab(&regress::ab(&reports)));
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Section selection for the `benchsuite` binary.
+//! Section selection and the A/B schedule for the `benchsuite` binary.
 //!
 //! Kept in the library so the `--only` matching rules are unit-testable:
 //! the substring match is case-insensitive, and an `--only` that matches
@@ -38,9 +38,37 @@ pub fn select<'a, T>(
     Ok(selected)
 }
 
+/// Which build a run of an A/B measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The parent build.
+    Parent,
+    /// The change under test.
+    Change,
+}
+
+/// The runs of an A/B over `sections`, in order, as `(pair, section,
+/// side)` with pairs counted from 1: every pair runs each section once in
+/// each build, the parent first in odd pairs and the change first in
+/// even ones, so a drift over the whole run reaches both sides alike.
+pub fn ab_schedule<'a>(pairs: usize, sections: &[&'a str]) -> Vec<(usize, &'a str, Side)> {
+    let mut runs = Vec::with_capacity(2 * pairs * sections.len());
+    for pair in 1..=pairs {
+        let order = if pair % 2 == 1 {
+            [Side::Parent, Side::Change]
+        } else {
+            [Side::Change, Side::Parent]
+        };
+        for &section in sections {
+            runs.extend(order.map(|side| (pair, section, side)));
+        }
+    }
+    runs
+}
+
 #[cfg(test)]
 mod tests {
-    use super::select;
+    use super::{ab_schedule, select, Side};
 
     const SECTIONS: &[(&str, u8)] = &[
         ("price_model", 0),
@@ -77,6 +105,25 @@ mod tests {
         assert_eq!(names(&upper), ["engine_scale"]);
         let shouted = select(SECTIONS, Some("MARKET")).unwrap();
         assert_eq!(names(&shouted), ["market", "market_scale"]);
+    }
+
+    #[test]
+    fn an_ab_alternates_the_builds_section_by_section() {
+        use Side::{Change as C, Parent as P};
+        assert_eq!(
+            ab_schedule(2, &["a", "b"]),
+            [
+                (1, "a", P),
+                (1, "a", C),
+                (1, "b", P),
+                (1, "b", C),
+                (2, "a", C),
+                (2, "a", P),
+                (2, "b", C),
+                (2, "b", P),
+            ]
+        );
+        assert!(ab_schedule(3, &[]).is_empty());
     }
 
     #[test]

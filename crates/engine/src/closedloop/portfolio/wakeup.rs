@@ -59,7 +59,7 @@ use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy, PortfolioView};
 use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec, PriceView};
 use spotbid_market::multi::MarketSet;
 use spotbid_market::sim::{
-    reserve_column, BidId, BidKind, BidRequest, ChargeTable, SlotReport, WorkModel,
+    reserve_column, BidId, BidKind, BidRequest, ChargeTable, Cohort, SlotReport, WorkModel,
 };
 use spotbid_market::units::{Cost, Hours, Price};
 use std::cell::OnceCell;
@@ -908,6 +908,7 @@ impl Fleet {
             pending: &mut pending[..n],
             totals: &mut costs.totals_mut()[..n],
             charges,
+            cohort: Cohort::default(),
             sc_legs,
             requeue: Requeue {
                 max_resubmissions: *max_resubmissions,
@@ -998,6 +999,9 @@ struct Visit<'a> {
     pending: &'a mut [u32],
     totals: &'a mut [Cost],
     charges: &'a mut ChargeTable,
+    /// The pass's last settlement: tenants that started together and
+    /// settle through one slot take one fold.
+    cohort: Cohort,
     sc_legs: &'a mut Vec<usize>,
     requeue: Requeue<'a>,
     running: usize,
@@ -1063,8 +1067,8 @@ impl Visit<'_> {
     }
 
     /// Charges the running legs their carried slots `[run_since, end)`,
-    /// slot by slot in plan order, and moves `run_since` to `end`; a
-    /// no-op for a tenant not running.
+    /// slot by slot in plan order, as one of the pass's cohort, and moves
+    /// `run_since` to `end`; a no-op for a tenant not running.
     #[inline(always)]
     fn settle(&mut self, t: u32, end: u32) {
         let tu = t as usize;
@@ -1079,7 +1083,10 @@ impl Visit<'_> {
         if head == NIL {
             // The first leg is the only one, and it runs.
             let m = lazy(self.market, tu, 0) as usize;
-            *total = self.charges.settle(*total, from, to, std::iter::once(m));
+            let legs = std::iter::once(m);
+            *total = self
+                .charges
+                .settle_cohort(&mut self.cohort, *total, from, to, legs);
             self.left[tu] = self.left[tu].wrapping_sub(n);
             self.slots_run[tu] += n;
         } else {
@@ -1101,7 +1108,9 @@ impl Visit<'_> {
                 k = e.next;
             }
             let legs = self.sc_legs.iter().copied();
-            *total = self.charges.settle(*total, from, to, legs);
+            *total = self
+                .charges
+                .settle_cohort(&mut self.cohort, *total, from, to, legs);
             self.slots_run[tu] += ran;
         }
         self.run_since[tu] = end;

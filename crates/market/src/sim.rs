@@ -594,7 +594,49 @@ impl ChargeTable {
         };
         sum
     }
+
+    /// As [`settle`](Self::settle), for a loop that settles a finishing
+    /// cohort: `last` holds the loop's previous settlement, and one with
+    /// the same key (the start total's bits, `since`, `end` and the legs)
+    /// takes its bits without touching the memo. Any other goes through
+    /// `settle` and becomes `last`. So the cohort folds once, and every
+    /// member takes bits `settle` computed in that loop.
+    pub fn settle_cohort(
+        &mut self,
+        last: &mut Cohort,
+        start: Cost,
+        since: u64,
+        end: u64,
+        markets: impl Iterator<Item = usize> + Clone,
+    ) -> Cost {
+        let Some(legs) = pack_legs(markets.clone()) else {
+            return self.settle(start, since, end, markets);
+        };
+        let start_bits = start.as_f64().to_bits();
+        let held = &mut last.0;
+        if !(held.legs == legs
+            && held.start == start_bits
+            && held.since == since
+            && held.end == end)
+        {
+            let sum = self.settle(start, since, end, markets);
+            *held = Fold {
+                start: start_bits,
+                since,
+                end,
+                legs,
+                sum: sum.as_f64().to_bits(),
+            };
+        }
+        Cost::new(f64::from_bits(held.sum))
+    }
 }
+
+/// A settling loop's last settlement from one [`ChargeTable`], for
+/// [`ChargeTable::settle_cohort`]. A loop holds one, starts it empty
+/// (`Cohort::default()`), and settles from one table with it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Cohort(Fold);
 
 /// Packs up to eight market indices below 255 exactly into one word: byte
 /// `k` holds leg `k`'s market plus one, and the first zero byte ends the
@@ -760,8 +802,9 @@ struct Scratch {
     rejected: Vec<u32>,
     /// The capacity pass's victims (see [`select_victims`]).
     victims: Vec<u32>,
-    /// Per-bucket starter counts for [`select_victims`]: `BUCKETS` zeros
-    /// between uses, allocated by the first capacity pass that evicts.
+    /// Per-bucket counts: the starters of [`select_victims`] and the
+    /// finishers of [`Book::drop_finishers`]. `BUCKETS` zeros between
+    /// uses, allocated by the first pass that needs them.
     bucket_count: Vec<u32>,
     /// The cutoff bucket's candidates as [`victim_key`]s, for
     /// [`select_victims`].
@@ -921,8 +964,8 @@ fn work_slots(request: &BidRequest) -> u32 {
 /// order.
 fn merged(a: &[u32], b: &[u32], mut f: impl FnMut(u32)) {
     let (mut x, mut y) = (0, 0);
-    while x < a.len() || y < b.len() {
-        if y == b.len() || (x < a.len() && a[x] < b[y]) {
+    while x < a.len() && y < b.len() {
+        if a[x] < b[y] {
             f(a[x]);
             x += 1;
         } else {
@@ -930,6 +973,8 @@ fn merged(a: &[u32], b: &[u32], mut f: impl FnMut(u32)) {
             y += 1;
         }
     }
+    // One list is exhausted: the other's tail follows in order.
+    a[x..].iter().chain(&b[y..]).for_each(|&i| f(i));
 }
 
 /// The bucket boundaries over `[π_min, π̄]`: `bounds[i] = lo + i × w`
@@ -1304,7 +1349,7 @@ impl SpotMarket {
                 .iter()
                 .filter(|&&i| s.started.binary_search(&i).is_ok())
                 .count() as u32;
-            pool.close_slot(t, price, spot);
+            pool.close_slot(t, report.demand, price, spot);
             #[cfg(debug_assertions)]
             book.audit_capacity(&s.started, spot_cap, book.grid.index(pf), report);
         }
@@ -1337,11 +1382,20 @@ impl SpotMarket {
 
         // 6. Calendar pop: fixed-work bids whose streak reaches its work
         // requirement this slot, the running bids with `due == t`, each
-        // closed by the visit that finds it.
-        calendar.pop(t, |i| book.visit_filed(i, &mut s.fin_fixed));
-        s.fin_fixed.sort_unstable();
+        // closed by the visit that finds it and taken out of its running
+        // list once the pop is over. Bids that launched together finish
+        // together, so the visits settle them as a cohort.
+        let mut cohort = Cohort::default();
+        calendar.pop(t, |i| {
+            book.visit_filed(i, &mut cohort, &mut s.fin_fixed, &mut s.bucket_count)
+        });
+        if !s.fin_fixed.is_empty() {
+            book.drop_finishers(&s.fin_fixed, &mut s.bucket_count);
+            s.fin_fixed.sort_unstable();
+        }
 
         // 7. Finished = id-merge of the geometric and fixed finish sets.
+        report.finished.reserve(s.fin_geo.len() + s.fin_fixed.len());
         merged(&s.fin_geo, &s.fin_fixed, |i| {
             report.finished.push(BidId(u64::from(i)));
         });
@@ -1452,26 +1506,16 @@ impl Book {
             for b in self.grid.index(pp)..hi {
                 s.rejected.append(&mut self.buckets[b].running);
             }
-            // The boundary bucket keeps its runners at or above `pf` in
-            // order; each one that moves down the list takes its new
-            // position.
+            // The boundary bucket keeps its runners at or above `pf`.
             self.touch(hi);
-            let list = &mut self.buckets[hi].running;
-            let runs = &mut self.settlement.runs;
-            let mut kept = 0;
-            for p in 0..list.len() {
-                let i = list[p];
-                if self.price_of[i as usize] < pf {
+            let (list, runs) = (&mut self.buckets[hi].running, &mut self.settlement.runs);
+            retain_runners(list, runs, &self.run_of, |i| {
+                let keep = self.price_of[i as usize] >= pf;
+                if !keep {
                     s.rejected.push(i);
-                } else {
-                    if kept < p {
-                        list[kept] = i;
-                        runs[self.run_of[i as usize] as usize].pos = kept as u32;
-                    }
-                    kept += 1;
                 }
-            }
-            list.truncate(kept);
+                keep
+            });
         }
         if pf < pp {
             let out = if reclaiming { parked } else { &mut s.started };
@@ -1639,20 +1683,29 @@ impl Book {
     }
 
     /// Closes a running bid that finished its work this slot, settled
-    /// through this slot.
+    /// through this slot, and takes it out of its running list.
     fn finish(&mut self, i: u32) {
         let run = self.settlement.settle(self.run_of[i as usize], self.t);
         run.due = self.t;
         let p = run.pos;
-        self.close_finished(i, p);
+        self.close_finished(i);
+        self.remove_running(i, p);
     }
 
     /// Step 6's visit of filed bid `i` at the current slot: drops the entry
     /// of a bid no longer running, returns the due slot of a runner not
     /// due yet (to refile it by), and closes a runner due now, settled
-    /// through this slot in the same read of its run entry, adding it to
-    /// `finished`.
-    fn visit_filed(&mut self, i: u32, finished: &mut Vec<u32>) -> Option<u64> {
+    /// through this slot in the same read of its run entry (from the
+    /// visits' `cohort`), adding it to `finished` and counting it in its
+    /// bucket's entry of `counts`. A closed runner stays in its running
+    /// list for [`drop_finishers`](Self::drop_finishers).
+    fn visit_filed(
+        &mut self,
+        i: u32,
+        cohort: &mut Cohort,
+        finished: &mut Vec<u32>,
+        counts: &mut Vec<u32>,
+    ) -> Option<u64> {
         let iu = i as usize;
         if self.flags[iu] & F_RUNNING != 0 {
             let Settlement { runs, charges } = &mut self.settlement;
@@ -1660,24 +1713,64 @@ impl Book {
             if run.due != self.t {
                 return Some(run.due);
             }
-            settle_run(charges, run, self.t);
+            settle_run(charges, Some(cohort), run, self.t);
             debug_assert!(run.slots_run >= self.work[iu]);
-            let p = run.pos;
             finished.push(i);
-            self.close_finished(i, p);
+            if counts.is_empty() {
+                counts.resize(BUCKETS, 0);
+            }
+            counts[self.bucket_of[iu] as usize] += 1;
+            self.close_finished(i);
         }
         self.flags[iu] &= !F_FILED;
         None
     }
 
-    /// Closes running bid `i`, at position `p` of its running list, as
-    /// finished, its run entry already settled and closed at this slot.
-    fn close_finished(&mut self, i: u32, p: u32) {
+    /// Closes running bid `i` as finished, its run entry already settled
+    /// and closed at this slot; the caller takes it out of its running
+    /// list.
+    fn close_finished(&mut self, i: u32) {
         let iu = i as usize;
         self.flags[iu] = (self.flags[iu] & !(F_RUNNING | F_OPEN)) | F_FINISHED;
         self.running_count -= 1;
-        self.remove_running(i, p);
         self.open_count -= 1;
+    }
+
+    /// Takes step 6's `finished` bids, closed by their visits but still
+    /// listed, out of their running lists; `counts` holds each bucket's
+    /// finishers and is left all zero. A list that loses at least a
+    /// quarter of its runners is compacted in one pass
+    /// ([`retain_runners`]) and its count zeroed; any other loses its
+    /// finishers by swap-removes in visit order, as removing each at its
+    /// visit would have, counting its count down to zero.
+    fn drop_finishers(&mut self, finished: &[u32], counts: &mut [u32]) {
+        let mut swapping = false;
+        for (b, n) in counts.iter_mut().enumerate() {
+            if *n == 0 {
+                continue;
+            }
+            if 4 * *n as usize >= self.buckets[b].running.len() {
+                *n = 0;
+                self.touch(b);
+                let (list, runs) = (&mut self.buckets[b].running, &mut self.settlement.runs);
+                retain_runners(list, runs, &self.run_of, |i| {
+                    self.flags[i as usize] & F_RUNNING != 0
+                });
+            } else {
+                swapping = true;
+            }
+        }
+        if !swapping {
+            return;
+        }
+        for &i in finished {
+            let left = &mut counts[self.bucket_of[i as usize] as usize];
+            if *left > 0 {
+                *left -= 1;
+                let p = self.settlement.runs[self.run_of[i as usize] as usize].pos;
+                self.remove_running(i, p);
+            }
+        }
     }
 
     /// Stops running bid `i` at the end of the last slot: settles its
@@ -1853,17 +1946,45 @@ impl Settlement {
     /// the run entry, which a running bid always holds.
     fn settle(&mut self, r: u32, end: u64) -> &mut Run {
         let a = &mut self.runs[r as usize];
-        settle_run(&mut self.charges, a, end);
+        settle_run(&mut self.charges, None, a, end);
         a
     }
 }
 
-/// [`Settlement::settle`] on a run entry already in hand.
-/// `end` lies below `u32::MAX`, as every slot a market steps does.
-fn settle_run(charges: &mut ChargeTable, a: &mut Run, end: u64) {
+/// Keeps the runners of running `list` that `keep` accepts, in order, in
+/// one pass; each one that moves down the list takes its new position in
+/// its run entry (found through `run_of`).
+fn retain_runners(
+    list: &mut Vec<u32>,
+    runs: &mut Paged<Run>,
+    run_of: &[u32],
+    mut keep: impl FnMut(u32) -> bool,
+) {
+    let mut kept = 0;
+    for p in 0..list.len() {
+        let i = list[p];
+        if keep(i) {
+            if kept < p {
+                list[kept] = i;
+                runs[run_of[i as usize] as usize].pos = kept as u32;
+            }
+            kept += 1;
+        }
+    }
+    list.truncate(kept);
+}
+
+/// [`Settlement::settle`] on a run entry already in hand, as one of a
+/// `cohort` if the caller settles one. `end` lies below `u32::MAX`, as
+/// every slot a market steps does.
+fn settle_run(charges: &mut ChargeTable, cohort: Option<&mut Cohort>, a: &mut Run, end: u64) {
     let since = u64::from(a.run_since);
     if since <= end {
-        a.charged = charges.settle(a.charged, since, end + 1, std::iter::once(0));
+        let legs = std::iter::once(0);
+        a.charged = match cohort {
+            Some(cohort) => charges.settle_cohort(cohort, a.charged, since, end + 1, legs),
+            None => charges.settle(a.charged, since, end + 1, legs),
+        };
         a.slots_run += (end - since + 1) as u32;
         a.run_since = (end + 1) as u32;
     }
@@ -3005,6 +3126,79 @@ mod tests {
             }
         }
         assert!(hits > 1000, "only {hits} observable memo hits");
+    }
+
+    #[test]
+    fn a_cohort_fold_returns_the_plain_fold_and_never_crosses_keys() {
+        // A base key and keys that differ from it in one field each — a
+        // −0.0 start against +0.0, `since`, `end`, the legs — interleaved
+        // at random, in runs, over empty and non-empty ranges: every call
+        // has the plain fold's bits, and the loop's cohort holds the
+        // call's own key afterwards, so a held fold answers only its key.
+        let mut table = ChargeTable::new(2);
+        for i in 0..120 {
+            table.push(Cost::new(0.01 + (i as f64 * 0.3).sin().abs() / 7.0));
+        }
+        type Key = (f64, u64, u64, Vec<usize>);
+        let mut keys: Vec<Key> = Vec::new();
+        for (since, end) in [(10, 50), (20, 20)] {
+            keys.extend([
+                (0.0, since, end, vec![0]),
+                (-0.0, since, end, vec![0]),
+                (0.0, since + 1, end.max(since + 1), vec![0]),
+                (0.0, since, end + 1, vec![0]),
+                (0.0, since, end, vec![1]),
+                (0.0, since, end, vec![0, 1]),
+                (0.0, since, end, vec![1, 0]),
+            ]);
+        }
+        let mut g = Rng::seed_from_u64(0xC0_4027);
+        let mut cohort = Cohort::default();
+        let of = |f: Fold| (f.start, f.since, f.end, f.legs);
+        let (mut calls, mut held) = (0, 0);
+        while calls < 2_000 {
+            let (z, since, end, legs) = &keys[g.range_usize(keys.len())];
+            for _ in 0..1 + g.range_usize(4) {
+                let (start, markets) = (Cost::new(*z), legs.iter().copied());
+                let plain = fold_charges(&table.amounts, 2, markets.clone(), start, *since, *end);
+                let key = (
+                    bits(start),
+                    *since,
+                    *end,
+                    pack_legs(markets.clone()).unwrap(),
+                );
+                held += usize::from(of(cohort.0) == key);
+                let sum = table.settle_cohort(&mut cohort, start, *since, *end, markets);
+                assert_eq!(
+                    bits(sum),
+                    bits(plain),
+                    "start {z:?} [{since}, {end}) legs {legs:?}"
+                );
+                assert_eq!((of(cohort.0), cohort.0.sum), (key, bits(sum)));
+                calls += 1;
+            }
+        }
+        assert!(
+            held > 500 && held < calls - 500,
+            "{held} of {calls} calls held"
+        );
+        // ±0.0 over an empty range fold to themselves, in either order.
+        for z in [0.0, -0.0, -0.0, 0.0] {
+            let sum = table.settle_cohort(&mut cohort, Cost::new(z), 7, 7, std::iter::once(0));
+            assert_eq!(bits(sum), z.to_bits());
+        }
+        // A sequence the memo cannot hold is folded afresh and leaves the
+        // cohort as it was.
+        let before = cohort.0;
+        let nine = || std::iter::repeat_n(1, 9);
+        let start = Cost::new(0.5);
+        let sum = table.settle_cohort(&mut cohort, start, 3, 40, nine());
+        assert_eq!(
+            bits(sum),
+            bits(fold_charges(&table.amounts, 2, nine(), start, 3, 40))
+        );
+        assert_eq!(of(cohort.0), of(before));
+        assert_eq!(cohort.0.sum, before.sum);
     }
 
     #[test]

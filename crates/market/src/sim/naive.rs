@@ -216,7 +216,8 @@ impl SpotMarket {
             self.scratch = std::mem::replace(&mut self.open, still_open);
             // An outage slot runs nothing: the provider logs an idle spot
             // side so the telemetry stays one entry per slot.
-            self.pool.close_slot(t, price, SpotCounts::default());
+            self.pool
+                .close_slot(t, demand, price, SpotCounts::default());
             self.t += 1;
             return report;
         }
@@ -348,7 +349,7 @@ impl SpotMarket {
         // Swap the survivor list in and keep the old vector as next slot's
         // scratch, so steady-state stepping reuses both allocations.
         self.scratch = std::mem::replace(&mut self.open, still_open);
-        self.pool.close_slot(t, price, spot);
+        self.pool.close_slot(t, demand, price, spot);
         self.t += 1;
         report
     }

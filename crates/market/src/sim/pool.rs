@@ -123,10 +123,11 @@ impl Pool {
         }
     }
 
-    /// Closes slot `t` in the ledger (finite supply only): the posted
-    /// price, the spot side's counts, the on-demand pool through the slot
-    /// and the admissions and refusals since the last close.
-    pub(crate) fn close_slot(&mut self, t: u64, price: Price, spot: SpotCounts) {
+    /// Closes slot `t`, posted at `price` for demand `demand`, in the
+    /// ledger (finite supply only): the posted price, the spot side's
+    /// counts, the on-demand pool through the slot and the admissions and
+    /// refusals since the last close. Debug builds then audit the slot.
+    pub(crate) fn close_slot(&mut self, t: u64, demand: usize, price: Price, spot: SpotCounts) {
         let Some(spot_capacity) = self.spot_capacity() else {
             return;
         };
@@ -144,6 +145,52 @@ impl Pool {
             spot_revenue: (price * self.slot_len) * f64::from(spot.running),
             od_revenue: (self.params.pi_bar * self.slot_len) * f64::from(self.od_active),
         });
+        #[cfg(debug_assertions)]
+        self.audit(demand);
+        #[cfg(not(debug_assertions))]
+        let _ = demand;
+    }
+
+    /// The audit of the slot just closed (debug builds; allocates
+    /// nothing): the spot runners plus the on-demand pool fit the box, the
+    /// spot runners fit the spot share, the on-demand pool fits its
+    /// policy's limit, and the posted price is Eq. 3's optimum at the
+    /// slot's `demand`, unless the spot share's clearing price binds (lies
+    /// above it), when it is that clearing price.
+    #[cfg(debug_assertions)]
+    fn audit(&self, demand: usize) {
+        let (Supply::Finite { capacity, policy }, Some(slot)) = (self.supply, self.ledger.last())
+        else {
+            return;
+        };
+        let (t, spot, od) = (slot.t, slot.spot_running, slot.od_active);
+        assert!(
+            u64::from(spot) + u64::from(od) <= u64::from(capacity),
+            "slot {t}: {spot} spot and {od} on-demand instances in a box of {capacity}"
+        );
+        assert!(
+            spot <= slot.spot_capacity,
+            "slot {t}: {spot} spot instances over a spot share of {}",
+            slot.spot_capacity
+        );
+        let limit = policy.od_limit(capacity);
+        assert!(
+            od <= limit,
+            "slot {t}: {od} on-demand instances over a limit of {limit}"
+        );
+        let l = demand as f64;
+        let revenue = optimal_price(&self.params, l);
+        let clearing = clearing_price(&self.params, l, f64::from(slot.spot_capacity));
+        let posted = if clearing > revenue {
+            clearing
+        } else {
+            revenue
+        };
+        assert!(
+            slot.price >= revenue && slot.price.as_f64().to_bits() == posted.as_f64().to_bits(),
+            "slot {t}: posted {} at demand {demand}, Eq. 3 {revenue}, clearing {clearing}",
+            slot.price
+        );
     }
 
     /// The per-slot ledger (empty under unbounded supply).
@@ -272,7 +319,8 @@ mod tests {
                 if g.chance(0.3) {
                     pool.release(g.range_usize(20) as u32);
                 }
-                pool.close_slot(t, Price::new(0.2), SpotCounts::default());
+                let demand = t as usize * 37;
+                pool.close_slot(t, demand, pool.price(demand), SpotCounts::default());
                 let slot = pool.ledger()[t as usize];
                 assert_eq!((slot.t, slot.od_admitted, slot.od_rejected), (t, a, r));
                 assert_eq!(slot.od_active, pool.od_active());
@@ -301,7 +349,7 @@ mod tests {
             parked_restarts: 1,
         };
         for t in 0..5 {
-            pool.close_slot(t, Price::new(0.2), spot);
+            pool.close_slot(t, 0, Price::new(0.2), spot);
         }
         assert!(pool.ledger().is_empty());
         assert!(pool.report().is_none());

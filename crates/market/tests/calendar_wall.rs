@@ -8,8 +8,10 @@
 //! span − 1, span, span + 1, 1000, the far edge span² and `u32::MAX` —
 //! while price crossings, capacity evictions, parked restarts and
 //! reclamation outages interrupt and restart bids across window turns.
-//! Every slot's report, the provider log and the final records must match
-//! the oracle bit for bit.
+//! A finish-wave session launches an equal-work cohort that finishes in
+//! one slot, so the book takes its finishers out of their running lists
+//! in bulk. Every slot's report, the provider log and the final records
+//! must match the oracle bit for bit.
 
 use spotbid_market::provider::ProviderPolicy;
 use spotbid_market::sim::{
@@ -192,4 +194,117 @@ fn calendar_matches_the_oracle_across_far_turns() {
     assert!(seen.outages > 30, "{seen:?}");
     assert!(seen.far_finishes >= 3, "{seen:?}");
     assert!(seen.restarted_finishes >= 3, "{seen:?}");
+}
+
+/// A price in the middle part of bucket `b` of the book's 512 (any draw
+/// of `g` keeps it there), so a session chooses which bids share a
+/// running list.
+fn in_bucket(g: &mut Rng, b: u32) -> Price {
+    let p = params();
+    let (lo, w) = (p.pi_min.as_f64(), p.spread().as_f64() / 512.0);
+    Price::new(lo + (f64::from(b) + 0.25 + g.range_f64(0.0, 0.5)) * w)
+}
+
+/// The buckets a finish-wave session fills, near the top of the range so
+/// their bids win every auction.
+const WAVE_BUCKETS: [u32; 6] = [500, 502, 503, 505, 508, 511];
+
+/// Runners in each of [`WAVE_BUCKETS`] and how many of them the slot-0
+/// wave holds: a bucket that loses at least a quarter of its list is
+/// compacted, one that loses less swap-removes its finishers.
+const WAVE_SHAPES: [(usize, usize); 6] =
+    [(40, 40), (100, 25), (100, 24), (60, 50), (90, 10), (7, 2)];
+
+/// The buckets later arrivals join: all but the two whose wave is a
+/// quarter of the list and one bid short of it.
+const LATER_BUCKETS: [u32; 4] = [500, 505, 508, 511];
+
+/// One finish-wave session: in slot 0, every bucket of [`WAVE_BUCKETS`]
+/// launches its [`WAVE_SHAPES`] runners, the wave's (`work` slots each)
+/// interleaved with long-running ones, so the wave finishes together in
+/// slot `work - 1`. Later slots launch more bids into most of the same
+/// buckets, behind the wave in their lists: longer fixed work and
+/// geometric work, whose finishes, like capacity evictions, take a runner
+/// out at the position its run entry holds. Under finite supply the
+/// on-demand pool grows after the wave until the capacity pass evicts.
+/// Every slot's report, the provider log and the final records must match
+/// the oracle. Returns the largest number of bids one slot finished and
+/// the capacity reclaims.
+fn wave_session(seed: u64, supply: Supply, work: u32, slots: usize) -> (usize, u64) {
+    let slot_len = Hours::from_minutes(5.0);
+    let mut book = SpotMarket::with_supply(params(), slot_len, supply);
+    let mut base = naive::SpotMarket::with_supply(params(), slot_len, supply);
+    let mut g = Rng::seed_from_u64(seed);
+    let (mut rb, mut rn) = (Rng::seed_from_u64(seed ^ 5), Rng::seed_from_u64(seed ^ 5));
+    let bid = |price, work| BidRequest {
+        price,
+        kind: BidKind::Persistent,
+        work,
+    };
+    let mut submit = |req: BidRequest| assert_eq!(book.submit(req), base.submit(req));
+    // Slot 0: each bucket's wave members spread evenly among its runners.
+    for (&b, &(runners, wave)) in WAVE_BUCKETS.iter().zip(&WAVE_SHAPES) {
+        for k in 0..runners {
+            let joins = (k + 1) * wave / runners > k * wave / runners;
+            let w = if joins { work } else { 4 * work + 7 };
+            submit(bid(in_bucket(&mut g, b), WorkModel::FixedSlots(w)));
+        }
+    }
+    let mut most = 0;
+    for s in 0..slots {
+        if s > 0 {
+            for _ in 0..g.poisson(3.0) {
+                let b = LATER_BUCKETS[g.range_usize(LATER_BUCKETS.len())];
+                let w = if g.chance(0.5) {
+                    WorkModel::Geometric
+                } else {
+                    WorkModel::FixedSlots(work + g.range_usize(3 * work as usize) as u32)
+                };
+                let req = bid(in_bucket(&mut g, b), w);
+                assert_eq!(book.submit(req), base.submit(req));
+            }
+        }
+        if let Supply::Finite { .. } = supply {
+            let depart = (0..book.od_active()).filter(|_| g.chance(0.02)).count() as u32;
+            book.release_on_demand(depart);
+            base.release_on_demand(depart);
+            let arrive = g.poisson(if s < work as usize { 0.5 } else { 15.0 }) as u32;
+            assert_eq!(
+                book.request_on_demand(arrive),
+                base.request_on_demand(arrive)
+            );
+        }
+        let (x, y) = (book.step(&mut rb), base.step(&mut rn));
+        assert_eq!(x, y, "seed {seed} slot {s}");
+        assert_eq!(
+            book.provider_slots().last(),
+            base.provider_slots().last(),
+            "seed {seed} slot {s}"
+        );
+        most = most.max(x.finished.len());
+    }
+    assert_eq!(book.records(), base.records(), "seed {seed} final records");
+    assert_eq!(book.provider_report(), base.provider_report());
+    (most, book.provider_report().map_or(0, |p| p.reclaims))
+}
+
+#[test]
+fn a_finish_wave_leaves_its_running_lists_as_the_oracle_does() {
+    // The wave is 151 of the 397 slot-0 runners; under finite supply the
+    // growing on-demand pool later reclaims survivors.
+    let wave: usize = WAVE_SHAPES.iter().map(|&(_, w)| w).sum();
+    for seed in [1u64, 2, 3] {
+        for supply in [Supply::Unbounded, finite(600, 560)] {
+            let (most, reclaims) = wave_session(seed, supply, 12, 120);
+            assert!(
+                most >= wave,
+                "seed {seed}, {supply:?}: {most} finished together"
+            );
+            let finite = matches!(supply, Supply::Finite { .. });
+            assert!(
+                !finite || reclaims > 100,
+                "seed {seed}: {reclaims} reclaims"
+            );
+        }
+    }
 }
