@@ -15,10 +15,10 @@
 //! bidders with geometric work arrive, bidding uniformly over
 //! `[π_min, π̄]` — the paper's §4 uniform-bid assumption. Everything is
 //! deterministic from one `u64` seed via `RngStreams` substreams: stream
-//! 0 drives market departures, stream 1 the background arrivals, streams
-//! 2+ are reserved one per 64-tenant decision shard of the [`dense`]
-//! oracle, and under finite supply the on-demand churn draws from stream
-//! `2 + ⌈N/64⌉`; tenants themselves draw no randomness.
+//! 0 drives market departures, stream 1 the background arrivals, and
+//! under finite supply the on-demand churn draws from stream
+//! `2 + ⌈N/64⌉` (`TENANTS_PER_STREAM`); tenants themselves draw no
+//! randomness.
 //!
 //! A single-market bidder is the one-market case of a portfolio (Zhang,
 //! Ghosh & Aggarwal's portfolio contracts): [`run_closed_loop`] runs the
@@ -26,30 +26,29 @@
 //! one market and every tenant a zone-fallback bidder at home there, and
 //! builds the [`ClosedLoopReport`] rows directly; crate-privately it adds
 //! the on-demand churn above and its rule that an on-demand decision buys
-//! all the remaining work (DESIGN.md §5f). [`dense`], the frozen per-slot
-//! session that scans every tenant every slot, is its oracle:
-//! bit-identical reports, events, `BidId`s and RNG stream reservations at
-//! any thread count (`tests/wakeup_equiv.rs`).
+//! all the remaining work (DESIGN.md §5f). [`dense`] runs the portfolio
+//! loop's frozen dense fleet, which scans every tenant every slot, on the
+//! same one-market session: it is the oracle, with bit-identical reports,
+//! events, `BidId`s and RNG draws at any thread count
+//! (`tests/wakeup_equiv.rs`).
 
 use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
 use crate::observer::EventLog;
 use crate::EngineError;
-use portfolio::{PortfolioLoopConfig, PortfolioMarket, SingleMarket};
+use portfolio::{PortfolioLoopConfig, PortfolioMarket, Session, SessionFleet, SingleMarket};
 use spotbid_core::{BiddingStrategy, JobSpec, PortfolioStrategy};
 use spotbid_market::params::MarketParams;
 use spotbid_market::sim::{ProviderReport, Supply};
 use spotbid_market::units::{Cost, Hours, Price};
 
-pub mod dense;
 pub mod portfolio;
 
-/// Tenants per reserved `RngStreams` substream: stream `2 + k` belongs to
-/// the `k`-th block of 64 tenants (streams 0 and 1 drive the market and
-/// the background arrivals), so a single-market session's on-demand churn
-/// draws from stream `2 + ⌈N/64⌉`. No tenant draws from its block's
-/// stream; the reservation fixes where the on-demand stream sits, and with
-/// it every finite-supply digest.
+/// A single-market session of N tenants draws its on-demand churn from
+/// stream `2 + ⌈N / TENANTS_PER_STREAM⌉` (streams 0 and 1 drive the market
+/// and the background arrivals). The streams between are never drawn
+/// from; the value stays 64 because it fixes where the on-demand stream
+/// sits, and with it every finite-supply single-market report and digest.
 pub(crate) const TENANTS_PER_STREAM: usize = 64;
 
 /// Configuration of one closed-loop session.
@@ -144,10 +143,10 @@ pub struct FleetStats {
 }
 
 /// A fault plan for one market of a closed-loop session, indexed by
-/// **absolute** slot (warmup slots included). The wakeup fleet and the
-/// dense oracles read it at the same point of each slot, so a faulted
-/// wakeup run stays bit-identical to the faulted dense run. Slots beyond a
-/// vector's length are fault-free.
+/// **absolute** slot (warmup slots included). The session's one market
+/// source reads it at the same point of each slot whichever fleet runs, so
+/// a faulted wakeup run stays bit-identical to the faulted dense run.
+/// Slots beyond a vector's length are fault-free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoopFaults {
     /// Feed gaps: the slot's posted price never reaches the tenants'
@@ -203,7 +202,7 @@ pub fn run_closed_loop(
     cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Result<ClosedLoopReport, EngineError> {
-    run(strategies, cfg, seed, None, None).map(|(report, _)| report)
+    run(strategies, cfg, seed, None, None, false).map(|(report, _)| report)
 }
 
 /// As [`run_closed_loop`], optionally fault-injected, also returning the
@@ -218,7 +217,7 @@ pub fn run_closed_loop_with_stats(
     seed: u64,
     faults: Option<&LoopFaults>,
 ) -> Result<(ClosedLoopReport, FleetStats), EngineError> {
-    run(strategies, cfg, seed, faults, None)
+    run(strategies, cfg, seed, faults, None, false)
 }
 
 /// As [`run_closed_loop`], optionally fault-injected, also returning the
@@ -235,19 +234,63 @@ pub fn run_closed_loop_logged(
     faults: Option<&LoopFaults>,
 ) -> Result<(ClosedLoopReport, Vec<Event>, FleetStats), EngineError> {
     let mut log = EventLog::new();
-    let (report, stats) = run(strategies, cfg, seed, faults, Some(&mut log))?;
+    let (report, stats) = run(strategies, cfg, seed, faults, Some(&mut log), false)?;
     Ok((report, log.into_events(), stats))
 }
 
+/// The frozen dense oracle of the single-market loop: the portfolio
+/// loop's dense fleet ([`portfolio::dense`]) run on the same one-market
+/// session as [`run_closed_loop`].
+pub mod dense {
+    use super::{run, ClosedLoopConfig, ClosedLoopReport, LoopFaults};
+    use crate::event::Event;
+    use crate::observer::EventLog;
+    use crate::EngineError;
+    use spotbid_core::BiddingStrategy;
+
+    /// Runs one closed-loop session on the frozen dense fleet. Same
+    /// contract as [`super::run_closed_loop`] — and, by the §5f
+    /// equivalence wall, the same bits out.
+    ///
+    /// # Errors
+    ///
+    /// As [`super::run_closed_loop`].
+    pub fn run_closed_loop(
+        strategies: &[BiddingStrategy],
+        cfg: &ClosedLoopConfig,
+        seed: u64,
+    ) -> Result<ClosedLoopReport, EngineError> {
+        run(strategies, cfg, seed, None, None, true).map(|(report, _)| report)
+    }
+
+    /// As [`run_closed_loop`], optionally fault-injected, also returning
+    /// the full event stream — the oracle side of the equivalence suite.
+    ///
+    /// # Errors
+    ///
+    /// As [`super::run_closed_loop`].
+    pub fn run_closed_loop_logged(
+        strategies: &[BiddingStrategy],
+        cfg: &ClosedLoopConfig,
+        seed: u64,
+        faults: Option<&LoopFaults>,
+    ) -> Result<(ClosedLoopReport, Vec<Event>), EngineError> {
+        let mut log = EventLog::new();
+        let (report, _) = run(strategies, cfg, seed, faults, Some(&mut log), true)?;
+        Ok((report, log.into_events()))
+    }
+}
+
 /// The single-market session as a one-market portfolio: every tenant a
-/// zone-fallback bidder at home in the one market, the rows of its report
-/// built directly.
+/// zone-fallback bidder at home in the one market, run on the wakeup fleet
+/// or, when `dense`, on the frozen dense fleet (whose stats stay zero).
 fn run(
     strategies: &[BiddingStrategy],
     cfg: &ClosedLoopConfig,
     seed: u64,
     faults: Option<&LoopFaults>,
     log: Option<&mut EventLog>,
+    dense: bool,
 ) -> Result<(ClosedLoopReport, FleetStats), EngineError> {
     let one = PortfolioLoopConfig {
         markets: vec![PortfolioMarket {
@@ -273,9 +316,29 @@ fn run(
         .iter()
         .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base });
     let faults = faults.map(std::slice::from_ref);
-    let mut session = portfolio::wakeup::run(tenants, &one, seed, faults, Some(&single), log)?;
+    if dense {
+        let mut session = portfolio::dense::run(tenants, &one, seed, faults, Some(&single), log)?;
+        Ok((report(&mut session, &one)?, FleetStats::default()))
+    } else {
+        let mut session = portfolio::wakeup::run(tenants, &one, seed, faults, Some(&single), log)?;
+        let report = report(&mut session, &one)?;
+        let s = &session.fleet.stats;
+        let stats = FleetStats {
+            slots: s.slots,
+            skipped_slots: s.skipped_slots,
+            woken: s.woken,
+        };
+        Ok((report, stats))
+    }
+}
+
+/// A one-market session's report, its rows built directly.
+fn report<F: SessionFleet>(
+    session: &mut Session<F>,
+    one: &PortfolioLoopConfig,
+) -> Result<ClosedLoopReport, EngineError> {
     let (tenants, completed, mean_savings) =
-        session.outcomes(&one, |t, cost, savings| TenantOutcome {
+        session.outcomes(one, |t, cost, savings| TenantOutcome {
             tenant: t.tag,
             strategy: match *t.strategy {
                 PortfolioStrategy::ZoneFallback { base, .. } => base,
@@ -288,8 +351,8 @@ fn run(
             cost,
             savings,
         })?;
-    let (mean_price, peak_price, slots) = session.prices(0, cfg.warmup_slots);
-    let report = ClosedLoopReport {
+    let (mean_price, peak_price, slots) = session.prices(0, one.warmup_slots);
+    Ok(ClosedLoopReport {
         tenants,
         completed,
         mean_savings,
@@ -297,14 +360,7 @@ fn run(
         peak_price,
         slots,
         provider: session.provider(0),
-    };
-    let s = &session.fleet.stats;
-    let stats = FleetStats {
-        slots: s.slots,
-        skipped_slots: s.skipped_slots,
-        woken: s.woken,
-    };
-    Ok((report, stats))
+    })
 }
 
 #[cfg(test)]

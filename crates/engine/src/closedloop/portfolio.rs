@@ -18,16 +18,16 @@
 //!   runs are skipped. Bit-identical to [`dense`]
 //!   (`tests/portfolio_wakeup_equiv.rs`).
 //! - [`dense`] — the original fleet, every tenant re-evaluated every
-//!   slot. Frozen as the equivalence oracle, exactly like
-//!   [`crate::closedloop::dense`].
+//!   slot. Frozen as the equivalence oracle of both closed loops.
 //!
 //! The single-market loop is this loop at `M = 1`:
-//! [`super::run_closed_loop`] runs the wakeup fleet under the same shell
-//! with one market and every tenant a [`PortfolioStrategy::ZoneFallback`]
-//! at home there, and adds two things crate-privately (`SingleMarket`):
-//! a finite market's on-demand churn, drawn from stream `2 + ⌈N/64⌉`
-//! after the slot's reclamation and before its background arrivals, and
-//! its rule that an on-demand decision buys all the remaining work.
+//! [`super::run_closed_loop`] runs the wakeup fleet, and
+//! [`super::dense`] the dense one, under the same shell with one market
+//! and every tenant a [`PortfolioStrategy::ZoneFallback`] at home there.
+//! Both add two things crate-privately (`SingleMarket`): a finite
+//! market's on-demand churn, drawn from stream `2 + ⌈N/64⌉` after the
+//! slot's reclamation and before its background arrivals, and its rule
+//! that an on-demand decision buys all the remaining work.
 //!
 //! ## RNG stream layout
 //!
@@ -37,22 +37,20 @@
 //! - stream `2m+1` — market `m`'s idiosyncratic background arrivals
 //!   (count and bid prices),
 //! - stream `2M` — the shared arrival shock,
-//! - streams `2M+1 …` — reserved one per decision shard of the [`dense`]
-//!   fleet (never drawn from today, exactly like the single-market
-//!   oracle's).
+//! - streams `2M+1 …` — never drawn from, but for the single-market
+//!   loop's on-demand churn at stream `2 + ⌈N/64⌉`.
 //!
 //! At `M = 1` with a zero shared rate this collapses to the single-market
 //! layout — stream 0 market, stream 1 background, shared stream untouched
-//! (a zero-mean Poisson draws nothing) — which is what lets
-//! [`super::run_closed_loop`] run as a one-market portfolio and keeps it
-//! bit-identical to the single-market dense oracle
-//! ([`crate::closedloop::dense`]; `tests/wakeup_equiv.rs`, and the
-//! one-market parity tests of `tests/portfolio.rs` and the root
-//! `tests/closed_loop_wall.rs`).
+//! (a zero-mean Poisson draws nothing). The root
+//! `tests/closed_loop_wall.rs` holds that layout to a bare `SpotMarket`
+//! driven by hand, and the one-market parity tests of `tests/portfolio.rs`
+//! and `tests/closed_loop_wall.rs` hold the one-market conversion to a
+//! configuration built by hand.
 //!
 //! ## Determinism contract
 //!
-//! As in the single-market oracle (§5e/§5f): plan resolution is pure (the
+//! As in the single-market loop (§5e/§5f): plan resolution is pure (the
 //! dense fleet plans tenant by tenant, the wakeup fleet once per distinct
 //! strategy), while bid submission (which assigns per-market
 //! [`spotbid_market::sim::BidId`]s), event emission, and report
@@ -213,8 +211,7 @@ impl PortfolioSource {
             what: e.to_string(),
         })?;
         // Streams 0..2M interleave (market, arrivals) per market; 2M is
-        // the shared shock. The dense fleet's decision shards reserve
-        // 2M+1….
+        // the shared shock.
         let mut chain = streams.streams(2 * m + 1);
         let shared_rng = chain.pop().expect("2M+1 streams");
         let mut market_rngs = Vec::with_capacity(m);
@@ -361,8 +358,7 @@ pub(super) struct SingleMarket {
     pub(super) od_arrivals: f64,
     /// Per-slot departure probability of each active on-demand instance.
     pub(super) od_departure: f64,
-    /// The churn's substream: `2 + ⌈N/64⌉`, the first after the single
-    /// dense oracle's decision shards.
+    /// The churn's substream: `2 + ⌈N/64⌉` (`TENANTS_PER_STREAM`).
     pub(super) od_stream: u64,
 }
 
@@ -544,7 +540,7 @@ impl<F: SessionFleet> Session<F> {
     /// One pass in tag order: the §5.1 fallback (an incomplete tenant
     /// finishes its remaining work on demand at the horizon close; the
     /// float accumulation order is part of the parity contract with the
-    /// dense oracles), then the row `row` builds from the tenant's final
+    /// dense oracle), then the row `row` builds from the tenant's final
     /// state, cost and savings. Returns the rows, the count of tenants
     /// that completed and their mean savings.
     pub(super) fn outcomes<R>(

@@ -1,18 +1,23 @@
-//! The frozen dense portfolio fleet — the §5h oracle.
+//! The frozen dense fleet — the closed loops' one oracle (§5f, §5h).
 //!
 //! This is the original dense implementation of the portfolio closed
-//! loop, kept verbatim as the equivalence oracle for the event-driven
-//! wakeup fleet behind [`super::run_portfolio_loop`], exactly as
-//! [`crate::closedloop::dense`] freezes the single-market fleet: every
-//! tenant is re-evaluated every slot — O(N) report walks per slot
-//! regardless of activity — so it stays simple enough to audit and slow
-//! enough to be worth replacing. `tests/portfolio_wakeup_equiv.rs` holds
-//! the two bit-identical across price regimes, faults, and mixed
+//! loop, kept as the equivalence oracle for the event-driven wakeup fleet
+//! behind [`super::run_portfolio_loop`] and, at M = 1, behind
+//! [`crate::closedloop::run_closed_loop`]: every tenant is re-evaluated
+//! every slot — O(N) report walks per slot regardless of activity — so it
+//! stays simple enough to audit and slow enough to be worth replacing.
+//! `tests/portfolio_wakeup_equiv.rs` and `tests/wakeup_equiv.rs` hold the
+//! two fleets bit-identical across price regimes, faults, and mixed
 //! [`spotbid_market::sim::Supply`] members.
+//!
+//! A single-market session runs this fleet under the same session shell
+//! and source as the wakeup fleet, with `SingleMarket`'s on-demand
+//! churn, and with `whole_od` set: an on-demand decision buys all the
+//! remaining work, as the wakeup fleet's `whole_od` does.
 
 use super::{
-    portfolio_report, run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource,
-    SessionFleet, TenantFinal,
+    portfolio_report, run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, Session,
+    SessionFleet, SingleMarket, TenantFinal,
 };
 use crate::billing::{LineItem, UsageKind};
 use crate::closedloop::LoopFaults;
@@ -86,12 +91,14 @@ impl PortfolioTenant {
 
     /// Acts on a resolved plan: charges on-demand legs and submits spot
     /// legs, scaling each leg's assignment down to the work still pending.
+    /// With `whole_od`, an on-demand leg buys all the remaining work.
     /// Serial per tenant — per-market bid ids are assigned here, so call
     /// order must be tenant order.
     fn apply_plan(
         &mut self,
         plan: &PortfolioPlan,
         job: &JobSpec,
+        whole_od: bool,
         slot: u64,
         source: &mut PortfolioSource,
         emit: &mut dyn FnMut(Event),
@@ -102,12 +109,18 @@ impl PortfolioTenant {
             }
             // A re-plan covers only the lost work: cap each leg at what is
             // still pending (the first plan partitions exactly, so this is
-            // the identity there — and `max(1)` mirrors the single-market
-            // fleet's defensive floor).
+            // the identity there). Every planned leg holds a slot and the
+            // loop stops at zero pending, so `max(1)` never binds; it is
+            // the floor the wakeup fleet's `leg_slots` shares.
             let assigned = leg.slots.min(self.pending).max(1);
             match leg.decision {
                 BidDecision::OnDemand { price } => {
-                    let work = (job.slot * assigned as f64).min(self.remaining_work(job));
+                    let remaining = self.remaining_work(job);
+                    let work = if whole_od {
+                        remaining
+                    } else {
+                        (job.slot * assigned as f64).min(remaining)
+                    };
                     if work > Hours::ZERO {
                         emit(Event::Charged {
                             item: LineItem {
@@ -264,21 +277,24 @@ impl PortfolioTenant {
     }
 }
 
-/// Every portfolio tenant as one kernel driver — the multi-market
-/// counterpart of the dense fleet, same §5e/§5f contract: plans and their
-/// market-visible side effects run serially in ascending tenant order.
-struct PortfolioFleet {
+/// Every portfolio tenant as one kernel driver, under the §5e/§5f
+/// contract: plans and their market-visible side effects run serially in
+/// ascending tenant order.
+pub(in crate::closedloop) struct PortfolioFleet {
     tenants: Vec<PortfolioTenant>,
     done: Vec<bool>,
     job: JobSpec,
     on_demand: Price,
     max_resubmissions: u32,
+    /// An on-demand decision buys all the remaining work, the
+    /// single-market loop's rule (`wakeup::Fleet::whole_od`).
+    whole_od: bool,
     /// Scratch: indices of tenants that must (re-)plan this slot.
     needy: Vec<u32>,
 }
 
 impl PortfolioFleet {
-    fn new(tenants: Vec<PortfolioTenant>, cfg: &PortfolioLoopConfig) -> Self {
+    fn new(tenants: Vec<PortfolioTenant>, cfg: &PortfolioLoopConfig, whole_od: bool) -> Self {
         let done = vec![false; tenants.len()];
         PortfolioFleet {
             tenants,
@@ -286,6 +302,7 @@ impl PortfolioFleet {
             job: cfg.job,
             on_demand: cfg.on_demand,
             max_resubmissions: cfg.max_resubmissions,
+            whole_od,
             needy: Vec::new(),
         }
     }
@@ -310,7 +327,7 @@ impl JobDriver<PortfolioSource> for PortfolioFleet {
         }
         // One per-market history snapshot for the whole slot.
         let histories = source.observed()?;
-        let (job, on_demand) = (self.job, self.on_demand);
+        let (job, on_demand, whole_od) = (self.job, self.on_demand, self.whole_od);
         // Each tenant plans, then applies, in turn: per-market bid ids and
         // events come out in tenant order, and a failed plan ends the pass
         // after every earlier tenant's is applied.
@@ -320,7 +337,7 @@ impl JobDriver<PortfolioSource> for PortfolioFleet {
                 .strategy
                 .decide(&histories, &job, on_demand)
                 .map_err(EngineError::Core)?;
-            t.apply_plan(&plan, &job, slot, source, emit);
+            t.apply_plan(&plan, &job, whole_od, slot, source, emit);
         }
         Ok(())
     }
@@ -375,22 +392,24 @@ impl SessionFleet for PortfolioFleet {
     }
 }
 
-fn run(
-    strategies: &[PortfolioStrategy],
+/// Runs the fleet under the session shell, one tenant per strategy; a
+/// `single` session is the single-market loop ([`SingleMarket`]), as in
+/// `wakeup::run`.
+pub(in crate::closedloop) fn run(
+    strategies: impl ExactSizeIterator<Item = PortfolioStrategy>,
     cfg: &PortfolioLoopConfig,
     seed: u64,
     faults: Option<&[LoopFaults]>,
+    single: Option<&SingleMarket>,
     log: Option<&mut EventLog>,
-) -> Result<PortfolioReport, EngineError> {
-    let mut session = run_session(strategies.len(), cfg, seed, faults, None, log, || {
-        let tenants: Vec<PortfolioTenant> = strategies
-            .iter()
+) -> Result<Session<PortfolioFleet>, EngineError> {
+    run_session(strategies.len(), cfg, seed, faults, single, log, || {
+        let tenants = strategies
             .enumerate()
-            .map(|(i, s)| PortfolioTenant::new(*s, cfg, i as u32))
+            .map(|(i, s)| PortfolioTenant::new(s, cfg, i as u32))
             .collect();
-        PortfolioFleet::new(tenants, cfg)
-    })?;
-    portfolio_report(&mut session, cfg)
+        PortfolioFleet::new(tenants, cfg, single.is_some())
+    })
 }
 
 /// As [`super::run_portfolio_loop`], but over the frozen dense fleet —
@@ -404,7 +423,8 @@ pub fn run_portfolio_loop(
     cfg: &PortfolioLoopConfig,
     seed: u64,
 ) -> Result<PortfolioReport, EngineError> {
-    run(strategies, cfg, seed, None, None)
+    let mut session = run(strategies.iter().copied(), cfg, seed, None, None, None)?;
+    portfolio_report(&mut session, cfg)
 }
 
 /// As [`super::run_portfolio_loop_logged`], but over the frozen dense
@@ -420,6 +440,8 @@ pub fn run_portfolio_loop_logged(
     faults: Option<&[LoopFaults]>,
 ) -> Result<(PortfolioReport, Vec<Event>), EngineError> {
     let mut log = EventLog::new();
-    let report = run(strategies, cfg, seed, faults, Some(&mut log))?;
+    let strategies = strategies.iter().copied();
+    let mut session = run(strategies, cfg, seed, faults, None, Some(&mut log))?;
+    let report = portfolio_report(&mut session, cfg)?;
     Ok((report, log.into_events()))
 }

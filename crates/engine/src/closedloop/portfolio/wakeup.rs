@@ -25,7 +25,7 @@
 //! Running legs are settled lazily: each slot's per-market
 //! `price × job.slot` goes into a [`ChargeTable`], and a woken tenant first
 //! replays its carried slots `[run_since, slot)` over its running legs in
-//! plan order, the dense fleets' float-addition order. The fleet counts
+//! plan order, the dense fleet's float-addition order. The fleet counts
 //! its runners instead of listing them; a logged run, or a slot whose spot
 //! charge is refused, finds them by scanning the tenant flags, and an
 //! unlogged run builds no events at all ([`Events`]). A slot with an empty
@@ -41,7 +41,7 @@
 //! report rows — run as loops over columns borrowed apart from the fleet
 //! and sliced to one length, so a tenant costs one bounds check and no
 //! column header is reloaded through the fleet (DESIGN.md §5j). Bid ids, events, costs and RNG draws
-//! are **bit-identical** to the frozen dense oracles at any
+//! are **bit-identical** to the frozen dense oracle at any
 //! `SPOTBID_THREADS` (`tests/wakeup_equiv.rs`,
 //! `tests/portfolio_wakeup_equiv.rs`); the fleet draws no randomness.
 
@@ -1293,7 +1293,7 @@ impl JobDriver<PortfolioSource> for Fleet {
         source: &mut PortfolioSource,
         emit: &mut dyn FnMut(Event),
     ) -> Result<(), EngineError> {
-        // The queue holds exactly the tenants the dense fleets' scan would
+        // The queue holds exactly the tenants the dense fleet's scan would
         // select (queued ascending, drained every slot), filtered by their
         // `!done && needs_submit && !done_pending` guard.
         let mut needy = std::mem::take(&mut self.needy);
@@ -1429,7 +1429,7 @@ impl JobDriver<PortfolioSource> for Fleet {
         }
 
         if woken.is_empty() && self.running == 0 {
-            // Nothing named, planned or running: the dense fleets would
+            // Nothing named, planned or running: the dense fleet would
             // have walked every tenant and changed nothing.
             self.stats.skipped_slots += 1;
             return Ok(self.status());

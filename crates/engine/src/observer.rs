@@ -9,7 +9,7 @@
 //!   (single-job replays, MapReduce);
 //! - `CostTotals` folds the same charges into one running total per
 //!   tenant tag — what the closed loops report, in O(tenants) memory
-//!   instead of one item per running tenant-slot (the dense fleets feed
+//!   instead of one item per running tenant-slot (the dense fleet feeds
 //!   it events; the wakeup fleet owns one and adds to it directly);
 //! - [`EventLog`] keeps everything for offline inspection.
 

@@ -38,6 +38,10 @@
 //! outage plus resubmissions makes the tenants finishing in one slot
 //! settle streaks of different starts from different totals, interleaved
 //! by tenant id, so consecutive settlements alternate between memo keys.
+//!
+//! The source test holds the one market source both fleets share to a
+//! bare `SpotMarket` driven by hand: finite supply with on-demand churn,
+//! reclamations and feed gaps, its own RNG streams drawn in their order.
 
 use spotbid::core::{BiddingStrategy, JobSpec, PortfolioStrategy};
 use spotbid::engine::closedloop::{dense, portfolio};
@@ -46,8 +50,10 @@ use spotbid::engine::{
     run_portfolio_loop_with_stats, Bill, ClosedLoopConfig, ClosedLoopReport, Event, LoopFaults,
     PortfolioLoopConfig, PortfolioMarket, PortfolioReport, UsageKind,
 };
+use spotbid::market::sim::{BidKind, BidRequest, ProviderReport, SpotMarket, WorkModel};
 use spotbid::market::units::{Cost, Hours, Price};
 use spotbid::market::{MarketParams, ProviderPolicy, Supply};
+use spotbid::numerics::rng::RngStreams;
 
 const TENANTS: usize = 2_000;
 
@@ -821,4 +827,110 @@ fn unlogged_general_arm_tenants_interleaved_with_lone_spot_tenants_match_the_den
              market-1 runs {second_home}, on-demand {bought}"
         );
     }
+}
+
+/// The provider side of a session with every float compared bit for bit.
+fn provider_bits(p: &ProviderReport) -> (ProviderReport, [u64; 4]) {
+    let bits = [
+        p.spot_revenue.as_f64().to_bits(),
+        p.od_revenue.as_f64().to_bits(),
+        p.mean_utilization.to_bits(),
+        p.peak_price.as_f64().to_bits(),
+    ];
+    (*p, bits)
+}
+
+#[test]
+fn single_market_source_matches_a_market_driven_by_hand() {
+    // Every tenant buys on demand, so no spot bid reaches the market and
+    // the session ends in its first horizon slot: everything the market
+    // does happens in the long warmup, where on-demand churn, reclamation
+    // outages and feed gaps all fire.
+    let mut cfg = single_config();
+    cfg.warmup_slots = 600;
+    cfg.supply = Supply::Finite {
+        capacity: 30,
+        policy: ProviderPolicy::StaticSplit { reserved: 6 },
+    };
+    cfg.od_arrivals = 2.5;
+    cfg.od_departure = 0.15;
+    let n = 150;
+    let strats = vec![BiddingStrategy::OnDemand; n];
+    let total = cfg.warmup_slots + cfg.horizon_slots;
+    let faults = LoopFaults {
+        gap: (0..total).map(|s| s % 11 == 4).collect(),
+        reclaim: (0..cfg.warmup_slots).map(|s| s % 37 == 20).collect(),
+    };
+    let seed = 0x50_42CE;
+    let (fast, _) = run_closed_loop_with_stats(&strats, &cfg, seed, Some(&faults)).unwrap();
+    let (oracle, _) = dense::run_closed_loop_logged(&strats, &cfg, seed, Some(&faults)).unwrap();
+    assert!(
+        fast.tenants
+            .iter()
+            .all(|t| t.completed && t.spot_slots == 0),
+        "a tenant bid on spot"
+    );
+
+    // The same market by hand: stream 0 departures, stream 1 background,
+    // stream 2 + ceil(N/64) on-demand churn; each slot reclaims, churns,
+    // lets the background arrive and clears, in that order.
+    let streams = RngStreams::new(seed);
+    let (mut departures, mut background) = (streams.stream(0), streams.stream(1));
+    let mut churn = streams.stream(2 + n.div_ceil(64) as u64);
+    let mut market = SpotMarket::with_supply(cfg.params, cfg.slot_len, cfg.supply);
+    let (lo, hi) = (cfg.params.pi_min.as_f64(), cfg.params.pi_bar.as_f64());
+    let (mut prices, mut departed_total) = (Vec::new(), 0);
+    for slot in 0..cfg.warmup_slots + fast.slots as usize {
+        if faults.reclaim.get(slot) == Some(&true) {
+            market.reclaim_next_slot();
+        }
+        let departed = (0..market.od_active())
+            .filter(|_| churn.chance(cfg.od_departure))
+            .count() as u32;
+        market.release_on_demand(departed);
+        departed_total += departed;
+        let requested = churn.poisson(cfg.od_arrivals) as u32;
+        if requested > 0 {
+            market.request_on_demand(requested);
+        }
+        for _ in 0..background.poisson(cfg.background_arrivals) {
+            market.submit(BidRequest {
+                price: Price::new(background.range_f64(lo, hi)),
+                kind: BidKind::OneTime,
+                work: WorkModel::Geometric,
+            });
+        }
+        prices.push(market.step(&mut departures).price);
+    }
+    let visible = &prices[cfg.warmup_slots..];
+    let mean = visible.iter().map(|p| p.as_f64()).sum::<f64>() / visible.len() as f64;
+    let peak = visible
+        .iter()
+        .copied()
+        .fold(Price::ZERO, |a, b| if b > a { b } else { a });
+    let hand = market.provider_report().expect("finite supply");
+    for (name, report) in [("wakeup", &fast), ("dense", &oracle)] {
+        assert_eq!(
+            provider_bits(&report.provider.expect("finite supply")),
+            provider_bits(&hand),
+            "{name}: provider diverged"
+        );
+        assert_eq!(
+            (
+                report.mean_price.as_f64().to_bits(),
+                report.peak_price.as_f64().to_bits(),
+                report.slots
+            ),
+            (
+                mean.to_bits(),
+                peak.as_f64().to_bits(),
+                visible.len() as u64
+            ),
+            "{name}: price summary diverged"
+        );
+    }
+    assert!(
+        departed_total > 0 && hand.od_admissions > 0 && hand.od_rejections > 0 && hand.reclaims > 0,
+        "a vacuous source: {departed_total} departures, {hand:?}"
+    );
 }
