@@ -272,6 +272,9 @@ const F_GEOMETRIC: u8 = 1 << 3;
 /// and obeys the resident invariants (pending ⇒ bid < posted price,
 /// running ⇒ bid ≥ posted price).
 const F_RESIDENT: u8 = 1 << 4;
+/// Holds a [`Run`] entry: its `run_of` slot indexes the run table (clear,
+/// the slot holds its slots of work).
+const F_RUN: u8 = 1 << 5;
 /// Closed by finishing its work (a closed bid without it terminated).
 const F_FINISHED: u8 = 1 << 6;
 /// Holds the one entry the finish [`Calendar`] keeps for it.
@@ -500,6 +503,20 @@ pub fn reserve_column<T>(v: &mut Vec<T>, n: usize) {
     }
 }
 
+/// Entries a full per-slot log grows by at least ([`push_log`]).
+const LOG_STEP: usize = 64;
+
+/// Appends `value` to per-slot log `v`. A full log grows by a quarter,
+/// and by at least [`LOG_STEP`] entries, not by doubling: it holds at
+/// most `max(len + LOG_STEP, len + len / 4)` entries, and a log pushed
+/// once a slot still grows amortized O(1) a push.
+fn push_log<T>(v: &mut Vec<T>, value: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact((v.len() / 4).max(LOG_STEP));
+    }
+    v.push(value);
+}
+
 /// The spot charge `price × slot_len` of every completed slot of one or
 /// more markets, slot-major: the append-only replay table that lazy
 /// settlement folds. The market settles its bid records from its own
@@ -547,9 +564,10 @@ impl ChargeTable {
     }
 
     /// Records the next market's charge for the current slot (call once
-    /// per market, in market order, every slot).
+    /// per market, in market order, every slot). A full table grows by a
+    /// quarter, not by doubling.
     pub fn push(&mut self, charge: Cost) {
-        self.amounts.push(charge);
+        push_log(&mut self.amounts, charge);
     }
 
     /// The charge of `slot` in `market`.
@@ -748,10 +766,10 @@ struct Book {
     price_of: Vec<f64>,
     /// `F_*` state bits: kind, work model and phase.
     flags: Vec<u8>,
-    /// Slots of work of a fixed-work bid (0 for geometric work).
-    work: Vec<u32>,
-    /// The bid's entry in the run table, or [`NO_RUN`] until it first
-    /// launches (or closes after its submission slot unlaunched).
+    /// One slot, read by [`F_RUN`]: until the bid first launches (or
+    /// closes after its submission slot unlaunched), its slots of work (0
+    /// for geometric work); from then on, its entry in the run table,
+    /// which took the work over.
     run_of: Vec<u32>,
     /// The bid's price bucket.
     bucket_of: Vec<u16>,
@@ -835,10 +853,10 @@ impl Scratch {
 
 /// A launched bid's run state: its running streak and settled
 /// accounting (what a settlement reads and writes, and the count an
-/// interruption bumps right after settling), its running-list position
-/// and its due word. One 32-byte entry, pushed at the bid's first launch,
-/// so a capacity pass that settles victims scattered over the book misses
-/// the cache once per victim, not once per field.
+/// interruption bumps right after settling), its running-list position,
+/// its due word and its slots of work. One 32-byte entry, pushed at the
+/// bid's first launch, so a capacity pass that settles victims scattered
+/// over the book misses the cache once per victim, not once per field.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     /// First slot of the current running streak (valid while running);
@@ -854,9 +872,13 @@ struct Run {
     /// Interruptions suffered (running → not running).
     interruptions: u32,
     /// Read by the bid's flags: while it runs fixed work, its scheduled
-    /// finish slot; once [`F_OPEN`] is clear, the slot it left the system;
-    /// otherwise unused.
-    due: u64,
+    /// finish slot, held as `u32::MAX` when it lies at or past that slot
+    /// (no step reaches it: [`SpotMarket::step`] panics first); once
+    /// [`F_OPEN`] is clear, the slot it left the system; otherwise unused.
+    due: u32,
+    /// Slots of work of a fixed-work bid (0 for geometric work), moved
+    /// here from the bid's `run_of` slot.
+    work: u32,
 }
 
 /// Entries in one page of a [`Paged`] table.
@@ -935,10 +957,8 @@ const FRESH_RUN: Run = Run {
     slots_run: 0,
     interruptions: 0,
     due: 0,
+    work: 0,
 };
-
-/// [`Book::run_of`]'s entry for a bid that holds no [`Run`].
-const NO_RUN: u32 = u32::MAX;
 
 /// The `F_*` bits a new bid starts with.
 fn initial_flags(request: &BidRequest) -> u8 {
@@ -952,7 +972,7 @@ fn initial_flags(request: &BidRequest) -> u8 {
     flags
 }
 
-/// The `work` column's entry for a request.
+/// A new bid's `run_of` slot: its slots of work.
 fn work_slots(request: &BidRequest) -> u32 {
     match request.work {
         WorkModel::FixedSlots(n) => n,
@@ -1038,7 +1058,6 @@ impl SpotMarket {
                 t: 0,
                 price_of: Vec::new(),
                 flags: Vec::new(),
-                work: Vec::new(),
                 run_of: Vec::new(),
                 bucket_of: Vec::new(),
                 arrivals: Vec::new(),
@@ -1091,7 +1110,6 @@ impl SpotMarket {
         let b = &mut self.book;
         reserve_column(&mut b.price_of, n);
         reserve_column(&mut b.flags, n);
-        reserve_column(&mut b.work, n);
         reserve_column(&mut b.run_of, n);
         reserve_column(&mut b.bucket_of, n);
     }
@@ -1106,8 +1124,7 @@ impl SpotMarket {
         let price = request.price.as_f64();
         b.price_of.push(price);
         b.flags.push(initial_flags(&request));
-        b.work.push(work_slots(&request));
-        b.run_of.push(NO_RUN);
+        b.run_of.push(work_slots(&request));
         b.bucket_of.push(b.grid.index(price) as u16);
         b.open_count += 1;
         b.note_arrivals(id);
@@ -1130,10 +1147,9 @@ impl SpotMarket {
         let grid = &b.grid;
         b.price_of.extend(requests.iter().map(|r| r.price.as_f64()));
         b.flags.extend(requests.iter().map(initial_flags));
-        b.work.extend(requests.iter().map(work_slots));
+        b.run_of.extend(requests.iter().map(work_slots));
         b.bucket_of
             .extend(requests.iter().map(|r| grid.index(r.price.as_f64()) as u16));
-        b.run_of.resize(len, NO_RUN);
         b.open_count += n;
         if n > 0 {
             b.note_arrivals(first);
@@ -1418,7 +1434,7 @@ impl Book {
     fn note_arrivals(&mut self, first: usize) {
         let t = self.t as u32;
         if self.arrivals.last().is_none_or(|&(_, slot)| slot != t) {
-            self.arrivals.push((first as u32, t));
+            push_log(&mut self.arrivals, (first as u32, t));
         }
     }
 
@@ -1427,12 +1443,11 @@ impl Book {
     fn build_record(&self, iu: usize) -> BidRecord {
         let f = self.flags[iu];
         let submitted_at = self.submitted_at(iu);
-        let (run, closed_at) = match self.run_of[iu] {
-            NO_RUN => (&FRESH_RUN, submitted_at),
-            r => {
-                let run = &self.settlement.runs[r as usize];
-                (run, run.due)
-            }
+        let (run, work, closed_at) = if f & F_RUN != 0 {
+            let run = &self.settlement.runs[self.run_of[iu] as usize];
+            (run, run.work, u64::from(run.due))
+        } else {
+            (&FRESH_RUN, self.run_of[iu], submitted_at)
         };
         let phase = if f & F_RUNNING != 0 {
             BidPhase::Running
@@ -1455,7 +1470,7 @@ impl Book {
                 work: if f & F_GEOMETRIC != 0 {
                     WorkModel::Geometric
                 } else {
-                    WorkModel::FixedSlots(self.work[iu])
+                    WorkModel::FixedSlots(work)
                 },
             },
             phase,
@@ -1636,7 +1651,9 @@ impl Book {
         let (iu, t) = (i as usize, self.t);
         self.flags[iu] |= F_RUNNING;
         self.touch(self.bucket_of[iu] as usize);
-        let run = self.settlement.entry(&mut self.run_of[iu]);
+        let run = self
+            .settlement
+            .entry(&mut self.flags[iu], &mut self.run_of[iu]);
         let list = &mut self.buckets[self.bucket_of[iu] as usize].running;
         run.pos = list.len() as u32;
         list.push(i);
@@ -1650,13 +1667,14 @@ impl Book {
             // the slot it is accepted in, matching the naive rule
             // `slots_run >= n` checked after the increment.
             // A restarted bid keeps the entry of an earlier launch,
-            // which comes due no later than this one.
-            let rem = self.work[iu].saturating_sub(run.slots_run);
-            let due = t + u64::from(rem.saturating_sub(1));
-            run.due = due;
+            // which comes due no later than this one. A due past the
+            // last slot a market steps is held as `u32::MAX`, which no
+            // step reaches either.
+            let rem = run.work.saturating_sub(run.slots_run);
+            run.due = u32::try_from(t + u64::from(rem.saturating_sub(1))).unwrap_or(u32::MAX);
             if self.flags[iu] & F_FILED == 0 {
                 self.flags[iu] |= F_FILED;
-                calendar.file(i, due, t);
+                calendar.file(i, u64::from(run.due), t);
             }
         }
     }
@@ -1674,8 +1692,10 @@ impl Book {
     /// takes one to hold its closing slot.
     fn terminate(&mut self, i: u32, report: &mut SlotReport) {
         let iu = i as usize;
-        if self.run_of[iu] != NO_RUN || !self.submitted_now(iu) {
-            self.settlement.entry(&mut self.run_of[iu]).due = self.t;
+        if self.flags[iu] & F_RUN != 0 || !self.submitted_now(iu) {
+            self.settlement
+                .entry(&mut self.flags[iu], &mut self.run_of[iu])
+                .due = self.t as u32;
         }
         self.flags[iu] &= !F_OPEN;
         self.open_count -= 1;
@@ -1686,7 +1706,7 @@ impl Book {
     /// through this slot, and takes it out of its running list.
     fn finish(&mut self, i: u32) {
         let run = self.settlement.settle(self.run_of[i as usize], self.t);
-        run.due = self.t;
+        run.due = self.t as u32;
         let p = run.pos;
         self.close_finished(i);
         self.remove_running(i, p);
@@ -1710,11 +1730,11 @@ impl Book {
         if self.flags[iu] & F_RUNNING != 0 {
             let Settlement { runs, charges } = &mut self.settlement;
             let run = &mut runs[self.run_of[iu] as usize];
-            if run.due != self.t {
-                return Some(run.due);
+            if u64::from(run.due) != self.t {
+                return Some(u64::from(run.due));
             }
             settle_run(charges, Some(cohort), run, self.t);
-            debug_assert!(run.slots_run >= self.work[iu]);
+            debug_assert!(run.slots_run >= run.work);
             finished.push(i);
             if counts.is_empty() {
                 counts.resize(BUCKETS, 0);
@@ -1852,16 +1872,19 @@ impl Book {
 
     /// The running lists' audit at the end of a step (debug builds;
     /// allocates nothing): every id in a running list the step touched is
-    /// flagged running, belongs to that bucket and holds its index there
-    /// as its run entry's `pos`, and the lists hold `running_count` ids in
-    /// all. Every change to a list or to a listed runner's flags marks
-    /// the list, so an untouched list holds what its last audit saw. The
-    /// walk indexes plain slices in a `while` loop, which an unoptimized
-    /// build does without a call.
+    /// flagged running and [`F_RUN`], points its `run_of` at an entry of
+    /// the run table, belongs to that bucket and holds its index there as
+    /// its run entry's `pos`, and a fixed-work runner has settled no more
+    /// slots than its work; the lists hold `running_count` ids in all.
+    /// Every change to a list or to a listed runner's flags marks the
+    /// list, so an untouched list holds what its last audit saw. The walk
+    /// indexes plain slices in a `while` loop, which an unoptimized build
+    /// does without a call.
     #[cfg(debug_assertions)]
     fn audit_running(&mut self) {
         let (flags, bucket_of, run_of) = (&self.flags[..], &self.bucket_of[..], &self.run_of[..]);
         let (pages, buckets) = (&self.settlement.runs.pages[..], &self.buckets[..]);
+        let runs = self.settlement.runs.len();
         for (w, word) in self.touched.iter_mut().enumerate() {
             while *word != 0 {
                 let b = w * 64 + word.trailing_zeros() as usize;
@@ -1871,7 +1894,15 @@ impl Book {
                 while p < list.len() {
                     let i = list[p] as usize;
                     let r = run_of[i] as usize;
-                    let pos = pages[r / PAGE].as_slice()[r % PAGE].pos as usize;
+                    assert!(
+                        flags[i] & F_RUN != 0 && r < runs,
+                        "slot {}: running bid {i} holds no run entry: flags {:#x}, run_of {r} \
+                         of {runs}",
+                        self.t - 1,
+                        flags[i]
+                    );
+                    let run = &pages[r / PAGE].as_slice()[r % PAGE];
+                    let pos = run.pos as usize;
                     assert!(
                         flags[i] & F_RUNNING != 0 && bucket_of[i] as usize == b && pos == p,
                         "slot {}: bucket {b}'s running list holds bid {i} at {p}: flags {:#x}, \
@@ -1879,6 +1910,13 @@ impl Book {
                         self.t - 1,
                         flags[i],
                         bucket_of[i]
+                    );
+                    assert!(
+                        flags[i] & F_GEOMETRIC != 0 || run.slots_run <= run.work,
+                        "slot {}: running bid {i} settled {} slots of {} slots of work",
+                        self.t - 1,
+                        run.slots_run,
+                        run.work
                     );
                     p += 1;
                 }
@@ -1929,12 +1967,14 @@ impl Book {
 }
 
 impl Settlement {
-    /// The run entry `run_of` points at, pushed fresh (and `run_of`
-    /// pointed at it) if it holds none.
-    fn entry(&mut self, run_of: &mut u32) -> &mut Run {
-        if *run_of == NO_RUN {
-            *run_of = self.runs.len() as u32;
-            self.runs.push(FRESH_RUN);
+    /// The run entry a bid's `run_of` slot points at. A bid that holds
+    /// none (its `flags` lack [`F_RUN`]) gets a fresh one, which takes
+    /// over the slots of work its `run_of` held, and points `run_of` at it.
+    fn entry(&mut self, flags: &mut u8, run_of: &mut u32) -> &mut Run {
+        if *flags & F_RUN == 0 {
+            *flags |= F_RUN;
+            let work = std::mem::replace(run_of, self.runs.len() as u32);
+            self.runs.push(Run { work, ..FRESH_RUN });
         }
         &mut self.runs[*run_of as usize]
     }
@@ -2687,13 +2727,12 @@ mod tests {
     impl SpotMarket {
         /// `(len, capacity)` of every bid column [`SpotMarket::reserve`]
         /// grows.
-        fn column_shapes(&self) -> [(usize, usize); 5] {
+        fn column_shapes(&self) -> [(usize, usize); 4] {
             let shape = |len, cap| (len, cap);
             let b = &self.book;
             [
                 shape(b.price_of.len(), b.price_of.capacity()),
                 shape(b.flags.len(), b.flags.capacity()),
-                shape(b.work.len(), b.work.capacity()),
                 shape(b.run_of.len(), b.run_of.capacity()),
                 shape(b.bucket_of.len(), b.bucket_of.capacity()),
             ]
@@ -2701,19 +2740,15 @@ mod tests {
     }
 
     #[test]
-    fn a_bid_holds_19_bytes_of_columns() {
+    fn a_bid_holds_15_bytes_of_columns() {
         fn elem<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
         let m = market();
         let b = &m.book;
-        let per_bid = elem(&b.price_of)
-            + elem(&b.flags)
-            + elem(&b.work)
-            + elem(&b.run_of)
-            + elem(&b.bucket_of);
-        assert_eq!(m.column_shapes().len(), 5, "a column left out here");
-        assert_eq!(per_bid, 19);
+        let per_bid = elem(&b.price_of) + elem(&b.flags) + elem(&b.run_of) + elem(&b.bucket_of);
+        assert_eq!(m.column_shapes().len(), 4, "a column left out here");
+        assert_eq!(per_bid, 15);
         assert_eq!(std::mem::size_of::<Run>(), 32, "a launched bid's run entry");
     }
 
@@ -2744,6 +2779,13 @@ mod tests {
         (fast, slow)
     }
 
+    /// Submits `r` to both markets, which give it the same id.
+    fn submit_both(fast: &mut SpotMarket, slow: &mut naive::SpotMarket, r: BidRequest) -> BidId {
+        let id = fast.submit(r);
+        assert_eq!(slow.submit(r), id);
+        id
+    }
+
     #[test]
     fn bids_near_the_slot_limit_read_back_as_the_naive_records() {
         // Bids launch, run, are interrupted by a demand surge, resume and
@@ -2751,11 +2793,6 @@ mod tests {
         // record holds sits next to `u32::MAX`.
         let (mut fast, mut slow) = markets_near_the_slot_limit();
         let (mut ra, mut rb) = (Rng::seed_from_u64(36), Rng::seed_from_u64(36));
-        let submit_both = |fast: &mut SpotMarket, slow: &mut naive::SpotMarket, r: BidRequest| {
-            let id = fast.submit(r);
-            assert_eq!(slow.submit(r), id);
-            id
-        };
         let victim = submit_both(&mut fast, &mut slow, bid(0.17, BidKind::Persistent, 4));
         submit_both(&mut fast, &mut slow, bid(0.35, BidKind::OneTime, 2));
         submit_both(&mut fast, &mut slow, bid(0.03, BidKind::Persistent, 2));
@@ -2792,6 +2829,59 @@ mod tests {
     }
 
     #[test]
+    fn fixed_work_due_past_the_slot_limit_reads_back_as_the_naive_records() {
+        // Fixed-work bids whose finish slot lies at or past `u32::MAX`,
+        // which their run entries hold as `u32::MAX`, launch, are
+        // interrupted by a demand surge and resume in the last six slots
+        // a market may step. Every report, and every record after every
+        // slot, is the naive oracle's.
+        let (mut fast, mut slow) = markets_near_the_slot_limit();
+        let (mut ra, mut rb) = (Rng::seed_from_u64(38), Rng::seed_from_u64(38));
+        let works = [u32::MAX, u32::MAX - 1, 1 << 31, 10, 7, 6];
+        let mut ids = Vec::new();
+        for &work in &works {
+            for (price, kind) in [
+                (0.174, BidKind::Persistent),
+                (0.174, BidKind::OneTime),
+                (0.35, BidKind::Persistent),
+                (0.35, BidKind::OneTime),
+            ] {
+                ids.push(submit_both(&mut fast, &mut slow, bid(price, kind, work)));
+            }
+        }
+        for slot in 0..6 {
+            if slot == 1 {
+                // A surge of two-slot bids lifts the price from 0.1732 to
+                // 0.1749, above the 0.174 bids, for two slots.
+                for _ in 0..400 {
+                    submit_both(&mut fast, &mut slow, bid(0.34, BidKind::Persistent, 2));
+                }
+            }
+            let (x, y) = (fast.step(&mut ra), slow.step(&mut rb));
+            assert_eq!(x, y, "slot {}", x.t);
+            assert_eq!(fast.records(), slow.records(), "slot {}", x.t);
+        }
+        assert_eq!(fast.now(), u64::from(u32::MAX));
+        let records = fast.records();
+        let limit = &records[ids[0].0 as usize];
+        assert_eq!(limit.request.work, WorkModel::FixedSlots(u32::MAX));
+        assert_eq!(limit.phase, BidPhase::Running, "{limit:?}");
+        assert_eq!(limit.interruptions, 1, "resumed after the surge");
+        // A runner at the limit is due at or past it, so its entry holds
+        // `u32::MAX`.
+        let running: Vec<_> = ids
+            .iter()
+            .map(|id| id.0 as usize)
+            .filter(|&iu| fast.book.flags[iu] & F_RUNNING != 0)
+            .collect();
+        assert_eq!(running.len(), 16, "{records:?}");
+        for iu in running {
+            let run = &fast.book.settlement.runs[fast.book.run_of[iu] as usize];
+            assert_eq!(run.due, u32::MAX, "bid {iu}: {run:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "slot index space exhausted")]
     fn a_step_past_the_slot_limit_panics() {
         let (mut fast, _) = markets_near_the_slot_limit();
@@ -2810,7 +2900,8 @@ mod tests {
         let id = m.submit(bid(0.02, BidKind::OneTime, 1));
         let rep = m.step(&mut rng);
         assert_eq!(rep.terminated, vec![id]);
-        assert_eq!(m.book.run_of[id.0 as usize], NO_RUN);
+        assert_eq!(m.book.flags[id.0 as usize] & F_RUN, 0);
+        assert_eq!(m.book.run_of[id.0 as usize], 1, "still holds its work");
         assert_eq!(m.book.settlement.runs.len(), 0);
         let rec = m.record(id).unwrap();
         assert_eq!(rec.phase, BidPhase::Terminated);
@@ -2836,7 +2927,8 @@ mod tests {
         assert_eq!(rep.t, 3);
         assert_eq!(rep.terminated, vec![id]);
         assert_ne!(
-            m.book.run_of[id.0 as usize], NO_RUN,
+            m.book.flags[id.0 as usize] & F_RUN,
+            0,
             "holds its closing slot"
         );
         let rec = m.record(id).unwrap();
@@ -2857,7 +2949,8 @@ mod tests {
             let rep = m.step(&mut rng);
             assert!(!rep.started.contains(&low));
         }
-        assert_eq!(m.book.run_of[low.0 as usize], NO_RUN);
+        assert_eq!(m.book.flags[low.0 as usize] & F_RUN, 0);
+        assert_eq!(m.book.run_of[low.0 as usize], 5, "still holds its work");
         assert_eq!(
             m.book.settlement.runs.len(),
             1,
@@ -2946,6 +3039,52 @@ mod tests {
         for (i, &p) in at.iter().enumerate() {
             assert_eq!(&paged[i] as *const u32, p, "entry {i} moved");
         }
+    }
+
+    #[test]
+    fn per_slot_logs_grow_by_a_quarter() {
+        // After any push sequence a per-slot log holds at most
+        // `max(len + LOG_STEP, len + len / 4)` entries: a log pushed
+        // through `push_log` alone, a three-market charge table (a fleet's),
+        // and a finite market's provider ledger, charge table and arrival
+        // runs, stepped with bids arriving in some slots and not others.
+        let snug = |what: &str, len: usize, room: usize| {
+            assert!(
+                room >= len && room <= (len + LOG_STEP).max(len + len / 4),
+                "{what}: {len} entries in room for {room}"
+            );
+        };
+        let mut log = Vec::new();
+        for n in 0..100_000u32 {
+            push_log(&mut log, n);
+            snug("log", log.len(), log.capacity());
+        }
+        let mut table = ChargeTable::new(3);
+        for k in 0..30_000 {
+            table.push(Cost::new(f64::from(k)));
+            snug(
+                "fleet charges",
+                table.amounts.len(),
+                table.amounts.capacity(),
+            );
+        }
+        let (mut m, mut g) = (finite_market(300, 40), Rng::seed_from_u64(39));
+        let mut rng = Rng::seed_from_u64(40);
+        let mut report = SlotReport::empty();
+        for _ in 0..3_000 {
+            if g.chance(0.4) {
+                mixed_submissions(&mut m, 1 + g.range_usize(6) as u32);
+            }
+            m.request_on_demand(g.range_usize(3) as u32);
+            m.release_on_demand(g.range_usize(3) as u32);
+            m.step_into(&mut rng, &mut report);
+            let b = &m.book;
+            let charges = &b.settlement.charges.amounts;
+            snug("ledger", m.provider_slots().len(), m.pool.ledger_room());
+            snug("charges", charges.len(), charges.capacity());
+            snug("arrivals", b.arrivals.len(), b.arrivals.capacity());
+        }
+        assert!(m.book.arrivals.len() > 1_000, "bids arrived in few slots");
     }
 
     /// Every bid column of `m` holds at most `max(len + PAGE, len + len /

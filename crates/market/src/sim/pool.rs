@@ -2,7 +2,7 @@
 //! price rule the spot side clears by. Both market implementations hold
 //! one, so the finite-supply bookkeeping exists once.
 
-use super::{ProviderReport, ProviderSlot, Supply};
+use super::{push_log, ProviderReport, ProviderSlot, Supply};
 use crate::params::MarketParams;
 use crate::provider::{clearing_price, optimal_price};
 use crate::units::{Cost, Hours, Price};
@@ -31,7 +31,8 @@ pub(crate) struct Pool {
     admitted: u32,
     /// On-demand refusals since the last slot closed.
     refused: u32,
-    /// One entry per closed slot under finite supply.
+    /// One entry per closed slot under finite supply, grown by a quarter
+    /// when full ([`push_log`]).
     ledger: Vec<ProviderSlot>,
 }
 
@@ -131,7 +132,7 @@ impl Pool {
         let Some(spot_capacity) = self.spot_capacity() else {
             return;
         };
-        self.ledger.push(ProviderSlot {
+        let slot = ProviderSlot {
             t,
             price,
             spot_capacity,
@@ -144,7 +145,8 @@ impl Pool {
             od_rejected: std::mem::take(&mut self.refused),
             spot_revenue: (price * self.slot_len) * f64::from(spot.running),
             od_revenue: (self.params.pi_bar * self.slot_len) * f64::from(self.od_active),
-        });
+        };
+        push_log(&mut self.ledger, slot);
         #[cfg(debug_assertions)]
         self.audit(demand);
         #[cfg(not(debug_assertions))]
@@ -196,6 +198,12 @@ impl Pool {
     /// The per-slot ledger (empty under unbounded supply).
     pub(crate) fn ledger(&self) -> &[ProviderSlot] {
         &self.ledger
+    }
+
+    /// Entries the ledger has room for, for tests of its growth.
+    #[cfg(test)]
+    pub(crate) fn ledger_room(&self) -> usize {
+        self.ledger.capacity()
     }
 
     /// The ledger folded into its cumulative report, or `None` under

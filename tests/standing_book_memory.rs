@@ -3,10 +3,11 @@
 //! within a per-bid byte budget.
 //!
 //! Once finite capacity binds (§3.2, Figure 2) most bids of a standing
-//! book sit below the posted price and pend for good. Each bid holds five
-//! columns, 19 bytes; only a bid that has launched adds a 32-byte run
-//! entry (its accrual, running-list position and due word), in a table
-//! that grows by pages of 1,024 entries. Here about three bids in four
+//! book sit below the posted price and pend for good. Each bid holds four
+//! columns, 15 bytes, its slots of work among them until it launches;
+//! only a bid that has launched adds a 32-byte run entry (its accrual,
+//! running-list position, due word and work), in a table that grows by
+//! pages of 1,024 entries. Here about three bids in four
 //! never run, so a layout that gave every bid its run state would need
 //! more than the budget asserted below.
 //!
@@ -81,13 +82,15 @@ const OD_ARRIVALS: f64 = 200.0;
 /// Per-slot departure probability of each active on-demand instance.
 const OD_DEPARTURE: f64 = 0.1;
 
-/// Peak live heap per bid: 37 bytes measured (2,045,877 for the 54,400
-/// bids below), plus 10% headroom. It read 44 bytes (2,434,632) while
-/// every bid kept a running-list position and the columns grew by
-/// doubling, 48 bytes (2,663,624) while the run table grew by doubling
-/// too, and giving every bid its run state at submission reads 73 bytes
-/// per bid (3,977,288).
-const BUDGET_PER_BID: usize = 41;
+/// Peak live heap per bid: 32 bytes measured (1,741,049 for the 54,400
+/// bids below), plus 10% headroom. It read 37 bytes (2,045,877) while
+/// every bid kept its work in a column of its own and the per-slot logs
+/// grew by doubling, 44 bytes (2,434,632) while every bid kept a
+/// running-list position and the columns grew by doubling too, 48 bytes
+/// (2,663,624) while the run table grew by doubling as well, and giving
+/// every bid its run state at submission reads 73 bytes per bid
+/// (3,977,288).
+const BUDGET_PER_BID: usize = 36;
 
 /// Bid `i` of a golden-ratio ladder over `[π_min, π̄)`.
 fn laddered(p: &MarketParams, i: usize) -> Price {
