@@ -5,7 +5,7 @@
 use spotbid_bench::experiments::ablations;
 use spotbid_bench::report::{usd, Table};
 use spotbid_bench::timing::time_experiment;
-use spotbid_client::experiment::ExperimentConfig;
+use spotbid_engine::experiment::ExperimentConfig;
 
 fn main() {
     let mut t = Table::new("provider objectives — revenue vs clearing (capacity 10) vs welfare")

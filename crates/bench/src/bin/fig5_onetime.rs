@@ -3,7 +3,7 @@
 use spotbid_bench::experiments::fig5;
 use spotbid_bench::report::{pct, usd, Table};
 use spotbid_bench::timing::time_experiment;
-use spotbid_client::experiment::ExperimentConfig;
+use spotbid_engine::experiment::ExperimentConfig;
 
 fn main() {
     let cfg = ExperimentConfig::default();

@@ -14,9 +14,9 @@
 //! - **Collective behaviour**: many strategic bidders sharing one market,
 //!   shifting the endogenous price distribution.
 
-use spotbid_client::experiment::{run_with_trace_config, ExperimentConfig};
 use spotbid_core::price_model::EmpiricalPrices;
 use spotbid_core::{baselines, onetime, BiddingStrategy, JobSpec, PriceModel};
+use spotbid_engine::experiment::{run_with_trace_config, ExperimentConfig};
 use spotbid_market::provider::{accepted_bids, clearing_price, optimal_price, welfare_price};
 use spotbid_market::sim::{BidKind, BidRequest, SpotMarket, WorkModel};
 use spotbid_market::units::{Hours, Price};

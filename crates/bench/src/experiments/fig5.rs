@@ -7,8 +7,8 @@
 //! unsafe. Shape targets: measured spot cost ≈ predicted spot cost ≪
 //! on-demand cost; the offline-heuristic bid sometimes fails to finish.
 
-use spotbid_client::experiment::{run_single_instance, ExperimentConfig};
 use spotbid_core::{BiddingStrategy, JobSpec};
+use spotbid_engine::experiment::{run_single_instance, ExperimentConfig};
 use spotbid_trace::catalog::table3_instances;
 
 /// One Figure 5 group of bars.

@@ -9,8 +9,8 @@
 //! (c) persistent total costs are *lower*, and the 90th-percentile
 //! heuristic saves less than the optimal persistent bids.
 
-use spotbid_client::experiment::{run_single_instance, ExperimentConfig, ExperimentResult};
 use spotbid_core::{BiddingStrategy, JobSpec};
+use spotbid_engine::experiment::{run_single_instance, ExperimentConfig, ExperimentResult};
 use spotbid_trace::catalog::table3_instances;
 
 /// Relative performance of one strategy against the one-time baseline.

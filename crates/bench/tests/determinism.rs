@@ -8,8 +8,8 @@
 //! tolerances).
 
 use spotbid_bench::experiments::{ablations, fig3, fig5, fig6, fig7, stability, table3, table4};
-use spotbid_client::experiment::{run_single_instance, ExperimentConfig};
 use spotbid_core::{BiddingStrategy, JobSpec};
+use spotbid_engine::experiment::{run_single_instance, ExperimentConfig};
 use spotbid_exec::with_threads;
 use spotbid_trace::catalog;
 

@@ -5,8 +5,10 @@
 //! line item — one per (partial) slot of usage — so experiments can report
 //! exact costs and break them down by source (spot vs on-demand, master vs
 //! slave). The ledger lives in the engine crate because every layer bills
-//! through the kernel's [`crate::Event::Charged`] stream; `spotbid-client`
-//! re-exports these types unchanged.
+//! through the kernel's [`crate::Event::Charged`] stream. [`hourly`]
+//! rebills a finished run under EC2's 2014 hourly rules.
+
+pub mod hourly;
 
 use crate::EngineError;
 use spotbid_market::units::{Cost, Hours, Price};

@@ -19,6 +19,11 @@
 //! submitting into one endogenous market whose posted price responds to
 //! their bids. The Section-4 market itself steps through
 //! `spotbid_market::sim::SpotMarket`.
+//!
+//! The bidding client of Figure 1 lives here too: [`experiment`] resolves
+//! a strategy against a price-monitor window, replays the job through
+//! [`run_job`], and repeats trials the way §7 does; [`billing::hourly`]
+//! rebills a run under EC2's 2014 hourly rules.
 
 #![warn(missing_docs)]
 
@@ -26,6 +31,7 @@ pub mod billing;
 pub mod closedloop;
 pub mod cluster;
 pub mod event;
+pub mod experiment;
 pub mod job_monitor;
 pub mod kernel;
 pub mod observer;
@@ -68,6 +74,9 @@ pub enum EngineError {
         /// Description of the problem.
         what: String,
     },
+    /// A history error from `spotbid-trace`. Boxed, so the error stays
+    /// 32 bytes on every closed-loop result.
+    Trace(Box<spotbid_trace::TraceError>),
 }
 
 impl fmt::Display for EngineError {
@@ -76,6 +85,7 @@ impl fmt::Display for EngineError {
             EngineError::Core(e) => write!(f, "core error: {e}"),
             EngineError::Billing { what } => write!(f, "billing error: {what}"),
             EngineError::InvalidConfig { what } => write!(f, "invalid config: {what}"),
+            EngineError::Trace(e) => write!(f, "trace error: {e}"),
         }
     }
 }
@@ -84,6 +94,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Core(e) => Some(e),
+            EngineError::Trace(e) => Some(&**e),
             EngineError::Billing { .. } | EngineError::InvalidConfig { .. } => None,
         }
     }
@@ -92,6 +103,12 @@ impl std::error::Error for EngineError {
 impl From<spotbid_core::CoreError> for EngineError {
     fn from(e: spotbid_core::CoreError) -> Self {
         EngineError::Core(e)
+    }
+}
+
+impl From<spotbid_trace::TraceError> for EngineError {
+    fn from(e: spotbid_trace::TraceError) -> Self {
+        EngineError::Trace(Box::new(e))
     }
 }
 
@@ -109,5 +126,17 @@ mod tests {
         assert!(std::error::Error::source(&e).is_none());
         let e = EngineError::InvalidConfig { what: "z".into() };
         assert!(e.to_string().contains("invalid config"));
+        let inner = spotbid_trace::TraceError::Parse { what: "w".into() };
+        let e: EngineError = inner.clone().into();
+        assert_eq!(e.to_string(), format!("trace error: {inner}"));
+        let source = std::error::Error::source(&e).expect("a trace error has a source");
+        assert_eq!(source.downcast_ref(), Some(&inner));
+    }
+
+    #[test]
+    fn error_stays_32_bytes() {
+        // An unboxed `Trace` variant would make every `Result<_, EngineError>`
+        // in the closed loop 40 bytes.
+        assert_eq!(std::mem::size_of::<EngineError>(), 32);
     }
 }

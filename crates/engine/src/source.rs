@@ -7,7 +7,7 @@
 //! ([`SlotPrice`]), a full `SlotReport` for the live Section-4 market —
 //! so drivers are written against the quote they understand.
 //!
-//! The [`MarketView`] trait (moved here from `spotbid-client`) is the
+//! The [`MarketView`] trait is the
 //! replay-side abstraction: a possibly-degraded window onto a price trace,
 //! with ground truth kept separate from what the client observes. The
 //! faults crate's `FaultyMarket` implements it; [`ViewSource`] adapts any

@@ -1,9 +1,9 @@
 //! Bit-for-bit parity of the kernel-backed runtimes against frozen copies
 //! of the pre-kernel implementations.
 //!
-//! The `legacy` module below is the pre-kernel replay loop from
-//! `spotbid-client`, copied verbatim (modulo the billing/monitor types now
-//! living in this crate) and never to be edited again: it is the ground
+//! The `legacy` module below is the pre-kernel replay loop of the bidding
+//! client, copied verbatim (modulo the billing/monitor types now living in
+//! this crate) and never to be edited again: it is the ground
 //! truth the kernel inversion must reproduce exactly — same statuses, same
 //! line items, same monitor timings — across randomized traces, fault
 //! scripts, and job shapes.

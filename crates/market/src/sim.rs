@@ -30,7 +30,7 @@
 //! The simulator is the substrate for the provider-model validation and
 //! for the §8 "collective user behavior" ablation (many strategic bidders
 //! sharing one market). Individual price-taking users — the paper's main
-//! setting — are simulated against a price *trace* by `spotbid-client`.
+//! setting — are simulated against a price *trace* by `spotbid-engine`.
 
 use crate::params::MarketParams;
 use crate::provider::ProviderPolicy;

@@ -14,9 +14,9 @@
 //! paper's analytical model) and under EC2's hourly rules (what the
 //! paper's actual AWS bills followed).
 
-use spotbid::client::hourly::{rebill_hourly, sessions_from_bill};
 use spotbid::core::price_model::EmpiricalPrices;
 use spotbid::core::{persistent, BidDecision, JobSpec};
+use spotbid::engine::billing::hourly::{rebill_hourly, sessions_from_bill};
 use spotbid::engine::{run_job, RunStatus};
 use spotbid::market::units::Price;
 use spotbid::trace::aws::{from_aws_json, AwsFilter};

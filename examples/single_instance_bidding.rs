@@ -10,8 +10,8 @@
 //! fresh synthetic c3.4xlarge traces, and prints measured cost,
 //! completion time, interruptions, and completion rate.
 
-use spotbid::client::experiment::{run_single_instance, ExperimentConfig};
 use spotbid::core::{BiddingStrategy, JobSpec};
+use spotbid::engine::experiment::{run_single_instance, ExperimentConfig};
 use spotbid::trace::catalog;
 
 fn main() {

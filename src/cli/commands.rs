@@ -1,9 +1,9 @@
 //! The `spotbid` CLI subcommands.
 
 use super::args::{ArgError, Args};
-use spotbid_client::experiment::{run_single_instance, ExperimentConfig};
 use spotbid_core::price_model::EmpiricalPrices;
 use spotbid_core::{mapreduce, onetime, persistent, BiddingStrategy, JobSpec};
+use spotbid_engine::experiment::{run_single_instance, ExperimentConfig};
 use spotbid_numerics::rng::Rng;
 use spotbid_trace::catalog::{self, InstanceType};
 use spotbid_trace::history::TWO_MONTHS_SLOTS;
@@ -700,8 +700,24 @@ mod tests {
             "5",
         ])
         .unwrap();
-        assert!(out.contains("100.0% of on-demand"));
+        assert_eq!(
+            out,
+            "c3.4xlarge × 2 trials (OnDemand)\n\
+             cost        $0.8400 ± 0.0000   (100.0% of on-demand)\n\
+             completion  1.000 h ± 0.000\n\
+             interruptions 0.00   completed 100%\n"
+        );
         assert!(run(&["simulate", "--instance", "c3.4xlarge", "--strategy", "zzz"]).is_err());
+    }
+
+    #[test]
+    fn simulate_reports_the_harness_config_error() {
+        let err = run(&["simulate", "--instance", "c3.4xlarge", "--trials", "0"]).unwrap_err();
+        assert!(
+            err.0
+                .contains("invalid config: at least one trial required"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! - [`market`] — the provider's pricing model and spot-market simulator.
 //! - [`trace`] — spot-price histories, instance catalog, synthetic traces.
 //! - [`core`] — **the paper's contribution**: optimal bidding strategies.
-//! - [`engine`] — the event-driven simulation kernel and closed-loop mode.
-//! - [`client`] — the bidding client (Figure 1) and experiment harness.
+//! - [`engine`] — the event-driven simulation kernel, closed-loop mode, and
+//!   the bidding client (Figure 1) with its experiment harness.
 //! - [`mapred`] — a miniature MapReduce engine running on spot instances.
 //! - [`serve`] — a fault-hardened, long-running bid-advisory server.
 //!
@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub use spotbid_client as client;
 pub use spotbid_core as core;
 pub use spotbid_engine as engine;
 pub use spotbid_mapred as mapred;

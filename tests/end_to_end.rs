@@ -2,9 +2,9 @@
 //! through bidding to replayed outcomes, exercised the way a downstream
 //! user would drive it.
 
-use spotbid::client::experiment::{run_single_instance, ExperimentConfig};
 use spotbid::core::price_model::EmpiricalPrices;
 use spotbid::core::{onetime, persistent, BidDecision, BiddingStrategy, JobSpec, PriceModel};
+use spotbid::engine::experiment::{run_single_instance, ExperimentConfig};
 use spotbid::engine::{run_job, RunStatus};
 use spotbid::numerics::rng::Rng;
 use spotbid::trace::{analyze, catalog, synthetic};
