@@ -464,7 +464,7 @@ pub(super) trait SessionFleet: JobDriver<PortfolioSource> {
 
     /// Settles anything still accruing through the last slot into the
     /// fleet's own cost totals (nothing, for a fleet billed through its
-    /// events).
+    /// events), and may drop whatever only the loop reads.
     fn close(&mut self) {}
 
     /// Tenant `tag`'s state at the session end.
@@ -474,7 +474,9 @@ pub(super) trait SessionFleet: JobDriver<PortfolioSource> {
 /// A session run to its end: the fleet, every tenant's cost total, and
 /// what the report needs of the markets — their posted prices and
 /// provider telemetry. The markets themselves, with every bid column, are
-/// dropped before the report rows are built.
+/// dropped before the report rows are built, and so are the fleet's loop
+/// columns: its close keeps only what [`SessionFleet::tenant_final`]
+/// reads.
 pub(super) struct Session<F> {
     tenants: u32,
     costs: CostTotals,

@@ -1507,6 +1507,21 @@ impl SessionFleet for Fleet {
             pass.settle(t, end);
         }
         pass.end();
+        // Only what `tenant_final` reads outlives the loop: the report
+        // rows are built beside it, not beside the loop's columns.
+        for col in [
+            &mut self.pending,
+            &mut self.run_since,
+            &mut self.bid,
+            &mut self.left,
+            &mut self.market,
+            &mut self.next,
+            &mut self.needy,
+            &mut self.sc_order,
+        ] {
+            *col = Vec::new();
+        }
+        (self.wake, self.slab, self.owners) = (Vec::new(), Vec::new(), Vec::new());
     }
 
     #[inline(always)]

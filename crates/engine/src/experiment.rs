@@ -35,7 +35,6 @@ use spotbid_core::{
     onetime, persistent, BidDecision, BidRecommendation, BiddingStrategy, CoreError, JobSpec,
 };
 use spotbid_market::units::Price;
-use spotbid_numerics::rng::Rng;
 use spotbid_numerics::stats::{summarize, Summary};
 use spotbid_trace::catalog::InstanceType;
 use spotbid_trace::history::{SpotPriceHistory, TWO_MONTHS_SLOTS};
@@ -139,19 +138,6 @@ impl ExperimentResult {
         summarize(&preds).ok().map(|s| s.mean)
     }
 
-    /// Bootstrap 95% confidence interval for the mean cost over completed
-    /// trials (percentile method; more honest than the normal
-    /// approximation at the paper's n = 10).
-    pub fn cost_ci_bootstrap(&self, rng: &mut Rng, resamples: usize) -> Option<(f64, f64)> {
-        let costs: Vec<f64> = self
-            .trials
-            .iter()
-            .filter(|t| t.outcome.completed())
-            .map(|t| t.outcome.cost.as_f64())
-            .collect();
-        spotbid_numerics::stats::bootstrap_mean_ci(&costs, 0.95, resamples, rng).ok()
-    }
-
     /// Mean predicted completion time across predicted trials.
     pub fn mean_predicted_completion(&self) -> Option<f64> {
         let preds: Vec<f64> = self
@@ -168,15 +154,14 @@ impl ExperimentResult {
 ///
 /// # Errors
 ///
-/// Configuration errors up front; the first trial error otherwise.
+/// Configuration errors, then job errors, up front; the first trial
+/// error otherwise.
 pub fn run_single_instance(
     inst: &InstanceType,
     strategy: BiddingStrategy,
     job: &JobSpec,
     cfg: &ExperimentConfig,
 ) -> Result<ExperimentResult, EngineError> {
-    cfg.validate()?;
-    job.validate()?;
     let trace_cfg = SyntheticConfig::for_instance(inst);
     run_with_trace_config(inst, &trace_cfg, strategy, job, cfg)
 }
@@ -195,6 +180,7 @@ pub fn run_with_trace_config(
     cfg: &ExperimentConfig,
 ) -> Result<ExperimentResult, EngineError> {
     cfg.validate()?;
+    job.validate()?;
     let total_slots = cfg.warmup_slots + cfg.horizon_slots;
     // Each worker owns one price buffer that round-trips through the
     // per-trial `SpotPriceHistory`, so repeated trials reuse the two-month
@@ -310,6 +296,8 @@ fn aggregate(trials: Vec<TrialResult>) -> Result<ExperimentResult, EngineError> 
 mod tests {
     use super::*;
     use crate::RunStatus;
+    use spotbid_market::units::Hours;
+    use spotbid_numerics::rng::Rng;
     use spotbid_trace::catalog;
     use spotbid_trace::synthetic::generate;
 
@@ -414,6 +402,23 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_config_is_reported_before_a_bad_job() {
+        let inst = catalog::by_name("r3.xlarge").unwrap();
+        let mut job = JobSpec::builder(1.0).build().unwrap();
+        job.execution = Hours::new(-1.0);
+        let cfg = ExperimentConfig {
+            trials: 0,
+            ..quick_cfg()
+        };
+        let err = run_single_instance(&inst, BiddingStrategy::OnDemand, &job, &cfg).unwrap_err();
+        assert_eq!(err, cfg.validate().unwrap_err());
+        assert!(matches!(
+            run_single_instance(&inst, BiddingStrategy::OnDemand, &job, &quick_cfg()),
+            Err(EngineError::Core(_))
+        ));
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let inst = catalog::by_name("r3.xlarge").unwrap();
         let job = JobSpec::builder(1.0).recovery_secs(30.0).build().unwrap();
@@ -475,33 +480,5 @@ mod tests {
         // The bid is calibrated to survive ~1 hour; most trials complete.
         assert!(r.completion_rate() >= 0.5, "rate {}", r.completion_rate());
         assert!(r.cost.mean < 0.35 * inst.on_demand.as_f64());
-    }
-}
-
-#[cfg(test)]
-mod bootstrap_tests {
-    use super::*;
-    use spotbid_trace::catalog;
-
-    #[test]
-    fn bootstrap_ci_brackets_the_trial_mean() {
-        let inst = catalog::by_name("r3.xlarge").unwrap();
-        let job = JobSpec::builder(1.0).recovery_secs(30.0).build().unwrap();
-        let cfg = ExperimentConfig {
-            trials: 8,
-            seed: 0xB007,
-            warmup_slots: 4000,
-            horizon_slots: 2000,
-            ..Default::default()
-        };
-        let r = run_single_instance(&inst, BiddingStrategy::OptimalPersistent, &job, &cfg).unwrap();
-        let mut rng = Rng::seed_from_u64(1);
-        let (lo, hi) = r.cost_ci_bootstrap(&mut rng, 1000).unwrap();
-        assert!(
-            lo <= r.cost.mean && r.cost.mean <= hi,
-            "[{lo}, {hi}] vs {}",
-            r.cost.mean
-        );
-        assert!(hi < inst.on_demand.as_f64());
     }
 }

@@ -170,7 +170,9 @@ impl MarketSet {
 
     /// Steps every market one slot, in index order, each drawing from its
     /// own RNG. `reports[m]` is overwritten with market `m`'s outcome
-    /// (recycle the buffers across slots to stay allocation-free).
+    /// through [`SpotMarket::step_into`]: recycle the buffers across slots
+    /// to stay allocation-free in steady state; a step after a burst
+    /// shrinks them once.
     ///
     /// Panics unless `rngs` and `reports` both have length M.
     pub fn step_into(&mut self, rngs: &mut [Rng], reports: &mut [SlotReport]) {

@@ -375,7 +375,7 @@ impl Calendar {
                 self.file(i, due, t);
             }
         }
-        list.clear();
+        recycle(list);
     }
 
     /// Entries held.
@@ -500,6 +500,19 @@ pub fn reserve_column<T>(v: &mut Vec<T>, n: usize) {
     let (len, cap) = (v.len(), v.capacity());
     if cap - len < n {
         v.reserve_exact((len + n + PAGE).max(cap + cap / 4) - len);
+    }
+}
+
+/// Empties per-slot list `v` and gives back the room a burst left in it:
+/// a list with more than one [`PAGE`] of room and over four times the
+/// entries it held shrinks to twice those, never below one page. A list
+/// that holds about as much every slot keeps its room, so steady-state
+/// steps allocate nothing, and a step after a burst shrinks it once.
+fn recycle<T>(v: &mut Vec<T>) {
+    let held = v.len();
+    v.clear();
+    if v.capacity() > PAGE.max(4 * held) {
+        v.shrink_to(PAGE.max(2 * held));
     }
 }
 
@@ -810,8 +823,8 @@ struct Settlement {
     charges: ChargeTable,
 }
 
-/// A step's working lists, cleared at the start of each step (the
-/// victim lists by their own pass).
+/// A step's working lists, emptied at the start of each step by
+/// [`recycle`] (the per-bucket counts by their own passes).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// This slot's auction winners, pending the capacity pass.
@@ -841,13 +854,15 @@ struct Scratch {
 
 impl Scratch {
     fn clear(&mut self) {
-        self.started.clear();
-        self.rejected.clear();
-        self.geo_in.clear();
-        self.geo_next.clear();
-        self.fin_geo.clear();
-        self.fin_fixed.clear();
-        self.parked_started.clear();
+        recycle(&mut self.started);
+        recycle(&mut self.rejected);
+        recycle(&mut self.victims);
+        recycle(&mut self.keys);
+        recycle(&mut self.geo_in);
+        recycle(&mut self.geo_next);
+        recycle(&mut self.fin_geo);
+        recycle(&mut self.fin_fixed);
+        recycle(&mut self.parked_started);
     }
 }
 
@@ -1253,7 +1268,11 @@ impl SpotMarket {
 
     /// As [`step`](Self::step), but refilling a report the caller holds:
     /// its event buffers are cleared and reused, so a loop that keeps one
-    /// report steps without per-slot allocation.
+    /// report steps without per-slot allocation in steady state. A buffer
+    /// left with room for over 1,024 entries and over four times what it
+    /// last held, as after a burst, shrinks once to twice that, and to no
+    /// less than 1,024 entries; the market keeps its own per-slot lists
+    /// the same way.
     ///
     /// # Panics
     ///
@@ -1277,11 +1296,11 @@ impl SpotMarket {
         report.t = t;
         report.demand = book.open_count;
         report.price = price;
-        report.started.clear();
-        report.interrupted.clear();
-        report.finished.clear();
-        report.terminated.clear();
-        report.evicted.clear();
+        recycle(&mut report.started);
+        recycle(&mut report.interrupted);
+        recycle(&mut report.finished);
+        recycle(&mut report.terminated);
+        recycle(&mut report.evicted);
         debug_assert_eq!(book.settlement.charges.slots(), t);
         book.settlement.charges.push(price * pool.slot_len());
         s.clear();
@@ -3085,6 +3104,112 @@ mod tests {
             snug("arrivals", b.arrivals.len(), b.arrivals.capacity());
         }
         assert!(m.book.arrivals.len() > 1_000, "bids arrived in few slots");
+    }
+
+    impl SpotMarket {
+        /// `(name, entries, room)` of every list a step empties and
+        /// refills: the scratch lists, the finish calendar's lists and
+        /// `report`'s event lists.
+        fn step_lists(&self, report: &SlotReport) -> Vec<(&'static str, usize, usize)> {
+            fn shape<T>(name: &'static str, v: &Vec<T>) -> (&'static str, usize, usize) {
+                (name, v.len(), v.capacity())
+            }
+            let (s, c) = (&self.scratch, &self.calendar);
+            let mut lists = vec![
+                shape("started", &s.started),
+                shape("rejected", &s.rejected),
+                shape("victims", &s.victims),
+                shape("bucket_count", &s.bucket_count),
+                shape("keys", &s.keys),
+                shape("geo_in", &s.geo_in),
+                shape("geo_next", &s.geo_next),
+                shape("fin_geo", &s.fin_geo),
+                shape("fin_fixed", &s.fin_fixed),
+                shape("parked_started", &s.parked_started),
+                shape("geo_run", &self.geo_run),
+                shape("calendar far", &c.far),
+                shape("calendar scratch", &c.scratch),
+                shape("report started", &report.started),
+                shape("report interrupted", &report.interrupted),
+                shape("report finished", &report.finished),
+                shape("report terminated", &report.terminated),
+                shape("report evicted", &report.evicted),
+            ];
+            lists.extend(c.near.iter().map(|v| shape("calendar near", v)));
+            lists.extend(c.mid.iter().map(|v| shape("calendar mid", v)));
+            lists
+        }
+    }
+
+    #[test]
+    fn a_step_gives_back_a_bursts_room() {
+        // A wave of over ten pages of bids, half of them at the top price
+        // so that they all win and a finite market evicts most of them,
+        // into an unbounded and into a finite market, each finishing half
+        // its geometric runners a slot. A reclamation next slot
+        // interrupts the runners left, and quiet slots follow, enough to
+        // turn the calendar's near wheel once past the wave's finishes.
+        // Every report equals a fresh `step`'s, and at the end, every list
+        // a step empties (the scratch lists, the calendar's, and those of
+        // the one report `step_into` refills) holds at most
+        // `max(PAGE, 2 × entries)`: its last use, a handful of quiet-slot
+        // events.
+        let params = MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.5).unwrap();
+        let wave = |m: &mut SpotMarket| {
+            for i in 0..5 * PAGE as u32 {
+                let kind = [BidKind::OneTime, BidKind::Persistent][i as usize % 2];
+                let work = [WorkModel::Geometric, WorkModel::FixedSlots(3 + i % 5)];
+                m.submit(BidRequest {
+                    price: Price::new(0.35),
+                    kind,
+                    work: work[i as usize / 2 % 2],
+                });
+            }
+            mixed_submissions(m, 5 * PAGE as u32 + 123);
+        };
+        for finite in [false, true] {
+            let mut m = if finite {
+                let policy = ProviderPolicy::UtilizationTracking { od_cap: 40 };
+                let supply = Supply::Finite {
+                    capacity: 256,
+                    policy,
+                };
+                SpotMarket::with_supply(params, Hours::from_minutes(5.0), supply)
+            } else {
+                SpotMarket::new(params, Hours::from_minutes(5.0))
+            };
+            let mut fresh = m.clone();
+            let (mut ra, mut rb) = (Rng::seed_from_u64(61), Rng::seed_from_u64(61));
+            let mut g = Rng::seed_from_u64(62);
+            let mut report = SlotReport::empty();
+            let mut burst = 0;
+            for slot in 0..SPAN as usize + 16 {
+                if slot == 0 {
+                    wave(&mut m);
+                    wave(&mut fresh);
+                } else if slot == 1 {
+                    m.reclaim_next_slot();
+                    fresh.reclaim_next_slot();
+                } else {
+                    let n = g.range_usize(4) as u32;
+                    mixed_submissions(&mut m, n);
+                    mixed_submissions(&mut fresh, n);
+                }
+                m.step_into(&mut ra, &mut report);
+                assert_eq!(report, fresh.step(&mut rb), "finite {finite}, slot {slot}");
+                burst = burst.max(m.step_lists(&report).iter().map(|l| l.1).max().unwrap());
+            }
+            assert!(
+                burst > 2 * PAGE,
+                "finite {finite}: no burst ({burst} entries)"
+            );
+            for (name, held, room) in m.step_lists(&report) {
+                assert!(
+                    room <= PAGE.max(2 * held),
+                    "finite {finite}: {name} keeps room for {room} after holding {held}"
+                );
+            }
+        }
     }
 
     /// Every bid column of `m` holds at most `max(len + PAGE, len + len /

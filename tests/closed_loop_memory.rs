@@ -12,8 +12,10 @@
 //! tenant columns and the fleet's one tenant list, one bid per tenant
 //! (15 bytes in the market's four columns plus a 32-byte run entry, since
 //! every tenant's bid runs, in a table that grows by pages), a bounded
-//! submission queue, and the report rows, built after the market is
-//! dropped.
+//! submission queue, and per-slot lists that give back the submission
+//! wave's room once it has passed. The report rows are built after the
+//! market and the fleet's loop-only columns are dropped, beside only the
+//! columns a row reads.
 //!
 //! The counting allocator sees every allocation in the process, so this
 //! file holds a single test.
@@ -78,14 +80,17 @@ const TENANTS: usize = 20_000;
 /// Peak live heap a session may add over what was live before it.
 const BOUND_BYTES: usize = 16 << 20;
 
-/// Peak live heap per tenant: 149 bytes measured (2,999,365 for the
-/// session below), plus 10% headroom. It read 154 bytes (3,083,737) while
-/// every bid kept its work in a column of its own and the charge table
-/// grew by doubling, 179 bytes (3,584,568) while every bid kept a
-/// running-list position and the columns grew by doubling, and 219 bytes
-/// (4,399,160) while the run table grew by doubling too, the fleet kept a
-/// tenant's slot counters in 64 bits and its wave and wake lists apart.
-const BUDGET_PER_TENANT: usize = 164;
+/// Peak live heap per tenant: 135 bytes measured (2,702,469 for the
+/// session below), plus 10% headroom, rounded down. It read 149 bytes
+/// (2,999,365) while the per-slot lists kept the wave's room to the end
+/// and the report rows were built beside the fleet's loop columns, 154
+/// bytes (3,083,737) while every bid kept its work in a column of its own
+/// and the charge table grew by doubling, 179 bytes (3,584,568) while
+/// every bid kept a running-list position and the columns grew by
+/// doubling, and 219 bytes (4,399,160) while the run table grew by
+/// doubling too, the fleet kept a tenant's slot counters in 64 bits and
+/// its wave and wake lists apart.
+const BUDGET_PER_TENANT: usize = 148;
 
 #[test]
 fn running_heavy_session_holds_no_per_charge_ledger() {

@@ -7,7 +7,9 @@
 //! columns, 15 bytes, its slots of work among them until it launches;
 //! only a bid that has launched adds a 32-byte run entry (its accrual,
 //! running-list position, due word and work), in a table that grows by
-//! pages of 1,024 entries. Here about three bids in four
+//! pages of 1,024 entries. The first auction of the whole book is a
+//! burst no later slot repeats, and the step after it gives back the
+//! room it left in the per-slot lists. Here about three bids in four
 //! never run, so a layout that gave every bid its run state would need
 //! more than the budget asserted below.
 //!
@@ -82,15 +84,16 @@ const OD_ARRIVALS: f64 = 200.0;
 /// Per-slot departure probability of each active on-demand instance.
 const OD_DEPARTURE: f64 = 0.1;
 
-/// Peak live heap per bid: 32 bytes measured (1,741,049 for the 54,400
-/// bids below), plus 10% headroom. It read 37 bytes (2,045,877) while
-/// every bid kept its work in a column of its own and the per-slot logs
-/// grew by doubling, 44 bytes (2,434,632) while every bid kept a
-/// running-list position and the columns grew by doubling too, 48 bytes
-/// (2,663,624) while the run table grew by doubling as well, and giving
-/// every bid its run state at submission reads 73 bytes per bid
+/// Peak live heap per bid: 30 bytes measured (1,655,033 for the 54,400
+/// bids below), plus 10% headroom. It read 32 bytes (1,741,049) while the
+/// per-slot lists kept the first auction's room to the end, 37 bytes
+/// (2,045,877) while every bid kept its work in a column of its own and
+/// the per-slot logs grew by doubling, 44 bytes (2,434,632) while every
+/// bid kept a running-list position and the columns grew by doubling too,
+/// 48 bytes (2,663,624) while the run table grew by doubling as well, and
+/// giving every bid its run state at submission reads 73 bytes per bid
 /// (3,977,288).
-const BUDGET_PER_BID: usize = 36;
+const BUDGET_PER_BID: usize = 33;
 
 /// Bid `i` of a golden-ratio ladder over `[π_min, π̄)`.
 fn laddered(p: &MarketParams, i: usize) -> Price {
